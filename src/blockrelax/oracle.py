@@ -3,8 +3,9 @@
 Everything here trades speed for being obviously correct: full enumeration of
 discrete selector combinations, of column subsets, or of grid points, with no
 pruning.  Hard guards refuse problem sizes where exhaustion stops being a
-sane idea.  Minimizer ties are found in a second pass over the same
-enumeration so the reported set never depends on scan order.
+sane idea.  The selector and grid scans evaluate every point once, meeting two
+enumerated halves in the middle; minimizer ties travel with the running
+minimum, so the reported set never depends on scan order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ SUBSET_GUARD = 12
 GRID_GUARD = 10**7
 
 _TIE_REL = 1e-9
+_PAIR_FLOATS = 1 << 16  # most floats one block of (head, tail) residuals may hold
 
 
 @dataclass(frozen=True)
@@ -51,24 +53,68 @@ class OracleResult:
         return len(self.best_combos) == 1
 
 
-def _selector_scan(instance, p, feas_tol):
-    """Yield (head, feasible_cols, objectives) per innermost-vectorized slice."""
-    r, theta = instance.r, instance.theta
-    cols = [instance.A.blocks[l] @ instance.X.blocks[l] for l in range(theta)]
-    w = solver_weights(instance.X, p)
-    y = instance.y
-    last = cols[theta - 1]
-    w_last = w[(theta - 1) * r : theta * r]
-    for head in itertools.product(range(r), repeat=theta - 1):
-        partial = y.copy()
-        obj_head = 0.0
-        for l, k in enumerate(head):
-            partial = partial - cols[l][:, k]
-            obj_head += w[l * r + k]
-        resid = np.linalg.norm(partial[:, None] - last, axis=0)
-        ok = np.flatnonzero(resid <= feas_tol)
-        if ok.size:
-            yield head, ok, obj_head + w_last[ok]
+def _half_sums(parts, rows: int):
+    """Images (as columns) and objectives of all choice sequences, lexicographic.
+
+    Choice k of part (cols, weights) adds ``cols[:, k]`` to the image and
+    ``weights[k]`` to the objective.
+    """
+    img = np.zeros((rows, 1))
+    obj = np.zeros(1)
+    for cols, weights in parts:
+        img = (img[:, :, None] + cols[:, None, :]).reshape(rows, -1)
+        obj = (obj[:, None] + weights[None, :]).reshape(-1)
+    return img, obj
+
+
+def _scan(parts, y: np.ndarray, thresh: float):
+    """Evaluate every choice sequence over ``parts`` once, with no pruning.
+
+    A sequence is feasible when its image lies within ``thresh`` of y.  The
+    parts split into a head and a tail half, each enumerated once; every
+    (head, tail) pair is then evaluated in head-major order, which is the
+    lexicographic order of the whole sequence, in blocks of at most
+    ``_PAIR_FLOATS`` floats.  Returns the feasible count, the least feasible
+    objective (inf when none is feasible) and the choice digits of every
+    feasible sequence within the tie window of it, in lexicographic order.
+    """
+    rows = y.shape[0]
+    half = len(parts) // 2
+    head_img, head_obj = _half_sums(parts[:half], rows)
+    tail_img, tail_obj = _half_sums(parts[half:], rows)
+    tail_img -= y[:, None]
+    n_tail = len(tail_obj)
+    # a block spans several head rows only when it holds all their tails, so
+    # row-major order within and across blocks is lexicographic order
+    pairs = max(1, _PAIR_FLOATS // max(rows, 1))
+    head_step, tail_step = max(1, pairs // n_tail), min(n_tail, pairs)
+
+    feasible = 0
+    best = cut = np.inf
+    kept = []  # (flat index, objective) arrays of feasible pairs within the running tie window
+    for h0 in range(0, len(head_obj), head_step):
+        for t0 in range(0, n_tail, tail_step):
+            diff = head_img[:, h0 : h0 + head_step, None] + tail_img[:, None, t0 : t0 + tail_step]
+            hi, ti = np.nonzero(np.sqrt(np.einsum("kij,kij->ij", diff, diff)) <= thresh)
+            if not hi.size:
+                continue
+            hi += h0
+            ti += t0
+            objs = head_obj[hi] + tail_obj[ti]
+            feasible += hi.size
+            low = float(objs.min())
+            if low < best:
+                best = low
+                cut = best + _TIE_REL * (1.0 + abs(best))
+                kept = [(flat[o <= cut], o[o <= cut]) for flat, o in kept]
+            sel = objs <= cut
+            kept.append((hi[sel] * n_tail + ti[sel], objs[sel]))
+
+    flat = np.concatenate([f for f, _ in kept]) if kept else np.zeros(0, dtype=np.intp)
+    digits = np.empty((len(flat), len(parts)), dtype=np.intp)
+    for j in range(len(parts) - 1, -1, -1):
+        flat, digits[:, j] = np.divmod(flat, parts[j][0].shape[1])
+    return feasible, best, digits
 
 
 def enumerate_selectors(
@@ -86,23 +132,14 @@ def enumerate_selectors(
     if total > ENUMERATION_GUARD:
         raise ValueError(f"r**theta = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
     feas_tol = tol_feas * (1.0 + float(np.linalg.norm(instance.y)))
-
-    best_obj = np.inf
-    feasible = 0
-    for _, ok, objs in _selector_scan(instance, p, feas_tol):
-        feasible += ok.size
-        best_obj = min(best_obj, float(objs.min()))
-
-    best: list[tuple[int, ...]] = []
-    if np.isfinite(best_obj):
-        tie = best_obj + _TIE_REL * (1.0 + abs(best_obj))
-        for head, ok, objs in _selector_scan(instance, p, feas_tol):
-            for k, obj in zip(ok, objs):
-                if obj <= tie:
-                    best.append(head + (int(k),))
+    w = solver_weights(instance.X, p)
+    parts = [
+        (instance.A.blocks[l] @ instance.X.blocks[l], w[l * r : (l + 1) * r]) for l in range(theta)
+    ]
+    feasible, best_obj, combos = _scan(parts, np.asarray(instance.y, dtype=float), feas_tol)
     return OracleResult(
-        best_combos=tuple(best),
-        best_objective=float(best_obj),
+        best_combos=tuple(map(tuple, combos.tolist())),
+        best_objective=best_obj,
         feasible_count=feasible,
         evaluated_count=total,
     )
@@ -152,20 +189,6 @@ class GridOracleResult:
     evaluated_count: int
 
 
-def _grid_chunks(gridv: np.ndarray, ncols: int, total: int):
-    """All grid points as (chunk, ncols) arrays, in mixed-radix index order."""
-    chunk = 1 << 14
-    base = len(gridv)
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        rem = np.arange(start, start + count)
-        digits = np.empty((count, ncols), dtype=int)
-        for j in range(ncols - 1, -1, -1):
-            digits[:, j] = rem % base
-            rem = rem // base
-        yield gridv[digits]
-
-
 def discrete_lp_oracle(
     A: np.ndarray,
     y: np.ndarray,
@@ -175,7 +198,7 @@ def discrete_lp_oracle(
 ) -> GridOracleResult:
     """Minimize sum |x_i|**p over all grid-valued x with A x = y (full scan).
 
-    Every one of len(grid)**ncols candidate points is evaluated (in chunks);
+    Every one of len(grid)**ncols candidate points is evaluated once;
     feasibility means residual <= tol * (1 + ||y||).  All minimizers within a
     1e-9 relative tie window are returned.
     """
@@ -188,29 +211,11 @@ def discrete_lp_oracle(
         raise ValueError(f"len(grid)**ncols = {total} exceeds the grid guard {GRID_GUARD}")
     thresh = tol * (1.0 + float(np.linalg.norm(y)))
 
-    best_obj = np.inf
-    feasible = False
-    for points in _grid_chunks(gridv, ncols, total):
-        ok = np.linalg.norm(points @ A.T - y, axis=1) <= thresh
-        if ok.any():
-            feasible = True
-            best_obj = min(best_obj, float(np.sum(np.abs(points[ok]) ** p, axis=1).min()))
-
-    witnesses: list[tuple[float, ...]] = []
-    if feasible:
-        tie = best_obj + _TIE_REL * (1.0 + abs(best_obj))
-        for points in _grid_chunks(gridv, ncols, total):
-            ok = np.linalg.norm(points @ A.T - y, axis=1) <= thresh
-            if not ok.any():
-                continue
-            pts = points[ok]
-            objs = np.sum(np.abs(pts) ** p, axis=1)
-            for obj, pt in zip(objs, pts):
-                if obj <= tie:
-                    witnesses.append(tuple(float(v) for v in pt))
+    parts = [(np.outer(A[:, j], gridv), np.abs(gridv) ** p) for j in range(ncols)]
+    feasible, best_obj, digits = _scan(parts, y, thresh)
     return GridOracleResult(
-        feasible=feasible,
+        feasible=feasible > 0,
         min_objective=best_obj if feasible else None,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(map(tuple, gridv[digits].tolist())),
         evaluated_count=total,
     )

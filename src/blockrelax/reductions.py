@@ -111,11 +111,13 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
         block[:, 0] = a
         block[m:, 1:] = u
         blocks.append(block)
-        # norm windows guaranteed by construction; assert rather than trust
+        # norm windows guaranteed by construction; check rather than trust
         col_sq = np.sum(block**2, axis=0)
-        assert np.all((col_sq >= 1.0 - 1e-9) & (col_sq <= 3.0 + 1e-9))
+        if not np.all((col_sq >= 1.0 - 1e-9) & (col_sq <= 3.0 + 1e-9)):
+            raise RuntimeError(f"block {l} squared column norms {col_sq} outside [1, 3]")
         spec = np.linalg.norm(block, 2)
-        assert 1.0 - 1e-9 <= spec <= math.sqrt(3.0) + 1e-9
+        if not 1.0 - 1e-9 <= spec <= math.sqrt(3.0) + 1e-9:
+            raise RuntimeError(f"block {l} spectral norm {spec!r} outside [1, sqrt(3)]")
     A = BlockSensingMatrix(blocks=tuple(blocks))
     y = np.zeros(rows)
     y[:m] = 1.0
@@ -185,9 +187,10 @@ def partition_to_lp(inst: PartitionInstance, theta: int = 2) -> ReductionRecord:
     full = np.vstack([top, bottom[None, :]])
     n = 2 * m // theta
     blocks = tuple(full[:, l * n : (l + 1) * n].copy() for l in range(theta))
-    for b in blocks:
+    for l, b in enumerate(blocks):
         spec = np.linalg.norm(b, 2)
-        assert math.sqrt(0.5) - 1e-9 <= spec <= math.sqrt(1.5) + 1e-9
+        if not math.sqrt(0.5) - 1e-9 <= spec <= math.sqrt(1.5) + 1e-9:
+            raise RuntimeError(f"block {l} spectral norm {spec!r} outside [sqrt(1/2), sqrt(3/2)]")
     y = np.zeros(m + 1)
     y[:m] = 1.0
     return ReductionRecord(
@@ -210,6 +213,8 @@ def decide_partition_via_lp(
     """
     rec = partition_to_lp(inst, theta=theta)
     res = discrete_lp_oracle(rec.A.full(), rec.y, p=p)
-    assert res.feasible and res.min_objective is not None
-    assert res.min_objective >= inst.m - tol
+    if not res.feasible or res.min_objective is None:
+        raise RuntimeError("grid oracle found no feasible point, but the all-halves point is feasible")
+    if res.min_objective < inst.m - tol:
+        raise RuntimeError(f"grid oracle minimum {res.min_objective!r} is below the threshold m = {inst.m}")
     return bool(res.min_objective <= inst.m + tol)

@@ -311,6 +311,8 @@ def kkt_certificate(
     if support.size and len(set(support.tolist())) != support.size:
         raise ValueError("support indices must be distinct")
     R = B.shape[1]
+    if support.size and (support.min() < 0 or support.max() >= R):
+        raise ValueError(f"support indices must lie in [0, {R})")
     if support.size == 0:
         return CertificateResult(holds=True, injective=True, margin=float(np.min(w)) if R else np.inf, h=np.zeros(B.shape[0]))
 
@@ -323,8 +325,9 @@ def kkt_certificate(
     # h = (B_S^*)^+ target through the SVD of B_S
     h = uu[:, :rank] @ ((vvt[:rank] @ target) / sig[:rank]) if rank else np.zeros(B.shape[0])
 
-    off = np.setdiff1d(np.arange(R), support, assume_unique=False)
-    if off.size:
+    off = np.ones(R, dtype=bool)
+    off[support] = False
+    if off.any():
         slack = w[off] - np.abs(B[:, off].T @ h)
         margin = float(slack.min())
     else:

@@ -326,3 +326,30 @@ def test_11_certificate_rate_nondecreasing_in_sparsity():
         ok,
         f"rates {[f'{v:.3f}' for v in rates]}, {len(inversions)} inversions",
     )
+
+
+def test_12_larger_reduction_deciders_match_brute_force():
+    t0 = time.perf_counter()
+    pool = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8), (2, 4, 6)]
+    n_x3c = x3c_bad = n_cover = 0
+    for size in (3, 4, 5):
+        for chosen in itertools.combinations(pool, size):
+            inst = X3CInstance(m=9, triples=chosen)
+            truth = has_exact_cover(inst)
+            n_x3c += 1
+            n_cover += int(truth)
+            x3c_bad += int(decide_x3c_via_l0(inst) != truth)
+    n_part = part_bad = 0
+    for a in itertools.combinations_with_replacement((1, 2, 3), 5):
+        inst = PartitionInstance(a=a)
+        n_part += 1
+        part_bad += int(decide_partition_via_lp(inst) != has_partition(inst))
+    elapsed = time.perf_counter() - t0
+    assert (n_x3c, n_cover, n_part) == (182, 32, 21)
+    ok = x3c_bad == 0 and part_bad == 0 and elapsed <= 600.0
+    verdict(
+        "12 larger reduction deciders",
+        ok,
+        f"x3c m=9 {n_x3c} insts ({n_cover} covers) {x3c_bad} bad, "
+        f"partition m=5 {n_part} insts {part_bad} bad, {elapsed:.1f}s",
+    )

@@ -1,8 +1,13 @@
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracle_reference import discrete_lp_oracle_reference, enumerate_selectors_reference
+
+from blockrelax import oracle
 from blockrelax.generate import GenConfig, build_instance
 from blockrelax.model import (
     BlockSensingMatrix,
@@ -20,6 +25,7 @@ from blockrelax.oracle import (
     enumerate_selectors,
     l0_min_oracle,
 )
+from blockrelax.reductions import PartitionInstance, partition_to_lp
 
 
 def identity_instance(X_blocks, planted_cols, x, support_idx):
@@ -180,3 +186,106 @@ def test_grid_oracle_guard():
     assert 5**11 > GRID_GUARD
     with pytest.raises(ValueError, match="guard"):
         discrete_lp_oracle(A, np.array([1.0]), p=0.5)
+
+
+# -- differential tests against the two-pass reference scans -----------------
+
+
+def assert_selectors_match_reference(inst, p):
+    res = enumerate_selectors(inst, p)
+    ref = enumerate_selectors_reference(inst, p)
+    assert res.best_combos == ref.best_combos
+    assert (res.feasible_count, res.evaluated_count) == (ref.feasible_count, ref.evaluated_count)
+    assert res.best_objective == pytest.approx(ref.best_objective, rel=1e-12)
+    return res
+
+
+def assert_grid_matches_reference(A, y, p):
+    res = discrete_lp_oracle(A, y, p)
+    ref = discrete_lp_oracle_reference(A, y, p)
+    assert res.witnesses == ref.witnesses
+    assert (res.feasible, res.evaluated_count) == (ref.feasible, ref.evaluated_count)
+    if ref.feasible:
+        assert res.min_objective == pytest.approx(ref.min_objective, rel=1e-12)
+    else:
+        assert res.min_objective is None
+    return res
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("theta", [1, 2, 3, 4, 5])
+def test_selectors_match_reference_scan(theta, p):
+    for seed in range(3):
+        for law in ("ternary", "alphabet"):
+            cfg = GenConfig(m=4, n=4, theta=theta, r=3, s=2, guess_law=law, master_seed=seed)
+            assert_selectors_match_reference(build_instance(cfg), p)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_selectors_match_reference_with_duplicate_column_ties(p):
+    x = np.array([1.0, -0.5])
+    other = np.array([0.5, 1.0])
+    inst = identity_instance([np.column_stack([x, other, x])] * 3, (0, 0, 0), np.tile(x, 3), (0, 1, 2, 3, 4, 5))
+    res = assert_selectors_match_reference(inst, p)
+    assert len(res.best_combos) == 8  # columns 0 and 2 of every block tie
+
+
+def test_selectors_match_reference_on_infeasible_y():
+    inst = build_instance(GenConfig(m=4, n=4, theta=3, r=3, s=2, master_seed=1))
+    # a planted instance is always feasible, so stand in an observation no selector reaches
+    off = SimpleNamespace(r=inst.r, theta=inst.theta, A=inst.A, X=inst.X, y=inst.y + 10.0)
+    res = assert_selectors_match_reference(off, 0.5)
+    assert res.feasible_count == 0 and res.best_combos == () and res.best_objective == np.inf
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("ncols", range(9))
+def test_grid_matches_reference_scan(ncols, p):
+    rng = np.random.default_rng(ncols)
+    A = rng.standard_normal((2, ncols))
+    x0 = rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0), size=ncols)
+    res = assert_grid_matches_reference(A, A @ x0, p)
+    assert res.feasible
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_grid_matches_reference_with_duplicate_column_ties(p):
+    rng = np.random.default_rng(11)
+    a, b, c = rng.standard_normal((3, 3))
+    A = np.column_stack([a, a, b, b, c])
+    res = assert_grid_matches_reference(A, A @ np.array([1.0, 0.0, 0.0, -0.5, 0.5]), p)
+    assert len(res.witnesses) > 1
+
+
+def test_grid_matches_reference_on_infeasible_y():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((3, 4))
+    res = assert_grid_matches_reference(A, rng.standard_normal(3), 0.5)
+    assert not res.feasible
+
+
+def test_grid_matches_reference_across_pair_blocks():
+    # a 5**8 grid spans many blocks of whole head rows ...
+    rec = partition_to_lp(PartitionInstance(a=(1.0, 2.0, 3.0, 4.0)))
+    assert_grid_matches_reference(rec.A.full(), rec.y, 0.5)
+    # ... and 600 rows split each head row's 5**3 tails over two blocks; the two
+    # minimizers sit in adjacent head rows, the first one in the second block
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((600, 6))
+    A[:, 3] = A[:, 2]
+    assert oracle._PAIR_FLOATS // 600 < 5**3
+    res = assert_grid_matches_reference(A, A @ np.array([-0.5, -1.0, 0.5, 1.0, 0.0, 0.5]), 1.0)
+    assert res.witnesses == ((-0.5, -1.0, 0.5, 1.0, 0.0, 0.5), (-0.5, -1.0, 1.0, 0.5, 0.0, 0.5))
+
+
+def test_grid_scan_memory_stays_bounded():
+    # a 5**10 grid (Partition with m = 5) peaks below the 3.8 MB that the 5**8 grid needed before
+    rec = partition_to_lp(PartitionInstance(a=(1.0, 2.0, 3.0, 1.0, 2.0)))
+    tracemalloc.start()
+    try:
+        res = discrete_lp_oracle(rec.A.full(), rec.y, p=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluated_count == 5**10
+    assert peak < 4_000_000, f"peak traced allocation {peak} bytes"

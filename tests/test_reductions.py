@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blockrelax.oracle import discrete_lp_oracle
+from blockrelax import reductions
+from blockrelax.oracle import GridOracleResult, discrete_lp_oracle
 from blockrelax.reductions import (
     PartitionInstance,
     X3CInstance,
@@ -136,6 +137,19 @@ def test_decide_partition_positive_and_negative():
     assert not decide_partition_via_lp(PartitionInstance(a=(1.0, 2.0)))
     assert decide_partition_via_lp(PartitionInstance(a=(1.0, 2.0, 3.0)))
     assert not decide_partition_via_lp(PartitionInstance(a=(1.0, 1.0, 1.0)))
+
+
+def test_decide_partition_raises_on_an_oracle_minimum_below_m(monkeypatch):
+    # the check on the oracle's answer is an explicit raise, so it survives python -O
+    inst = PartitionInstance(a=(1.0, 1.0))
+    below = GridOracleResult(feasible=True, min_objective=1.5, witnesses=(), evaluated_count=625)
+    monkeypatch.setattr(reductions, "discrete_lp_oracle", lambda *a, **k: below)
+    with pytest.raises(RuntimeError, match="1.5 is below the threshold m = 2"):
+        decide_partition_via_lp(inst)
+    none = GridOracleResult(feasible=False, min_objective=None, witnesses=(), evaluated_count=625)
+    monkeypatch.setattr(reductions, "discrete_lp_oracle", lambda *a, **k: none)
+    with pytest.raises(RuntimeError, match="no feasible point"):
+        decide_partition_via_lp(inst)
 
 
 def test_partition_oracle_values_two_weights():

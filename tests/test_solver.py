@@ -114,6 +114,13 @@ def test_certificate_rejects_dependent_support():
     assert not res.holds
 
 
+def test_certificate_rejects_out_of_range_support():
+    B = np.eye(3)
+    for bad in ([3], [-1]):
+        with pytest.raises(ValueError, match="support indices"):
+            kkt_certificate(B, np.ones(3), bad, [1.0])
+
+
 def test_certificate_empty_support():
     B = np.eye(3)
     res = kkt_certificate(B, np.array([2.0, 3.0, 4.0]), [], [])
