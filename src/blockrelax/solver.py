@@ -87,10 +87,6 @@ class CertificateResult:
     h: np.ndarray
 
 
-def _soft_threshold(v: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
-
-
 class _AffineProjector:
     """Cached SVD machinery for the affine set {z : B z = y}."""
 
@@ -120,26 +116,21 @@ def _gap_from_dual(B, w, y, obj, h) -> float:
     return obj - float(y @ h)
 
 
-def _dual_gap(B, w, y, z, support, h_extra=None) -> tuple[float, float]:
-    """Best duality gap of z over the available dual candidates.
+def _score(B, w, y, z, opts):
+    """Feasibility residual, detected support, objective and support-dual gap of z.
 
-    Always tries the least-norm dual pinned to the detected support (exact
-    when the support certificate holds); ``h_extra`` adds the splitting
-    iteration's own dual estimate, which covers degenerate optima where the
-    support dual is infeasible.
+    The support dual is the least-norm dual pinned to the detected support,
+    exact when the support certificate holds; its gap is None for an empty
+    support.
     """
+    feas = float(np.linalg.norm(B @ z - y))
+    supp = _support_indices(z, opts.support_threshold)
     obj = float(w @ np.abs(z))
-    gaps = []
-    if support.size:
-        Bs = B[:, support]
-        target = w[support] * np.sign(z[support])
-        h = np.linalg.lstsq(Bs.T, target, rcond=_PINV_RCOND)[0]
-        gaps.append(_gap_from_dual(B, w, y, obj, h))
-    if h_extra is not None:
-        gaps.append(_gap_from_dual(B, w, y, obj, h_extra))
-    if not gaps:
-        gaps.append(obj)
-    return obj, min(gaps)
+    if not supp.size:
+        return feas, supp, obj, None
+    target = w[supp] * np.sign(z[supp])
+    h = np.linalg.lstsq(B[:, supp].T, target, rcond=_PINV_RCOND)[0]
+    return feas, supp, obj, _gap_from_dual(B, w, y, obj, h)
 
 
 def solve_weighted_bp(
@@ -149,7 +140,9 @@ def solve_weighted_bp(
 
     Returns status 'infeasible' when y is out of range of B (the least-squares
     point is reported), 'optimal' when the internal duality gap closes, and
-    'max-iter' with the best iterate otherwise.
+    'max-iter' with the best iterate otherwise.  When B is injective the
+    least-squares point is the only feasible one; it is returned without
+    iterating (``iterations == 0``) once its duality gap closes.
     """
     opts = options or SolveOptions()
     B = np.asarray(B, dtype=float)
@@ -172,7 +165,7 @@ def solve_weighted_bp(
             iterations=0,
             feas_residual=proj.residual,
             duality_gap=np.inf,
-            detected_support=_detect_support(proj.z_ls, opts.support_threshold),
+            detected_support=tuple(_support_indices(proj.z_ls, opts.support_threshold).tolist()),
         )
 
     if not np.any(np.abs(y) > opts.tol_feas):
@@ -187,10 +180,38 @@ def solve_weighted_bp(
             detected_support=(),
         )
 
+    refits: dict = {}  # the last support refit, reused while the ADMM support holds
+
+    def polished(it, z, zeta, h_extra) -> SolveResult:
+        feas, gap, zc, obj, supp = _polish_candidate(B, w, y, z, zeta, opts, h_extra, refits)
+        done = gap <= opts.tol_opt * (1.0 + abs(obj)) and feas <= opts.tol_feas * y_scale
+        return SolveResult(
+            z=zc,
+            objective=obj,
+            status="optimal" if done else "max-iter",
+            iterations=it,
+            feas_residual=feas,
+            duality_gap=gap,
+            detected_support=supp,
+        )
+
+    if proj.rank == R:
+        # z_ls is the only feasible point.  Refit it on its thresholded support;
+        # B^T is onto, so h = B^{+T} g with g = w*sign(z_ls) there and 0 elsewhere
+        # satisfies B^T h = g and closes the gap exactly.
+        supp = _support_indices(proj.z_ls, opts.support_threshold)
+        zeta = np.zeros(R)
+        zeta[supp] = proj.z_ls[supp]
+        g = w * np.sign(zeta)
+        res = polished(0, proj.z_ls, zeta, proj.Ur @ ((proj.Vr.T @ g) / proj.sig))
+        if res.status == "optimal":
+            return res
+
     # penalty scale: thresholds w/rho comparable to a tenth of the iterate scale,
     # which keeps the iteration exactly covariant under y -> lambda y
     z_scale = float(np.abs(proj.z_ls).max())
     rho = opts.rho if opts.rho is not None else float(np.mean(w)) / max(0.1 * z_scale, 1e-300)
+    kappa = w / rho
 
     z = proj.z_ls.copy()
     zeta = z.copy()
@@ -200,36 +221,20 @@ def solve_weighted_bp(
     for it in range(1, opts.max_iter + 1):
         z = proj.project(zeta - u)
         zeta_prev = zeta
-        zeta = _soft_threshold(z + u, w / rho)
-        u = u + z - zeta
+        # weighted soft threshold of v = z + u: v minus its clip to [-kappa, kappa]
+        v = z + u
+        zeta = v - np.minimum(np.maximum(v, -kappa), kappa)
+        u = v - zeta
 
         if it % opts.check_every == 0 or it == opts.max_iter:
             # rho*u is a subgradient of the weighted l1 term at zeta, so mapping
             # it back through B^T gives an (asymptotically exact) dual point
             h_admm = proj.Ur @ ((proj.Vr.T @ (rho * u)) / proj.sig) if proj.rank else None
-            cand = _polish_candidate(B, w, y, z, zeta, opts, h_extra=h_admm)
-            if cand is not None:
-                feas, gap, zc, obj, supp = cand
-                if gap <= opts.tol_opt * (1.0 + abs(obj)) and feas <= opts.tol_feas * y_scale:
-                    return SolveResult(
-                        z=zc,
-                        objective=obj,
-                        status="optimal",
-                        iterations=it,
-                        feas_residual=feas,
-                        duality_gap=gap,
-                        detected_support=supp,
-                    )
-                if best is None or obj < best.objective:
-                    best = SolveResult(
-                        z=zc,
-                        objective=obj,
-                        status="max-iter",
-                        iterations=it,
-                        feas_residual=feas,
-                        duality_gap=gap,
-                        detected_support=supp,
-                    )
+            res = polished(it, z, zeta, h_admm)
+            if res.status == "optimal":
+                return res
+            if best is None or res.objective < best.objective:
+                best = res
             # residual balancing on scale-normalized residuals keeps the two
             # ADMM residuals comparable without breaking y -> lambda y covariance
             r_norm = float(np.linalg.norm(z - zeta)) / (
@@ -241,49 +246,58 @@ def solve_weighted_bp(
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
                 u /= 2.0
+                kappa = w / rho
             elif s_norm > 10.0 * r_norm:
                 rho /= 2.0
                 u *= 2.0
+                kappa = w / rho
 
     assert best is not None
     return best
 
 
-def _detect_support(z: np.ndarray, rel_threshold: float) -> tuple[int, ...]:
+def _support_indices(z: np.ndarray, rel_threshold: float) -> np.ndarray:
     top = float(np.abs(z).max(initial=0.0))
     if top == 0.0:
-        return ()
-    return tuple(int(i) for i in np.flatnonzero(np.abs(z) > rel_threshold * top))
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(np.abs(z) > rel_threshold * top)
 
 
-def _polish_candidate(B, w, y, z, zeta, opts, h_extra=None):
+def _polish_candidate(B, w, y, z, zeta, opts, h_extra, refits):
     """Least-squares refit on the detected support, then score feasibility/gap.
 
     The sparse splitting iterate (zeta) proposes the support; the projected
-    iterate is the fallback when the refit is worse.
+    iterate is the fallback when the refit is worse.  ``refits`` maps the last
+    proposed support to its scored refit, which depends on nothing else, so a
+    repeated support skips the refit and its support dual.  ``h_extra`` adds
+    the splitting iteration's own dual estimate, which covers degenerate
+    optima where the support dual is infeasible.
     """
     supp = np.flatnonzero(zeta != 0.0)
     if supp.size == 0:
-        supp = np.asarray(_detect_support(z, opts.support_threshold), dtype=int)
+        supp = _support_indices(z, opts.support_threshold)
     candidates = []
     if supp.size:
-        zs = np.linalg.lstsq(B[:, supp], y, rcond=_PINV_RCOND)[0]
-        zp = np.zeros_like(z)
-        zp[supp] = zs
-        candidates.append(zp)
-    candidates.append(z)
+        key = supp.tobytes()
+        if key not in refits:
+            zp = np.zeros_like(z)
+            zp[supp] = np.linalg.lstsq(B[:, supp], y, rcond=_PINV_RCOND)[0]
+            refits.clear()
+            refits[key] = (zp, _score(B, w, y, zp, opts))
+        candidates.append(refits[key])
+    candidates.append((z, _score(B, w, y, z, opts)))
+    feas_tol = opts.tol_feas * (1.0 + np.linalg.norm(y))
     best = None
-    for zc in candidates:
-        feas = float(np.linalg.norm(B @ zc - y))
-        dsupp = np.asarray(_detect_support(zc, opts.support_threshold), dtype=int)
-        obj, gap = _dual_gap(B, w, y, zc, dsupp, h_extra=h_extra)
-        score = (feas > opts.tol_feas * (1.0 + np.linalg.norm(y)), gap)
+    for zc, (feas, dsupp, obj, support_gap) in candidates:
+        gaps = [] if support_gap is None else [support_gap]
+        if h_extra is not None:
+            gaps.append(_gap_from_dual(B, w, y, obj, h_extra))
+        gap = min(gaps) if gaps else obj
+        score = (feas > feas_tol, gap)
         if best is None or score < best[0]:
-            best = (score, feas, gap, zc, obj, tuple(int(i) for i in dsupp))
-    if best is None:
-        return None
-    _, feas, gap, zc, obj, supp_out = best
-    return feas, gap, zc, obj, supp_out
+            best = (score, feas, gap, zc, obj, dsupp)
+    _, feas, gap, zc, obj, dsupp = best
+    return feas, gap, zc, obj, tuple(dsupp.tolist())
 
 
 def kkt_certificate(

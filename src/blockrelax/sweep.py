@@ -30,12 +30,13 @@ from .generate import (
     sample_support,
     substream,
 )
+from .model import effective_matrix, solver_weights
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import (
     SolveOptions,
     certificate_for_instance,
+    kkt_certificate,
     recovery_check,
-    solve_instance,
     solve_weighted_bp,
 )
 
@@ -225,11 +226,7 @@ def _sweep_trial(args) -> tuple[int, int, dict]:
         "message": "",
     }
     try:
-        gen = cell.gen.with_seed(derive_seed(cell.seed, "trial", trial))
-        instance = build_instance(gen)
-        result = solve_instance(instance, cell.p, cell.options)
-        cert = certificate_for_instance(instance, cell.p)
-        verdict = recovery_check(instance, result)
+        instance, result, cert, verdict = _trial_artifacts(cell, trial)
         out[verdict.replace("-", "_")] += 1
         if cert.holds:
             out["certified"] = 1
@@ -367,11 +364,20 @@ def write_sweep_csv(results: list[CellResult], path: str) -> None:
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
     """Re-run a single sweep trial and return its full artifacts."""
-    cell = plan.cells[cell_index]
-    gen = cell.gen.with_seed(derive_seed(cell.seed, "trial", trial))
-    instance = build_instance(gen)
-    result = solve_instance(instance, cell.p, cell.options)
-    cert = certificate_for_instance(instance, cell.p)
+    return _trial_artifacts(plan.cells[cell_index], trial)
+
+
+def _trial_artifacts(cell, trial: int):
+    """Instance, solve, planted-support certificate and verdict of one trial.
+
+    B and w are built once and shared by the solve and the certificate.
+    """
+    instance = build_instance(cell.gen.with_seed(derive_seed(cell.seed, "trial", trial)))
+    B = effective_matrix(instance.A, instance.X)
+    w = solver_weights(instance.X, cell.p)
+    result = solve_weighted_bp(B, w, instance.y, cell.options)
+    cols = instance.X.planted_global_cols()
+    cert = kkt_certificate(B, w, cols, np.ones(cols.size))
     verdict = recovery_check(instance, result)
     return instance, result, cert, verdict
 

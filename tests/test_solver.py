@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockrelax.generate import GenConfig, build_instance
+from blockrelax.model import effective_matrix, solver_weights
 from blockrelax.solver import (
     SolveOptions,
     certificate_for_instance,
@@ -11,6 +12,7 @@ from blockrelax.solver import (
     solve_weighted_bp,
 )
 
+import solver_reference
 from lp_reference import min_weighted_l1
 
 
@@ -29,18 +31,29 @@ def test_two_column_pick_cheaper():
 
 
 def test_zero_rhs_returns_zero():
-    B = np.random.default_rng(0).standard_normal((3, 5))
-    res = solve_weighted_bp(B, np.ones(5), np.zeros(3))
-    assert res.status == "optimal"
-    assert res.objective == 0.0
-    assert res.detected_support == ()
+    # wide B and injective tall B alike
+    for shape in ((3, 5), (6, 3)):
+        B = np.random.default_rng(0).standard_normal(shape)
+        res = solve_weighted_bp(B, np.ones(shape[1]), np.zeros(shape[0]))
+        assert res.status == "optimal"
+        assert res.objective == 0.0
+        assert res.detected_support == ()
+        assert res.iterations == 0
+        assert np.array_equal(res.z, np.zeros(shape[1]))
 
 
 def test_infeasible_rhs_flagged():
-    B = np.array([[1.0], [0.0]])
-    res = solve_weighted_bp(B, np.ones(1), np.array([0.0, 1.0]))
-    assert res.status == "infeasible"
-    assert res.duality_gap == np.inf
+    # both B are injective: the infeasibility exit precedes the injective shortcut
+    rng = np.random.default_rng(4)
+    cases = (
+        (np.array([[1.0], [0.0]]), np.array([0.0, 1.0])),
+        (rng.standard_normal((6, 3)), rng.standard_normal(6)),
+    )
+    for B, y in cases:
+        res = solve_weighted_bp(B, np.ones(B.shape[1]), y)
+        assert res.status == "infeasible"
+        assert res.iterations == 0
+        assert res.duality_gap == np.inf
 
 
 def test_input_validation():
@@ -171,3 +184,112 @@ def test_solver_weights_drive_selection():
     np.testing.assert_allclose(res.z, [1.0, 0.0], atol=1e-8)
     res = solve_weighted_bp(B, np.array([5.0, 1.0]), y)
     np.testing.assert_allclose(res.z, [0.0, 2.0], atol=1e-8)
+
+
+# -- differential tests against tests/solver_reference.py ---------------------
+
+# (m, theta, s, r) with m < r*theta: B is never injective, so ADMM iterates
+UNDERDETERMINED_CELLS = ((16, 4, 4, 8), (16, 4, 4, 16), (32, 8, 4, 8), (32, 8, 8, 8), (16, 2, 4, 16), (32, 4, 8, 16))
+# m >= r*theta: B is injective and the feasible set is one point
+INJECTIVE_CELLS = ((16, 2, 4, 2), (16, 2, 8, 4), (16, 4, 4, 2), (32, 4, 8, 4), (32, 2, 4, 8), (32, 4, 8, 8))
+
+
+def _program(cell, seed):
+    m, theta, s, r = cell
+    inst = build_instance(GenConfig(m=m, n=m, theta=theta, r=r, s=s, guess_density=s / m, master_seed=seed))
+    return effective_matrix(inst.A, inst.X), solver_weights(inst.X, 0.5), inst.y
+
+
+def _fields(res):
+    return (
+        res.z.tobytes(),
+        res.objective,
+        res.status,
+        res.iterations,
+        res.feas_residual,
+        res.duality_gap,
+        res.detected_support,
+    )
+
+
+@pytest.mark.parametrize("cell", UNDERDETERMINED_CELLS)
+def test_matches_reference_solver_bit_for_bit(cell):
+    for seed in range(4):
+        B, w, y = _program(cell, seed)
+        assert np.linalg.matrix_rank(B) < B.shape[1]
+        assert _fields(solve_weighted_bp(B, w, y)) == _fields(solver_reference.solve_weighted_bp(B, w, y))
+
+
+def test_matches_reference_solver_at_max_iter():
+    statuses = []
+    for cell in UNDERDETERMINED_CELLS:
+        B, w, y = _program(cell, 11)
+        opts = SolveOptions(max_iter=60)
+        res = solve_weighted_bp(B, w, y, opts)
+        assert _fields(res) == _fields(solver_reference.solve_weighted_bp(B, w, y, opts))
+        statuses.append(res.status)
+    assert "max-iter" in statuses
+
+
+def test_matches_reference_solver_when_rho_rebalances():
+    # a penalty 10^3 off the automatic scale either way is rebalanced several
+    # times before the solve converges
+    for cell in UNDERDETERMINED_CELLS[::2]:
+        B, w, y = _program(cell, 5)
+        for rho in (1e-3, 1e3):
+            opts = SolveOptions(rho=rho)
+            res = solve_weighted_bp(B, w, y, opts)
+            assert res.status == "optimal"
+            assert _fields(res) == _fields(solver_reference.solve_weighted_bp(B, w, y, opts))
+
+
+@pytest.mark.parametrize("cell", INJECTIVE_CELLS)
+def test_injective_shortcut_matches_reference(cell):
+    opts = SolveOptions()
+    for seed in range(3):
+        B, w, y = _program(cell, seed)
+        assert np.linalg.matrix_rank(B) == B.shape[1]
+        res = solve_weighted_bp(B, w, y)
+        ref = solver_reference.solve_weighted_bp(B, w, y)
+        assert ref.status == res.status == "optimal"
+        assert res.iterations == 0
+        assert res.detected_support == ref.detected_support
+        assert np.abs(res.z - ref.z).max() <= 1e-12 * np.abs(ref.z).max()
+        assert abs(res.duality_gap) <= opts.tol_opt * (1.0 + abs(res.objective))
+        assert np.linalg.norm(B @ res.z - y) <= opts.tol_feas * (1.0 + np.linalg.norm(y))
+
+
+def test_injective_shortcut_falls_through_to_admm():
+    # condition number 3e9 (rank still full at the 1e-10 cutoff): the shortcut's
+    # gap often misses tol_opt, and the solve must then be the plain ADMM one
+    fell_through = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((8, 5)))[0]
+        V = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        B = U @ np.diag(np.geomspace(1.0, 1.0 / 3e9, 5)) @ V.T
+        w = rng.uniform(0.5, 2.0, size=5)
+        y = B @ np.array([1.0, 0.0, 0.0, -2.0, 0.0])
+        opts = SolveOptions(max_iter=100)
+        res = solve_weighted_bp(B, w, y, opts)
+        if res.iterations == 0:
+            assert res.status == "optimal"
+            continue
+        fell_through += 1
+        assert _fields(res) == _fields(solver_reference.solve_weighted_bp(B, w, y, opts))
+    assert fell_through >= 3
+
+
+def test_rank_deficient_square_b_iterates():
+    # m >= R, but a duplicated column drops rank(B) below R: no shortcut
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 4))
+    B[:, 3] = B[:, 1]
+    w = np.array([1.0, 1.5, 0.8, 1.2])
+    y = B @ np.array([1.0, 0.0, -0.5, 0.0])
+    res = solve_weighted_bp(B, w, y)
+    assert np.linalg.matrix_rank(B) == 3
+    assert res.iterations > 0
+    assert res.status == "optimal"
+    assert res.detected_support == (0, 2)
+    np.testing.assert_allclose(res.z, [1.0, 0.0, -0.5, 0.0], atol=1e-8)
