@@ -10,13 +10,16 @@ identities), never for statistical flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import concentration as conc
-from .generate import GenConfig, build_instance, substream
+from .generate import build_instance, substream
 from .model import Selector
 from .oracle import enumerate_selectors
 from .reductions import (
@@ -30,8 +33,13 @@ from .reductions import (
 from .solver import SolveOptions, certificate_for_instance, recovery_check, solve_instance
 from .storage import load_instance, save_instance, save_reduction
 from .sweep import (
+    CONCENTRATION_KEYS,
+    GEN_KEYS,
+    SCHEMA_COMMENT,
     build_comparison_plan,
     build_sweep_plan,
+    expand_config,
+    gen_config,
     parse_config,
     replay_trial,
     run_comparison,
@@ -50,45 +58,24 @@ def _default_jobs() -> int:
         return 1
 
 
-def _load_config(path: str | None) -> dict[str, list[str]]:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def _gen_config_from_flat(cfg: dict[str, list[str]], seed: int | None) -> GenConfig:
-    def one(key, default=None):
-        vals = cfg.get(key)
-        if not vals:
-            if default is None:
-                raise SystemExit(f"config key {key!r} is required")
-            return default
-        if len(vals) > 1:
-            raise SystemExit(f"key {key!r} must be single-valued here")
-        return vals[0]
-
-    m = int(one("m"))
-    n = int(one("n", str(m)))
-    s = int(one("s", "4"))
-    gd = one("guess_density", "0.25")
-    return GenConfig(
-        m=m,
-        n=n,
-        theta=int(one("theta", "2")),
-        r=int(one("r", "4")),
-        s=s,
-        sensing_kind=one("sensing_kind", "orthonormal-blocks"),
-        planted_alphabet=tuple(float(t) for t in one("alphabet", "-1,-0.5,0.5,1").split(",")),
-        guess_density=s / n if gd == "s/n" else float(gd),
-        support_mode=one("support_mode", "equidistributed"),
-        guess_law=one("guess_law", "ternary"),
-        master_seed=seed if seed is not None else int(one("seed", "0")),
-    )
+@contextlib.contextmanager
+def _config(path: str | None):
+    """The parsed config file; an error while reading it or building from it
+    ends the run with one line naming the problem, not a traceback."""
+    try:
+        text = ""
+        if path is not None:
+            with open(path) as fh:
+                text = fh.read()
+        yield parse_config(text)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config error: {exc}") from None
 
 
 def _cmd_gen(args) -> int:
-    cfg = _gen_config_from_flat(_load_config(args.config), args.seed)
+    with _config(args.config) as flat:
+        vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
+        cfg = gen_config(vals, int(vals["seed"]))
     instance = build_instance(cfg)
     save_instance(instance, args.out)
     print(f"wrote instance: m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} "
@@ -124,7 +111,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    plan = build_sweep_plan(_load_config(args.config), seed=args.seed, trials=args.trials)
+    with _config(args.config) as flat:
+        plan = build_sweep_plan(flat, seed=args.seed, trials=args.trials)
     results = run_sweep(plan, jobs=args.jobs)
     write_sweep_csv(results, args.out)
     errors = sum(r.n_error for r in results)
@@ -133,7 +121,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cells = build_comparison_plan(_load_config(args.config), seed=args.seed, trials=args.trials)
+    with _config(args.config) as flat:
+        cells = build_comparison_plan(flat, seed=args.seed, trials=args.trials)
     results = run_comparison(cells, jobs=args.jobs)
     write_comparison_csv(results, args.out)
     for res in results:
@@ -148,7 +137,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    plan = build_sweep_plan(_load_config(args.config), seed=args.seed)
+    with _config(args.config) as flat:
+        plan = build_sweep_plan(flat, seed=args.seed)
     if not 0 <= args.cell < len(plan.cells):
         raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
     instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
@@ -167,21 +157,19 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    flat = _load_config(args.config)
-
-    def one(key, default):
-        vals = flat.get(key, [default])
-        return vals[0]
-
-    seed = args.seed if args.seed is not None else int(one("seed", "0"))
-    trials = args.trials if args.trials is not None else int(one("trials", "2000"))
-    check = one("check", "tail")
+    with _config(args.config) as flat:
+        vals = expand_config(flat, CONCENTRATION_KEYS, lists=("epsilon", "delta"),
+                             seed=args.seed, trials=args.trials)[0]
+        seed, trials, check = int(vals["seed"]), int(vals["trials"]), vals["check"]
+        count = int(vals["count"])
+        epsilons = [float(v) for v in vals["epsilon"]]
+        deltas = [float(v) for v in vals["delta"]]
+        gen = None if check == "vectorization" else gen_config(vals, seed)
     rows: list[list] = []
     failures = 0
 
     if check == "vectorization":
         rng = substream(seed, "cli-vec")
-        count = int(one("count", "100"))
         for i in range(count):
             a, b, cdim = (int(v) for v in rng.integers(1, 9, size=3))
             M = rng.standard_normal((a, b))
@@ -194,11 +182,9 @@ def _cmd_concentration(args) -> int:
             rows.append(["vectorization", i, format(dev, ".6g"), format(1e-12 * scale, ".6g"), int(ok)])
         header = ["check", "index", "deviation", "limit", "ok"]
     else:
-        gen = _gen_config_from_flat(flat, seed)
         study = conc.ConcentrationStudy.from_config(gen)
         planted = Selector.discrete(study.planted_cols, gen.r, gen.theta)
         if check == "tail":
-            epsilons = [float(v) for v in flat.get("epsilon", ["0.5"])]
             for eps in epsilons:
                 est = conc.empirical_concentration_tail(study, planted, eps, trials, seed)
                 rows.append(
@@ -216,7 +202,6 @@ def _cmd_concentration(args) -> int:
             if abs(mom.z_score) > 4.0:
                 failures += 1
         elif check == "window":
-            deltas = [float(v) for v in flat.get("delta", ["0.5"])]
             for d in deltas:
                 est = conc.singular_window_check(study, d, trials, seed)
                 rows.append(
@@ -227,20 +212,13 @@ def _cmd_concentration(args) -> int:
         else:
             raise SystemExit(f"unknown concentration check {check!r}")
 
-    import csv as _csv
-
     out = args.out or "-"
-    if out == "-":
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        print("# schema=1")
+    with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
+        fh.write(SCHEMA_COMMENT + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write("# schema=1\n")
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+    if out != "-":
         print(f"wrote {len(rows)} rows to {out}")
     return 1 if failures else 0
 
@@ -254,11 +232,8 @@ def _cmd_reduce_x3c(args) -> int:
     decision = None
     if inst.m // 3 <= 12:
         decision = decide_x3c_via_l0(inst, n=args.n, seed=args.seed or 0)
-        record = type(record)(
-            reduction=record.reduction,
-            A=record.A,
-            y=record.y,
-            certificate_target=record.certificate_target,
+        record = dataclasses.replace(
+            record,
             extra={**record.extra, "oracle_value": inst.m // 3 if decision else "above-target",
                    "decision": str(decision).lower()},
         )
@@ -276,11 +251,8 @@ def _cmd_reduce_partition(args) -> int:
     decision = None
     if 5 ** (2 * inst.m) <= 10**7:
         decision = decide_partition_via_lp(inst, p=args.p, theta=args.theta)
-        record = type(record)(
-            reduction=record.reduction,
-            A=record.A,
-            y=record.y,
-            certificate_target=record.certificate_target,
+        record = dataclasses.replace(
+            record,
             extra={**record.extra, "oracle_value": inst.m if decision else "above-target",
                    "decision": str(decision).lower()},
         )
@@ -317,15 +289,15 @@ def main(argv=None) -> int:
     sp = sub.add_parser("solve", help="solve an instance container")
     sp.add_argument("instance")
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--tol-feas", type=float, default=1e-8)
-    sp.add_argument("--tol-opt", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=20000)
+    sp.add_argument("--tol-feas", type=float, default=SolveOptions.tol_feas)
+    sp.add_argument("--tol-opt", type=float, default=SolveOptions.tol_opt)
+    sp.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("oracle", help="exhaustive selector enumeration of an instance")
     sp.add_argument("instance")
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--tol-feas", type=float, default=1e-8)
+    sp.add_argument("--tol-feas", type=float, default=SolveOptions.tol_feas)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("sweep", help="grid sweep: solve + certificate rates per cell")

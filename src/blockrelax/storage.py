@@ -68,7 +68,9 @@ def _alphabet_str(alph) -> str:
 
 
 def save_instance(instance: RelaxedInstance, path: str) -> None:
-    cfg: GenConfig = instance.meta.get("config") or _config_from_instance(instance)
+    cfg: GenConfig | None = instance.meta.get("config")
+    if cfg is None:
+        raise ValueError("instance carries no generation config; cannot serialize")
     p_x, p_X, nu = instance.dist_params
     fields = {
         "kind": "instance",
@@ -100,10 +102,6 @@ def save_instance(instance: RelaxedInstance, path: str) -> None:
     _write_matrix(out, "y", instance.y.reshape(1, -1))
     with open(path, "w") as fh:
         fh.write(out.getvalue())
-
-
-def _config_from_instance(instance: RelaxedInstance) -> GenConfig:
-    raise ValueError("instance carries no generation config; cannot serialize")
 
 
 def load_instance(path: str) -> RelaxedInstance:

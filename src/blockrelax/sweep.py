@@ -1,7 +1,9 @@
 """Deterministic experiment sweeps over instance grids.
 
-A sweep config is a flat key = value text file; a key given several times
-spans a grid axis, and cells are the cartesian product in a fixed key order.
+A config is a flat key = value text file, checked against the reading
+command's key table (``*_KEYS``, one default per key): an unknown key, or a
+repeated key off the command's grid, is an error; a key given several times on
+the grid spans an axis, and cells are the cartesian product in a fixed key order.
 Every trial's randomness is derived from (seed, cell, trial) alone, so results
 are independent of worker count and any single trial can be replayed from its
 CSV coordinates.  CSV files start with a '# schema=1' comment; wall_time is
@@ -42,6 +44,8 @@ from .solver import (
 
 __all__ = [
     "parse_config",
+    "expand_config",
+    "gen_config",
     "SweepPlan",
     "CellResult",
     "run_sweep",
@@ -75,13 +79,101 @@ def parse_config(text: str) -> dict[str, list[str]]:
     return out
 
 
-def _scalar(cfg: dict[str, list[str]], key: str, default=None) -> str | None:
-    vals = cfg.get(key)
-    if not vals:
-        return default
-    if len(vals) > 1:
-        raise ValueError(f"key {key!r} must not repeat")
-    return vals[0]
+# Each command's accepted keys and their defaults; None means no default
+# (m is required wherever a GenConfig is built, n defaults to the cell's m).
+GEN_KEYS = {
+    "m": None,
+    "n": None,
+    "theta": 2,
+    "r": 4,
+    "s": 4,
+    "guess_density": GenConfig.guess_density,
+    "sensing_kind": GenConfig.sensing_kind,
+    "support_mode": GenConfig.support_mode,
+    "guess_law": GenConfig.guess_law,
+    "alphabet": "-1,-0.5,0.5,1",
+    "seed": 0,
+}
+_SOLVE_KEYS = {
+    "p": 0.5,
+    "tol_feas": SolveOptions.tol_feas,
+    "tol_opt": SolveOptions.tol_opt,
+    "max_iter": SolveOptions.max_iter,
+}
+SWEEP_KEYS = {**GEN_KEYS, **_SOLVE_KEYS, "trials": 100, "oracle": "0"}
+# compare fixes support_mode and guess_law, so it does not accept them
+COMPARE_KEYS = {
+    **{k: d for k, d in GEN_KEYS.items() if k not in ("support_mode", "guess_law")},
+    **_SOLVE_KEYS,
+    "theta": 1,
+    "r": 2,
+    "s": 2,
+    "guess_density": 0.5,
+    "alphabet": "-1,1",
+    "trials": 400,
+}
+CONCENTRATION_KEYS = {
+    **GEN_KEYS,
+    "trials": 2000,
+    "check": "tail",
+    "count": 100,
+    "epsilon": 0.5,
+    "delta": 0.5,
+}
+
+
+def expand_config(
+    cfg: dict[str, list[str]], table: dict, grid: tuple[str, ...] = (), lists: tuple[str, ...] = (),
+    **overrides,
+) -> list[dict]:
+    """One value dict per cell of a parsed config, with ``table``'s defaults filled in.
+
+    Keys outside ``table`` are rejected, and so is a repeated key unless it is
+    in ``grid`` or ``lists``.  Cells are the cartesian product over ``grid``
+    in its order; a ``lists`` key holds the list of all its values.
+    Overrides that are not None replace the config's values.
+    """
+    for key, vals in cfg.items():
+        if key not in table:
+            raise ValueError(f"key {key!r} is not accepted here; accepted keys: {', '.join(table)}")
+        if len(vals) > 1 and key not in grid and key not in lists:
+            raise ValueError(f"key {key!r} must not repeat")
+    base = {}
+    for key, default in table.items():
+        vals = cfg.get(key, [default])
+        base[key] = vals if key in lists else vals[0]
+    base.update((k, v) for k, v in overrides.items() if v is not None)
+    axes = [cfg.get(k, [table[k]]) for k in grid]
+    return [{**base, **dict(zip(grid, combo))} for combo in itertools.product(*axes)]
+
+
+def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
+    """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
+    if vals["m"] is None:
+        raise ValueError("missing required key 'm'")
+    m = int(vals["m"])
+    n = m if vals["n"] is None else int(vals["n"])
+    s = int(vals["s"])
+    gd = vals["guess_density"]
+    return GenConfig(
+        m=m,
+        n=n,
+        theta=int(vals["theta"]),
+        r=int(vals["r"]),
+        s=s,
+        sensing_kind=vals["sensing_kind"],
+        planted_alphabet=tuple(float(t) for t in vals["alphabet"].split(",")),
+        guess_density=s / n if gd == "s/n" else float(gd),
+        support_mode=vals["support_mode"],
+        guess_law=vals["guess_law"],
+        master_seed=master_seed,
+    )
+
+
+def _solve_options(vals: dict) -> SolveOptions:
+    return SolveOptions(
+        tol_feas=float(vals["tol_feas"]), tol_opt=float(vals["tol_opt"]), max_iter=int(vals["max_iter"])
+    )
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -112,82 +204,27 @@ class SweepPlan:
     master_seed: int
 
 
-def _parse_alphabet(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
-
-
 def build_sweep_plan(
     cfg: dict[str, list[str]], seed: int | None = None, trials: int | None = None
 ) -> SweepPlan:
-    """Expand a parsed config into ordered cells.
-
-    ``guess_density`` accepts the literal 's/n' to couple the density to the
-    cell's support fraction.
-    """
-    master_seed = seed if seed is not None else int(_scalar(cfg, "seed", "0"))
-    n_trials = trials if trials is not None else int(_scalar(cfg, "trials", "100"))
-    oracle = _scalar(cfg, "oracle", "0") in ("1", "true", "on", "yes")
-    opts = SolveOptions(
-        tol_feas=float(_scalar(cfg, "tol_feas", "1e-8")),
-        tol_opt=float(_scalar(cfg, "tol_opt", "1e-8")),
-        max_iter=int(_scalar(cfg, "max_iter", "20000")),
-    )
-    alphabet = _parse_alphabet(_scalar(cfg, "alphabet", "-1,-0.5,0.5,1"))
-    guess_law = _scalar(cfg, "guess_law", "ternary")
-
-    axes = []
-    for key in _GRID_KEYS:
-        if key == "n" and "n" not in cfg:
-            axes.append([None])  # n defaults to m per cell
-        elif key in cfg:
-            axes.append(cfg[key])
-        else:
-            defaults = {
-                "theta": ["2"],
-                "r": ["4"],
-                "s": ["4"],
-                "guess_density": ["0.25"],
-                "p": ["0.5"],
-                "sensing_kind": ["orthonormal-blocks"],
-                "support_mode": ["equidistributed"],
-            }
-            if key not in defaults:
-                raise ValueError(f"config is missing required key {key!r}")
-            axes.append(defaults[key])
-
-    cells = []
-    for idx, combo in enumerate(itertools.product(*axes)):
-        vals = dict(zip(_GRID_KEYS, combo))
-        m = int(vals["m"])
-        n = int(vals["n"]) if vals["n"] is not None else m
-        s = int(vals["s"])
-        gd = vals["guess_density"]
-        nu = s / n if gd == "s/n" else float(gd)
-        gen = GenConfig(
-            m=m,
-            n=n,
-            theta=int(vals["theta"]),
-            r=int(vals["r"]),
-            s=s,
-            sensing_kind=vals["sensing_kind"],
-            planted_alphabet=alphabet,
-            guess_density=nu,
-            support_mode=vals["support_mode"],
-            guess_law=guess_law,
-            master_seed=0,
-        )
-        cells.append(
+    """Expand a parsed config into ordered cells, one per point of the ``_GRID_KEYS`` grid."""
+    cells = expand_config(cfg, SWEEP_KEYS, _GRID_KEYS, seed=seed, trials=trials)
+    master_seed = int(cells[0]["seed"])
+    return SweepPlan(
+        cells=tuple(
             SweepCell(
                 index=idx,
-                gen=gen,
+                gen=gen_config(vals),
                 p=float(vals["p"]),
-                trials=n_trials,
+                trials=int(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
-                oracle=oracle,
-                options=opts,
+                oracle=vals["oracle"] in ("1", "true", "on", "yes"),
+                options=_solve_options(vals),
             )
-        )
-    return SweepPlan(cells=tuple(cells), master_seed=master_seed)
+            for idx, vals in enumerate(cells)
+        ),
+        master_seed=master_seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -446,44 +483,19 @@ class ComparisonResult:
 def build_comparison_plan(
     cfg: dict[str, list[str]], seed: int | None = None, trials: int | None = None
 ) -> list[ComparisonCell]:
-    master_seed = seed if seed is not None else int(_scalar(cfg, "seed", "0"))
-    n_trials = trials if trials is not None else int(_scalar(cfg, "trials", "400"))
-    opts = SolveOptions(
-        tol_feas=float(_scalar(cfg, "tol_feas", "1e-8")),
-        tol_opt=float(_scalar(cfg, "tol_opt", "1e-8")),
-        max_iter=int(_scalar(cfg, "max_iter", "20000")),
-    )
-    alphabet = _parse_alphabet(_scalar(cfg, "alphabet", "-1,1"))
-    thetas = cfg.get("theta", ["1"])
-    rs = cfg.get("r", ["2"])
-    cells = []
-    for idx, (theta_s, r_s) in enumerate(itertools.product(thetas, rs)):
-        m = int(_scalar(cfg, "m", "4"))
-        n = int(_scalar(cfg, "n", str(m)))
-        gen = GenConfig(
-            m=m,
-            n=n,
-            theta=int(theta_s),
-            r=int(r_s),
-            s=int(_scalar(cfg, "s", "2")),
-            sensing_kind=_scalar(cfg, "sensing_kind", "orthonormal-blocks"),
-            planted_alphabet=alphabet,
-            guess_density=float(_scalar(cfg, "guess_density", "0.5")),
-            support_mode="equidistributed",
-            guess_law="alphabet",
-            master_seed=0,
+    """One cell per (theta, r); supports are equidistributed and guesses draw from the alphabet."""
+    cells = expand_config(cfg, COMPARE_KEYS, ("theta", "r"), seed=seed, trials=trials)
+    return [
+        ComparisonCell(
+            index=idx,
+            gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
+            p=float(vals["p"]),
+            trials=int(vals["trials"]),
+            seed=derive_seed(int(vals["seed"]), "compare-cell", idx),
+            options=_solve_options(vals),
         )
-        cells.append(
-            ComparisonCell(
-                index=idx,
-                gen=gen,
-                p=float(_scalar(cfg, "p", "0.5")),
-                trials=n_trials,
-                seed=derive_seed(master_seed, "compare-cell", idx),
-                options=opts,
-            )
-        )
-    return cells
+        for idx, vals in enumerate(cells)
+    ]
 
 
 def _comparison_cell(cell: ComparisonCell) -> ComparisonResult:

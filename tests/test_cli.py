@@ -116,6 +116,55 @@ def test_concentration_unknown_check(tmp_path):
         main(["concentration", "--config", cfg])
 
 
+CONFIG_COMMANDS = {
+    "gen": ["gen", "--out", "{tmp}/inst.txt"],
+    "sweep": ["sweep", "--out", "{tmp}/sweep.csv", "--trials", "1"],
+    "replay": ["replay", "--cell", "0", "--trial", "0"],
+    "compare": ["compare", "--out", "{tmp}/cmp.csv", "--trials", "1"],
+    "concentration": ["concentration", "--trials", "10"],
+}
+BAD_CONFIGS = {
+    "unknown key": ("m = 6\ns = 2\nthetta = 3\n", "key 'thetta' is not accepted"),
+    "repeated scalar": ("m = 6\ns = 2\nseed = 1\nseed = 2\n", "key 'seed' must not repeat"),
+    "missing m": ("s = 2\n", "missing required key 'm'"),
+    "no equals sign": ("m = 6\nthetta 3\n", "line 2: expected key = value"),
+}
+
+
+def exits_with_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert message in exc.value.code
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_config_errors_exit_with_one_line(tmp_path, command, case):
+    text, message = BAD_CONFIGS[case]
+    argv = [a.format(tmp=tmp_path) for a in CONFIG_COMMANDS[command]]
+    exits_with_one_line([*argv, "--config", write_cfg(tmp_path, text)], message)
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["compare", "--trials", "1"], "m = 4\nguess_law = ternary\n", "key 'guess_law' is not accepted"),
+        (["compare", "--trials", "1"], "m = 4\nsupport_mode = uniform\n", "key 'support_mode' is not accepted"),
+        (["concentration"], "m = 6\nepsilon = 0.5\nepsilon = big\n", "'big'"),
+        (["concentration"], "m = 6\ncheck = window\ndelta = small\n", "'small'"),
+    ],
+)
+def test_command_specific_config_errors(tmp_path, argv, text, message):
+    exits_with_one_line([*argv, "--out", str(tmp_path / "out.csv"), "--config", write_cfg(tmp_path, text)],
+                        message)
+
+
+def test_missing_config_file_exits_with_one_line(tmp_path):
+    exits_with_one_line(["sweep", "--config", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "s.csv")],
+                        "No such file")
+
+
 def test_reduce_x3c_embeds_oracle_decision(tmp_path, capsys):
     out = str(tmp_path / "x3c.txt")
     rc = main(["reduce-x3c", "--m", "6", "--triples", "1,2,3;4,5,6", "--out", out])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,14 @@ def test_instance_container_round_trip(tmp_path):
     assert back.X.planted_cols == inst.X.planted_cols
     assert back.dist_params == inst.dist_params
     assert back.meta["config"] == cfg
+
+
+def test_instance_without_config_does_not_serialize(tmp_path):
+    inst = dataclasses.replace(build_instance(base_cfg()), meta={})
+    path = tmp_path / "inst.txt"
+    with pytest.raises(ValueError, match="no generation config"):
+        save_instance(inst, str(path))
+    assert not path.exists()
 
 
 def test_container_indices_are_one_based_on_disk(tmp_path):

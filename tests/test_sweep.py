@@ -70,6 +70,12 @@ def test_build_sweep_plan_density_coupling():
     assert [c.gen.nu for c in plan.cells] == [0.25, 0.5]
 
 
+def test_build_comparison_plan_density_coupling():
+    text = "m = 8\nn = 4\ns = 2\nr = 2\nr = 4\nguess_density = s/n\n"
+    cells = build_comparison_plan(parse_config(text), seed=0, trials=1)
+    assert [(c.gen.r, c.gen.nu) for c in cells] == [(2, 0.5), (4, 0.5)]
+
+
 def test_build_sweep_plan_requires_m():
     with pytest.raises(ValueError, match="missing required key"):
         build_sweep_plan(parse_config("s = 4\n"), seed=0)
