@@ -35,9 +35,9 @@ from .storage import load_instance, save_instance, save_reduction
 from .sweep import (
     CONCENTRATION_KEYS,
     GEN_KEYS,
-    SCHEMA_COMMENT,
     build_comparison_plan,
     build_sweep_plan,
+    config_number,
     expand_config,
     gen_config,
     parse_config,
@@ -75,7 +75,7 @@ def _config(path: str | None):
 def _cmd_gen(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
-        cfg = gen_config(vals, int(vals["seed"]))
+        cfg = gen_config(vals, config_number("seed", vals["seed"]))
     instance = build_instance(cfg)
     save_instance(instance, args.out)
     print(f"wrote instance: m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} "
@@ -142,6 +142,8 @@ def _cmd_replay(args) -> int:
     if not 0 <= args.cell < len(plan.cells):
         raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
     instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
+    if args.out:  # before any output, so a reader that stops early cannot lose the file
+        save_instance(instance, args.out)
     cfg = instance.meta["config"]
     print(f"cell {args.cell} trial {args.trial}: seed={cfg.master_seed}")
     print(f"m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} nu={cfg.nu:.6g}")
@@ -151,7 +153,6 @@ def _cmd_replay(args) -> int:
     print(f"certificate holds: {cert.holds} (margin {cert.margin:.6g})")
     print(f"recovery: {verdict}")
     if args.out:
-        save_instance(instance, args.out)
         print(f"instance written to {args.out}")
     return 0
 
@@ -160,10 +161,10 @@ def _cmd_concentration(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, CONCENTRATION_KEYS, lists=("epsilon", "delta"),
                              seed=args.seed, trials=args.trials)[0]
-        seed, trials, check = int(vals["seed"]), int(vals["trials"]), vals["check"]
-        count = int(vals["count"])
-        epsilons = [float(v) for v in vals["epsilon"]]
-        deltas = [float(v) for v in vals["delta"]]
+        check = vals["check"]
+        seed, trials, count = (config_number(k, vals[k]) for k in ("seed", "trials", "count"))
+        epsilons = config_number("epsilon", vals["epsilon"], float)
+        deltas = config_number("delta", vals["delta"], float)
         gen = None if check == "vectorization" else gen_config(vals, seed)
     rows: list[list] = []
     failures = 0
@@ -214,7 +215,7 @@ def _cmd_concentration(args) -> int:
 
     out = args.out or "-"
     with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
-        fh.write(SCHEMA_COMMENT + "\n")
+        fh.write(conc.SCHEMA_COMMENT + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -337,7 +338,14 @@ def main(argv=None) -> int:
     for req in ("gen", "sweep", "compare"):
         if args.command == req and getattr(args, "out", None) is None:
             parser.error(f"--out is required for {req}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; aim it at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .generate import (
 from .model import BlockSensingMatrix, Selector, SupportPattern, apply_selector, lp_norm
 
 __all__ = [
+    "SCHEMA_COMMENT",
     "ConcentrationStudy",
     "ImageMoments",
     "empirical_image_moments",
@@ -42,6 +43,10 @@ __all__ = [
     "ternary_law",
     "gaussian_law",
 ]
+
+# first line of the concentration command's output; stream 2 draws each
+# redraw's guess ensemble as one (theta, r, n) tensor
+SCHEMA_COMMENT = "# schema=2"
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ replayed from its coordinates alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -42,6 +43,7 @@ GUESS_LAWS = ("ternary", "alphabet")
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=None)  # the labels are a small fixed set
 def _label_key(label: str) -> int:
     # stable across runs and platforms, unlike hash()
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
@@ -160,7 +162,8 @@ def sample_planted_vector(
     return x
 
 
-def _draw_column(cfg: GenConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+def _draw_column(cfg: GenConfig, rng: np.random.Generator, size) -> np.ndarray:
+    """Unconditioned ``guess_law`` entries of any ``size``: one mask draw, one value draw."""
     mask = rng.random(size) < cfg.guess_density
     if cfg.guess_law == "ternary":
         vals = rng.integers(0, 2, size=size) * 2.0 - 1.0
@@ -198,8 +201,10 @@ def sample_guess_ensemble(
     Non-planted columns are i.i.d. ``guess_law`` draws; with
     ``reject_zero_columns`` each all-zero draw is redrawn (conditioning the
     column law on being nonzero) so every column carries positive weight.
-    Planted positions default to uniform draws but can be pinned, which the
-    concentration checks use to keep a study's coordinates fixed.
+    Without it every entry comes from one (theta, r, n) tensor draw, whose
+    entry [l, k] is column k of block l.  Planted positions default to
+    uniform draws but can be pinned, which the concentration checks use to
+    keep a study's coordinates fixed.
     """
     n, r, theta = cfg.n, cfg.r, cfg.theta
     x = np.asarray(x, dtype=float)
@@ -209,22 +214,22 @@ def sample_guess_ensemble(
         planted = [int(k) for k in planted_cols]
         if len(planted) != theta:
             raise ValueError("need one planted column per block")
-    blocks = []
-    for l in range(theta):
-        xl = x[l * n : (l + 1) * n]
+    hidden = [x[l * n : (l + 1) * n] for l in range(theta)]
+    for l, xl in enumerate(hidden):
         if not xl.any():
             raise ValueError(
                 f"block {l} has empty support, so its planted column would be all-zero; "
                 "increase s or use equidistributed supports"
             )
-        b = np.empty((n, r))
-        for k in range(r):
-            if reject_zero_columns:
-                b[:, k] = sample_guess_column(cfg, rng)
-            else:
-                b[:, k] = _draw_column(cfg, rng, n)
-        b[:, planted[l]] = xl
-        blocks.append(b)
+    if reject_zero_columns:
+        blocks = [
+            np.column_stack([sample_guess_column(cfg, rng) for _ in range(r)])
+            for _ in range(theta)
+        ]
+    else:
+        blocks = [pure.T.copy() for pure in _draw_column(cfg, rng, (theta, r, n))]
+    for b, xl, k in zip(blocks, hidden, planted):
+        b[:, k] = xl
     return GuessEnsemble(blocks=tuple(blocks), planted_cols=tuple(planted))
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "parse_config",
     "expand_config",
     "gen_config",
+    "config_number",
     "SweepPlan",
     "CellResult",
     "run_sweep",
@@ -147,23 +148,33 @@ def expand_config(
     return [{**base, **dict(zip(grid, combo))} for combo in itertools.product(*axes)]
 
 
+def config_number(key: str, value, kind: type = int):
+    """Config ``value`` (a list: each item) as ``kind``; a value that is not one raises naming ``key``."""
+    if isinstance(value, list):
+        return [config_number(key, v, kind) for v in value]
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key}: invalid {'integer' if kind is int else 'number'} {value!r}") from None
+
+
 def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
     if vals["m"] is None:
         raise ValueError("missing required key 'm'")
-    m = int(vals["m"])
-    n = m if vals["n"] is None else int(vals["n"])
-    s = int(vals["s"])
+    m = config_number("m", vals["m"])
+    n = m if vals["n"] is None else config_number("n", vals["n"])
+    s = config_number("s", vals["s"])
     gd = vals["guess_density"]
     return GenConfig(
         m=m,
         n=n,
-        theta=int(vals["theta"]),
-        r=int(vals["r"]),
+        theta=config_number("theta", vals["theta"]),
+        r=config_number("r", vals["r"]),
         s=s,
         sensing_kind=vals["sensing_kind"],
-        planted_alphabet=tuple(float(t) for t in vals["alphabet"].split(",")),
-        guess_density=s / n if gd == "s/n" else float(gd),
+        planted_alphabet=tuple(config_number("alphabet", vals["alphabet"].split(","), float)),
+        guess_density=s / n if gd == "s/n" else config_number("guess_density", gd, float),
         support_mode=vals["support_mode"],
         guess_law=vals["guess_law"],
         master_seed=master_seed,
@@ -172,7 +183,9 @@ def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
 
 def _solve_options(vals: dict) -> SolveOptions:
     return SolveOptions(
-        tol_feas=float(vals["tol_feas"]), tol_opt=float(vals["tol_opt"]), max_iter=int(vals["max_iter"])
+        tol_feas=config_number("tol_feas", vals["tol_feas"], float),
+        tol_opt=config_number("tol_opt", vals["tol_opt"], float),
+        max_iter=config_number("max_iter", vals["max_iter"]),
     )
 
 
@@ -209,14 +222,14 @@ def build_sweep_plan(
 ) -> SweepPlan:
     """Expand a parsed config into ordered cells, one per point of the ``_GRID_KEYS`` grid."""
     cells = expand_config(cfg, SWEEP_KEYS, _GRID_KEYS, seed=seed, trials=trials)
-    master_seed = int(cells[0]["seed"])
+    master_seed = config_number("seed", cells[0]["seed"])
     return SweepPlan(
         cells=tuple(
             SweepCell(
                 index=idx,
                 gen=gen_config(vals),
-                p=float(vals["p"]),
-                trials=int(vals["trials"]),
+                p=config_number("p", vals["p"], float),
+                trials=config_number("trials", vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
                 oracle=vals["oracle"] in ("1", "true", "on", "yes"),
                 options=_solve_options(vals),
@@ -489,9 +502,9 @@ def build_comparison_plan(
         ComparisonCell(
             index=idx,
             gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
-            p=float(vals["p"]),
-            trials=int(vals["trials"]),
-            seed=derive_seed(int(vals["seed"]), "compare-cell", idx),
+            p=config_number("p", vals["p"], float),
+            trials=config_number("trials", vals["trials"]),
+            seed=derive_seed(config_number("seed", vals["seed"]), "compare-cell", idx),
             options=_solve_options(vals),
         )
         for idx, vals in enumerate(cells)

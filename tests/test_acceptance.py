@@ -48,6 +48,7 @@ from blockrelax.solver import (
     solve_weighted_bp,
 )
 from blockrelax.sweep import (
+    _support_to_combo,
     build_comparison_plan,
     build_sweep_plan,
     parse_config,
@@ -122,19 +123,10 @@ def corpus_report() -> CorpusReport:
                 rep.oracle_elapsed += time.perf_counter() - t0
                 rep.n_oracle_checked += 1
                 planted = tuple(int(k) for k in inst.X.planted_cols)
-                combo = _solver_combo(res.detected_support, r, theta)
+                combo = _support_to_combo(res.detected_support, r, theta)
                 if not (orc.unique and orc.best_combos[0] == planted == combo):
                     rep.oracle_violations.append((ci, t))
     return rep
-
-
-def _solver_combo(support, r: int, theta: int):
-    per_block = [[] for _ in range(theta)]
-    for g in support:
-        per_block[g // r].append(g % r)
-    if any(len(b) != 1 for b in per_block):
-        return None
-    return tuple(b[0] for b in per_block)
 
 
 def test_01_certificate_implies_exact_recovery(corpus_report):

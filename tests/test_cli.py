@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -96,7 +97,7 @@ def test_concentration_vectorization_exit_code(tmp_path, capsys):
     out = str(tmp_path / "vec.csv")
     assert main(["concentration", "--config", cfg, "--out", out, "--seed", "1"]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=1"
+    assert lines[0] == "# schema=2"
     assert lines[1].split(",")[0] == "check"
     assert len(lines) == 7
     assert all(row.endswith(",1") for row in lines[2:])
@@ -106,7 +107,7 @@ def test_concentration_mean_check(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 6\ntheta = 1\nr = 2\ns = 2\ncheck = mean\n")
     assert main(["concentration", "--config", cfg, "--trials", "400", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# schema=1")
+    assert out.startswith("# schema=2\n")
     assert "z_score" in out
 
 
@@ -128,6 +129,7 @@ BAD_CONFIGS = {
     "repeated scalar": ("m = 6\ns = 2\nseed = 1\nseed = 2\n", "key 'seed' must not repeat"),
     "missing m": ("s = 2\n", "missing required key 'm'"),
     "no equals sign": ("m = 6\nthetta 3\n", "line 2: expected key = value"),
+    "not a number": ("m = 6\ns = 2\ntheta = two\n", "config error: theta: invalid integer 'two'"),
 }
 
 
@@ -158,6 +160,29 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
 def test_command_specific_config_errors(tmp_path, argv, text, message):
     exits_with_one_line([*argv, "--out", str(tmp_path / "out.csv"), "--config", write_cfg(tmp_path, text)],
                         message)
+
+
+@pytest.mark.parametrize("closed", ["before start", "after first line"])
+def test_replay_into_closed_pipe_exits_without_traceback(tmp_path, closed):
+    cfg = write_cfg(tmp_path, "m = 6\ntheta = 2\nr = 2\ns = 2\n")
+    out = tmp_path / "inst.txt"
+    reader, writer = os.pipe()
+    if closed == "before start":
+        os.close(reader)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blockrelax", "replay", "--config", cfg, "--seed", "1",
+         "--cell", "0", "--trial", "3", "--out", str(out)],
+        stdout=writer, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    os.close(writer)
+    if closed == "after first line":
+        with os.fdopen(reader) as fh:
+            assert fh.readline().startswith("cell 0 trial 3")
+    stderr = proc.communicate(timeout=120)[1]
+    assert stderr == ""  # no traceback, no ignored flush error
+    # a reader that stops after the first line may still have let every line through
+    assert proc.returncode == 1 if closed == "before start" else proc.returncode in (0, 1)
+    assert load_instance(str(out)).m == 6
 
 
 def test_missing_config_file_exits_with_one_line(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from blockrelax.generate import (
+    GUESS_LAWS,
     GenConfig,
+    _draw_column,
     build_instance,
     derive_seed,
     sample_guess_column,
@@ -201,6 +203,50 @@ def test_ensemble_unconditioned_law_allows_zero_columns():
             break
     # at density 0.05 a zero column appears with prob ~0.857 per draw
     assert seen_zero
+
+
+def unconditioned_ensemble(cfg, seed, planted, trial=0):
+    sp = sample_support(cfg, substream(seed, "support"))
+    x = sample_planted_vector(sp, cfg, substream(seed, "planted"))
+    X = sample_guess_ensemble(
+        x, sp, cfg, substream(seed, "conc-X", trial), planted_cols=planted, reject_zero_columns=False
+    )
+    return x, X
+
+
+@pytest.mark.parametrize("law", GUESS_LAWS)
+def test_unconditioned_ensemble_is_one_tensor_draw(law):
+    # off the planted column, column k of block l is entry [l, k] of one (theta, r, n) draw
+    cfg = base_cfg(guess_law=law, guess_density=0.4)
+    planted = (2, 0, 3)
+    x, X = unconditioned_ensemble(cfg, 8, planted, trial=5)
+    pure = _draw_column(cfg, substream(8, "conc-X", 5), (cfg.theta, cfg.r, cfg.n))
+    n = cfg.n
+    for l, b in enumerate(X.blocks):
+        assert b.shape == (n, cfg.r) and b.flags.c_contiguous
+        for k in range(cfg.r):
+            expected = x[l * n : (l + 1) * n] if k == planted[l] else pure[l, k]
+            assert np.array_equal(b[:, k], expected)
+
+
+@pytest.mark.parametrize("law", GUESS_LAWS)
+def test_unconditioned_ensemble_entry_law(law):
+    cfg = base_cfg(guess_law=law, guess_density=0.3)
+    planted = (0, 1, 2)
+    off = np.ones((cfg.theta, cfg.n, cfg.r), dtype=bool)
+    for l, k in enumerate(planted):
+        off[l, :, k] = False
+    entries = np.concatenate(
+        [np.stack(unconditioned_ensemble(cfg, 9, planted, t)[1].blocks)[off] for t in range(400)]
+    )
+    nonzero = entries[entries != 0.0]
+    frac, nu = nonzero.size / entries.size, cfg.nu
+    assert abs(frac - nu) < 4 * np.sqrt(nu * (1 - nu) / entries.size)
+    values = (-1.0, 1.0) if law == "ternary" else cfg.planted_alphabet
+    assert np.isin(nonzero, values).all()
+    q = 1.0 / len(values)
+    for v in values:
+        assert abs(np.mean(nonzero == v) - q) < 4 * np.sqrt(q * (1 - q) / nonzero.size)
 
 
 def test_sensing_kinds():

@@ -10,6 +10,8 @@ import hashlib
 import pytest
 
 from blockrelax.cli import main
+from blockrelax.concentration import ConcentrationStudy
+from blockrelax.generate import GenConfig
 
 README_SWEEP = """m = 16
 m = 32
@@ -66,9 +68,11 @@ def test_gen_container_digest(tmp_path, capsys):
     "text, digest",
     [
         (CONC_GEN + "check = tail\nepsilon = 0.5\nepsilon = 1\n",
-         "b74531336a19ba834609046ef51923309b20dc07a5fb52b39bfeae81da3d3983"),
+         "609ffadcc3ce3e16d5dff1b58b22b2442f95d54bc03aa85f2352961bc5a62b47"),
         (CONC_GEN + "check = window\ndelta = 0.3\ndelta = 0.5\n",
-         "b57d00172e3e915526196cb357fcd6a5fa7e78460778ef28e18ca80dd225ac33"),
+         "f82deb9fc5dfa48dd5366214b3d928cd3e136c285cd3972c55b1333c05adaf61"),
+        (CONC_GEN + "check = mean\n",
+         "aca15d398fb484c5d73430bf05dd8f512f788d6e435ff672d84eaadd2c94c35d"),
     ],
 )
 def test_concentration_stdout_digest(tmp_path, capsys, text, digest):
@@ -76,3 +80,15 @@ def test_concentration_stdout_digest(tmp_path, capsys, text, digest):
     cfg = write_cfg(tmp_path, text)
     assert main(["concentration", "--config", cfg, "--trials", "300", "--seed", "3"]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def test_concentration_redraw_digest():
+    # The CLI checks select the planted columns, so their output reads only the
+    # redrawn x; this pins the whole redrawn ensemble of stream 2 as well.
+    study = ConcentrationStudy.from_config(GenConfig(m=12, n=12, theta=2, r=4, s=3, master_seed=3))
+    h = hashlib.sha256()
+    for t in range(20):
+        x, X = study.redraw(3, t)
+        for a in (x, *X.blocks):
+            h.update(a.tobytes())
+    assert h.hexdigest() == "e6329bdb27784ae39291c2a536fd3349138b33f0dfb1ae47f8ed664f5e966a9a"
