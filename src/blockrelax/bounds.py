@@ -35,39 +35,10 @@ __all__ = [
 ]
 
 
-def spectral_norm(a: np.ndarray, rel_tol: float = 1e-9, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Deterministic: starts from a fixed-seed random vector (two starts, best
-    kept) and stops when the estimate moves by less than ``rel_tol``
-    relatively.  The estimate sequence is monotone nondecreasing, so the
-    result approaches the true norm from below at the requested resolution.
-    """
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a; 0.0 for an empty array."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    best = 0.0
-    for _ in range(2):
-        v = rng.standard_normal(a.shape[1])
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(max_iter):
-            u = a @ v
-            new = float(np.linalg.norm(u))
-            if new == 0.0:
-                break
-            v = a.T @ u
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                break
-            v /= nv
-            if abs(new - sigma) <= rel_tol * new:
-                sigma = new
-                break
-            sigma = new
-        best = max(best, sigma)
-    return best
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ def singular_window_check(
 
     inside = 0
     for t in range(trials):
-        x, _ = study.redraw(seed, t)
+        x = sample_planted_vector(study.support, cfg, substream(seed, "conc-x", t))
         cols = np.stack(
             [
                 study.A.blocks[l] @ x[l * cfg.n : (l + 1) * cfg.n] / wa[g]
@@ -310,7 +310,7 @@ def block_norm_bound_check(blocks) -> tuple[float, float, float]:
 
     The bound says the concatenation's squared spectral norm is at most the
     sum of the blocks'; slack = rhs - lhs should only dip below zero by
-    power-iteration resolution (~1e-9).
+    rounding in the singular value decompositions.
     """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     lhs = spectral_norm(np.hstack(blocks)) ** 2

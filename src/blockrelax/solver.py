@@ -5,13 +5,23 @@ The program solved is
     minimize    sum_k w_k |z_k|
     subject to  B z = y
 
-with strictly positive weights.  The solver alternates projection onto the
-constraint (through one cached SVD of B) with a weighted shrinkage step, i.e.
-an ADMM splitting, and polishes the detected support by least squares.
-Optimality is verified internally: a dual vector built from the detected
-support is scaled into the dual-feasible box and the resulting duality gap
-must close to tolerance, so a reported 'optimal' status is backed by a
-certificate rather than by iteration counts.
+with strictly positive weights.  It is a linear program whose dual is
+
+    maximize    y^T h
+    subject to  |B_j^T h| <= w_j   for every column j,
+
+and the solver walks that dual from h = 0, which is feasible (the LP form of
+homotopy / LARS).  The tight constraints form the active set, each with its
+sign s_j.  While y is not in the span of the active normals s_j B_j / w_j, h
+moves along y minus its least-squares fit on them until the next constraint
+becomes tight, which joins the set.  Once y is in the span, the fit's
+multipliers are read: a negative one leaves, or else the walk stops with
+z_j = s_j lambda_j / w_j on the active set.  Ties go to the lowest column,
+for joining and leaving alike (Bland's rule), against cycling on degenerate
+programs.  The result is a vertex even where optima tie: where tied columns
+could serve alike, it takes the lowest-index one.  A reported 'optimal' is
+checked: the duality gap at the final h and the residual of z must close to
+tolerance.
 
 ``kkt_certificate`` implements the uniqueness test for a *given* support and
 sign pattern: injectivity of the support columns plus a strict dual margin on
@@ -21,6 +31,7 @@ minimizer, namely the vector supported there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +50,23 @@ __all__ = [
 ]
 
 _PINV_RCOND = 1e-10  # relative singular value cutoff, shared by solver and certificate
+_WALK_TOL = 1e-12  # relative zero of the active-set walk: residual, slopes, ties, multipliers
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and iteration limits for the splitting solver.
+    """Tolerances and the step cap of the active-set walk.
 
     ``tol_feas`` and ``tol_opt`` are relative: feasibility is measured against
     1 + ||y|| and the duality gap against 1 + |objective|.  The support
-    threshold is relative to the largest entry of the iterate.
+    threshold is relative to the largest entry of z.  ``max_iter`` caps the
+    walk's steps.
     """
 
     tol_feas: float = 1e-8
     tol_opt: float = 1e-8
     max_iter: int = 20000
     support_threshold: float = 1e-7
-    rho: float | None = None  # override the automatic penalty scale
-    check_every: int = 25
 
 
 @dataclass(frozen=True)
@@ -87,26 +98,6 @@ class CertificateResult:
     h: np.ndarray
 
 
-class _AffineProjector:
-    """Cached SVD machinery for the affine set {z : B z = y}."""
-
-    def __init__(self, B: np.ndarray, y: np.ndarray):
-        u, sig, vt = np.linalg.svd(B, full_matrices=False)
-        cutoff = _PINV_RCOND * (sig[0] if sig.size else 0.0)
-        rank = int(np.sum(sig > cutoff))
-        self.rank = rank
-        self.Vr = vt[:rank].T  # (R, rank)
-        self.Ur = u[:, :rank]
-        self.sig = sig[:rank]
-        # min-norm feasible point B^+ y
-        self.z_ls = self.Vr @ ((self.Ur.T @ y) / self.sig) if rank else np.zeros(B.shape[1])
-        self.residual = float(np.linalg.norm(B @ self.z_ls - y))
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        # v - V_r V_r^T v + z_ls: orthogonal projection onto the affine set
-        return v - self.Vr @ (self.Vr.T @ v) + self.z_ls
-
-
 def _gap_from_dual(B, w, y, obj, h) -> float:
     """Duality gap after forcing h into the dual box |B^T h| <= w."""
     corr = B.T @ h
@@ -116,33 +107,17 @@ def _gap_from_dual(B, w, y, obj, h) -> float:
     return obj - float(y @ h)
 
 
-def _score(B, w, y, z, opts):
-    """Feasibility residual, detected support, objective and support-dual gap of z.
-
-    The support dual is the least-norm dual pinned to the detected support,
-    exact when the support certificate holds; its gap is None for an empty
-    support.
-    """
-    feas = float(np.linalg.norm(B @ z - y))
-    supp = _support_indices(z, opts.support_threshold)
-    obj = float(w @ np.abs(z))
-    if not supp.size:
-        return feas, supp, obj, None
-    target = w[supp] * np.sign(z[supp])
-    h = np.linalg.lstsq(B[:, supp].T, target, rcond=_PINV_RCOND)[0]
-    return feas, supp, obj, _gap_from_dual(B, w, y, obj, h)
-
-
 def solve_weighted_bp(
     B: np.ndarray, w: np.ndarray, y: np.ndarray, options: SolveOptions | None = None
 ) -> SolveResult:
     """Minimize sum w_k |z_k| subject to B z = y.
 
-    Returns status 'infeasible' when y is out of range of B (the least-squares
-    point is reported), 'optimal' when the internal duality gap closes, and
-    'max-iter' with the best iterate otherwise.  When B is injective the
-    least-squares point is the only feasible one; it is returned without
-    iterating (``iterations == 0``) once its duality gap closes.
+    Returns status 'optimal' when the walk stops with a closed duality gap,
+    'infeasible' when y is out of range of B (the least-squares point is
+    reported, with ``iterations == 0``), and 'max-iter' with the last iterate
+    when the step cap is reached.  ``iterations`` counts the walk's steps.  A
+    stop whose gap does not close is reported as 'max-iter' too rather than as
+    'optimal'; no tested program has hit that case.
     """
     opts = options or SolveOptions()
     B = np.asarray(B, dtype=float)
@@ -153,20 +128,6 @@ def solve_weighted_bp(
         raise ValueError("shape mismatch between B, w, y")
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive; offending {np.flatnonzero(w <= 0).tolist()}")
-
-    y_scale = 1.0 + float(np.linalg.norm(y))
-    proj = _AffineProjector(B, y)
-    if proj.residual > opts.tol_feas * y_scale:
-        obj = float(w @ np.abs(proj.z_ls))
-        return SolveResult(
-            z=proj.z_ls,
-            objective=obj,
-            status="infeasible",
-            iterations=0,
-            feas_residual=proj.residual,
-            duality_gap=np.inf,
-            detected_support=tuple(_support_indices(proj.z_ls, opts.support_threshold).tolist()),
-        )
 
     if not np.any(np.abs(y) > opts.tol_feas):
         z = np.zeros(R)
@@ -180,80 +141,80 @@ def solve_weighted_bp(
             detected_support=(),
         )
 
-    refits: dict = {}  # the last support refit, reused while the ADMM support holds
+    y_norm = float(np.linalg.norm(y))
+    A = B / w  # the dual constraints are |A^T h| <= 1
+    a_norm = np.linalg.norm(A, axis=0)
+    h = np.zeros(m)
+    active: list[int] = []  # the tight constraints, in the order they became tight
+    signs: list[float] = []
+    Q = np.zeros((m, 0))  # orthonormal basis of the active normals
+    it = 0
+    while True:
+        # y minus its projection on the active normals, projected twice so that
+        # the normals' products with d stay at rounding level relative to d
+        d = y - Q @ (Q.T @ y)
+        d -= Q @ (Q.T @ d)
+        d_norm = math.sqrt(d @ d)
+        on_span = d_norm <= _WALK_TOL * y_norm
+        if on_span or it >= opts.max_iter:
+            # multipliers of y on the normals, through the basis: Q^T N is square
+            lam = np.linalg.solve(Q.T @ (A[:, active] * signs), Q.T @ y)
+        if on_span:
+            negative = [active[i] for i in np.flatnonzero(lam < -_WALK_TOL * np.abs(lam).max())]
+            if not negative:
+                status = "optimal"
+                break
+        if it >= opts.max_iter:
+            status = "max-iter"
+            break
+        it += 1
+        if on_span:
+            # Bland: the lowest column with a negative multiplier leaves
+            k = active.index(min(negative))
+            del active[k], signs[k]
+            Q = np.linalg.qr(A[:, active])[0]
+            continue
+        # ascend along d, which keeps the active constraints tight
+        c, g = h @ A, d @ A
+        g[active] = 0.0
+        cols = np.flatnonzero(np.abs(g) > _WALK_TOL * a_norm * d_norm)
+        if not cols.size:
+            status = "infeasible"  # the dual is unbounded along d
+            break
+        gc = g[cols]
+        t = np.maximum((np.sign(gc) - c[cols]) / gc, 0.0)
+        t_min = t.min()
+        # Bland: of the constraints tight after the step, the lowest column enters
+        i = int(np.argmax(np.abs(gc) * (t - t_min) <= _WALK_TOL))
+        h = h + t_min * d
+        active.append(int(cols[i]))
+        signs.append(float(np.sign(gc[i])))
+        a = A[:, cols[i]]
+        v = a - Q @ (Q.T @ a)
+        v -= Q @ (Q.T @ v)
+        Q = np.column_stack([Q, v / math.sqrt(v @ v)])
 
-    def polished(it, z, zeta, h_extra) -> SolveResult:
-        feas, gap, zc, obj, supp = _polish_candidate(B, w, y, z, zeta, opts, h_extra, refits)
-        done = gap <= opts.tol_opt * (1.0 + abs(obj)) and feas <= opts.tol_feas * y_scale
-        return SolveResult(
-            z=zc,
-            objective=obj,
-            status="optimal" if done else "max-iter",
-            iterations=it,
-            feas_residual=feas,
-            duality_gap=gap,
-            detected_support=supp,
-        )
-
-    if proj.rank == R:
-        # z_ls is the only feasible point.  Refit it on its thresholded support;
-        # B^T is onto, so h = B^{+T} g with g = w*sign(z_ls) there and 0 elsewhere
-        # satisfies B^T h = g and closes the gap exactly.
-        supp = _support_indices(proj.z_ls, opts.support_threshold)
-        zeta = np.zeros(R)
-        zeta[supp] = proj.z_ls[supp]
-        g = w * np.sign(zeta)
-        res = polished(0, proj.z_ls, zeta, proj.Ur @ ((proj.Vr.T @ g) / proj.sig))
-        if res.status == "optimal":
-            return res
-
-    # penalty scale: thresholds w/rho comparable to a tenth of the iterate scale,
-    # which keeps the iteration exactly covariant under y -> lambda y
-    z_scale = float(np.abs(proj.z_ls).max())
-    rho = opts.rho if opts.rho is not None else float(np.mean(w)) / max(0.1 * z_scale, 1e-300)
-    kappa = w / rho
-
-    z = proj.z_ls.copy()
-    zeta = z.copy()
-    u = np.zeros(R)
-    best: SolveResult | None = None
-
-    for it in range(1, opts.max_iter + 1):
-        z = proj.project(zeta - u)
-        zeta_prev = zeta
-        # weighted soft threshold of v = z + u: v minus its clip to [-kappa, kappa]
-        v = z + u
-        zeta = v - np.minimum(np.maximum(v, -kappa), kappa)
-        u = v - zeta
-
-        if it % opts.check_every == 0 or it == opts.max_iter:
-            # rho*u is a subgradient of the weighted l1 term at zeta, so mapping
-            # it back through B^T gives an (asymptotically exact) dual point
-            h_admm = proj.Ur @ ((proj.Vr.T @ (rho * u)) / proj.sig) if proj.rank else None
-            res = polished(it, z, zeta, h_admm)
-            if res.status == "optimal":
-                return res
-            if best is None or res.objective < best.objective:
-                best = res
-            # residual balancing on scale-normalized residuals keeps the two
-            # ADMM residuals comparable without breaking y -> lambda y covariance
-            r_norm = float(np.linalg.norm(z - zeta)) / (
-                1e-300 + max(np.linalg.norm(z), np.linalg.norm(zeta))
-            )
-            s_norm = float(rho * np.linalg.norm(zeta - zeta_prev)) / (
-                1e-300 + rho * np.linalg.norm(u)
-            )
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                u /= 2.0
-                kappa = w / rho
-            elif s_norm > 10.0 * r_norm:
-                rho /= 2.0
-                u *= 2.0
-                kappa = w / rho
-
-    assert best is not None
-    return best
+    z = np.zeros(R)
+    if status != "infeasible":
+        z[active] = np.asarray(signs) * lam / w[active]
+    feas = float(np.linalg.norm(B @ z - y))
+    if status == "infeasible" or (status == "optimal" and feas > opts.tol_feas * (1.0 + y_norm)):
+        status, it = "infeasible", 0
+        z = np.linalg.lstsq(B, y, rcond=_PINV_RCOND)[0]
+        feas = float(np.linalg.norm(B @ z - y))
+    obj = float(w @ np.abs(z))
+    gap = np.inf if status == "infeasible" else _gap_from_dual(B, w, y, obj, h)
+    if status == "optimal" and gap > opts.tol_opt * (1.0 + abs(obj)):
+        status = "max-iter"
+    return SolveResult(
+        z=z,
+        objective=obj,
+        status=status,
+        iterations=it,
+        feas_residual=feas,
+        duality_gap=gap,
+        detected_support=tuple(_support_indices(z, opts.support_threshold).tolist()),
+    )
 
 
 def _support_indices(z: np.ndarray, rel_threshold: float) -> np.ndarray:
@@ -261,43 +222,6 @@ def _support_indices(z: np.ndarray, rel_threshold: float) -> np.ndarray:
     if top == 0.0:
         return np.zeros(0, dtype=int)
     return np.flatnonzero(np.abs(z) > rel_threshold * top)
-
-
-def _polish_candidate(B, w, y, z, zeta, opts, h_extra, refits):
-    """Least-squares refit on the detected support, then score feasibility/gap.
-
-    The sparse splitting iterate (zeta) proposes the support; the projected
-    iterate is the fallback when the refit is worse.  ``refits`` maps the last
-    proposed support to its scored refit, which depends on nothing else, so a
-    repeated support skips the refit and its support dual.  ``h_extra`` adds
-    the splitting iteration's own dual estimate, which covers degenerate
-    optima where the support dual is infeasible.
-    """
-    supp = np.flatnonzero(zeta != 0.0)
-    if supp.size == 0:
-        supp = _support_indices(z, opts.support_threshold)
-    candidates = []
-    if supp.size:
-        key = supp.tobytes()
-        if key not in refits:
-            zp = np.zeros_like(z)
-            zp[supp] = np.linalg.lstsq(B[:, supp], y, rcond=_PINV_RCOND)[0]
-            refits.clear()
-            refits[key] = (zp, _score(B, w, y, zp, opts))
-        candidates.append(refits[key])
-    candidates.append((z, _score(B, w, y, z, opts)))
-    feas_tol = opts.tol_feas * (1.0 + np.linalg.norm(y))
-    best = None
-    for zc, (feas, dsupp, obj, support_gap) in candidates:
-        gaps = [] if support_gap is None else [support_gap]
-        if h_extra is not None:
-            gaps.append(_gap_from_dual(B, w, y, obj, h_extra))
-        gap = min(gaps) if gaps else obj
-        score = (feas > feas_tol, gap)
-        if best is None or score < best[0]:
-            best = (score, feas, gap, zc, obj, dsupp)
-    _, feas, gap, zc, obj, dsupp = best
-    return feas, gap, zc, obj, tuple(dsupp.tolist())
 
 
 def kkt_certificate(

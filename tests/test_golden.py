@@ -49,7 +49,7 @@ def write_cfg(tmp_path, text):
         ("sweep", README_SWEEP, ["--trials", "21", "--seed", "1", "--jobs", "1"],
          "7f886b755996524c0a81ef68b1875629b412a4f372c5e46f5526ff1c8bc110ae"),
         ("compare", COMPARE, ["--trials", "300", "--seed", "2", "--jobs", "1"],
-         "80816b6f8f933b51de10735bcda99bebe4b0e7e795f77dd9d4c0dad3d000f43c"),
+         "78785d05d29e4114378ed483a1d0309c17b4555e1f6660e0847c6a2bdb347807"),
     ],
 )
 def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
