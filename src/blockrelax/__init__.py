@@ -3,7 +3,7 @@
 Planted instances couple a block sensing matrix with an ensemble of candidate
 columns; selecting one column per block is relaxed to weighted l1 minimization
 whose optimum, when a dual certificate holds, is provably the planted choice.
-The package bundles the generator, the splitting solver with its certificate,
+The package bundles the generator, the exact active-set solver with its certificate,
 exhaustive oracles, the analytic failure bounds, Monte Carlo concentration
 checks, and the hardness reductions that motivate relaxing in the first place.
 """

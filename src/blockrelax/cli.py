@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import concentration as conc
-from .generate import build_instance, substream
+from .generate import SCHEMA_COMMENT, build_instance, substream
 from .model import Selector
 from .oracle import enumerate_selectors
 from .reductions import (
@@ -215,7 +215,7 @@ def _cmd_concentration(args) -> int:
 
     out = args.out or "-"
     with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
-        fh.write(conc.SCHEMA_COMMENT + "\n")
+        fh.write(SCHEMA_COMMENT + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

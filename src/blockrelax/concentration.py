@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ensemble_norm_weights, spectral_norm
+from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
 from .generate import (
     GenConfig,
     build_instance,
@@ -25,7 +25,6 @@ from .generate import (
 from .model import BlockSensingMatrix, Selector, SupportPattern, apply_selector, lp_norm
 
 __all__ = [
-    "SCHEMA_COMMENT",
     "ConcentrationStudy",
     "ImageMoments",
     "empirical_image_moments",
@@ -43,11 +42,6 @@ __all__ = [
     "ternary_law",
     "gaussian_law",
 ]
-
-# first line of the concentration command's output; stream 2 draws each
-# redraw's guess ensemble as one (theta, r, n) tensor
-SCHEMA_COMMENT = "# schema=2"
-
 
 @dataclass(frozen=True)
 class ConcentrationStudy:
@@ -160,11 +154,8 @@ def empirical_concentration_tail(
         if abs(study.image_sq_norm(X, u) - analytic) >= epsilon * f_sq:
             exceed += 1
 
-    f_s_sq = min(
-        float(np.sum(b[:, study.support.block(l)] ** 2)) for l, b in enumerate(study.A.blocks)
-    )
-    m_sq = max(spectral_norm(b) ** 2 for b in study.A.blocks)
-    expo = c * (f_s_sq / m_sq) * min(epsilon**2 / k_subg**4, epsilon / k_subg**2)
+    consts = matrix_constants(study.A, study.support)
+    expo = c * (consts.f_s_sq / consts.m_sq) * min(epsilon**2 / k_subg**4, epsilon / k_subg**2)
     return TailEstimate(
         epsilon=epsilon,
         trials=trials,
@@ -222,12 +213,9 @@ def singular_window_check(
         if sig.size and sig.min() >= 1.0 - delta and sig.max() <= 1.0 + delta:
             inside += 1
 
-    f_s_sq = min(
-        float(np.sum(b[:, study.support.block(l)] ** 2)) for l, b in enumerate(study.A.blocks)
-    )
-    m_sq = max(spectral_norm(b) ** 2 for b in study.A.blocks)
+    consts = matrix_constants(study.A, study.support)
     arg = min(cfg.p_x**2 * delta**2 / (4 * k_subg**4), cfg.p_x * delta / (2 * k_subg**2))
-    fail = 2.0 * (12.0 / delta) ** cfg.theta * math.exp(-c * (f_s_sq / m_sq) * arg)
+    fail = 2.0 * (12.0 / delta) ** cfg.theta * math.exp(-c * (consts.f_s_sq / consts.m_sq) * arg)
     return WindowEstimate(
         delta=delta,
         trials=trials,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,18 +27,24 @@ __all__ = [
     "derive_seed",
     "sample_support",
     "sample_planted_vector",
-    "sample_guess_column",
+    "sample_guess_columns",
     "sample_guess_ensemble",
     "sample_sensing_matrix",
     "build_instance",
     "SENSING_KINDS",
     "SUPPORT_MODES",
     "GUESS_LAWS",
+    "SCHEMA_COMMENT",
 ]
 
 SENSING_KINDS = ("orthonormal-blocks", "repeated-unitary", "gaussian")
 SUPPORT_MODES = ("equidistributed", "uniform")
 GUESS_LAWS = ("ternary", "alphabet")
+
+# first line of the sweep, compare and concentration outputs.  Stream 3 draws
+# all guess columns of an ensemble as one tensor and redraws only its all-zero
+# columns, and stacks the sensing blocks into one Gaussian draw.
+SCHEMA_COMMENT = "# schema=3"
 
 _MASK64 = (1 << 64) - 1
 
@@ -173,18 +179,24 @@ def _draw_column(cfg: GenConfig, rng: np.random.Generator, size) -> np.ndarray:
     return mask * vals
 
 
-def sample_guess_column(
-    cfg: GenConfig, rng: np.random.Generator, reject_zero: bool = True
+def sample_guess_columns(
+    cfg: GenConfig, rng: np.random.Generator, shape, reject_zero: bool = True
 ) -> np.ndarray:
-    """One random guess column of length n.
+    """Random guess columns of length n, one per index of ``shape``: a (*shape, n) array.
 
-    With ``reject_zero`` the draw is conditioned on not being all-zero
-    (resampled), matching what instance construction requires.
+    All columns come from one tensor draw.  With ``reject_zero`` every all-zero
+    column is then redrawn, all of them in one draw per round, until none is
+    left, which conditions each column on being nonzero as instance
+    construction requires.
     """
+    cols = _draw_column(cfg, rng, (*shape, cfg.n))
+    if not reject_zero:
+        return cols
     for _ in range(10000):
-        col = _draw_column(cfg, rng, cfg.n)
-        if not reject_zero or col.any():
-            return col
+        zero = ~cols.any(axis=-1)
+        if not zero.any():
+            return cols
+        cols[zero] = _draw_column(cfg, rng, (int(zero.sum()), cfg.n))
     raise RuntimeError("could not draw a nonzero guess column; guess_density too small")
 
 
@@ -198,13 +210,12 @@ def sample_guess_ensemble(
 ) -> GuessEnsemble:
     """Guess ensemble with the hidden blocks planted.
 
-    Non-planted columns are i.i.d. ``guess_law`` draws; with
-    ``reject_zero_columns`` each all-zero draw is redrawn (conditioning the
-    column law on being nonzero) so every column carries positive weight.
-    Without it every entry comes from one (theta, r, n) tensor draw, whose
-    entry [l, k] is column k of block l.  Planted positions default to
-    uniform draws but can be pinned, which the concentration checks use to
-    keep a study's coordinates fixed.
+    Planted positions are drawn first, uniformly unless pinned (the
+    concentration checks pin them to keep a study's coordinates fixed).  Then
+    every column comes from one ``sample_guess_columns`` call of shape
+    (theta, r), whose entry [l, k] is column k of block l; with
+    ``reject_zero_columns`` each column is conditioned on being nonzero, so
+    every column carries positive weight.
     """
     n, r, theta = cfg.n, cfg.r, cfg.theta
     x = np.asarray(x, dtype=float)
@@ -221,40 +232,30 @@ def sample_guess_ensemble(
                 f"block {l} has empty support, so its planted column would be all-zero; "
                 "increase s or use equidistributed supports"
             )
-    if reject_zero_columns:
-        blocks = [
-            np.column_stack([sample_guess_column(cfg, rng) for _ in range(r)])
-            for _ in range(theta)
-        ]
-    else:
-        blocks = [pure.T.copy() for pure in _draw_column(cfg, rng, (theta, r, n))]
+    cols = sample_guess_columns(cfg, rng, (theta, r), reject_zero_columns)
+    blocks = [c.T.copy() for c in cols]
     for b, xl, k in zip(blocks, hidden, planted):
         b[:, k] = xl
     return GuessEnsemble(blocks=tuple(blocks), planted_cols=tuple(planted))
 
 
-def _haar_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((m, n))
-    q, rr = np.linalg.qr(g)
-    # fix the QR sign ambiguity so the draw is uniform over the Stiefel manifold
-    d = np.sign(np.diag(rr))
-    d[d == 0] = 1.0
-    return q * d
-
-
 def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSensingMatrix:
-    """Draw the sensing blocks for the configured kind."""
+    """Draw the sensing blocks for the configured kind from one (k, m, n) Gaussian stack.
+
+    k is theta, or 1 for 'repeated-unitary', whose one block repeats.  The
+    orthonormal kinds take Haar blocks from one batched QR of the stack.
+    """
     m, n, theta = cfg.m, cfg.n, cfg.theta
-    if cfg.sensing_kind == "orthonormal-blocks":
-        blocks = tuple(_haar_orthonormal(rng, m, n) for _ in range(theta))
-    elif cfg.sensing_kind == "repeated-unitary":
-        u = _haar_orthonormal(rng, m, n)
-        blocks = tuple(u.copy() for _ in range(theta))
-    else:
-        blocks = tuple(
-            rng.standard_normal((m, n)) / np.sqrt(m) for _ in range(theta)
-        )
-    return BlockSensingMatrix(blocks=blocks)
+    k = 1 if cfg.sensing_kind == "repeated-unitary" else theta
+    g = rng.standard_normal((k, m, n))
+    if cfg.sensing_kind == "gaussian":
+        return BlockSensingMatrix(blocks=tuple(g / np.sqrt(m)))
+    q, rr = np.linalg.qr(g)
+    # fix the QR sign ambiguity so each block is uniform over the Stiefel manifold
+    d = np.sign(np.diagonal(rr, axis1=1, axis2=2))
+    d[d == 0] = 1.0
+    q = q * d[:, None, :]
+    return BlockSensingMatrix(blocks=tuple(q) if k == theta else (q[0],) * theta)
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:

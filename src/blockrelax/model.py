@@ -303,9 +303,6 @@ class RelaxedInstance:
     def r(self) -> int:
         return self.X.r
 
-    def planted_selector(self) -> Selector:
-        return Selector.discrete(self.X.planted_cols, self.X.r, self.X.theta)
-
 
 def lp_norm(v: np.ndarray, p: float) -> float:
     """Sum of |v_i|**p for 0 < p <= 1 (the nonconvex sparsity surrogate)."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelaxedInstance, Selector, apply_selector, effective_matrix, solver_weights
+from .model import RelaxedInstance, apply_selector, effective_matrix, solver_weights
 
 __all__ = [
     "SolveOptions",
@@ -78,9 +78,6 @@ class SolveResult:
     feas_residual: float
     duality_gap: float
     detected_support: tuple[int, ...]
-
-    def selector(self, r: int, theta: int) -> Selector:
-        return Selector(z=self.z, r=r, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -129,19 +126,18 @@ def solve_weighted_bp(
     if np.any(w <= 0.0):
         raise ValueError(f"weights must be strictly positive; offending {np.flatnonzero(w <= 0).tolist()}")
 
-    if not np.any(np.abs(y) > opts.tol_feas):
-        z = np.zeros(R)
+    y_norm = float(np.linalg.norm(y))
+    if y_norm <= opts.tol_feas * (1.0 + y_norm):  # z = 0 is feasible to tolerance
         return SolveResult(
-            z=z,
+            z=np.zeros(R),
             objective=0.0,
             status="optimal",
             iterations=0,
-            feas_residual=float(np.linalg.norm(y)),
+            feas_residual=y_norm,
             duality_gap=0.0,
             detected_support=(),
         )
 
-    y_norm = float(np.linalg.norm(y))
     A = B / w  # the dual constraints are |A^T h| <= 1
     a_norm = np.linalg.norm(A, axis=0)
     h = np.zeros(m)

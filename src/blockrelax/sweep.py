@@ -6,7 +6,7 @@ repeated key off the command's grid, is an error; a key given several times on
 the grid spans an axis, and cells are the cartesian product in a fixed key order.
 Every trial's randomness is derived from (seed, cell, trial) alone, so results
 are independent of worker count and any single trial can be replayed from its
-CSV coordinates.  CSV files start with a '# schema=1' comment; wall_time is
+CSV coordinates.  CSV files start with a '# schema=3' comment; wall_time is
 always the last column and is the only one allowed to differ between runs.
 """
 
@@ -23,10 +23,11 @@ import numpy as np
 
 from .bounds import success_prob_block_relaxation
 from .generate import (
+    SCHEMA_COMMENT,
     GenConfig,
     build_instance,
     derive_seed,
-    sample_guess_column,
+    sample_guess_columns,
     sample_planted_vector,
     sample_sensing_matrix,
     sample_support,
@@ -59,8 +60,6 @@ __all__ = [
     "block_match_probability",
     "replay_trial",
 ]
-
-SCHEMA_COMMENT = "# schema=1"
 
 # grid axes in cell-enumeration order; remaining keys are scalars
 _GRID_KEYS = ("m", "n", "theta", "r", "s", "guess_density", "p", "sensing_kind", "support_mode")
@@ -522,14 +521,10 @@ def _comparison_cell(cell: ComparisonCell) -> ComparisonResult:
         support = sample_support(gen, substream(seed, "rel-support", t))
         x = sample_planted_vector(support, gen, substream(seed, "rel-x", t))
         A = sample_sensing_matrix(gen, substream(seed, "rel-A", t))
-        rng = substream(seed, "rel-X", t)
-        blocks = [
-            np.column_stack([sample_guess_column(gen, rng) for _ in range(r)])
-            for _ in range(theta)
-        ]
+        cols = sample_guess_columns(gen, substream(seed, "rel-X", t), (theta, r))
         y = A.matvec(x)
-        B = np.hstack([A.blocks[l] @ blocks[l] for l in range(theta)])
-        w = np.concatenate([np.sum(np.abs(b) ** p, axis=0) for b in blocks])
+        B = np.hstack([A.blocks[l] @ cols[l].T for l in range(theta)])
+        w = np.sum(np.abs(cols) ** p, axis=-1).ravel()
         try:
             res = solve_weighted_bp(B, w, y, cell.options)
         except ValueError:
@@ -541,7 +536,7 @@ def _comparison_cell(cell: ComparisonCell) -> ComparisonResult:
         # probability p_l deliberately does not model.
         combo = _support_to_combo(res.detected_support, r, theta)
         if combo is not None and all(
-            np.array_equal(blocks[l][:, k], x[l * n : (l + 1) * n])
+            np.array_equal(cols[l, k], x[l * n : (l + 1) * n])
             for l, k in enumerate(combo)
         ):
             n_relax += 1
@@ -550,14 +545,9 @@ def _comparison_cell(cell: ComparisonCell) -> ComparisonResult:
     for t in range(cell.trials):
         support = sample_support(gen, substream(seed, "base-support", t))
         x = sample_planted_vector(support, gen, substream(seed, "base-x", t))
-        rng = substream(seed, "base-guess", t)
-        hit = False
-        for _ in range(r):
-            guess = np.concatenate([sample_guess_column(gen, rng) for _ in range(theta)])
-            if np.array_equal(guess, x):
-                hit = True
-        if hit:
-            n_bestof += 1
+        # r independent guesses of the whole vector, one nonzero column per block
+        g = sample_guess_columns(gen, substream(seed, "base-guess", t), (r, theta))
+        n_bestof += bool(np.all(g.reshape(r, -1) == x, axis=1).any())
 
     n_cert = 0
     for t in range(cell.trials):

@@ -1,15 +1,18 @@
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from blockrelax.generate import (
     GUESS_LAWS,
+    SENSING_KINDS,
     GenConfig,
     _draw_column,
     build_instance,
     derive_seed,
-    sample_guess_column,
+    sample_guess_columns,
     sample_guess_ensemble,
     sample_planted_vector,
     sample_sensing_matrix,
@@ -142,23 +145,47 @@ def test_planted_vector_alphabet_and_support():
 
 def test_guess_column_laws():
     cfg = base_cfg(guess_density=0.3)
-    rng = substream(0, "guess")
-    cols = np.array([sample_guess_column(cfg, rng) for _ in range(200)])
+    cols = sample_guess_columns(cfg, substream(0, "guess"), (200,))
+    assert cols.shape == (200, cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, 0.0, 1.0})
     assert np.all(np.abs(cols).sum(axis=1) > 0)
 
     alph_cfg = base_cfg(guess_law="alphabet", guess_density=0.3)
-    cols = np.array([sample_guess_column(alph_cfg, substream(1, "guess")) for _ in range(50)])
+    cols = sample_guess_columns(alph_cfg, substream(1, "guess"), (5, 10))
+    assert cols.shape == (5, 10, alph_cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, -0.5, 0.0, 0.5, 1.0})
 
 
 def test_guess_column_density():
     cfg = base_cfg(n=50, m=50, guess_density=0.25)
-    rng = substream(3, "guess")
-    draws = np.array([sample_guess_column(cfg, rng, reject_zero=False) for _ in range(2000)])
+    draws = sample_guess_columns(cfg, substream(3, "guess"), (2000,), reject_zero=False)
     frac = np.mean(draws != 0)
     # binomial standard error at p=0.25 over 100000 entries
     assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / draws.size)
+
+
+def test_guess_columns_conditioned_law():
+    # at nu = 0.3 and n = 4 a first draw is all-zero with probability 0.7^4 ~ 0.24
+    cfg = base_cfg(n=4, m=4, s=2, guess_density=0.3)
+    shape = (20000,)
+    first = sample_guess_columns(cfg, substream(4, "guess"), shape, reject_zero=False)
+    cols = sample_guess_columns(cfg, substream(4, "guess"), shape)
+    zero = ~first.any(axis=1)
+    assert 0.2 < zero.mean() < 0.28
+    # nonzero columns of the first draw are kept; only the zero ones are redrawn
+    assert np.array_equal(cols[~zero], first[~zero])
+    counts = np.count_nonzero(cols, axis=1)
+    assert counts.min() >= 1
+    norm = 1.0 - 0.7**4
+    for k in range(1, 5):
+        q = math.comb(4, k) * 0.3**k * 0.7 ** (4 - k) / norm
+        assert abs(np.mean(counts == k) - q) < 4 * np.sqrt(q * (1 - q) / counts.size)
+
+
+def test_guess_columns_give_up_on_vanishing_density():
+    cfg = base_cfg(n=4, m=4, s=2, guess_density=1e-12)
+    with pytest.raises(RuntimeError, match="nonzero guess column"):
+        sample_guess_columns(cfg, substream(0, "guess"), (2,))
 
 
 def test_ensemble_plants_columns_verbatim():
@@ -266,6 +293,19 @@ def test_sensing_kinds():
     col_sq = np.sum(G.blocks[0] ** 2, axis=0)
     # E||col||^2 = 1 after the 1/sqrt(m) scaling; chi^2_400/400 concentrates hard
     assert abs(col_sq.mean() - 1.0) < 0.05
+
+
+def test_sensing_matrix_digest():
+    # every kind's blocks, bit for bit: batching the draw or the QR of the
+    # blocks must not move them
+    h = hashlib.sha256()
+    for kind in SENSING_KINDS:
+        for m, n, theta in [(16, 16, 2), (12, 5, 3), (9, 4, 1), (20, 8, 4), (7, 7, 5)]:
+            for seed in range(4):
+                cfg = GenConfig(m=m, n=n, theta=theta, r=2, s=1, sensing_kind=kind)
+                for b in sample_sensing_matrix(cfg, substream(seed, "sensing")).blocks:
+                    h.update(b.tobytes())
+    assert h.hexdigest() == "f062cfb97bb69dc3f316759db7cd779af279c3f02696ef956cdde2351a4dc916"
 
 
 def test_instance_dist_params_follow_config():

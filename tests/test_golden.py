@@ -2,7 +2,8 @@
 
 The sha256 digests pin what the CLI writes for the README and acceptance
 configs; any change to how a valid config becomes cells, seeds or instances
-changes them.  CSVs are compared without their wall_time column.
+changes them.  CSVs are compared without their wall_time column, and the
+concentration outputs without their schema line.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 
 from blockrelax.cli import main
 from blockrelax.concentration import ConcentrationStudy
-from blockrelax.generate import GenConfig
+from blockrelax.generate import SCHEMA_COMMENT, GenConfig
 
 README_SWEEP = """m = 16
 m = 32
@@ -47,9 +48,9 @@ def write_cfg(tmp_path, text):
     "command, text, flags, digest",
     [
         ("sweep", README_SWEEP, ["--trials", "21", "--seed", "1", "--jobs", "1"],
-         "7f886b755996524c0a81ef68b1875629b412a4f372c5e46f5526ff1c8bc110ae"),
+         "e53db87b87f8a58967edcc01b409e7f37867778b39c5356c7239668833f4b0c0"),
         ("compare", COMPARE, ["--trials", "300", "--seed", "2", "--jobs", "1"],
-         "78785d05d29e4114378ed483a1d0309c17b4555e1f6660e0847c6a2bdb347807"),
+         "fb80f809d4453f941a9fe68408689d5369e335676789d0a8ae26478b8202b69b"),
     ],
 )
 def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
@@ -61,30 +62,34 @@ def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
 def test_gen_container_digest(tmp_path, capsys):
     out = tmp_path / "inst.txt"
     assert main(["gen", "--config", write_cfg(tmp_path, README_GEN), "--out", str(out)]) == 0
-    assert sha256(out.read_text()) == "39634e2300f4dd0d1a19d70d5934462c6bbd20e8c79064c8bbef56bc6014bd4d"
+    assert sha256(out.read_text()) == "a0180d2cf2a7931d2bdc0556fc46aee249d937fffac35716aad08e576867c230"
 
 
 @pytest.mark.parametrize(
     "text, digest",
     [
         (CONC_GEN + "check = tail\nepsilon = 0.5\nepsilon = 1\n",
-         "609ffadcc3ce3e16d5dff1b58b22b2442f95d54bc03aa85f2352961bc5a62b47"),
+         "7ade406ef2fc806228ca400647632e58c616447a69e93d09a56364fde9c7f56d"),
         (CONC_GEN + "check = window\ndelta = 0.3\ndelta = 0.5\n",
-         "f82deb9fc5dfa48dd5366214b3d928cd3e136c285cd3972c55b1333c05adaf61"),
+         "f4fc42ee91f246332cf5fa1b219c0a5efae52f20f61d6740f989c455fe3e953f"),
         (CONC_GEN + "check = mean\n",
-         "aca15d398fb484c5d73430bf05dd8f512f788d6e435ff672d84eaadd2c94c35d"),
+         "21538e44d3f5aef122953463d8fe1289b6c0bb8fdc21995e9de9a62d0e9018c3"),
     ],
 )
 def test_concentration_stdout_digest(tmp_path, capsys, text, digest):
+    # the rows read only the redrawn x, so the digest leaves out the schema
+    # line: a schema bump that does not move them keeps it
     capsys.readouterr()
     cfg = write_cfg(tmp_path, text)
     assert main(["concentration", "--config", cfg, "--trials", "300", "--seed", "3"]) == 0
-    assert sha256(capsys.readouterr().out) == digest
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert head == SCHEMA_COMMENT
+    assert sha256(body) == digest
 
 
 def test_concentration_redraw_digest():
     # The CLI checks select the planted columns, so their output reads only the
-    # redrawn x; this pins the whole redrawn ensemble of stream 2 as well.
+    # redrawn x; this pins the whole redrawn ensemble as well.
     study = ConcentrationStudy.from_config(GenConfig(m=12, n=12, theta=2, r=4, s=3, master_seed=3))
     h = hashlib.sha256()
     for t in range(20):

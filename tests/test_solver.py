@@ -41,6 +41,19 @@ def test_zero_rhs_returns_zero():
         assert np.array_equal(res.z, np.zeros(shape[1]))
 
 
+def test_small_rhs_meets_the_feasibility_bound():
+    # every |y_i| = 5e-9 is below tol_feas = 1e-8, but ||y|| = 2e-8 is above
+    # tol_feas * (1 + ||y||), so z = 0 is not feasible to tolerance
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((16, 24))
+    y = np.full(16, 5e-9)
+    opts = SolveOptions()
+    res = solve_weighted_bp(B, np.ones(24), y, opts)
+    assert res.status == "optimal"
+    assert res.feas_residual <= opts.tol_feas * (1.0 + np.linalg.norm(y))
+    assert res.detected_support
+
+
 def test_infeasible_rhs_flagged():
     # both B are injective, so y outside their range has no feasible point
     rng = np.random.default_rng(4)

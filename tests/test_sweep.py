@@ -103,7 +103,7 @@ def test_sweep_counts_consistent_and_jobs_invariant(tmp_path):
     write_sweep_csv(parallel, str(p2))
     lines1 = p1.read_text().splitlines()
     lines2 = p2.read_text().splitlines()
-    assert lines1[0] == "# schema=1"
+    assert lines1[0] == "# schema=3"
     assert lines1[1] == ",".join(SWEEP_COLUMNS)
     assert SWEEP_COLUMNS[-1] == "wall_time"
     assert len(lines1) == len(lines2)
@@ -186,7 +186,7 @@ def test_comparison_single_block_rates_agree(tmp_path):
     out = tmp_path / "cmp.csv"
     write_comparison_csv(results, str(out))
     lines = out.read_text().splitlines()
-    assert lines[0] == "# schema=1"
+    assert lines[0] == "# schema=3"
     assert lines[1] == ",".join(COMPARISON_COLUMNS)
     assert COMPARISON_COLUMNS[-1] == "wall_time"
     assert len(lines) == 3
