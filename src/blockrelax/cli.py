@@ -38,6 +38,7 @@ from .sweep import (
     build_comparison_plan,
     build_sweep_plan,
     config_number,
+    config_trials,
     expand_config,
     gen_config,
     parse_config,
@@ -141,6 +142,9 @@ def _cmd_replay(args) -> int:
         plan = build_sweep_plan(flat, seed=args.seed)
     if not 0 <= args.cell < len(plan.cells):
         raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
+    trials = plan.cells[args.cell].trials
+    if not 0 <= args.trial < trials:
+        raise SystemExit(f"trial {args.trial} out of range (cell {args.cell} has {trials} trials)")
     instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
     if args.out:  # before any output, so a reader that stops early cannot lose the file
         save_instance(instance, args.out)
@@ -162,7 +166,8 @@ def _cmd_concentration(args) -> int:
         vals = expand_config(flat, CONCENTRATION_KEYS, lists=("epsilon", "delta"),
                              seed=args.seed, trials=args.trials)[0]
         check = vals["check"]
-        seed, trials, count = (config_number(k, vals[k]) for k in ("seed", "trials", "count"))
+        seed, count = config_number("seed", vals["seed"]), config_number("count", vals["count"])
+        trials = config_trials(vals["trials"])
         epsilons = config_number("epsilon", vals["epsilon"], float)
         deltas = config_number("delta", vals["delta"], float)
         gen = None if check == "vectorization" else gen_config(vals, seed)

@@ -2,9 +2,12 @@
 
 Each check redraws the random ensemble many times with fixed sensing matrix,
 support and planted positions, measures an empirical statistic, and reports it
-next to its analytic counterpart or tail bound.  Statistical comparisons
-return z-scores or frequencies; nothing here raises on a statistical
-fluctuation, that judgement belongs to the caller.
+next to its analytic counterpart or tail bound.  The mean and tail checks of
+||A X u||^2 draw a chunk of redraws at a time into one guess tensor and take
+all their images in one pass; trial t of a chunk is exactly
+``ConcentrationStudy.redraw(seed, t)``.
+Statistical comparisons return z-scores or frequencies; nothing here raises on
+a statistical fluctuation, that judgement belongs to the caller.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
 from .generate import (
     GenConfig,
     build_instance,
+    sample_guess_columns,
     sample_guess_ensemble,
     sample_planted_vector,
     substream,
@@ -43,12 +47,18 @@ __all__ = [
     "gaussian_law",
 ]
 
+# redraws per guess tensor of ``image_sq_norms``: memory stays bounded in the trial count
+_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class ConcentrationStudy:
     """Frozen context for ensemble redraws: sensing matrix, support, planted slots.
 
     Built once from a config; per-trial randomness comes from labelled
-    substreams of the study seed, so every trial is replayable.
+    substreams of the study seed, so every trial is replayable.  ``redraw``
+    and ``image_sq_norm`` replay one trial; ``image_sq_norms`` computes the
+    same images for many trials, one chunk of redraws per tensor pass.
     """
 
     cfg: GenConfig
@@ -80,6 +90,45 @@ class ConcentrationStudy:
         img = self.A.matvec(apply_selector(X, u))
         return float(img @ img)
 
+    def image_sq_norms(self, u: Selector, trials: int, seed: int) -> np.ndarray:
+        """||A X u||^2 for the redraws X of trials 0 .. trials-1, as one array.
+
+        Entry t equals ``image_sq_norm(redraw(seed, t)[1], u)`` up to rounding:
+        each trial draws from the same substreams in the same order.  Up to
+        ``_CHUNK`` trials are written into one (chunk, theta, r, n) guess
+        tensor, checked as ``redraw`` checks each ensemble, and imaged at once.
+        """
+        cfg = self.cfg
+        theta, r, n = cfg.theta, cfg.r, cfg.n
+        blocks, cols = np.arange(theta), np.array(self.planted_cols)
+        z = u.z.reshape(theta, r)
+        A = np.hstack(self.A.blocks)
+        out = np.empty(trials)
+        chunk = min(_CHUNK, trials)
+        X_buf, x_buf = np.empty((chunk, theta, r, n)), np.empty((chunk, theta, n))
+        for start in range(0, trials, _CHUNK):
+            size = min(_CHUNK, trials - start)
+            X, x = X_buf[:size], x_buf[:size]
+            for i in range(size):
+                x[i] = sample_planted_vector(
+                    self.support, cfg, substream(seed, "conc-x", start + i)
+                ).reshape(theta, n)
+                X[i] = sample_guess_columns(
+                    cfg, substream(seed, "conc-X", start + i), (theta, r), reject_zero=False
+                )
+            X[:, blocks, cols] = x
+            empty = np.argwhere(~x.any(axis=-1))
+            if empty.size:
+                raise ValueError(
+                    f"block {empty[0, 1]} has empty support, so its planted column would be "
+                    "all-zero; increase s or use equidistributed supports"
+                )
+            if X.min() < -1.0 - 1e-12 or X.max() > 1.0 + 1e-12:
+                raise ValueError("guess entries outside [-1, 1]")
+            img = np.einsum("clkn,lk->cln", X, z).reshape(size, -1) @ A.T
+            out[start : start + size] = np.einsum("cm,cm->c", img, img)
+        return out
+
 
 @dataclass(frozen=True)
 class ImageMoments:
@@ -103,10 +152,7 @@ def empirical_image_moments(
     The closed form is the squared ensemble norm of u; the z-score uses the
     sample standard error, so |z| <= 3 is the expected regime.
     """
-    vals = np.empty(trials)
-    for t in range(trials):
-        _, X = study.redraw(seed, t)
-        vals[t] = study.image_sq_norm(X, u)
+    vals = study.image_sq_norms(u, trials, seed)
     wa = ensemble_norm_weights(
         study.A, study.support, study.planted_cols, u.r, study.cfg.p_x, study.cfg.p_X
     )
@@ -148,11 +194,8 @@ def empirical_concentration_tail(
     f_weights = ensemble_norm_weights(study.A, study.support, study.planted_cols, u.r, 1.0, 1.0)
     f_sq = float(np.sum((f_weights * u.z) ** 2))
 
-    exceed = 0
-    for t in range(trials):
-        _, X = study.redraw(seed, t)
-        if abs(study.image_sq_norm(X, u) - analytic) >= epsilon * f_sq:
-            exceed += 1
+    dev = np.abs(study.image_sq_norms(u, trials, seed) - analytic)
+    exceed = int(np.count_nonzero(dev >= epsilon * f_sq))
 
     consts = matrix_constants(study.A, study.support)
     expo = c * (consts.f_s_sq / consts.m_sq) * min(epsilon**2 / k_subg**4, epsilon / k_subg**2)

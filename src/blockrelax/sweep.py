@@ -48,6 +48,7 @@ __all__ = [
     "expand_config",
     "gen_config",
     "config_number",
+    "config_trials",
     "SweepPlan",
     "CellResult",
     "run_sweep",
@@ -157,6 +158,14 @@ def config_number(key: str, value, kind: type = int):
         raise ValueError(f"{key}: invalid {'integer' if kind is int else 'number'} {value!r}") from None
 
 
+def config_trials(value) -> int:
+    """A ``trials`` value as an int; fewer than one trial raises, as no statistic has one."""
+    trials = config_number("trials", value)
+    if trials < 1:
+        raise ValueError(f"trials: must be at least 1, got {trials}")
+    return trials
+
+
 def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
     if vals["m"] is None:
@@ -228,7 +237,7 @@ def build_sweep_plan(
                 index=idx,
                 gen=gen_config(vals),
                 p=config_number("p", vals["p"], float),
-                trials=config_number("trials", vals["trials"]),
+                trials=config_trials(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
                 oracle=vals["oracle"] in ("1", "true", "on", "yes"),
                 options=_solve_options(vals),
@@ -502,7 +511,7 @@ def build_comparison_plan(
             index=idx,
             gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
             p=config_number("p", vals["p"], float),
-            trials=config_number("trials", vals["trials"]),
+            trials=config_trials(vals["trials"]),
             seed=derive_seed(config_number("seed", vals["seed"]), "compare-cell", idx),
             options=_solve_options(vals),
         )

@@ -81,6 +81,14 @@ def test_replay_matches_sweep_output(tmp_path, capsys):
         main(["replay", "--config", cfg, "--cell", "7", "--trial", "0"])
 
 
+@pytest.mark.parametrize("trial", ["5", "999", "-2"])
+def test_replay_rejects_trial_outside_cell(tmp_path, trial):
+    # the cell runs trials 0..4, so any other trial is an instance no sweep of it draws
+    cfg = write_cfg(tmp_path, "m = 6\ntheta = 2\nr = 2\ns = 2\ntrials = 5\n")
+    exits_with_one_line(["replay", "--config", cfg, "--cell", "0", "--trial", trial],
+                        f"trial {trial} out of range (cell 0 has 5 trials)")
+
+
 def test_compare_writes_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 0.5\n")
     out = str(tmp_path / "cmp.csv")
@@ -131,6 +139,19 @@ BAD_CONFIGS = {
     "no equals sign": ("m = 6\nthetta 3\n", "line 2: expected key = value"),
     "not a number": ("m = 6\ns = 2\ntheta = two\n", "config error: theta: invalid integer 'two'"),
 }
+TRIALS_ERROR = "config error: trials: must be at least 1"
+# (text, flags, commands): a --trials flag comes after, so overrides, the command's own
+BAD_TRIALS = {
+    "trials flag 0": ("m = 6\ns = 2\n", ["--trials", "0"], ("compare", "concentration", "sweep")),
+    "trials flag -3": ("m = 6\ns = 2\n", ["--trials", "-3"], ("compare", "concentration", "sweep")),
+    "trials line 0": ("m = 6\ns = 2\ntrials = 0\n", [], ("replay",)),
+}
+CONFIG_ERRORS = {
+    **{(command, case): (text, message, []) for command in CONFIG_COMMANDS
+       for case, (text, message) in BAD_CONFIGS.items()},
+    **{(command, case): (text, TRIALS_ERROR, flags)
+       for case, (text, flags, commands) in BAD_TRIALS.items() for command in commands},
+}
 
 
 def exits_with_one_line(argv, message):
@@ -140,12 +161,11 @@ def exits_with_one_line(argv, message):
     assert message in exc.value.code
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@pytest.mark.parametrize("command, case", sorted(CONFIG_ERRORS))
 def test_config_errors_exit_with_one_line(tmp_path, command, case):
-    text, message = BAD_CONFIGS[case]
+    text, message, flags = CONFIG_ERRORS[command, case]
     argv = [a.format(tmp=tmp_path) for a in CONFIG_COMMANDS[command]]
-    exits_with_one_line([*argv, "--config", write_cfg(tmp_path, text)], message)
+    exits_with_one_line([*argv, *flags, "--config", write_cfg(tmp_path, text)], message)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +175,9 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
         (["compare", "--trials", "1"], "m = 4\nsupport_mode = uniform\n", "key 'support_mode' is not accepted"),
         (["concentration"], "m = 6\nepsilon = 0.5\nepsilon = big\n", "'big'"),
         (["concentration"], "m = 6\ncheck = window\ndelta = small\n", "'small'"),
+        (["concentration"], "m = 6\ntrials = 0\n", TRIALS_ERROR),
+        (["sweep"], "m = 6\ns = 2\ntrials = 0\n", TRIALS_ERROR),
+        (["compare"], "m = 4\ntrials = 0\n", TRIALS_ERROR),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blockrelax.bounds import ensemble_norm_weights
 from blockrelax.concentration import (
+    _CHUNK,
     ConcentrationStudy,
     block_norm_bound_check,
     dual_norm_quantiles,
@@ -96,6 +99,85 @@ def test_tail_counter_exact_threshold():
     assert never.exceed_count == 0
     assert never.frequency == 0.0
     assert never.bound == pytest.approx(2.0 * math.exp(-min(0.4**2, 0.4)), rel=1e-12)
+
+
+def batch_study(theta, guess_law="ternary"):
+    # the acceptance test_04 set-up
+    cfg = GenConfig(m=12, n=12, theta=theta, r=4, s=3, guess_law=guess_law, master_seed=5)
+    return ConcentrationStudy.from_config(cfg)
+
+
+def replayed_sq_norms(study, u, trials, seed):
+    return np.array([study.image_sq_norm(study.redraw(seed, t)[1], u) for t in range(trials)])
+
+
+@pytest.mark.parametrize("guess_law", ["ternary", "alphabet"])
+@pytest.mark.parametrize("theta", [1, 4])
+@pytest.mark.parametrize("selector", ["planted", "generic"])
+def test_image_sq_norms_match_single_trial_replay(theta, guess_law, selector):
+    study = batch_study(theta, guess_law)
+    if selector == "planted":
+        u = Selector.discrete(study.planted_cols, 4, theta)
+    else:
+        u = Selector(z=np.random.default_rng(theta).standard_normal(4 * theta), r=4, theta=theta)
+    got = study.image_sq_norms(u, 60, seed=8)
+    want = replayed_sq_norms(study, u, 60, seed=8)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_image_sq_norms_across_chunk_boundary():
+    study = batch_study(2)
+    u = Selector(z=np.random.default_rng(0).standard_normal(8), r=4, theta=2)
+    got = study.image_sq_norms(u, _CHUNK + 3, seed=4)
+    np.testing.assert_allclose(got, replayed_sq_norms(study, u, _CHUNK + 3, seed=4), rtol=1e-12, atol=0)
+    assert study.image_sq_norms(u, 0, seed=4).shape == (0,)
+
+
+def test_tail_count_matches_single_trial_replay():
+    study = batch_study(4)
+    u = Selector.discrete(study.planted_cols, 4, 4)
+    est = empirical_concentration_tail(study, u, epsilon=0.3, trials=400, seed=6)
+    vals = replayed_sq_norms(study, u, 400, seed=6)
+
+    def sq_norm(p_x, p_X):
+        w = ensemble_norm_weights(study.A, study.support, study.planted_cols, 4, p_x, p_X)
+        return float(np.sum((w * u.z) ** 2))
+
+    analytic, f_sq = sq_norm(study.cfg.p_x, study.cfg.p_X), sq_norm(1.0, 1.0)
+    want = int(np.count_nonzero(np.abs(vals - analytic) >= 0.3 * f_sq))
+    assert 0 < want < 400
+    assert est.exceed_count == want
+
+
+def test_image_sq_norms_reject_empty_hidden_block():
+    cfg = GenConfig(m=4, n=4, theta=2, r=2, s=1, master_seed=0)
+    base = ConcentrationStudy.from_config(cfg)
+    starved = ConcentrationStudy(
+        cfg=cfg,
+        A=base.A,
+        support=SupportPattern(indices=(0,), n=4, theta=2),  # block 1 empty
+        planted_cols=base.planted_cols,
+    )
+    u = Selector.discrete(base.planted_cols, 2, 2)
+    with pytest.raises(ValueError, match="block 1 has empty support"):
+        starved.image_sq_norms(u, 5, seed=0)
+    with pytest.raises(ValueError, match="block 1 has empty support"):
+        starved.redraw(0, 0)
+
+
+def test_image_sq_norms_memory_bounded_by_one_chunk():
+    # three chunks of redraws: a guess tensor over all trials would alone take
+    # three times the bytes of one chunk's tensor
+    study = batch_study(4)
+    u = Selector.discrete(study.planted_cols, 4, 4)
+    chunk_bytes = _CHUNK * 4 * 4 * 12 * 8
+    tracemalloc.start()
+    try:
+        study.image_sq_norms(u, 3 * _CHUNK, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_bytes
 
 
 def test_singular_window_tiny_closed_form():
