@@ -51,6 +51,8 @@ from .sweep import (
 
 __all__ = ["main"]
 
+_CHECKS = ("vectorization", "mean", "tail", "window")
+
 
 def _default_jobs() -> int:
     try:
@@ -77,7 +79,7 @@ def _cmd_gen(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
         cfg = gen_config(vals, config_number("seed", vals["seed"]))
-    instance = build_instance(cfg)
+        instance = build_instance(cfg)
     save_instance(instance, args.out)
     print(f"wrote instance: m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} "
           f"seed={cfg.master_seed} -> {args.out}")
@@ -166,11 +168,25 @@ def _cmd_concentration(args) -> int:
         vals = expand_config(flat, CONCENTRATION_KEYS, lists=("epsilon", "delta"),
                              seed=args.seed, trials=args.trials)[0]
         check = vals["check"]
+        if check not in _CHECKS:
+            raise ValueError(
+                f"check: unknown concentration check {check!r}; expected one of {', '.join(_CHECKS)}"
+            )
         seed, count = config_number("seed", vals["seed"]), config_number("count", vals["count"])
+        if count < 1:
+            raise ValueError(f"count: must be at least 1, got {count}")
         trials = config_trials(vals["trials"])
         epsilons = config_number("epsilon", vals["epsilon"], float)
+        for eps in epsilons:
+            if not eps > 0.0:
+                raise ValueError(f"epsilon: must be positive, got {eps:g}")
         deltas = config_number("delta", vals["delta"], float)
-        gen = None if check == "vectorization" else gen_config(vals, seed)
+        for d in deltas:
+            if not 0.0 < d < 1.0:
+                raise ValueError(f"delta: must lie in (0, 1), got {d:g}")
+        if check != "vectorization":
+            gen = gen_config(vals, seed)
+            study = conc.ConcentrationStudy.from_config(gen)
     rows: list[list] = []
     failures = 0
 
@@ -188,7 +204,6 @@ def _cmd_concentration(args) -> int:
             rows.append(["vectorization", i, format(dev, ".6g"), format(1e-12 * scale, ".6g"), int(ok)])
         header = ["check", "index", "deviation", "limit", "ok"]
     else:
-        study = conc.ConcentrationStudy.from_config(gen)
         planted = Selector.discrete(study.planted_cols, gen.r, gen.theta)
         if check == "tail":
             for eps in epsilons:
@@ -207,7 +222,7 @@ def _cmd_concentration(args) -> int:
             header = ["check", "mc_mean", "analytic", "std_error", "z_score"]
             if abs(mom.z_score) > 4.0:
                 failures += 1
-        elif check == "window":
+        else:
             for d in deltas:
                 est = conc.singular_window_check(study, d, trials, seed)
                 rows.append(
@@ -215,8 +230,6 @@ def _cmd_concentration(args) -> int:
                      format(est.frequency, ".6g"), format(est.bound_floor, ".6g")]
                 )
             header = ["check", "delta", "trials", "inside", "frequency", "bound_floor"]
-        else:
-            raise SystemExit(f"unknown concentration check {check!r}")
 
     out = args.out or "-"
     with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:

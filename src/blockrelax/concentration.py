@@ -2,10 +2,13 @@
 
 Each check redraws the random ensemble many times with fixed sensing matrix,
 support and planted positions, measures an empirical statistic, and reports it
-next to its analytic counterpart or tail bound.  The mean and tail checks of
-||A X u||^2 draw a chunk of redraws at a time into one guess tensor and take
-all their images in one pass; trial t of a chunk is exactly
-``ConcentrationStudy.redraw(seed, t)``.
+next to its analytic counterpart or tail bound: the mean, the tail and the
+singular window of ||A X u||^2.  Two exact identities, the vectorization of
+M R w and the block norm bound, are checked beside them.  One sampler,
+``ConcentrationStudy._draw``, makes every redraw: the mean and tail checks
+draw a chunk of redraws at a time into one guess tensor and take all their
+images in one pass, and ``ConcentrationStudy.redraw(seed, t)`` is the chunk
+of trial t alone.
 Statistical comparisons return z-scores or frequencies; nothing here raises on
 a statistical fluctuation, that judgement belongs to the caller.
 """
@@ -22,11 +25,10 @@ from .generate import (
     GenConfig,
     build_instance,
     sample_guess_columns,
-    sample_guess_ensemble,
     sample_planted_vector,
     substream,
 )
-from .model import BlockSensingMatrix, Selector, SupportPattern, apply_selector, lp_norm
+from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
 __all__ = [
     "ConcentrationStudy",
@@ -37,14 +39,7 @@ __all__ = [
     "WindowEstimate",
     "singular_window_check",
     "vectorization_check",
-    "MomentCheck",
-    "expected_sq_norm_check",
     "block_norm_bound_check",
-    "inner_product_tail_check",
-    "dual_norm_quantiles",
-    "rademacher_law",
-    "ternary_law",
-    "gaussian_law",
 ]
 
 # redraws per guess tensor of ``image_sq_norms``: memory stays bounded in the trial count
@@ -73,18 +68,38 @@ class ConcentrationStudy:
             cfg=cfg, A=base.A, support=base.support, planted_cols=base.X.planted_cols
         )
 
+    def _draw(self, seed: int, start: int, X: np.ndarray, x: np.ndarray) -> None:
+        """Fill X (size, theta, r, n) and x (size, theta, n) with trials start .. start+size-1.
+
+        Trial t takes x from substream (seed, 'conc-x', t) and its guess
+        columns, zero columns allowed, from (seed, 'conc-X', t); x is then
+        planted at ``planted_cols``, so X[i, l, k] is column k of block l.
+        """
+        cfg = self.cfg
+        for i in range(len(X)):
+            x[i] = sample_planted_vector(
+                self.support, cfg, substream(seed, "conc-x", start + i)
+            ).reshape(cfg.theta, cfg.n)
+            X[i] = sample_guess_columns(
+                cfg, substream(seed, "conc-X", start + i), (cfg.theta, cfg.r), reject_zero=False
+            )
+        X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
+        empty = np.argwhere(~x.any(axis=-1))
+        if empty.size:
+            raise ValueError(
+                f"block {empty[0, 1]} has empty support, so its planted column would be "
+                "all-zero; increase s or use equidistributed supports"
+            )
+        if X.min() < -1.0 - 1e-12 or X.max() > 1.0 + 1e-12:
+            raise ValueError("guess entries outside [-1, 1]")
+
     def redraw(self, seed: int, trial: int):
         """Fresh (x, X) pair from the pure ensemble law (zero columns allowed)."""
-        x = sample_planted_vector(self.support, self.cfg, substream(seed, "conc-x", trial))
-        X = sample_guess_ensemble(
-            x,
-            self.support,
-            self.cfg,
-            substream(seed, "conc-X", trial),
-            planted_cols=self.planted_cols,
-            reject_zero_columns=False,
-        )
-        return x, X
+        cfg = self.cfg
+        X, x = np.empty((1, cfg.theta, cfg.r, cfg.n)), np.empty((1, cfg.theta, cfg.n))
+        self._draw(seed, trial, X, x)
+        blocks = tuple(c.T.copy() for c in X[0])
+        return x.reshape(-1), GuessEnsemble(blocks=blocks, planted_cols=self.planted_cols)
 
     def image_sq_norm(self, X, u) -> float:
         img = self.A.matvec(apply_selector(X, u))
@@ -94,40 +109,29 @@ class ConcentrationStudy:
         """||A X u||^2 for the redraws X of trials 0 .. trials-1, as one array.
 
         Entry t equals ``image_sq_norm(redraw(seed, t)[1], u)`` up to rounding:
-        each trial draws from the same substreams in the same order.  Up to
-        ``_CHUNK`` trials are written into one (chunk, theta, r, n) guess
-        tensor, checked as ``redraw`` checks each ensemble, and imaged at once.
+        both draw through ``_draw``.  Up to ``_CHUNK`` trials are written into
+        one (chunk, theta, r, n) guess tensor, reused by every chunk, and
+        imaged at once.
         """
         cfg = self.cfg
-        theta, r, n = cfg.theta, cfg.r, cfg.n
-        blocks, cols = np.arange(theta), np.array(self.planted_cols)
-        z = u.z.reshape(theta, r)
+        z = u.z.reshape(cfg.theta, cfg.r)
         A = np.hstack(self.A.blocks)
         out = np.empty(trials)
         chunk = min(_CHUNK, trials)
-        X_buf, x_buf = np.empty((chunk, theta, r, n)), np.empty((chunk, theta, n))
+        X_buf, x_buf = np.empty((chunk, cfg.theta, cfg.r, cfg.n)), np.empty((chunk, cfg.theta, cfg.n))
         for start in range(0, trials, _CHUNK):
             size = min(_CHUNK, trials - start)
-            X, x = X_buf[:size], x_buf[:size]
-            for i in range(size):
-                x[i] = sample_planted_vector(
-                    self.support, cfg, substream(seed, "conc-x", start + i)
-                ).reshape(theta, n)
-                X[i] = sample_guess_columns(
-                    cfg, substream(seed, "conc-X", start + i), (theta, r), reject_zero=False
-                )
-            X[:, blocks, cols] = x
-            empty = np.argwhere(~x.any(axis=-1))
-            if empty.size:
-                raise ValueError(
-                    f"block {empty[0, 1]} has empty support, so its planted column would be "
-                    "all-zero; increase s or use equidistributed supports"
-                )
-            if X.min() < -1.0 - 1e-12 or X.max() > 1.0 + 1e-12:
-                raise ValueError("guess entries outside [-1, 1]")
+            X = X_buf[:size]
+            self._draw(seed, start, X, x_buf[:size])
             img = np.einsum("clkn,lk->cln", X, z).reshape(size, -1) @ A.T
             out[start : start + size] = np.einsum("cm,cm->c", img, img)
         return out
+
+
+def _sq_norm(study: ConcentrationStudy, u: Selector, p_x: float, p_X: float) -> float:
+    """sum (w u)^2 for the ensemble norm weights w of entry second moments (p_x, p_X)."""
+    w = ensemble_norm_weights(study.A, study.support, study.planted_cols, u.r, p_x, p_X)
+    return float(np.sum((w * u.z) ** 2))
 
 
 @dataclass(frozen=True)
@@ -153,10 +157,7 @@ def empirical_image_moments(
     sample standard error, so |z| <= 3 is the expected regime.
     """
     vals = study.image_sq_norms(u, trials, seed)
-    wa = ensemble_norm_weights(
-        study.A, study.support, study.planted_cols, u.r, study.cfg.p_x, study.cfg.p_X
-    )
-    analytic = float(np.sum((wa * u.z) ** 2))
+    analytic = _sq_norm(study, u, study.cfg.p_x, study.cfg.p_X)
     se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return ImageMoments(mean=float(vals.mean()), std_error=se, analytic_sq=analytic, trials=trials)
 
@@ -171,34 +172,24 @@ class TailEstimate:
 
 
 def empirical_concentration_tail(
-    study: ConcentrationStudy,
-    u: Selector,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    c: float = 1.0,
-    k_subg: float = 1.0,
+    study: ConcentrationStudy, u: Selector, epsilon: float, trials: int, seed: int
 ) -> TailEstimate:
     """Tail frequency of |  ||A X u||^2 - E||A X u||^2  | >= epsilon * F(u)^2.
 
     F(u)^2 is the unweighted analogue of the ensemble norm (second moments
-    replaced by 1).  The reported bound is 2 exp(-c (F_S^2/M^2) min(eps^2/K^4,
-    eps/K^2)) for the supplied (c, K); an empirical frequency above it
-    falsifies that constant pair, it is not an error of the estimator.
+    replaced by 1).  The reported bound is 2 exp(-(F_S^2/M^2) min(eps^2, eps)),
+    the paper's bound with its absolute constant c and sub-gaussian norm K both
+    set to 1; an empirical frequency above it falsifies that constant pair, it
+    is not an error of the estimator.
     """
-    cfg = study.cfg
-    wa = ensemble_norm_weights(
-        study.A, study.support, study.planted_cols, u.r, cfg.p_x, cfg.p_X
-    )
-    analytic = float(np.sum((wa * u.z) ** 2))
-    f_weights = ensemble_norm_weights(study.A, study.support, study.planted_cols, u.r, 1.0, 1.0)
-    f_sq = float(np.sum((f_weights * u.z) ** 2))
+    analytic = _sq_norm(study, u, study.cfg.p_x, study.cfg.p_X)
+    f_sq = _sq_norm(study, u, 1.0, 1.0)
 
     dev = np.abs(study.image_sq_norms(u, trials, seed) - analytic)
     exceed = int(np.count_nonzero(dev >= epsilon * f_sq))
 
     consts = matrix_constants(study.A, study.support)
-    expo = c * (consts.f_s_sq / consts.m_sq) * min(epsilon**2 / k_subg**4, epsilon / k_subg**2)
+    expo = (consts.f_s_sq / consts.m_sq) * min(epsilon**2, epsilon)
     return TailEstimate(
         epsilon=epsilon,
         trials=trials,
@@ -218,19 +209,14 @@ class WindowEstimate:
 
 
 def singular_window_check(
-    study: ConcentrationStudy,
-    delta: float,
-    trials: int,
-    seed: int,
-    c: float = 1.0,
-    k_subg: float = 1.0,
+    study: ConcentrationStudy, delta: float, trials: int, seed: int
 ) -> WindowEstimate:
     """Frequency of all singular values of the normalized planted columns in [1-delta, 1+delta].
 
     Per trial the planted columns of A X are rescaled by the ensemble norm
     weighting and their singular values computed; the reported floor is
-    1 - 2 (12/delta)^t exp(-c (F_S^2/M^2) min(p_x^2 delta^2/(4K^4),
-    p_x delta/(2K^2))) for the supplied constants.
+    1 - 2 (12/delta)^t exp(-(F_S^2/M^2) min(p_x^2 delta^2/4, p_x delta/2)),
+    with c = K = 1 as in ``empirical_concentration_tail``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -257,8 +243,8 @@ def singular_window_check(
             inside += 1
 
     consts = matrix_constants(study.A, study.support)
-    arg = min(cfg.p_x**2 * delta**2 / (4 * k_subg**4), cfg.p_x * delta / (2 * k_subg**2))
-    fail = 2.0 * (12.0 / delta) ** cfg.theta * math.exp(-c * (consts.f_s_sq / consts.m_sq) * arg)
+    arg = min(cfg.p_x**2 * delta**2 / 4, cfg.p_x * delta / 2)
+    fail = 2.0 * (12.0 / delta) ** cfg.theta * math.exp(-(consts.f_s_sq / consts.m_sq) * arg)
     return WindowEstimate(
         delta=delta,
         trials=trials,
@@ -282,60 +268,6 @@ def vectorization_check(M: np.ndarray, R: np.ndarray, w: np.ndarray) -> float:
     return float(np.abs(direct - kron).max(initial=0.0))
 
 
-def rademacher_law():
-    """(draw, variance) for entries uniform on {-1, +1}."""
-    return (lambda rng, shape: rng.integers(0, 2, size=shape) * 2.0 - 1.0), 1.0
-
-
-def ternary_law(nu: float):
-    """(draw, variance) for entries 0 w.p. 1-nu, else +-1: variance nu, E|entry| = nu."""
-    def draw(rng, shape):
-        return (rng.random(shape) < nu) * (rng.integers(0, 2, size=shape) * 2.0 - 1.0)
-
-    return draw, nu
-
-
-def gaussian_law(sigma: float = 1.0):
-    """(draw, variance) for centered normal entries."""
-    return (lambda rng, shape: sigma * rng.standard_normal(shape)), sigma**2
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    mean: float
-    std_error: float
-    analytic: float
-    trials: int
-
-    @property
-    def z_score(self) -> float:
-        if self.std_error == 0.0:
-            return 0.0 if self.mean == self.analytic else math.inf
-        return (self.mean - self.analytic) / self.std_error
-
-
-def expected_sq_norm_check(
-    M: np.ndarray, w: np.ndarray, entry_law, variance: float, trials: int, seed: int
-) -> MomentCheck:
-    """Monte Carlo E||M R w||^2 against V ||M||_F^2 ||w||^2 for i.i.d. centered R.
-
-    ``entry_law`` draws R's entries given (rng, shape); ``variance`` is their
-    second moment V.
-    """
-    M = np.asarray(M, dtype=float)
-    w = np.asarray(w, dtype=float)
-    rng = substream(seed, "sqnorm")
-    shape = (M.shape[1], w.size)
-    vals = np.empty(trials)
-    for t in range(trials):
-        Rm = entry_law(rng, shape)
-        img = M @ (Rm @ w)
-        vals[t] = img @ img
-    analytic = variance * float(np.sum(M * M)) * float(w @ w)
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MomentCheck(mean=float(vals.mean()), std_error=se, analytic=analytic, trials=trials)
-
-
 def block_norm_bound_check(blocks) -> tuple[float, float, float]:
     """(||C||^2, sum_l ||C_l||^2, slack) for C the horizontal concatenation.
 
@@ -347,65 +279,3 @@ def block_norm_bound_check(blocks) -> tuple[float, float, float]:
     lhs = spectral_norm(np.hstack(blocks)) ** 2
     rhs = sum(spectral_norm(b) ** 2 for b in blocks)
     return lhs, rhs, rhs - lhs
-
-
-def inner_product_tail_check(
-    v: np.ndarray, nu: float, p: float, trials: int, seed: int
-) -> TailEstimate:
-    """Tail frequency of <x, v> >= ||x||_p^p for ternary x with E|x_i| = nu.
-
-    The reported bound is 2 exp(-nu^2 d^2 / (d + 2 ||v||^2)) with d = len(v).
-    With v = 0 the event degenerates to x = 0 and the frequency approaches
-    (1 - nu)^d.
-    """
-    v = np.asarray(v, dtype=float)
-    d = v.size
-    draw, _ = ternary_law(nu)
-    rng = substream(seed, "iptail")
-    exceed = 0
-    for _ in range(trials):
-        x = draw(rng, d)
-        if float(x @ v) >= lp_norm(x, p):
-            exceed += 1
-    bound = 2.0 * math.exp(-(nu**2) * d * d / (d + 2.0 * float(v @ v)))
-    return TailEstimate(
-        epsilon=math.nan, trials=trials, exceed_count=exceed, frequency=exceed / trials, bound=bound
-    )
-
-
-def dual_norm_quantiles(
-    study: ConcentrationStudy,
-    p: float,
-    alphas,
-    trials: int,
-    seed: int,
-    quantiles=(0.5, 0.9, 0.99),
-) -> dict:
-    """Empirical distribution of the certificate dual vector's norm.
-
-    Per trial, h solves (columns at the planted positions)^* h = weights *
-    signs for the redrawn ensemble; reported are norm quantiles and, for each
-    requested alpha, the frequency of ||h|| >= alpha.  Purely descriptive: no
-    closed-form tail is claimed for it.
-    """
-    cfg = study.cfg
-    norms = np.empty(trials)
-    for t in range(trials):
-        x, X = study.redraw(seed, t)
-        cols = np.stack(
-            [
-                study.A.blocks[l] @ X.blocks[l][:, k]
-                for l, k in enumerate(study.planted_cols)
-            ],
-            axis=1,
-        )
-        wts = np.array(
-            [lp_norm(X.blocks[l][:, k], p) for l, k in enumerate(study.planted_cols)]
-        )
-        h = np.linalg.lstsq(cols.T, wts, rcond=None)[0]
-        norms[t] = np.linalg.norm(h)
-    return {
-        "quantiles": {q: float(np.quantile(norms, q)) for q in quantiles},
-        "exceed_frequency": {float(a): float(np.mean(norms >= a)) for a in alphas},
-        "trials": trials,
-    }

@@ -55,20 +55,20 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
 
 
-def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, label, index)."""
-    ss = np.random.SeedSequence(
+def _seed_sequence(master_seed: int, label: str, index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
         entropy=(int(master_seed) & _MASK64, _label_key(label), int(index) & _MASK64)
     )
-    return np.random.Generator(np.random.Philox(ss))
+
+
+def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
+    """Independent generator for (seed, label, index)."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, label, index)))
 
 
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Collapse (seed, label, index) to a fresh 64-bit seed for nested use."""
-    ss = np.random.SeedSequence(
-        entropy=(int(master_seed) & _MASK64, _label_key(label), int(index) & _MASK64)
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(master_seed, label, index).generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -201,30 +201,18 @@ def sample_guess_columns(
 
 
 def sample_guess_ensemble(
-    x: np.ndarray,
-    support: SupportPattern,
-    cfg: GenConfig,
-    rng: np.random.Generator,
-    planted_cols=None,
-    reject_zero_columns: bool = True,
+    x: np.ndarray, support: SupportPattern, cfg: GenConfig, rng: np.random.Generator
 ) -> GuessEnsemble:
     """Guess ensemble with the hidden blocks planted.
 
-    Planted positions are drawn first, uniformly unless pinned (the
-    concentration checks pin them to keep a study's coordinates fixed).  Then
-    every column comes from one ``sample_guess_columns`` call of shape
-    (theta, r), whose entry [l, k] is column k of block l; with
-    ``reject_zero_columns`` each column is conditioned on being nonzero, so
-    every column carries positive weight.
+    Planted positions are drawn first, uniformly.  Then every column comes
+    from one ``sample_guess_columns`` call of shape (theta, r), whose entry
+    [l, k] is column k of block l, conditioned on being nonzero, so every
+    column carries positive weight.
     """
     n, r, theta = cfg.n, cfg.r, cfg.theta
     x = np.asarray(x, dtype=float)
-    if planted_cols is None:
-        planted = [int(k) for k in rng.integers(0, r, size=theta)]
-    else:
-        planted = [int(k) for k in planted_cols]
-        if len(planted) != theta:
-            raise ValueError("need one planted column per block")
+    planted = [int(k) for k in rng.integers(0, r, size=theta)]
     hidden = [x[l * n : (l + 1) * n] for l in range(theta)]
     for l, xl in enumerate(hidden):
         if not xl.any():
@@ -232,7 +220,7 @@ def sample_guess_ensemble(
                 f"block {l} has empty support, so its planted column would be all-zero; "
                 "increase s or use equidistributed supports"
             )
-    cols = sample_guess_columns(cfg, rng, (theta, r), reject_zero_columns)
+    cols = sample_guess_columns(cfg, rng, (theta, r))
     blocks = [c.T.copy() for c in cols]
     for b, xl, k in zip(blocks, hidden, planted):
         b[:, k] = xl

@@ -140,6 +140,9 @@ BAD_CONFIGS = {
     "not a number": ("m = 6\ns = 2\ntheta = two\n", "config error: theta: invalid integer 'two'"),
 }
 TRIALS_ERROR = "config error: trials: must be at least 1"
+# uniform supports scatter s*theta = 4 indices over 4 blocks; at seed 0 one block is left empty
+EMPTY_BLOCK_CFG = "m = 8\ntheta = 4\nr = 4\ns = 1\nsupport_mode = uniform\n"
+EMPTY_BLOCK_ERROR = "config error: block 3 has empty support"
 # (text, flags, commands): a --trials flag comes after, so overrides, the command's own
 BAD_TRIALS = {
     "trials flag 0": ("m = 6\ns = 2\n", ["--trials", "0"], ("compare", "concentration", "sweep")),
@@ -178,6 +181,17 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
         (["concentration"], "m = 6\ntrials = 0\n", TRIALS_ERROR),
         (["sweep"], "m = 6\ns = 2\ntrials = 0\n", TRIALS_ERROR),
         (["compare"], "m = 4\ntrials = 0\n", TRIALS_ERROR),
+        (["concentration"], "m = 6\ncheck = window\ndelta = 1.5\n",
+         "config error: delta: must lie in (0, 1), got 1.5"),
+        (["concentration"], "m = 6\ncheck = tail\nepsilon = -1\n",
+         "config error: epsilon: must be positive, got -1"),
+        (["concentration"], "check = vectorization\ncount = -3\n",
+         "config error: count: must be at least 1, got -3"),
+        # the check is read before the study is built, so it is named even where building fails
+        (["concentration"], EMPTY_BLOCK_CFG + "check = median\n",
+         "config error: check: unknown concentration check 'median'"),
+        (["concentration"], EMPTY_BLOCK_CFG, EMPTY_BLOCK_ERROR),
+        (["gen"], EMPTY_BLOCK_CFG, EMPTY_BLOCK_ERROR),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

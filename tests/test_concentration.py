@@ -9,18 +9,12 @@ from blockrelax.concentration import (
     _CHUNK,
     ConcentrationStudy,
     block_norm_bound_check,
-    dual_norm_quantiles,
     empirical_concentration_tail,
     empirical_image_moments,
-    expected_sq_norm_check,
-    gaussian_law,
-    inner_product_tail_check,
-    rademacher_law,
     singular_window_check,
-    ternary_law,
     vectorization_check,
 )
-from blockrelax.generate import GenConfig, substream
+from blockrelax.generate import GenConfig
 from blockrelax.model import Selector, SupportPattern
 
 
@@ -206,24 +200,6 @@ def test_singular_window_rejects_empty_block_support():
         singular_window_check(starved, delta=0.5, trials=10, seed=0)
 
 
-def test_expected_sq_norm_laws():
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((4, 5))
-    w = rng.uniform(-1, 1, size=3)
-    for law, var in (rademacher_law(), ternary_law(0.3), gaussian_law(0.7)):
-        res = expected_sq_norm_check(M, w, law, var, trials=3000, seed=8)
-        assert abs(res.z_score) < 4.0, f"variance {var}: z={res.z_score}"
-
-
-def test_expected_sq_norm_degenerate_exact():
-    # 1x1 rademacher: ||M R w||^2 = 1 on every draw, zero variance
-    res = expected_sq_norm_check(np.eye(1), np.ones(1), *rademacher_law(), trials=50, seed=0)
-    assert res.mean == 1.0
-    assert res.analytic == 1.0
-    assert res.std_error == 0.0
-    assert res.z_score == 0.0
-
-
 def test_block_norm_bound_cases():
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -241,30 +217,3 @@ def test_block_norm_bound_cases():
     lhs, rhs, slack = block_norm_bound_check([np.eye(2)[:, :1], np.eye(2)[:, 1:]])
     assert lhs == pytest.approx(1.0, rel=1e-8)
     assert rhs == pytest.approx(2.0, rel=1e-8)
-
-
-def test_inner_product_tail_zero_vector_law():
-    d, nu, trials = 4, 0.5, 4000
-    res = inner_product_tail_check(np.zeros(d), nu, p=0.5, trials=trials, seed=5)
-    target = (1 - nu) ** d
-    se = math.sqrt(target * (1 - target) / trials)
-    assert abs(res.frequency - target) < 4 * se
-    assert res.bound == pytest.approx(2.0 * math.exp(-(nu**2) * d * d / d), rel=1e-12)
-
-
-def test_inner_product_tail_frozen_bound():
-    v = np.zeros(64)
-    v[:4] = 1.0  # ||v||^2 = 4
-    res = inner_product_tail_check(v, nu=0.5, p=0.5, trials=1, seed=0)
-    assert res.bound == pytest.approx(1.3316722939714619e-06, rel=1e-12)
-
-
-def test_dual_norm_quantiles_descriptive():
-    cfg = GenConfig(m=6, n=6, theta=2, r=2, s=3, guess_density=0.5, master_seed=1)
-    study = ConcentrationStudy.from_config(cfg)
-    out = dual_norm_quantiles(study, p=0.5, alphas=(0.5, 2.0, 8.0), trials=300, seed=2)
-    q = out["quantiles"]
-    assert q[0.5] <= q[0.9] <= q[0.99]
-    f = out["exceed_frequency"]
-    assert f[0.5] >= f[2.0] >= f[8.0]
-    assert out["trials"] == 300

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blockrelax.concentration import ConcentrationStudy
 from blockrelax.generate import (
     GUESS_LAWS,
     SENSING_KINDS,
@@ -199,14 +200,6 @@ def test_ensemble_plants_columns_verbatim():
     assert not X.zero_columns()
 
 
-def test_ensemble_pinned_planted_cols():
-    cfg = base_cfg()
-    sp = sample_support(cfg, substream(6, "support"))
-    x = sample_planted_vector(sp, cfg, substream(6, "planted"))
-    X = sample_guess_ensemble(x, sp, cfg, substream(6, "guess"), planted_cols=(1, 1, 1))
-    assert X.planted_cols == (1, 1, 1)
-
-
 def test_ensemble_rejects_empty_block_support():
     cfg = base_cfg()
     sp = SupportPattern(indices=(0, 1, 2), n=cfg.n, theta=cfg.theta)  # blocks 1,2 empty
@@ -216,37 +209,13 @@ def test_ensemble_rejects_empty_block_support():
         sample_guess_ensemble(x, sp, cfg, substream(0, "guess"))
 
 
-def test_ensemble_unconditioned_law_allows_zero_columns():
-    cfg = base_cfg(n=3, m=3, r=8, theta=1, s=3, guess_density=0.05)
-    sp = SupportPattern(indices=(0, 1, 2), n=3, theta=1)
-    x = np.array([1.0, -1.0, 1.0])
-    seen_zero = False
-    for seed in range(50):
-        X = sample_guess_ensemble(
-            x, sp, cfg, substream(seed, "guess"), reject_zero_columns=False
-        )
-        if X.zero_columns():
-            seen_zero = True
-            break
-    # at density 0.05 a zero column appears with prob ~0.857 per draw
-    assert seen_zero
-
-
-def unconditioned_ensemble(cfg, seed, planted, trial=0):
-    sp = sample_support(cfg, substream(seed, "support"))
-    x = sample_planted_vector(sp, cfg, substream(seed, "planted"))
-    X = sample_guess_ensemble(
-        x, sp, cfg, substream(seed, "conc-X", trial), planted_cols=planted, reject_zero_columns=False
-    )
-    return x, X
-
-
 @pytest.mark.parametrize("law", GUESS_LAWS)
 def test_unconditioned_ensemble_is_one_tensor_draw(law):
-    # off the planted column, column k of block l is entry [l, k] of one (theta, r, n) draw
+    # the concentration redraw, the one sampler of unconditioned ensembles: off the
+    # planted column, column k of block l is entry [l, k] of one (theta, r, n) draw
     cfg = base_cfg(guess_law=law, guess_density=0.4)
-    planted = (2, 0, 3)
-    x, X = unconditioned_ensemble(cfg, 8, planted, trial=5)
+    x, X = ConcentrationStudy.from_config(cfg).redraw(8, 5)
+    planted = X.planted_cols
     pure = _draw_column(cfg, substream(8, "conc-X", 5), (cfg.theta, cfg.r, cfg.n))
     n = cfg.n
     for l, b in enumerate(X.blocks):
@@ -259,13 +228,11 @@ def test_unconditioned_ensemble_is_one_tensor_draw(law):
 @pytest.mark.parametrize("law", GUESS_LAWS)
 def test_unconditioned_ensemble_entry_law(law):
     cfg = base_cfg(guess_law=law, guess_density=0.3)
-    planted = (0, 1, 2)
+    study = ConcentrationStudy.from_config(cfg)
     off = np.ones((cfg.theta, cfg.n, cfg.r), dtype=bool)
-    for l, k in enumerate(planted):
+    for l, k in enumerate(study.planted_cols):
         off[l, :, k] = False
-    entries = np.concatenate(
-        [np.stack(unconditioned_ensemble(cfg, 9, planted, t)[1].blocks)[off] for t in range(400)]
-    )
+    entries = np.concatenate([np.stack(study.redraw(9, t)[1].blocks)[off] for t in range(400)])
     nonzero = entries[entries != 0.0]
     frac, nu = nonzero.size / entries.size, cfg.nu
     assert abs(frac - nu) < 4 * np.sqrt(nu * (1 - nu) / entries.size)
