@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import os
 import sys
@@ -19,7 +18,7 @@ import sys
 import numpy as np
 
 from . import concentration as conc
-from .generate import SCHEMA_COMMENT, build_instance, substream
+from .generate import build_instance, substream
 from .model import Selector
 from .oracle import enumerate_selectors
 from .reductions import (
@@ -46,6 +45,7 @@ from .sweep import (
     run_comparison,
     run_sweep,
     write_comparison_csv,
+    write_csv,
     write_sweep_csv,
 )
 
@@ -233,10 +233,7 @@ def _cmd_concentration(args) -> int:
 
     out = args.out or "-"
     with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
-        fh.write(SCHEMA_COMMENT + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_csv(fh, header, rows)
     if out != "-":
         print(f"wrote {len(rows)} rows to {out}")
     return 1 if failures else 0

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _PINV_RCOND = 1e-10  # relative singular value cutoff, shared by solver and certificate
+_SUPPORT_THRESHOLD = 1e-7  # an entry of z is in the support above this times its largest entry
 _WALK_TOL = 1e-12  # relative zero of the active-set walk: residual, slopes, ties, multipliers
 
 
@@ -58,15 +59,13 @@ class SolveOptions:
     """Tolerances and the step cap of the active-set walk.
 
     ``tol_feas`` and ``tol_opt`` are relative: feasibility is measured against
-    1 + ||y|| and the duality gap against 1 + |objective|.  The support
-    threshold is relative to the largest entry of z.  ``max_iter`` caps the
-    walk's steps.
+    1 + ||y|| and the duality gap against 1 + |objective|.  ``max_iter``
+    caps the walk's steps.
     """
 
     tol_feas: float = 1e-8
     tol_opt: float = 1e-8
     max_iter: int = 20000
-    support_threshold: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -209,15 +208,15 @@ def solve_weighted_bp(
         iterations=it,
         feas_residual=feas,
         duality_gap=gap,
-        detected_support=tuple(_support_indices(z, opts.support_threshold).tolist()),
+        detected_support=tuple(_support_indices(z).tolist()),
     )
 
 
-def _support_indices(z: np.ndarray, rel_threshold: float) -> np.ndarray:
+def _support_indices(z: np.ndarray) -> np.ndarray:
     top = float(np.abs(z).max(initial=0.0))
     if top == 0.0:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(np.abs(z) > rel_threshold * top)
+    return np.flatnonzero(np.abs(z) > _SUPPORT_THRESHOLD * top)
 
 
 def kkt_certificate(

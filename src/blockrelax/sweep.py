@@ -4,15 +4,18 @@ A config is a flat key = value text file, checked against the reading
 command's key table (``*_KEYS``, one default per key): an unknown key, or a
 repeated key off the command's grid, is an error; a key given several times on
 the grid spans an axis, and cells are the cartesian product in a fixed key order.
-Every trial's randomness is derived from (seed, cell, trial) alone, so results
-are independent of worker count and any single trial can be replayed from its
-CSV coordinates.  CSV files start with a '# schema=3' comment; wall_time is
-always the last column and is the only one allowed to differ between runs.
+Every trial's randomness is derived from (seed, cell, trial) alone.  Both
+``sweep`` and ``compare`` schedule one work item per cell x trial on one process
+pool and add up each cell's trials in trial order, so results are independent
+of worker count and any single sweep trial can be replayed from its CSV
+coordinates.  CSV files start with a '# schema=3' comment; wall_time is always
+the last column and is the only one allowed to differ between runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import time
@@ -209,20 +212,21 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SweepCell:
+class Cell:
+    """One grid point of a ``sweep`` or ``compare`` plan; ``oracle`` is read by ``sweep`` only."""
+
     index: int
     gen: GenConfig
     p: float
     trials: int
     seed: int
-    oracle: bool
     options: SolveOptions
+    oracle: bool = False
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    cells: tuple[SweepCell, ...]
-    master_seed: int
+    cells: tuple[Cell, ...]
 
 
 def build_sweep_plan(
@@ -233,24 +237,50 @@ def build_sweep_plan(
     master_seed = config_number("seed", cells[0]["seed"])
     return SweepPlan(
         cells=tuple(
-            SweepCell(
+            Cell(
                 index=idx,
                 gen=gen_config(vals),
                 p=config_number("p", vals["p"], float),
                 trials=config_trials(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
-                oracle=vals["oracle"] in ("1", "true", "on", "yes"),
                 options=_solve_options(vals),
+                oracle=vals["oracle"] in ("1", "true", "on", "yes"),
             )
             for idx, vals in enumerate(cells)
-        ),
-        master_seed=master_seed,
+        )
     )
+
+
+def _timed_trial(fn, cell: Cell, trial: int):
+    t0 = time.perf_counter()
+    out = fn(cell, trial)
+    return out, time.perf_counter() - t0
+
+
+def _run_trials(cells, fn, jobs: int) -> list[tuple[tuple, float]]:
+    """``fn(cell, trial)`` for every trial of every cell, on ``jobs`` processes.
+
+    Per cell, in plan order: its trial outputs in trial order and their summed
+    time.  ``fn`` must be module-level so worker processes can import it.
+    """
+    work_cells = [cell for cell in cells for _ in range(cell.trials)]
+    work_trials = [t for cell in cells for t in range(cell.trials)]
+    task = functools.partial(_timed_trial, fn)
+    if jobs <= 1:
+        raw = map(task, work_cells, work_trials)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            raw = iter(list(pool.map(task, work_cells, work_trials, chunksize=8)))
+    grouped = []
+    for cell in cells:
+        outs, times = zip(*itertools.islice(raw, cell.trials))
+        grouped.append((outs, sum(times)))
+    return grouped
 
 
 @dataclass(frozen=True)
 class CellResult:
-    cell: SweepCell
+    cell: Cell
     n_exact: int
     n_support_match: int
     n_fail: int
@@ -269,38 +299,24 @@ class CellResult:
         return self.n_certified / self.cell.trials
 
 
-def _sweep_trial(args) -> tuple[int, int, dict]:
-    """One trial of one cell; module-level so worker processes can import it."""
-    cell, trial = args
-    t0 = time.perf_counter()
-    out = {
-        "exact": 0,
-        "support_match": 0,
-        "fail": 0,
-        "certified": 0,
-        "error": 0,
-        "oracle_unique": 0,
-        "oracle_agree": 0,
-        "message": "",
-    }
+def _sweep_trial(cell: Cell, trial: int) -> tuple[str, bool, bool, bool]:
+    """(verdict, certified, oracle_unique, oracle_agree) of one trial.
+
+    A trial that raises anywhere is data, not a crash: its verdict is 'error'.
+    """
     try:
         instance, result, cert, verdict = _trial_artifacts(cell, trial)
-        out[verdict.replace("-", "_")] += 1
-        if cert.holds:
-            out["certified"] = 1
+        unique = agree = False
         if cell.oracle and cell.gen.r**cell.gen.theta <= ENUMERATION_GUARD:
             oracle_res = enumerate_selectors(instance, cell.p, cell.options.tol_feas)
-            if oracle_res.unique:
-                out["oracle_unique"] = 1
+            unique = oracle_res.unique
+            if unique and cert.holds:
                 planted = tuple(int(k) for k in instance.X.planted_cols)
                 solver_combo = _support_to_combo(result.detected_support, cell.gen.r, cell.gen.theta)
-                if cert.holds and oracle_res.best_combos[0] == planted == solver_combo:
-                    out["oracle_agree"] = 1
-    except Exception as exc:  # failures are data, not crashes
-        out["error"] = 1
-        out["message"] = f"{type(exc).__name__}: {exc}"
-    out["time"] = time.perf_counter() - t0
-    return cell.index, trial, out
+                agree = oracle_res.best_combos[0] == planted == solver_combo
+        return verdict, bool(cert.holds), bool(unique), bool(agree)
+    except Exception:
+        return "error", False, False, False
 
 
 def _support_to_combo(support, r: int, theta: int):
@@ -315,29 +331,20 @@ def _support_to_combo(support, r: int, theta: int):
 
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
     """Execute all cells; results do not depend on ``jobs``."""
-    work = [(cell, t) for cell in plan.cells for t in range(cell.trials)]
-    if jobs <= 1:
-        raw = [_sweep_trial(item) for item in work]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_sweep_trial, work, chunksize=8))
-    raw.sort(key=lambda item: (item[0], item[1]))
-
     results = []
-    for cell in plan.cells:
-        rows = [out for ci, _, out in raw if ci == cell.index]
-        total_time = sum(row["time"] for row in rows)
+    for cell, (outs, wall_time) in zip(plan.cells, _run_trials(plan.cells, _sweep_trial, jobs)):
+        verdicts, certified, unique, agree = zip(*outs)
         results.append(
             CellResult(
                 cell=cell,
-                n_exact=sum(r["exact"] for r in rows),
-                n_support_match=sum(r["support_match"] for r in rows),
-                n_fail=sum(r["fail"] for r in rows),
-                n_certified=sum(r["certified"] for r in rows),
-                n_error=sum(r["error"] for r in rows),
-                n_oracle_unique=sum(r["oracle_unique"] for r in rows) if cell.oracle else None,
-                n_oracle_agree=sum(r["oracle_agree"] for r in rows) if cell.oracle else None,
-                wall_time=total_time,
+                n_exact=verdicts.count("exact"),
+                n_support_match=verdicts.count("support-match"),
+                n_fail=verdicts.count("fail"),
+                n_certified=sum(certified),
+                n_error=verdicts.count("error"),
+                n_oracle_unique=sum(unique) if cell.oracle else None,
+                n_oracle_agree=sum(agree) if cell.oracle else None,
+                wall_time=wall_time,
             )
         )
     return results
@@ -378,46 +385,46 @@ def _f(v: float) -> str:
     return format(v, ".12g")
 
 
+def write_csv(fh, columns, rows) -> None:
+    """The schema line, the header ``columns`` and ``rows`` as CSV on the open text file ``fh``."""
+    fh.write(SCHEMA_COMMENT + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def _cell_fields(cell: Cell) -> list:
+    """The leading CSV fields of a cell, shared by the sweep and comparison CSVs."""
+    g = cell.gen
+    return [cell.index, g.m, g.n, g.theta, g.r, g.s, _f(g.nu), _f(cell.p)]
+
+
 def write_sweep_csv(results: list[CellResult], path: str) -> None:
+    rows = (
+        [
+            *_cell_fields(res.cell),
+            res.cell.gen.sensing_kind,
+            res.cell.gen.support_mode,
+            res.cell.gen.guess_law,
+            res.cell.trials,
+            res.cell.seed,
+            res.n_exact,
+            res.n_support_match,
+            res.n_fail,
+            res.n_certified,
+            res.n_error,
+            "" if res.n_oracle_unique is None else res.n_oracle_unique,
+            "" if res.n_oracle_agree is None else res.n_oracle_agree,
+            _f(res.rate_exact),
+            *map(_f, wilson_interval(res.n_exact, res.cell.trials)),
+            _f(res.rate_certified),
+            *map(_f, wilson_interval(res.n_certified, res.cell.trials)),
+            _f(res.wall_time),
+        ]
+        for res in results
+    )
     with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_COMMENT + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for res in results:
-            cell = res.cell
-            ex_lo, ex_hi = wilson_interval(res.n_exact, cell.trials)
-            ct_lo, ct_hi = wilson_interval(res.n_certified, cell.trials)
-            writer.writerow(
-                [
-                    cell.index,
-                    cell.gen.m,
-                    cell.gen.n,
-                    cell.gen.theta,
-                    cell.gen.r,
-                    cell.gen.s,
-                    _f(cell.gen.nu),
-                    _f(cell.p),
-                    cell.gen.sensing_kind,
-                    cell.gen.support_mode,
-                    cell.gen.guess_law,
-                    cell.trials,
-                    cell.seed,
-                    res.n_exact,
-                    res.n_support_match,
-                    res.n_fail,
-                    res.n_certified,
-                    res.n_error,
-                    "" if res.n_oracle_unique is None else res.n_oracle_unique,
-                    "" if res.n_oracle_agree is None else res.n_oracle_agree,
-                    _f(res.rate_exact),
-                    _f(ex_lo),
-                    _f(ex_hi),
-                    _f(res.rate_certified),
-                    _f(ct_lo),
-                    _f(ct_hi),
-                    _f(res.wall_time),
-                ]
-            )
+        write_csv(fh, SWEEP_COLUMNS, rows)
 
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
@@ -425,7 +432,7 @@ def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
     return _trial_artifacts(plan.cells[cell_index], trial)
 
 
-def _trial_artifacts(cell, trial: int):
+def _trial_artifacts(cell: Cell, trial: int):
     """Instance, solve, planted-support certificate and verdict of one trial.
 
     B and w are built once and shared by the solve and the certificate.
@@ -464,18 +471,8 @@ def block_match_probability(gen: GenConfig) -> float:
 
 
 @dataclass(frozen=True)
-class ComparisonCell:
-    index: int
-    gen: GenConfig
-    p: float
-    trials: int
-    seed: int
-    options: SolveOptions
-
-
-@dataclass(frozen=True)
 class ComparisonResult:
-    cell: ComparisonCell
+    cell: Cell
     p_l: float
     p_select: float
     n_certified: int
@@ -503,11 +500,11 @@ class ComparisonResult:
 
 def build_comparison_plan(
     cfg: dict[str, list[str]], seed: int | None = None, trials: int | None = None
-) -> list[ComparisonCell]:
+) -> list[Cell]:
     """One cell per (theta, r); supports are equidistributed and guesses draw from the alphabet."""
     cells = expand_config(cfg, COMPARE_KEYS, ("theta", "r"), seed=seed, trials=trials)
     return [
-        ComparisonCell(
+        Cell(
             index=idx,
             gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
             p=config_number("p", vals["p"], float),
@@ -519,70 +516,67 @@ def build_comparison_plan(
     ]
 
 
-def _comparison_cell(cell: ComparisonCell) -> ComparisonResult:
-    t0 = time.perf_counter()
-    gen, p, seed = cell.gen, cell.p, cell.seed
+def _comparison_trial(cell: Cell, t: int) -> tuple[bool, bool, bool]:
+    """(relax_hit, bestof_hit, certified) of trial ``t``; each side draws its own instance."""
+    gen, seed = cell.gen, cell.seed
     n, r, theta = gen.n, gen.r, gen.theta
-    p_l = block_match_probability(gen)
 
-    n_relax = 0
-    for t in range(cell.trials):
-        support = sample_support(gen, substream(seed, "rel-support", t))
-        x = sample_planted_vector(support, gen, substream(seed, "rel-x", t))
-        A = sample_sensing_matrix(gen, substream(seed, "rel-A", t))
-        cols = sample_guess_columns(gen, substream(seed, "rel-X", t), (theta, r))
-        y = A.matvec(x)
-        B = np.hstack([A.blocks[l] @ cols[l].T for l in range(theta)])
-        w = np.sum(np.abs(cols) ** p, axis=-1).ravel()
-        try:
-            res = solve_weighted_bp(B, w, y, cell.options)
-        except ValueError:
-            continue
+    support = sample_support(gen, substream(seed, "rel-support", t))
+    x = sample_planted_vector(support, gen, substream(seed, "rel-x", t))
+    A = sample_sensing_matrix(gen, substream(seed, "rel-A", t))
+    cols = sample_guess_columns(gen, substream(seed, "rel-X", t), (theta, r))
+    y = A.matvec(x)
+    B = np.hstack([A.blocks[l] @ cols[l].T for l in range(theta)])
+    w = np.sum(np.abs(cols) ** cell.p, axis=-1).ravel()
+    relax_hit = False
+    try:
+        res = solve_weighted_bp(B, w, y, cell.options)
+    except ValueError:
+        pass
+    else:
         # success means the relaxation SELECTS the hidden blocks: the solution
         # must be one column per block and those columns must equal x exactly.
         # Reconstruction alone would also count sign flips (z_l = -1 on a column
         # storing -x^l) and accidental span hits, events the per-column match
         # probability p_l deliberately does not model.
         combo = _support_to_combo(res.detected_support, r, theta)
-        if combo is not None and all(
+        relax_hit = combo is not None and all(
             np.array_equal(cols[l, k], x[l * n : (l + 1) * n])
             for l, k in enumerate(combo)
-        ):
-            n_relax += 1
+        )
 
-    n_bestof = 0
-    for t in range(cell.trials):
-        support = sample_support(gen, substream(seed, "base-support", t))
-        x = sample_planted_vector(support, gen, substream(seed, "base-x", t))
-        # r independent guesses of the whole vector, one nonzero column per block
-        g = sample_guess_columns(gen, substream(seed, "base-guess", t), (r, theta))
-        n_bestof += bool(np.all(g.reshape(r, -1) == x, axis=1).any())
+    support = sample_support(gen, substream(seed, "base-support", t))
+    x = sample_planted_vector(support, gen, substream(seed, "base-x", t))
+    # r independent guesses of the whole vector, one nonzero column per block
+    g = sample_guess_columns(gen, substream(seed, "base-guess", t), (r, theta))
+    bestof_hit = bool(np.all(g.reshape(r, -1) == x, axis=1).any())
 
-    n_cert = 0
-    for t in range(cell.trials):
-        inst = build_instance(gen.with_seed(derive_seed(seed, "select", t)))
-        if certificate_for_instance(inst, p).holds:
-            n_cert += 1
-    p_select = n_cert / cell.trials
-
-    return ComparisonResult(
-        cell=cell,
-        p_l=p_l,
-        p_select=p_select,
-        n_certified=n_cert,
-        formula_exact=success_prob_block_relaxation(p_l, r, theta, p_select),
-        formula_taylor=success_prob_block_relaxation(p_l, r, theta, p_select, taylor=True),
-        n_relax=n_relax,
-        n_bestof=n_bestof,
-        wall_time=time.perf_counter() - t0,
-    )
+    inst = build_instance(gen.with_seed(derive_seed(seed, "select", t)))
+    return relax_hit, bestof_hit, bool(certificate_for_instance(inst, cell.p).holds)
 
 
-def run_comparison(cells: list[ComparisonCell], jobs: int = 1) -> list[ComparisonResult]:
-    if jobs <= 1:
-        return [_comparison_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_comparison_cell, cells))
+def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:
+    """Relaxation, best-of-r and certificate rates per cell; results do not depend on ``jobs``."""
+    p_ls = [block_match_probability(cell.gen) for cell in cells]
+    results = []
+    for cell, p_l, (outs, wall_time) in zip(cells, p_ls, _run_trials(cells, _comparison_trial, jobs)):
+        relax, bestof, certified = (sum(col) for col in zip(*outs))
+        p_select = certified / cell.trials
+        r, theta = cell.gen.r, cell.gen.theta
+        results.append(
+            ComparisonResult(
+                cell=cell,
+                p_l=p_l,
+                p_select=p_select,
+                n_certified=certified,
+                formula_exact=success_prob_block_relaxation(p_l, r, theta, p_select),
+                formula_taylor=success_prob_block_relaxation(p_l, r, theta, p_select, taylor=True),
+                n_relax=relax,
+                n_bestof=bestof,
+                wall_time=wall_time,
+            )
+        )
+    return results
 
 
 COMPARISON_COLUMNS = [
@@ -610,33 +604,23 @@ COMPARISON_COLUMNS = [
 
 
 def write_comparison_csv(results: list[ComparisonResult], path: str) -> None:
+    rows = (
+        [
+            *_cell_fields(res.cell),
+            res.cell.trials,
+            res.cell.seed,
+            _f(res.p_l),
+            _f(res.p_select),
+            _f(res.formula_exact),
+            _f(res.formula_taylor),
+            res.n_relax,
+            _f(res.rate_relax),
+            res.n_bestof,
+            _f(res.rate_bestof),
+            _f(res.sigma_joint),
+            _f(res.wall_time),
+        ]
+        for res in results
+    )
     with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_COMMENT + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARISON_COLUMNS)
-        for res in results:
-            cell = res.cell
-            writer.writerow(
-                [
-                    cell.index,
-                    cell.gen.m,
-                    cell.gen.n,
-                    cell.gen.theta,
-                    cell.gen.r,
-                    cell.gen.s,
-                    _f(cell.gen.nu),
-                    _f(cell.p),
-                    cell.trials,
-                    cell.seed,
-                    _f(res.p_l),
-                    _f(res.p_select),
-                    _f(res.formula_exact),
-                    _f(res.formula_taylor),
-                    res.n_relax,
-                    _f(res.rate_relax),
-                    res.n_bestof,
-                    _f(res.rate_bestof),
-                    _f(res.sigma_joint),
-                    _f(res.wall_time),
-                ]
-            )
+        write_csv(fh, COMPARISON_COLUMNS, rows)

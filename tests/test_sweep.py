@@ -111,6 +111,34 @@ def test_sweep_counts_consistent_and_jobs_invariant(tmp_path):
         assert l1.rsplit(",", 1)[0] == l2.rsplit(",", 1)[0]
 
 
+ERROR_SWEEP = """
+m = 8
+theta = 4
+r = 4
+s = 1
+s = 2
+support_mode = uniform
+oracle = 1
+trials = 40
+"""
+
+
+def test_sweep_error_trials_counted_once():
+    # uniform supports with s < theta leave some block empty, so build_instance
+    # raises in many trials; each counts once, as an error, at any jobs
+    plan = build_sweep_plan(parse_config(ERROR_SWEEP), seed=0)
+    expected = [(3, 0, 3, 1, 34, 6, 1), (7, 0, 22, 0, 11, 28, 0)]
+    for jobs in (1, 2):
+        results = run_sweep(plan, jobs=jobs)
+        counts = [
+            (r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error, r.n_oracle_unique, r.n_oracle_agree)
+            for r in results
+        ]
+        assert counts == expected
+        for r in results:
+            assert r.n_exact + r.n_support_match + r.n_fail + r.n_error == r.cell.trials
+
+
 def test_replay_reproduces_sweep_verdicts():
     plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
     results = run_sweep(plan, jobs=1)
@@ -193,11 +221,14 @@ def test_comparison_single_block_rates_agree(tmp_path):
 
 
 def test_comparison_jobs_invariant():
-    cfg = parse_config(COMPARE_CFG)
-    cells = build_comparison_plan(cfg, seed=7, trials=60)
-    a = run_comparison(cells, jobs=1)
-    b = run_comparison(cells, jobs=2)
-    for ra, rb in zip(a, b):
-        assert (ra.n_relax, ra.n_bestof, ra.n_certified) == (rb.n_relax, rb.n_bestof, rb.n_certified)
-        assert ra.p_l == rb.p_l
-        assert ra.formula_exact == rb.formula_exact
+    # two blocks of four columns, m < r * theta; every count is nonzero at seed 7
+    multi_block = "m = 5\ns = 1\ntheta = 2\nr = 4\nguess_density = 0.2\n"
+    for text in (COMPARE_CFG, multi_block):
+        cells = build_comparison_plan(parse_config(text), seed=7, trials=60)
+        a = run_comparison(cells, jobs=1)
+        b = run_comparison(cells, jobs=2)
+        assert len(a) == len(b) == 1
+        for ra, rb in zip(a, b):
+            assert (ra.n_relax, ra.n_bestof, ra.n_certified) == (rb.n_relax, rb.n_bestof, rb.n_certified)
+            assert ra.p_l == rb.p_l
+            assert ra.formula_exact == rb.formula_exact
