@@ -4,23 +4,17 @@ Planted instances couple a block sensing matrix with an ensemble of candidate
 columns; selecting one column per block is relaxed to weighted l1 minimization
 whose optimum, when a dual certificate holds, is provably the planted choice.
 The package bundles the generator, the exact active-set solver with its certificate,
-exhaustive oracles, the analytic failure bounds, Monte Carlo concentration
-checks, and the hardness reductions that motivate relaxing in the first place.
+exhaustive oracles, Monte Carlo concentration checks with their closed forms,
+the success probabilities of relaxing against repeated guessing, and the
+hardness reductions that motivate relaxing in the first place.
 """
 
 from .bounds import (
-    BoundInputs,
-    FailureBound,
     MatrixConstants,
-    alpha_from_delta,
     complement_power,
-    delta_from_alpha,
-    ensemble_norm,
     ensemble_norm_weights,
     limit_ratio,
     matrix_constants,
-    max_trials_bound,
-    recovery_failure_bound,
     spectral_norm,
     success_prob_block_relaxation,
     success_prob_repeated_trials,

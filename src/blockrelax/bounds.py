@@ -1,10 +1,10 @@
-"""Closed-form quantities: ensemble norms, failure bounds, success probabilities.
+"""Closed-form quantities: ensemble norm weights, matrix constants, success probabilities.
 
 These are the analytic counterparts of the Monte Carlo experiments: the
-weighted norm whose square is the expected squared image of a selector, the
-matrix constants entering the recovery failure bound, the bound itself
-(evaluated in log space so tiny probabilities do not underflow midway), and
-the small calculus of repeated-trial success probabilities.
+weights under which a selector's squared norm is its expected squared image,
+the two matrix constants of the concentration checks' tail bound and window
+floor, and the small calculus of repeated-trial success probabilities that
+the relaxation-versus-guessing comparison holds its rates against.
 """
 
 from __future__ import annotations
@@ -14,20 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockSensingMatrix, Selector, SupportPattern
+from .model import BlockSensingMatrix, SupportPattern
 
 __all__ = [
     "spectral_norm",
     "MatrixConstants",
     "matrix_constants",
-    "ensemble_norm",
     "ensemble_norm_weights",
-    "delta_from_alpha",
-    "alpha_from_delta",
-    "BoundInputs",
-    "FailureBound",
-    "recovery_failure_bound",
-    "max_trials_bound",
     "success_prob_repeated_trials",
     "success_prob_block_relaxation",
     "complement_power",
@@ -48,17 +41,9 @@ class MatrixConstants:
     f_s_sq: float  # min_l ||A_l restricted to the block support||_F^2
     m_sq: float  # max_l ||A_l||^2 (spectral, squared)
 
-    @property
-    def f_s(self) -> float:
-        return math.sqrt(self.f_s_sq)
-
-    @property
-    def m_norm(self) -> float:
-        return math.sqrt(self.m_sq)
-
 
 def matrix_constants(A: BlockSensingMatrix, support: SupportPattern) -> MatrixConstants:
-    """Compute the two matrix constants of the failure bound."""
+    """Compute the two matrix constants of the concentration bounds."""
     if (support.n, support.theta) != (A.n, A.theta):
         raise ValueError("support does not match the sensing matrix")
     f_s_sq = math.inf
@@ -94,149 +79,6 @@ def ensemble_norm_weights(
         wa[l * r : (l + 1) * r] = other_w
         wa[l * r + int(planted_cols[l])] = planted_w
     return wa
-
-
-def ensemble_norm(
-    u: Selector | np.ndarray,
-    A: BlockSensingMatrix,
-    support: SupportPattern,
-    planted_cols,
-    p_x: float,
-    p_X: float,
-    r: int | None = None,
-) -> float:
-    """Weighted norm of a selector whose square equals E||A X u||^2.
-
-    The expectation is over the guess ensemble: planted entries with second
-    moment p_x on the support, independent non-planted entries with second
-    moment p_X.  Splitting u per block into its planted coordinate and the
-    rest gives
-
-        sum_l  p_x ||A_l on S_l||_F^2 v_l^2  +  p_X ||A_l||_F^2 ||rest_l||^2.
-    """
-    if isinstance(u, Selector):
-        uv, rr = u.z, u.r
-    else:
-        uv = np.asarray(u, dtype=float)
-        if r is None:
-            raise ValueError("pass r when u is a bare vector")
-        rr = r
-    wa = ensemble_norm_weights(A, support, planted_cols, rr, p_x, p_X)
-    if uv.shape != wa.shape:
-        raise ValueError("selector length does not match r * theta")
-    return float(np.linalg.norm(wa * uv))
-
-
-def delta_from_alpha(alpha: float, t: int, s_bar: int, f_s: float, p_x: float) -> float:
-    """Window half-width delta with 1 - delta = sqrt(t) * s_bar / (alpha * f_s * sqrt(p_x)).
-
-    Values outside [0, 1] mean the requested alpha cannot yield a valid
-    window; callers should treat them as out of range rather than clamp
-    silently.
-    """
-    denom = alpha * f_s * math.sqrt(p_x)
-    if denom <= 0.0:
-        raise ValueError("alpha, f_s and p_x must be positive")
-    return 1.0 - math.sqrt(t) * s_bar / denom
-
-
-def alpha_from_delta(delta: float, t: int, s_bar: int, f_s: float, p_x: float) -> float:
-    """Inverse of delta_from_alpha; undefined at delta = 1."""
-    if delta >= 1.0:
-        raise ValueError("delta must be below 1")
-    if f_s <= 0.0 or p_x <= 0.0:
-        raise ValueError("f_s and p_x must be positive")
-    return math.sqrt(t) * s_bar / ((1.0 - delta) * f_s * math.sqrt(p_x))
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs of the recovery failure bound.
-
-    ``c`` and ``k_subg`` are the absolute constant and the sub-gaussian norm
-    proxy of the concentration step; the bound is reported for whatever the
-    caller supplies, so falsifying a particular (c, K) pair is informative
-    rather than an error.
-    """
-
-    alpha: float
-    delta: float
-    nu: float
-    p_x: float
-    p_X: float
-    n: int
-    n_cols: int  # total selector length R
-    t: int  # number of blocks carrying a planted column, |T|
-    constants: MatrixConstants
-    c: float = 1.0
-    k_subg: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if self.c <= 0 or self.k_subg <= 0:
-            raise ValueError("c and k_subg must be positive")
-        if self.t > self.n_cols:
-            raise ValueError("t cannot exceed the number of columns")
-
-
-@dataclass(frozen=True)
-class FailureBound:
-    term_coherence: float
-    term_rip: float
-    total: float
-    log_term_coherence: float
-    log_term_rip: float
-
-
-def recovery_failure_bound(inputs: BoundInputs) -> FailureBound:
-    """Upper bound on the failure probability of unique planted recovery.
-
-    Two additive terms: a coherence term controlling off-support dual
-    correlations and a restricted-isometry term controlling the planted
-    columns.  Both exponents are formed in log space; delta = 0 makes the
-    second term diverge (reported as inf).
-    """
-    b = inputs
-    m_sq = b.constants.m_sq
-    log1 = math.log(2.0 * max(b.n_cols - b.t, 0)) if b.n_cols > b.t else -math.inf
-    log1 += -(b.nu**2) * (b.n**2) / (b.n + 2.0 * m_sq * b.alpha**2)
-
-    if b.delta == 0.0:
-        log2 = math.inf
-    else:
-        ratio = b.constants.f_s_sq / m_sq if m_sq > 0 else math.inf
-        arg = min(
-            (b.p_x**2) * (b.delta**2) / (4.0 * b.k_subg**4),
-            b.p_x * b.delta / (2.0 * b.k_subg**2),
-        )
-        log2 = math.log(2.0) + b.t * math.log(12.0 / b.delta) - b.c * ratio * arg
-
-    term1 = math.exp(log1) if log1 > -math.inf else 0.0
-    term2 = math.exp(log2) if log2 < math.inf else math.inf
-    return FailureBound(
-        term_coherence=term1,
-        term_rip=term2,
-        total=term1 + term2,
-        log_term_coherence=log1,
-        log_term_rip=log2,
-    )
-
-
-def max_trials_bound(s: int, n: int, theta: int) -> float:
-    """Trial budget under which repeated relaxation stays worthwhile.
-
-    min of (1/theta) e^{s/theta} and (1/theta) e^{s^2/n}, with unit constants.
-    """
-    if min(s, n, theta) <= 0:
-        raise ValueError("s, n, theta must be positive")
-    expo = min(s / theta, s * s / n)
-    try:
-        return math.exp(expo) / theta
-    except OverflowError:
-        return math.inf
 
 
 def success_prob_repeated_trials(p: float, r: int) -> float:

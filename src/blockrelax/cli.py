@@ -142,12 +142,12 @@ def _cmd_compare(args) -> int:
 def _cmd_replay(args) -> int:
     with _config(args.config) as flat:
         plan = build_sweep_plan(flat, seed=args.seed)
-    if not 0 <= args.cell < len(plan.cells):
-        raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
-    trials = plan.cells[args.cell].trials
-    if not 0 <= args.trial < trials:
-        raise SystemExit(f"trial {args.trial} out of range (cell {args.cell} has {trials} trials)")
-    instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
+        if not 0 <= args.cell < len(plan.cells):
+            raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
+        trials = plan.cells[args.cell].trials
+        if not 0 <= args.trial < trials:
+            raise SystemExit(f"trial {args.trial} out of range (cell {args.cell} has {trials} trials)")
+        instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
     if args.out:  # before any output, so a reader that stops early cannot lose the file
         save_instance(instance, args.out)
     cfg = instance.meta["config"]

@@ -134,6 +134,16 @@ def _sq_norm(study: ConcentrationStudy, u: Selector, p_x: float, p_X: float) -> 
     return float(np.sum((w * u.z) ** 2))
 
 
+def _rip_term(study: ConcentrationStudy, a: float, cover: float = 1.0) -> float:
+    """2 * cover * exp(-(F_S^2/M^2) a): the restricted-isometry failure term with c = K = 1.
+
+    ``cover`` is the size of the net a union bound runs over; the tail bound
+    takes one point, the window floor a (12/delta)^theta net.
+    """
+    consts = matrix_constants(study.A, study.support)
+    return 2.0 * cover * math.exp(-(consts.f_s_sq / consts.m_sq) * a)
+
+
 @dataclass(frozen=True)
 class ImageMoments:
     mean: float
@@ -188,14 +198,12 @@ def empirical_concentration_tail(
     dev = np.abs(study.image_sq_norms(u, trials, seed) - analytic)
     exceed = int(np.count_nonzero(dev >= epsilon * f_sq))
 
-    consts = matrix_constants(study.A, study.support)
-    expo = (consts.f_s_sq / consts.m_sq) * min(epsilon**2, epsilon)
     return TailEstimate(
         epsilon=epsilon,
         trials=trials,
         exceed_count=exceed,
         frequency=exceed / trials,
-        bound=2.0 * math.exp(-expo),
+        bound=_rip_term(study, min(epsilon**2, epsilon)),
     )
 
 
@@ -242,9 +250,8 @@ def singular_window_check(
         if sig.size and sig.min() >= 1.0 - delta and sig.max() <= 1.0 + delta:
             inside += 1
 
-    consts = matrix_constants(study.A, study.support)
     arg = min(cfg.p_x**2 * delta**2 / 4, cfg.p_x * delta / 2)
-    fail = 2.0 * (12.0 / delta) ** cfg.theta * math.exp(-(consts.f_s_sq / consts.m_sq) * arg)
+    fail = _rip_term(study, arg, cover=(12.0 / delta) ** cfg.theta)
     return WindowEstimate(
         delta=delta,
         trials=trials,

@@ -118,11 +118,6 @@ class SupportPattern:
     def block_sizes(self) -> np.ndarray:
         return np.array([len(self.block(l)) for l in range(self.theta)], dtype=int)
 
-    @property
-    def max_block_size(self) -> int:
-        """Largest per-block support size (the s-bar of the failure bounds)."""
-        return int(self.block_sizes().max())
-
     def __len__(self) -> int:
         return len(self.indices)
 

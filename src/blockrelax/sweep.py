@@ -53,10 +53,12 @@ __all__ = [
     "config_number",
     "config_trials",
     "SweepPlan",
+    "build_sweep_plan",
     "CellResult",
     "run_sweep",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
+    "build_comparison_plan",
     "run_comparison",
     "write_comparison_csv",
     "COMPARISON_COLUMNS",

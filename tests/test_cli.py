@@ -192,6 +192,9 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
          "config error: check: unknown concentration check 'median'"),
         (["concentration"], EMPTY_BLOCK_CFG, EMPTY_BLOCK_ERROR),
         (["gen"], EMPTY_BLOCK_CFG, EMPTY_BLOCK_ERROR),
+        # a sweep records this trial as an error; its replay names the cause as gen does
+        (["replay", "--seed", "0", "--cell", "0", "--trial", "0"],
+         EMPTY_BLOCK_CFG + "s = 2\ntrials = 40\n", "config error: block 2 has empty support"),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

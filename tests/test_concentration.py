@@ -187,6 +187,16 @@ def test_singular_window_tiny_closed_form():
         singular_window_check(study, delta=1.0, trials=10, seed=0)
 
 
+def test_singular_window_floor_is_not_vacuous():
+    # the README's window-tight.txt: 44 of 48 support entries per block give
+    # F_S^2/M^2 = 44, so the floor is a real claim that a lower frequency would falsify
+    cfg = GenConfig(m=48, n=48, theta=2, r=4, s=44, planted_alphabet=(-1.0, 1.0), master_seed=0)
+    res = singular_window_check(ConcentrationStudy.from_config(cfg), delta=0.9, trials=500, seed=0)
+    assert res.bound_floor == pytest.approx(0.951989, abs=1e-6)
+    assert res.bound_floor > 0.0
+    assert res.frequency >= res.bound_floor
+
+
 def test_singular_window_rejects_empty_block_support():
     cfg = GenConfig(m=4, n=4, theta=2, r=2, s=1, master_seed=0)
     base = ConcentrationStudy.from_config(cfg)

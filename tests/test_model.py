@@ -122,7 +122,7 @@ def test_support_pattern_blocks_and_sbar():
     assert list(sp.block(0)) == [0, 2]
     assert list(sp.block(1)) == [1]
     assert list(sp.block(2)) == [1]
-    assert sp.max_block_size == 2
+    assert list(sp.block_sizes()) == [2, 1, 1]
     assert len(sp) == 4
 
 
