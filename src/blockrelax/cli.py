@@ -3,8 +3,9 @@
 Subcommands: gen, solve, oracle, sweep, compare, concentration, reduce-x3c,
 reduce-partition, replay.  Configs are flat key = value files (repeat a key to
 span a grid); --jobs defaults to the BLOCKRELAX_JOBS environment variable.
-Exit code is nonzero only for hard failures (bad input, violated exact
-identities), never for statistical flags.
+Exit code 1 marks bad input (reported in one line), a violated exact identity
+or a concentration mean check beyond 4 sigma; the tail and window frequencies
+are only reported.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import contextlib
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import concentration as conc
 from .generate import build_instance, substream
 from .model import Selector
-from .oracle import enumerate_selectors
+from .oracle import DEFAULT_GRID, GRID_GUARD, SUBSET_GUARD, enumerate_selectors
 from .reductions import (
     PartitionInstance,
     X3CInstance,
@@ -29,7 +31,7 @@ from .reductions import (
     partition_to_lp,
     x3c_to_l0,
 )
-from .solver import SolveOptions, certificate_for_instance, recovery_check, solve_instance
+from .solver import certificate_for_instance, recovery_check, solve_instance
 from .storage import load_instance, save_instance, save_reduction
 from .sweep import (
     CONCENTRATION_KEYS,
@@ -62,17 +64,21 @@ def _default_jobs() -> int:
 
 
 @contextlib.contextmanager
+def _one_line(kind: str):
+    """An OSError or ValueError in the block ends the run with exit code 1 and
+    one line naming the problem, not a traceback."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{kind} error: {exc}") from None
+
+
+@contextlib.contextmanager
 def _config(path: str | None):
     """The parsed config file; an error while reading it or building from it
-    ends the run with one line naming the problem, not a traceback."""
-    try:
-        text = ""
-        if path is not None:
-            with open(path) as fh:
-                text = fh.read()
-        yield parse_config(text)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"config error: {exc}") from None
+    ends the run with one line."""
+    with _one_line("config"):
+        yield parse_config("" if path is None else Path(path).read_text())
 
 
 def _cmd_gen(args) -> int:
@@ -87,9 +93,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    opts = SolveOptions(tol_feas=args.tol_feas, tol_opt=args.tol_opt, max_iter=args.max_iter)
-    result = solve_instance(instance, args.p, opts)
+    with _one_line("instance"):
+        instance = load_instance(args.instance)
+    result = solve_instance(instance, args.p)
     cert = certificate_for_instance(instance, args.p)
     verdict = recovery_check(instance, result)
     print(f"status: {result.status}")
@@ -104,8 +110,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = load_instance(args.instance)
-    res = enumerate_selectors(instance, args.p, args.tol_feas)
+    with _one_line("instance"):
+        instance = load_instance(args.instance)
+    res = enumerate_selectors(instance, args.p)
     print(f"evaluated: {res.evaluated_count}  feasible: {res.feasible_count}")
     print(f"best objective: {res.best_objective:.12g}")
     print(f"best combos (1-based): {[tuple(k + 1 for k in combo) for combo in res.best_combos]}")
@@ -150,7 +157,7 @@ def _cmd_replay(args) -> int:
         instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
     if args.out:  # before any output, so a reader that stops early cannot lose the file
         save_instance(instance, args.out)
-    cfg = instance.meta["config"]
+    cfg = instance.config
     print(f"cell {args.cell} trial {args.trial}: seed={cfg.master_seed}")
     print(f"m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} nu={cfg.nu:.6g}")
     print(f"support (1-based): {[i + 1 for i in instance.support.indices]}")
@@ -240,13 +247,12 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_reduce_x3c(args) -> int:
-    triples = []
-    for part in args.triples.split(";"):
-        triples.append(tuple(int(v) - 1 for v in part.split(",")))
-    inst = X3CInstance(m=args.m, triples=tuple(triples))
-    record = x3c_to_l0(inst, n=args.n, seed=args.seed or 0)
+    with _one_line("argument"):
+        triples = [config_number("triples", part.split(",")) for part in args.triples.split(";")]
+        inst = X3CInstance(m=args.m, triples=tuple(tuple(v - 1 for v in t) for t in triples))
+        record = x3c_to_l0(inst, n=args.n, seed=args.seed or 0)
     decision = None
-    if inst.m // 3 <= 12:
+    if inst.m // 3 <= SUBSET_GUARD:
         decision = decide_x3c_via_l0(inst, n=args.n, seed=args.seed or 0)
         record = dataclasses.replace(
             record,
@@ -261,11 +267,11 @@ def _cmd_reduce_x3c(args) -> int:
 
 
 def _cmd_reduce_partition(args) -> int:
-    weights = tuple(float(v) for v in args.a.split(","))
-    inst = PartitionInstance(a=weights)
-    record = partition_to_lp(inst, theta=args.theta)
+    with _one_line("argument"):
+        inst = PartitionInstance(a=tuple(config_number("a", args.a.split(","), float)))
+        record = partition_to_lp(inst, theta=args.theta)
     decision = None
-    if 5 ** (2 * inst.m) <= 10**7:
+    if len(DEFAULT_GRID) ** (2 * inst.m) <= GRID_GUARD:  # the grid oracle scans 2m columns
         decision = decide_partition_via_lp(inst, p=args.p, theta=args.theta)
         record = dataclasses.replace(
             record,
@@ -305,15 +311,11 @@ def main(argv=None) -> int:
     sp = sub.add_parser("solve", help="solve an instance container")
     sp.add_argument("instance")
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--tol-feas", type=float, default=SolveOptions.tol_feas)
-    sp.add_argument("--tol-opt", type=float, default=SolveOptions.tol_opt)
-    sp.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("oracle", help="exhaustive selector enumeration of an instance")
     sp.add_argument("instance")
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--tol-feas", type=float, default=SolveOptions.tol_feas)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("sweep", help="grid sweep: solve + certificate rates per cell")

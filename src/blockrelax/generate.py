@@ -238,12 +238,16 @@ def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSens
     g = rng.standard_normal((k, m, n))
     if cfg.sensing_kind == "gaussian":
         return BlockSensingMatrix(blocks=tuple(g / np.sqrt(m)))
+    q = _haar_stack(g)
+    return BlockSensingMatrix(blocks=tuple(q) if k == theta else (q[0],) * theta)
+
+
+def _haar_stack(g: np.ndarray) -> np.ndarray:
+    """Q factors of one batched QR of the (k, a, b) Gaussian stack ``g``, each sign-fixed to be Haar."""
     q, rr = np.linalg.qr(g)
-    # fix the QR sign ambiguity so each block is uniform over the Stiefel manifold
     d = np.sign(np.diagonal(rr, axis1=1, axis2=2))
     d[d == 0] = 1.0
-    q = q * d[:, None, :]
-    return BlockSensingMatrix(blocks=tuple(q) if k == theta else (q[0],) * theta)
+    return q * d[:, None, :]
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:
@@ -264,7 +268,5 @@ def build_instance(cfg: GenConfig) -> RelaxedInstance:
         x=x,
         support=support,
         y=y,
-        dist_params=(cfg.p_x, cfg.p_X, cfg.nu),
-        master_seed=seed,
-        meta={"config": cfg},
+        config=cfg,
     )

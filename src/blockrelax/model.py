@@ -13,9 +13,13 @@ Indices are 0-based everywhere in memory; file formats and CLI output use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # generate imports this module
+    from .generate import GenConfig
 
 __all__ = [
     "BlockSensingMatrix",
@@ -239,9 +243,8 @@ class RelaxedInstance:
 
     Invariants checked on construction: ``y = A x``, ``x`` vanishes off the
     support, and each planted column stores its hidden block verbatim.
-    ``dist_params`` carries (p_x, p_X, nu): second moment of the planted
-    alphabet, second moment of a non-planted guess entry, and the guess
-    density.
+    ``config`` is the generation config the instance was drawn from, None
+    for an instance built by hand.
     """
 
     A: BlockSensingMatrix
@@ -249,9 +252,7 @@ class RelaxedInstance:
     x: np.ndarray
     support: SupportPattern
     y: np.ndarray
-    dist_params: tuple[float, float, float]
-    master_seed: int = 0
-    meta: dict = field(default_factory=dict, compare=False)
+    config: GenConfig | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RelaxedInstance, solver_weights
+from .solver import TOL_FEAS
 
 __all__ = [
     "OracleResult",
@@ -29,6 +30,7 @@ __all__ = [
 ENUMERATION_GUARD = 10**6
 SUBSET_GUARD = 12
 GRID_GUARD = 10**7
+DEFAULT_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 _TIE_REL = 1e-9
 _PAIR_FLOATS = 1 << 16  # most floats one block of (head, tail) residuals may hold
@@ -117,21 +119,20 @@ def _scan(parts, y: np.ndarray, thresh: float):
     return feasible, best, digits
 
 
-def enumerate_selectors(
-    instance: RelaxedInstance, p: float, tol_feas: float = 1e-8
-) -> OracleResult:
+def enumerate_selectors(instance: RelaxedInstance, p: float) -> OracleResult:
     """Scan all r**theta discrete selectors of an instance.
 
     A combination (k_1, ..., k_theta) is feasible when the selected columns
-    reproduce y within ``tol_feas * (1 + ||y||)``; its objective is the sum of
-    the selected columns' weights at exponent p.  All minimizers within a
-    relative 1e-9 of the best objective are reported, in lexicographic order.
+    reproduce y within ``TOL_FEAS * (1 + ||y||)``, the solver's rule; its
+    objective is the sum of the selected columns' weights at exponent p.  All
+    minimizers within a relative 1e-9 of the best objective are reported, in
+    lexicographic order.
     """
     r, theta = instance.r, instance.theta
     total = r**theta
     if total > ENUMERATION_GUARD:
         raise ValueError(f"r**theta = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
-    feas_tol = tol_feas * (1.0 + float(np.linalg.norm(instance.y)))
+    feas_tol = TOL_FEAS * (1.0 + float(np.linalg.norm(instance.y)))
     w = solver_weights(instance.X, p)
     parts = [
         (instance.A.blocks[l] @ instance.X.blocks[l], w[l * r : (l + 1) * r]) for l in range(theta)
@@ -152,22 +153,20 @@ class SubsetOracleResult:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-def l0_min_oracle(
-    A: np.ndarray, y: np.ndarray, max_support: int, tol: float = 1e-8
-) -> SubsetOracleResult:
+def l0_min_oracle(A: np.ndarray, y: np.ndarray, max_support: int) -> SubsetOracleResult:
     """Smallest support size admitting an exact solution of A x = y.
 
     Scans support sizes 0, 1, ... up to ``max_support`` and within each size
     every column subset, declaring a subset feasible when its least-squares
-    residual drops to ``tol * (1 + ||y||)``.  Returns the first (smallest)
-    feasible size together with all witness subsets of that size.
+    residual drops to ``TOL_FEAS * (1 + ||y||)``.  Returns the first
+    (smallest) feasible size together with all witness subsets of that size.
     """
     if max_support > SUBSET_GUARD:
         raise ValueError(f"max_support {max_support} exceeds the subset guard {SUBSET_GUARD}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     ncols = A.shape[1]
-    thresh = tol * (1.0 + float(np.linalg.norm(y)))
+    thresh = TOL_FEAS * (1.0 + float(np.linalg.norm(y)))
     if float(np.linalg.norm(y)) <= thresh:
         return SubsetOracleResult(feasible=True, min_support=0, witnesses=((),))
     for k in range(1, min(max_support, ncols) + 1):
@@ -193,14 +192,13 @@ def discrete_lp_oracle(
     A: np.ndarray,
     y: np.ndarray,
     p: float,
-    grid: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0),
-    tol: float = 1e-8,
+    grid: tuple[float, ...] = DEFAULT_GRID,
 ) -> GridOracleResult:
     """Minimize sum |x_i|**p over all grid-valued x with A x = y (full scan).
 
     Every one of len(grid)**ncols candidate points is evaluated once;
-    feasibility means residual <= tol * (1 + ||y||).  All minimizers within a
-    1e-9 relative tie window are returned.
+    feasibility means residual <= TOL_FEAS * (1 + ||y||).  All minimizers
+    within a 1e-9 relative tie window are returned.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -209,7 +207,7 @@ def discrete_lp_oracle(
     total = len(gridv) ** ncols
     if total > GRID_GUARD:
         raise ValueError(f"len(grid)**ncols = {total} exceeds the grid guard {GRID_GUARD}")
-    thresh = tol * (1.0 + float(np.linalg.norm(y)))
+    thresh = TOL_FEAS * (1.0 + float(np.linalg.norm(y)))
 
     parts = [(np.outer(A[:, j], gridv), np.abs(gridv) ** p) for j in range(ncols)]
     feasible, best_obj, digits = _scan(parts, y, thresh)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import substream
+from .generate import _haar_stack, substream
 from .model import BlockSensingMatrix
 from .oracle import discrete_lp_oracle, l0_min_oracle
 from .storage import ReductionRecord
@@ -31,6 +31,8 @@ __all__ = [
     "decide_partition_via_lp",
     "has_partition",
 ]
+
+_THRESHOLD_SLACK = 1e-6  # absolute slack of the Partition decider's comparison with m
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,12 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
     m = inst.m
     if not 2 <= n < m - 2:
         raise ValueError(f"need 2 <= n < m - 2, got n={n}, m={m}")
-    rng = substream(seed, "x3c-orthogonal")
     rows = m + n - 1
+    tails = _haar_stack(substream(seed, "x3c-orthogonal").standard_normal((inst.theta, n - 1, n - 1)))
     blocks = []
-    for l, t in enumerate(inst.triples):
-        a = np.zeros(rows)
-        a[list(t)] = 1.0
-        g = rng.standard_normal((n - 1, n - 1))
-        q, rr = np.linalg.qr(g)
-        d = np.sign(np.diag(rr))
-        d[d == 0] = 1.0
-        u = q * d
+    for l, (t, u) in enumerate(zip(inst.triples, tails)):
         block = np.zeros((rows, n))
-        block[:, 0] = a
+        block[list(t), 0] = 1.0
         block[m:, 1:] = u
         blocks.append(block)
         # norm windows guaranteed by construction; check rather than trust
@@ -134,10 +129,10 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
     )
 
 
-def decide_x3c_via_l0(inst: X3CInstance, n: int = 2, seed: int = 0, tol: float = 1e-8) -> bool:
+def decide_x3c_via_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> bool:
     """Reduce, then ask the subset oracle whether support m/3 suffices."""
     rec = x3c_to_l0(inst, n=n, seed=seed)
-    res = l0_min_oracle(rec.A.full(), rec.y, max_support=inst.m // 3, tol=tol)
+    res = l0_min_oracle(rec.A.full(), rec.y, max_support=inst.m // 3)
     return bool(res.feasible and res.min_support == inst.m // 3)
 
 
@@ -202,9 +197,7 @@ def partition_to_lp(inst: PartitionInstance, theta: int = 2) -> ReductionRecord:
     )
 
 
-def decide_partition_via_lp(
-    inst: PartitionInstance, p: float = 0.5, theta: int = 2, tol: float = 1e-6
-) -> bool:
+def decide_partition_via_lp(inst: PartitionInstance, p: float = 0.5, theta: int = 2) -> bool:
     """Reduce, grid-scan the power objective, compare to the threshold m.
 
     The all-halves point is always feasible, so the oracle never reports
@@ -215,6 +208,6 @@ def decide_partition_via_lp(
     res = discrete_lp_oracle(rec.A.full(), rec.y, p=p)
     if not res.feasible or res.min_objective is None:
         raise RuntimeError("grid oracle found no feasible point, but the all-halves point is feasible")
-    if res.min_objective < inst.m - tol:
+    if res.min_objective < inst.m - _THRESHOLD_SLACK:
         raise RuntimeError(f"grid oracle minimum {res.min_objective!r} is below the threshold m = {inst.m}")
-    return bool(res.min_objective <= inst.m + tol)
+    return bool(res.min_objective <= inst.m + _THRESHOLD_SLACK)

@@ -39,6 +39,8 @@ import numpy as np
 from .model import RelaxedInstance, apply_selector, effective_matrix, solver_weights
 
 __all__ = [
+    "TOL_FEAS",
+    "TOL_OPT",
     "SolveOptions",
     "SolveResult",
     "CertificateResult",
@@ -49,6 +51,9 @@ __all__ = [
     "certificate_for_instance",
 ]
 
+# relative tolerances: feasibility against 1 + ||y||, the duality gap against
+# 1 + |objective|.  The exhaustive oracles use the same feasibility rule.
+TOL_FEAS = TOL_OPT = 1e-8
 _PINV_RCOND = 1e-10  # relative singular value cutoff, shared by solver and certificate
 _SUPPORT_THRESHOLD = 1e-7  # an entry of z is in the support above this times its largest entry
 _WALK_TOL = 1e-12  # relative zero of the active-set walk: residual, slopes, ties, multipliers
@@ -56,15 +61,8 @@ _WALK_TOL = 1e-12  # relative zero of the active-set walk: residual, slopes, tie
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and the step cap of the active-set walk.
+    """The step cap of the active-set walk."""
 
-    ``tol_feas`` and ``tol_opt`` are relative: feasibility is measured against
-    1 + ||y|| and the duality gap against 1 + |objective|.  ``max_iter``
-    caps the walk's steps.
-    """
-
-    tol_feas: float = 1e-8
-    tol_opt: float = 1e-8
     max_iter: int = 20000
 
 
@@ -126,7 +124,7 @@ def solve_weighted_bp(
         raise ValueError(f"weights must be strictly positive; offending {np.flatnonzero(w <= 0).tolist()}")
 
     y_norm = float(np.linalg.norm(y))
-    if y_norm <= opts.tol_feas * (1.0 + y_norm):  # z = 0 is feasible to tolerance
+    if y_norm <= TOL_FEAS * (1.0 + y_norm):  # z = 0 is feasible to tolerance
         return SolveResult(
             z=np.zeros(R),
             objective=0.0,
@@ -193,13 +191,13 @@ def solve_weighted_bp(
     if status != "infeasible":
         z[active] = np.asarray(signs) * lam / w[active]
     feas = float(np.linalg.norm(B @ z - y))
-    if status == "infeasible" or (status == "optimal" and feas > opts.tol_feas * (1.0 + y_norm)):
+    if status == "infeasible" or (status == "optimal" and feas > TOL_FEAS * (1.0 + y_norm)):
         status, it = "infeasible", 0
         z = np.linalg.lstsq(B, y, rcond=_PINV_RCOND)[0]
         feas = float(np.linalg.norm(B @ z - y))
     obj = float(w @ np.abs(z))
     gap = np.inf if status == "infeasible" else _gap_from_dual(B, w, y, obj, h)
-    if status == "optimal" and gap > opts.tol_opt * (1.0 + abs(obj)):
+    if status == "optimal" and gap > TOL_OPT * (1.0 + abs(obj)):
         status = "max-iter"
     return SolveResult(
         z=z,

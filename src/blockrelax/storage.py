@@ -37,12 +37,23 @@ def _dump_header(out: io.StringIO, fields: dict) -> None:
         out.write(f"{k} = {v}\n")
 
 
+class _Entries(dict):
+    """Header keys or matrix sections of a container; a missing one raises ValueError naming it."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise ValueError(f"container has no {self.kind} {key!r}")
+
+
 def _parse(text: str):
     lines = text.splitlines()
     if not lines or lines[0].strip() != _MAGIC:
         raise ValueError("not a blockrelax container")
-    header: dict[str, str] = {}
-    matrices: dict[str, np.ndarray] = {}
+    header = _Entries("key")
+    matrices = _Entries("section")
     i = 1
     while i < len(lines):
         line = lines[i].strip()
@@ -51,12 +62,15 @@ def _parse(text: str):
             continue
         if line.startswith("["):
             name, shape = line[1:].split("]")
+            name = name.strip()
             rows, cols = (int(t) for t in shape.split())
+            if i + rows > len(lines):
+                raise ValueError(f"container section {name!r} is cut short: {len(lines) - i} of {rows} rows")
             block = np.empty((rows, cols))
             for j in range(rows):
                 block[j] = [float(t) for t in lines[i + j].split(",")]
             i += rows
-            matrices[name.strip()] = block
+            matrices[name] = block
         else:
             k, _, v = line.partition("=")
             header[k.strip()] = v.strip()
@@ -68,10 +82,9 @@ def _alphabet_str(alph) -> str:
 
 
 def save_instance(instance: RelaxedInstance, path: str) -> None:
-    cfg: GenConfig | None = instance.meta.get("config")
+    cfg = instance.config
     if cfg is None:
         raise ValueError("instance carries no generation config; cannot serialize")
-    p_x, p_X, nu = instance.dist_params
     fields = {
         "kind": "instance",
         "m": cfg.m,
@@ -84,10 +97,11 @@ def save_instance(instance: RelaxedInstance, path: str) -> None:
         "guess_density": _fmt(cfg.guess_density),
         "support_mode": cfg.support_mode,
         "guess_law": cfg.guess_law,
-        "master_seed": instance.master_seed,
-        "p_x": _fmt(p_x),
-        "p_X": _fmt(p_X),
-        "nu": _fmt(nu),
+        # p_x, p_X and nu follow from the config; they are written for readers, not read back
+        "master_seed": cfg.master_seed,
+        "p_x": _fmt(cfg.p_x),
+        "p_X": _fmt(cfg.p_X),
+        "nu": _fmt(cfg.nu),
         # 1-based on disk
         "planted_cols": ",".join(str(k + 1) for k in instance.X.planted_cols),
         "support": ",".join(str(i + 1) for i in instance.support.indices),
@@ -138,9 +152,7 @@ def load_instance(path: str) -> RelaxedInstance:
         x=matrices["x"].ravel(),
         support=support,
         y=matrices["y"].ravel(),
-        dist_params=(float(header["p_x"]), float(header["p_X"]), float(header["nu"])),
-        master_seed=int(header["master_seed"]),
-        meta={"config": cfg},
+        config=cfg,
     )
 
 

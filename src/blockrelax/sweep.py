@@ -100,17 +100,11 @@ GEN_KEYS = {
     "alphabet": "-1,-0.5,0.5,1",
     "seed": 0,
 }
-_SOLVE_KEYS = {
-    "p": 0.5,
-    "tol_feas": SolveOptions.tol_feas,
-    "tol_opt": SolveOptions.tol_opt,
-    "max_iter": SolveOptions.max_iter,
-}
-SWEEP_KEYS = {**GEN_KEYS, **_SOLVE_KEYS, "trials": 100, "oracle": "0"}
+SWEEP_KEYS = {**GEN_KEYS, "p": 0.5, "trials": 100, "oracle": "0"}
 # compare fixes support_mode and guess_law, so it does not accept them
 COMPARE_KEYS = {
     **{k: d for k, d in GEN_KEYS.items() if k not in ("support_mode", "guess_law")},
-    **_SOLVE_KEYS,
+    "p": 0.5,
     "theta": 1,
     "r": 2,
     "s": 2,
@@ -194,14 +188,6 @@ def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     )
 
 
-def _solve_options(vals: dict) -> SolveOptions:
-    return SolveOptions(
-        tol_feas=config_number("tol_feas", vals["tol_feas"], float),
-        tol_opt=config_number("tol_opt", vals["tol_opt"], float),
-        max_iter=config_number("max_iter", vals["max_iter"]),
-    )
-
-
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial rate."""
     if n == 0:
@@ -222,8 +208,8 @@ class Cell:
     p: float
     trials: int
     seed: int
-    options: SolveOptions
     oracle: bool = False
+    options = SolveOptions()  # a class constant, not a field: every cell solves with the defaults
 
 
 @dataclass(frozen=True)
@@ -245,7 +231,6 @@ def build_sweep_plan(
                 p=config_number("p", vals["p"], float),
                 trials=config_trials(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
-                options=_solve_options(vals),
                 oracle=vals["oracle"] in ("1", "true", "on", "yes"),
             )
             for idx, vals in enumerate(cells)
@@ -310,7 +295,7 @@ def _sweep_trial(cell: Cell, trial: int) -> tuple[str, bool, bool, bool]:
         instance, result, cert, verdict = _trial_artifacts(cell, trial)
         unique = agree = False
         if cell.oracle and cell.gen.r**cell.gen.theta <= ENUMERATION_GUARD:
-            oracle_res = enumerate_selectors(instance, cell.p, cell.options.tol_feas)
+            oracle_res = enumerate_selectors(instance, cell.p)
             unique = oracle_res.unique
             if unique and cert.holds:
                 planted = tuple(int(k) for k in instance.X.planted_cols)
@@ -512,7 +497,6 @@ def build_comparison_plan(
             p=config_number("p", vals["p"], float),
             trials=config_trials(vals["trials"]),
             seed=derive_seed(config_number("seed", vals["seed"]), "compare-cell", idx),
-            options=_solve_options(vals),
         )
         for idx, vals in enumerate(cells)
     ]

@@ -119,7 +119,7 @@ def corpus_report() -> CorpusReport:
                 rep.exact_violations.append((ci, t, err))
             if r**theta <= 4096:
                 t0 = time.perf_counter()
-                orc = enumerate_selectors(inst, P, OPTS.tol_feas)
+                orc = enumerate_selectors(inst, P)
                 rep.oracle_elapsed += time.perf_counter() - t0
                 rep.n_oracle_checked += 1
                 planted = tuple(int(k) for k in inst.X.planted_cols)

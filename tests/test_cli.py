@@ -45,7 +45,7 @@ def test_gen_seed_flag_overrides_config(tmp_path):
     p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     main(["gen", "--config", cfg, "--out", p1, "--seed", "9"])
     main(["gen", "--config", cfg, "--out", p2, "--seed", "9"])
-    assert load_instance(p1).master_seed == 9
+    assert load_instance(p1).config.master_seed == 9
     assert np.array_equal(load_instance(p1).x, load_instance(p2).x)
 
 
@@ -149,11 +149,16 @@ BAD_TRIALS = {
     "trials flag -3": ("m = 6\ns = 2\n", ["--trials", "-3"], ("compare", "concentration", "sweep")),
     "trials line 0": ("m = 6\ns = 2\ntrials = 0\n", [], ("replay",)),
 }
+# the solver tolerances and step cap are constants, not config keys
+TOLERANCE_KEYS = ("tol_feas", "tol_opt", "max_iter")
 CONFIG_ERRORS = {
     **{(command, case): (text, message, []) for command in CONFIG_COMMANDS
        for case, (text, message) in BAD_CONFIGS.items()},
     **{(command, case): (text, TRIALS_ERROR, flags)
        for case, (text, flags, commands) in BAD_TRIALS.items() for command in commands},
+    **{(command, f"{key} key"): (f"m = 6\ns = 2\n{key} = 1e-6\n",
+                                 f"config error: key {key!r} is not accepted here", [])
+       for key in TOLERANCE_KEYS for command in ("compare", "replay", "sweep")},
 }
 
 
@@ -223,6 +228,64 @@ def test_replay_into_closed_pipe_exits_without_traceback(tmp_path, closed):
     # a reader that stops after the first line may still have let every line through
     assert proc.returncode == 1 if closed == "before start" else proc.returncode in (0, 1)
     assert load_instance(str(out)).m == 6
+
+
+@pytest.mark.parametrize(
+    "flag", ["solve --tol-feas", "solve --tol-opt", "solve --max-iter", "oracle --tol-feas"]
+)
+def test_tolerance_flags_are_rejected(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*flag.split(), "1", str(tmp_path / "inst.txt")])
+    assert exc.value.code == 2  # argparse: unrecognized arguments
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def bad_container(tmp_path, case: str) -> str:
+    """The path of a container broken as ``case`` says."""
+    path = tmp_path / "bad.txt"
+    if case == "reduction container":
+        main(["reduce-x3c", "--m", "6", "--triples", "1,2,3;4,5,6", "--out", str(path)])
+    elif case != "missing file":
+        main(["gen", "--config", write_cfg(tmp_path, GEN_CFG), "--out", str(path)])
+        lines = path.read_text().splitlines()
+        if case == "no m line":
+            lines = [ln for ln in lines if not ln.startswith("m =")]
+        else:  # the [A 1] section holds m = 8 rows; keep its shape line and three of them
+            lines = lines[: next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]")) + 4]
+        path.write_text("".join(ln + "\n" for ln in lines))
+    return str(path)
+
+
+BAD_CONTAINERS = {
+    "missing file": "instance error: [Errno 2] No such file",
+    "reduction container": "instance error: expected an instance container, got kind=reduction",
+    "no m line": "instance error: container has no key 'm'",
+    "cut mid-matrix": "instance error: container section 'A 1' is cut short: 3 of 8 rows",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTAINERS))
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_bad_containers_exit_with_one_line(tmp_path, command, case):
+    exits_with_one_line([command, bad_container(tmp_path, case)], BAD_CONTAINERS[case])
+
+
+BAD_REDUCTION_ARGUMENTS = {
+    "x3c short triple": ("reduce-x3c --m 6 --triples 1,2;4,5,6",
+                         "argument error: triple (0, 1) must have three"),
+    "x3c non-integer": ("reduce-x3c --m 6 --triples 1,2,x", "argument error: triples: invalid integer 'x'"),
+    "x3c m 7": ("reduce-x3c --m 7 --triples 1,2,3", "argument error: ground set size must be a positive"),
+    "partition negative weight": ("reduce-partition --a 1,-2", "argument error: weights must be positive"),
+    "partition odd theta": ("reduce-partition --a 3,1,4,2 --theta 3", "argument error: theta must be even"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REDUCTION_ARGUMENTS))
+def test_bad_reduction_arguments_exit_with_one_line(tmp_path, case):
+    args, message = BAD_REDUCTION_ARGUMENTS[case]
+    out = tmp_path / "red.txt"
+    exits_with_one_line([*args.split(), "--out", str(out)], message)
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_with_one_line(tmp_path):

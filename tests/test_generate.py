@@ -278,12 +278,10 @@ def test_sensing_matrix_digest():
 def test_instance_dist_params_follow_config():
     cfg = base_cfg(guess_density=0.4)
     inst = build_instance(cfg)
-    p_x, p_X, nu = inst.dist_params
-    assert p_x == pytest.approx(0.625)
-    assert p_X == pytest.approx(0.4)
-    assert nu == pytest.approx(0.4)
-    assert inst.meta["config"] == cfg
-    assert inst.master_seed == cfg.master_seed
+    assert inst.config == cfg
+    assert inst.config.p_x == pytest.approx(0.625)
+    assert inst.config.p_X == pytest.approx(0.4)
+    assert inst.config.nu == pytest.approx(0.4)
 
 
 def test_instance_container_round_trip(tmp_path):
@@ -301,12 +299,11 @@ def test_instance_container_round_trip(tmp_path):
         assert np.array_equal(ba, bb)
     assert back.support.indices == inst.support.indices
     assert back.X.planted_cols == inst.X.planted_cols
-    assert back.dist_params == inst.dist_params
-    assert back.meta["config"] == cfg
+    assert back.config == cfg
 
 
 def test_instance_without_config_does_not_serialize(tmp_path):
-    inst = dataclasses.replace(build_instance(base_cfg()), meta={})
+    inst = dataclasses.replace(build_instance(base_cfg()), config=None)
     path = tmp_path / "inst.txt"
     with pytest.raises(ValueError, match="no generation config"):
         save_instance(inst, str(path))

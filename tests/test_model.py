@@ -145,15 +145,11 @@ def test_instance_invariants_enforced():
     x = np.array([1.0, 0.0, -0.5])
     support = SupportPattern(indices=(0, 2), n=n, theta=1)
     X = GuessEnsemble(blocks=(np.column_stack([x, rng.uniform(-1, 1, n)]),), planted_cols=(0,))
-    inst = RelaxedInstance(
-        A=A, X=X, x=x, support=support, y=x.copy(), dist_params=(0.625, 0.25, 0.25)
-    )
+    inst = RelaxedInstance(A=A, X=X, x=x, support=support, y=x.copy())
     assert inst.m == n and inst.r == 2
 
     with pytest.raises(ValueError, match="does not equal"):
-        RelaxedInstance(
-            A=A, X=X, x=x, support=support, y=x + 1.0, dist_params=(0.625, 0.25, 0.25)
-        )
+        RelaxedInstance(A=A, X=X, x=x, support=support, y=x + 1.0)
     with pytest.raises(ValueError, match="off the declared support"):
         RelaxedInstance(
             A=A,
@@ -161,16 +157,13 @@ def test_instance_invariants_enforced():
             x=np.array([1.0, 0.1, -0.5]),
             support=support,
             y=np.array([1.0, 0.1, -0.5]),
-            dist_params=(0.625, 0.25, 0.25),
         )
     # planted column must hold the hidden block verbatim
     X_bad = GuessEnsemble(
         blocks=(np.column_stack([x * 0.999, rng.uniform(-1, 1, n)]),), planted_cols=(0,)
     )
     with pytest.raises(ValueError, match="verbatim|store"):
-        RelaxedInstance(
-            A=A, X=X_bad, x=x, support=support, y=x.copy(), dist_params=(0.625, 0.25, 0.25)
-        )
+        RelaxedInstance(A=A, X=X_bad, x=x, support=support, y=x.copy())
 
 
 def test_instance_rejects_zero_guess_column():
@@ -179,7 +172,7 @@ def test_instance_rejects_zero_guess_column():
     X = GuessEnsemble(blocks=(np.column_stack([x, np.zeros(2)]),), planted_cols=(0,))
     support = SupportPattern(indices=(0,), n=2, theta=1)
     with pytest.raises(ValueError, match="all-zero"):
-        RelaxedInstance(A=A, X=X, x=x, support=support, y=x.copy(), dist_params=(1, 0.5, 0.5))
+        RelaxedInstance(A=A, X=X, x=x, support=support, y=x.copy())
 
 
 def test_block_matvec_matches_full():

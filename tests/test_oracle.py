@@ -36,7 +36,7 @@ def identity_instance(X_blocks, planted_cols, x, support_idx):
     support = SupportPattern(indices=tuple(support_idx), n=n, theta=theta)
     return RelaxedInstance(
         A=A, X=X, x=np.asarray(x, float), support=support,
-        y=A.matvec(np.asarray(x, float)), dist_params=(1.0, 0.5, 0.5),
+        y=A.matvec(np.asarray(x, float)),
     )
 
 

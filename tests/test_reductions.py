@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +68,21 @@ def test_x3c_reduction_structure():
     assert rec.extra["triples"] == "1,2,3;4,5,6;2,4,6"
 
 
+def test_x3c_reduction_digest():
+    # pins the orthogonal tails over several sizes, seeds and theta: they come
+    # from one (theta, n-1, n-1) Gaussian draw and one batched QR, bit-identical
+    # to the block-by-block draws of earlier versions
+    h = hashlib.sha256()
+    for m in (6, 9, 12):
+        triples = list(itertools.combinations(range(m), 3))[:: max(1, m - 4)][:7]
+        inst = X3CInstance(m=m, triples=tuple(triples))
+        for n in range(2, m - 2):
+            for seed in range(3):
+                for b in x3c_to_l0(inst, n=n, seed=seed).A.blocks:
+                    h.update(b.tobytes())
+    assert h.hexdigest() == "c51a33df2c51d8de23d913901ce98a165d2eb7405378ead10b4fcbc66b9c6e54"
+
+
 def test_x3c_reduction_rejects_bad_width():
     inst = X3CInstance(m=6, triples=((0, 1, 2), (3, 4, 5)))
     with pytest.raises(ValueError):
@@ -86,8 +103,6 @@ def test_decide_x3c_positive_and_negative():
 
 def test_decide_x3c_matches_direct_scan_on_fixture_pool():
     pool = ((0, 1, 2), (3, 4, 5), (1, 3, 5), (0, 2, 4), (1, 2, 3))
-    import itertools
-
     for k in (2, 3):
         for triples in itertools.combinations(pool, k):
             inst = X3CInstance(m=6, triples=triples)

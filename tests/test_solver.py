@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from blockrelax.generate import GenConfig, build_instance, derive_seed
 from blockrelax.model import effective_matrix, solver_weights
 from blockrelax.solver import (
+    TOL_FEAS,
+    TOL_OPT,
     SolveOptions,
     certificate_for_instance,
     kkt_certificate,
@@ -42,15 +46,14 @@ def test_zero_rhs_returns_zero():
 
 
 def test_small_rhs_meets_the_feasibility_bound():
-    # every |y_i| = 5e-9 is below tol_feas = 1e-8, but ||y|| = 2e-8 is above
-    # tol_feas * (1 + ||y||), so z = 0 is not feasible to tolerance
+    # every |y_i| = 5e-9 is below TOL_FEAS = 1e-8, but ||y|| = 2e-8 is above
+    # TOL_FEAS * (1 + ||y||), so z = 0 is not feasible to tolerance
     rng = np.random.default_rng(3)
     B = rng.standard_normal((16, 24))
     y = np.full(16, 5e-9)
-    opts = SolveOptions()
-    res = solve_weighted_bp(B, np.ones(24), y, opts)
+    res = solve_weighted_bp(B, np.ones(24), y)
     assert res.status == "optimal"
-    assert res.feas_residual <= opts.tol_feas * (1.0 + np.linalg.norm(y))
+    assert res.feas_residual <= TOL_FEAS * (1.0 + np.linalg.norm(y))
     assert res.detected_support
 
 
@@ -119,6 +122,12 @@ def test_max_iter_reports_best_iterate():
         assert res.iterations == cap
         assert res.z.shape == (12,)
         assert np.isfinite(res.objective)
+
+
+def test_step_cap_is_the_only_option():
+    # the tolerances are module constants, shared with the exhaustive oracles
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["max_iter"]
+    assert TOL_FEAS == TOL_OPT == 1e-8
 
 
 def test_certificate_margin_boundary():
@@ -255,7 +264,6 @@ def test_solves_the_trial_admm_left_at_max_iter():
 
 @pytest.mark.parametrize("cell", INJECTIVE_CELLS)
 def test_injective_b_returns_its_only_feasible_point(cell):
-    opts = SolveOptions()
     for seed in range(3):
         B, w, y = _program(cell, seed)
         assert np.linalg.matrix_rank(B) == B.shape[1]
@@ -263,8 +271,8 @@ def test_injective_b_returns_its_only_feasible_point(cell):
         z_ls = np.linalg.lstsq(B, y, rcond=None)[0]
         assert res.status == "optimal"
         assert np.abs(res.z - z_ls).max() <= 1e-12 * np.abs(z_ls).max()
-        assert abs(res.duality_gap) <= opts.tol_opt * (1.0 + abs(res.objective))
-        assert np.linalg.norm(B @ res.z - y) <= opts.tol_feas * (1.0 + np.linalg.norm(y))
+        assert abs(res.duality_gap) <= TOL_OPT * (1.0 + abs(res.objective))
+        assert np.linalg.norm(B @ res.z - y) <= TOL_FEAS * (1.0 + np.linalg.norm(y))
 
 
 def test_matches_lp_reference_on_ill_conditioned_injective_b():
