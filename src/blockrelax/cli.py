@@ -38,6 +38,7 @@ from .sweep import (
     GEN_KEYS,
     build_comparison_plan,
     build_sweep_plan,
+    config_exponent,
     config_number,
     config_trials,
     expand_config,
@@ -93,11 +94,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    with _one_line("argument"):
+        p = config_exponent(args.p)
     with _one_line("instance"):
         instance = load_instance(args.instance)
-    result = solve_instance(instance, args.p)
-    cert = certificate_for_instance(instance, args.p)
-    verdict = recovery_check(instance, result)
+        result = solve_instance(instance, p)
+        cert = certificate_for_instance(instance, p)
+        verdict = recovery_check(instance, result)
     print(f"status: {result.status}")
     print(f"objective: {result.objective:.12g}")
     print(f"iterations: {result.iterations}")
@@ -110,9 +113,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    with _one_line("argument"):
+        p = config_exponent(args.p)
     with _one_line("instance"):
         instance = load_instance(args.instance)
-    res = enumerate_selectors(instance, args.p)
+        res = enumerate_selectors(instance, p)
     print(f"evaluated: {res.evaluated_count}  feasible: {res.feasible_count}")
     print(f"best objective: {res.best_objective:.12g}")
     print(f"best combos (1-based): {[tuple(k + 1 for k in combo) for combo in res.best_combos]}")
@@ -269,10 +274,11 @@ def _cmd_reduce_x3c(args) -> int:
 def _cmd_reduce_partition(args) -> int:
     with _one_line("argument"):
         inst = PartitionInstance(a=tuple(config_number("a", args.a.split(","), float)))
+        p = config_exponent(args.p)
         record = partition_to_lp(inst, theta=args.theta)
     decision = None
     if len(DEFAULT_GRID) ** (2 * inst.m) <= GRID_GUARD:  # the grid oracle scans 2m columns
-        decision = decide_partition_via_lp(inst, p=args.p, theta=args.theta)
+        decision = decide_partition_via_lp(inst, p=p, theta=args.theta)
         record = dataclasses.replace(
             record,
             extra={**record.extra, "oracle_value": inst.m if decision else "above-target",

@@ -300,10 +300,14 @@ class RelaxedInstance:
         return self.X.r
 
 
-def lp_norm(v: np.ndarray, p: float) -> float:
-    """Sum of |v_i|**p for 0 < p <= 1 (the nonconvex sparsity surrogate)."""
+def _check_exponent(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+
+
+def lp_norm(v: np.ndarray, p: float) -> float:
+    """Sum of |v_i|**p for 0 < p <= 1 (the nonconvex sparsity surrogate)."""
+    _check_exponent(p)
     v = np.asarray(v, dtype=float)
     return float(np.sum(np.abs(v) ** p))
 
@@ -320,12 +324,13 @@ def effective_matrix(A: BlockSensingMatrix, X: GuessEnsemble) -> np.ndarray:
 
 
 def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
-    """Per-column objective weights: w_k = sum_i |X_col_k[i]|**p.
+    """Per-column objective weights: w_k = sum_i |X_col_k[i]|**p, for 0 < p <= 1.
 
     Raises if any weight collapses below 1e-12 while the column itself is
     nonzero, since a zero-weight column makes the weighted objective blind to
     it.  (All-zero columns are already rejected by GuessEnsemble.)
     """
+    _check_exponent(p)
     w = np.empty(X.ncols)
     for l, b in enumerate(X.blocks):
         w[l * X.r : (l + 1) * X.r] = np.sum(np.abs(b) ** p, axis=0)

@@ -5,7 +5,9 @@ discrete selector combinations, of column subsets, or of grid points, with no
 pruning.  Hard guards refuse problem sizes where exhaustion stops being a
 sane idea.  The selector and grid scans evaluate every point once, meeting two
 enumerated halves in the middle; minimizer ties travel with the running
-minimum, so the reported set never depends on scan order.
+minimum, so the reported set never depends on scan order.  The subset search
+scores every column subset of one size in stacked SVD blocks of bounded
+memory, judging rank by ``lstsq``'s own singular value cutoff.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ GRID_GUARD = 10**7
 DEFAULT_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 _TIE_REL = 1e-9
-_PAIR_FLOATS = 1 << 16  # most floats one block of (head, tail) residuals may hold
+_PAIR_FLOATS = 1 << 16  # most floats one block of (head, tail) residuals or of stacked subsets may hold
 
 
 @dataclass(frozen=True)
@@ -153,30 +155,47 @@ class SubsetOracleResult:
     witnesses: tuple[tuple[int, ...], ...]
 
 
+def _subset_blocks(ncols: int, k: int, step: int):
+    """Every k-column subset, in ``itertools.combinations`` order, as index arrays of at most ``step`` rows."""
+    combos = itertools.combinations(range(ncols), k)
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp)
+        if not block.size:
+            return
+        yield block.reshape(-1, k)
+
+
 def l0_min_oracle(A: np.ndarray, y: np.ndarray, max_support: int) -> SubsetOracleResult:
     """Smallest support size admitting an exact solution of A x = y.
 
     Scans support sizes 0, 1, ... up to ``max_support`` and within each size
-    every column subset, declaring a subset feasible when its least-squares
-    residual drops to ``TOL_FEAS * (1 + ||y||)``.  Returns the first
-    (smallest) feasible size together with all witness subsets of that size.
+    every column subset, declaring a subset feasible when y lies within
+    ``TOL_FEAS * (1 + ||y||)`` of the span of its columns.  Subsets of one
+    size are gathered as a (subsets, rows, k) stack, in blocks of at most
+    ``_PAIR_FLOATS`` floats, and each block takes one batched SVD; singular
+    values at or below ``eps * max(rows, k) * sigma_max`` count as zero, the
+    cutoff ``lstsq`` applies by default, so rank-deficient subsets are judged
+    as a least-squares fit would.  Returns the first (smallest) feasible size
+    together with all witness subsets of that size, in lexicographic order.
     """
     if max_support > SUBSET_GUARD:
         raise ValueError(f"max_support {max_support} exceeds the subset guard {SUBSET_GUARD}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-    ncols = A.shape[1]
+    rows, ncols = A.shape
     thresh = TOL_FEAS * (1.0 + float(np.linalg.norm(y)))
     if float(np.linalg.norm(y)) <= thresh:
         return SubsetOracleResult(feasible=True, min_support=0, witnesses=((),))
+    eps = np.finfo(float).eps
     for k in range(1, min(max_support, ncols) + 1):
         witnesses = []
-        for subset in itertools.combinations(range(ncols), k):
-            sol, *_ = np.linalg.lstsq(A[:, subset], y, rcond=None)
-            if float(np.linalg.norm(A[:, subset] @ sol - y)) <= thresh:
-                witnesses.append(subset)
+        for subsets in _subset_blocks(ncols, k, max(1, _PAIR_FLOATS // (rows * k))):
+            u, sv, _ = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), full_matrices=False)
+            u *= (sv > eps * max(rows, k) * sv[:, :1])[:, None, :]  # drop the directions lstsq drops
+            resid = y - np.einsum("bij,bj->bi", u, y @ u)
+            witnesses += subsets[np.linalg.norm(resid, axis=1) <= thresh].tolist()
         if witnesses:
-            return SubsetOracleResult(feasible=True, min_support=k, witnesses=tuple(witnesses))
+            return SubsetOracleResult(feasible=True, min_support=k, witnesses=tuple(map(tuple, witnesses)))
     return SubsetOracleResult(feasible=False, min_support=None, witnesses=())
 
 

@@ -35,9 +35,17 @@ __all__ = [
 _THRESHOLD_SLACK = 1e-6  # absolute slack of the Partition decider's comparison with m
 
 
+def _one_based(t) -> str:
+    """A triple as files and the command line write it: 1-based, comma-separated."""
+    return ",".join(str(v + 1) for v in t)
+
+
 @dataclass(frozen=True)
 class X3CInstance:
-    """Exact cover by 3-sets: ground set {0..m-1}, m divisible by 3, given triples."""
+    """Exact cover by 3-sets: ground set {0..m-1}, m divisible by 3, given triples.
+
+    Errors name a triple 1-based, as the command line and containers write it.
+    """
 
     m: int
     triples: tuple[tuple[int, int, int], ...]
@@ -50,11 +58,11 @@ class X3CInstance:
         for t in self.triples:
             tt = tuple(sorted(int(v) for v in t))
             if len(set(tt)) != 3:
-                raise ValueError(f"triple {t} must have three distinct elements")
+                raise ValueError(f"triple {_one_based(t)} must have three distinct elements")
             if tt[0] < 0 or tt[-1] >= self.m:
-                raise ValueError(f"triple {t} out of range")
+                raise ValueError(f"triple {_one_based(t)} out of range 1..{self.m}")
             if tt in seen:
-                raise ValueError(f"duplicate triple {tt}")
+                raise ValueError(f"duplicate triple {_one_based(tt)}")
             seen.add(tt)
             norm.append(tt)
         if not norm:
@@ -98,22 +106,20 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
     m = inst.m
     if not 2 <= n < m - 2:
         raise ValueError(f"need 2 <= n < m - 2, got n={n}, m={m}")
-    rows = m + n - 1
-    tails = _haar_stack(substream(seed, "x3c-orthogonal").standard_normal((inst.theta, n - 1, n - 1)))
-    blocks = []
-    for l, (t, u) in enumerate(zip(inst.triples, tails)):
-        block = np.zeros((rows, n))
-        block[list(t), 0] = 1.0
-        block[m:, 1:] = u
-        blocks.append(block)
-        # norm windows guaranteed by construction; check rather than trust
-        col_sq = np.sum(block**2, axis=0)
-        if not np.all((col_sq >= 1.0 - 1e-9) & (col_sq <= 3.0 + 1e-9)):
-            raise RuntimeError(f"block {l} squared column norms {col_sq} outside [1, 3]")
-        spec = np.linalg.norm(block, 2)
-        if not 1.0 - 1e-9 <= spec <= math.sqrt(3.0) + 1e-9:
-            raise RuntimeError(f"block {l} spectral norm {spec!r} outside [1, sqrt(3)]")
-    A = BlockSensingMatrix(blocks=tuple(blocks))
+    theta, rows = inst.theta, m + n - 1
+    stack = np.zeros((theta, rows, n))
+    stack[np.arange(theta)[:, None], np.array(inst.triples), 0] = 1.0
+    stack[:, m:, 1:] = _haar_stack(substream(seed, "x3c-orthogonal").standard_normal((theta, n - 1, n - 1)))
+    # norm windows guaranteed by construction; check rather than trust
+    col_sq = np.sum(stack**2, axis=1)
+    bad = np.flatnonzero(~np.all((col_sq >= 1.0 - 1e-9) & (col_sq <= 3.0 + 1e-9), axis=1))
+    if bad.size:
+        raise RuntimeError(f"block {bad[0]} squared column norms {col_sq[bad[0]]} outside [1, 3]")
+    spec = np.linalg.norm(stack, 2, axis=(1, 2))
+    bad = np.flatnonzero(~((spec >= 1.0 - 1e-9) & (spec <= math.sqrt(3.0) + 1e-9)))
+    if bad.size:
+        raise RuntimeError(f"block {bad[0]} spectral norm {spec[bad[0]]!r} outside [1, sqrt(3)]")
+    A = BlockSensingMatrix(blocks=tuple(stack))
     y = np.zeros(rows)
     y[:m] = 1.0
     return ReductionRecord(
@@ -123,7 +129,7 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
         certificate_target=m / 3,
         extra={
             "ground_set": m,
-            "triples": ";".join(",".join(str(v + 1) for v in t) for t in inst.triples),
+            "triples": ";".join(map(_one_based, inst.triples)),
             "orthogonal_seed": seed,
         },
     )
@@ -180,17 +186,17 @@ def partition_to_lp(inst: PartitionInstance, theta: int = 2) -> ReductionRecord:
     top = np.hstack([np.eye(m), np.eye(m)])
     bottom = np.concatenate([c * a, -c * a])
     full = np.vstack([top, bottom[None, :]])
-    n = 2 * m // theta
-    blocks = tuple(full[:, l * n : (l + 1) * n].copy() for l in range(theta))
-    for l, b in enumerate(blocks):
-        spec = np.linalg.norm(b, 2)
-        if not math.sqrt(0.5) - 1e-9 <= spec <= math.sqrt(1.5) + 1e-9:
-            raise RuntimeError(f"block {l} spectral norm {spec!r} outside [sqrt(1/2), sqrt(3/2)]")
+    # block l is columns l*n .. (l+1)*n - 1 of the full matrix
+    stack = np.ascontiguousarray(full.reshape(m + 1, theta, 2 * m // theta).transpose(1, 0, 2))
+    spec = np.linalg.norm(stack, 2, axis=(1, 2))
+    bad = np.flatnonzero(~((spec >= math.sqrt(0.5) - 1e-9) & (spec <= math.sqrt(1.5) + 1e-9)))
+    if bad.size:
+        raise RuntimeError(f"block {bad[0]} spectral norm {spec[bad[0]]!r} outside [sqrt(1/2), sqrt(3/2)]")
     y = np.zeros(m + 1)
     y[:m] = 1.0
     return ReductionRecord(
         reduction="partition",
-        A=BlockSensingMatrix(blocks=blocks),
+        A=BlockSensingMatrix(blocks=tuple(stack)),
         y=y,
         certificate_target=float(m),
         extra={"weights": ",".join(format(v, ".17g") for v in inst.a), "row_scale": format(c, ".17g")},

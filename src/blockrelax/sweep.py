@@ -52,6 +52,7 @@ __all__ = [
     "gen_config",
     "config_number",
     "config_trials",
+    "config_exponent",
     "SweepPlan",
     "build_sweep_plan",
     "CellResult",
@@ -165,6 +166,14 @@ def config_trials(value) -> int:
     return trials
 
 
+def config_exponent(value) -> float:
+    """A ``p`` value as a float; p must lie in (0, 1], where the weighted objective is the p-quasinorm's."""
+    p = config_number("p", value, float)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p: must lie in (0, 1], got {p:g}")
+    return p
+
+
 def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
     if vals["m"] is None:
@@ -228,7 +237,7 @@ def build_sweep_plan(
             Cell(
                 index=idx,
                 gen=gen_config(vals),
-                p=config_number("p", vals["p"], float),
+                p=config_exponent(vals["p"]),
                 trials=config_trials(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
                 oracle=vals["oracle"] in ("1", "true", "on", "yes"),
@@ -494,7 +503,7 @@ def build_comparison_plan(
         Cell(
             index=idx,
             gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
-            p=config_number("p", vals["p"], float),
+            p=config_exponent(vals["p"]),
             trials=config_trials(vals["trials"]),
             seed=derive_seed(config_number("seed", vals["seed"]), "compare-cell", idx),
         )

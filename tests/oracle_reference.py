@@ -1,11 +1,13 @@
-"""Two-pass reference scans for the selector and grid oracles.
+"""Reference scans for the selector, grid and subset oracles.
 
 These are the straightforward scans that ``blockrelax.oracle`` replaced with a
 single meet-in-the-middle pass: the selector scan loops over every head of
 theta - 1 blocks and vectorizes the last block; the grid scan rebuilds each
 chunk of points from its mixed-radix index and multiplies it by A.  The first
 pass finds the minimum, the second collects every minimizer within the tie
-window, in lexicographic order.  Meant for differential tests only.
+window, in lexicographic order.  The subset search fits each column subset
+with its own ``lstsq`` call, where the oracle scores stacked SVD blocks.
+Meant for differential tests only.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 
 from blockrelax.model import solver_weights
-from blockrelax.oracle import GridOracleResult, OracleResult
+from blockrelax.oracle import GridOracleResult, OracleResult, SubsetOracleResult
 
 TIE_REL = 1e-9
 
@@ -109,3 +111,22 @@ def discrete_lp_oracle_reference(A, y, p, grid=(-1.0, -0.5, 0.0, 0.5, 1.0), tol=
         witnesses=tuple(witnesses),
         evaluated_count=total,
     )
+
+
+def l0_min_oracle_reference(A, y, max_support, tol=1e-8):
+    """One ``lstsq`` fit per column subset, sizes in increasing order."""
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ncols = A.shape[1]
+    thresh = tol * (1.0 + float(np.linalg.norm(y)))
+    if float(np.linalg.norm(y)) <= thresh:
+        return SubsetOracleResult(feasible=True, min_support=0, witnesses=((),))
+    for k in range(1, min(max_support, ncols) + 1):
+        witnesses = []
+        for subset in itertools.combinations(range(ncols), k):
+            sol, *_ = np.linalg.lstsq(A[:, subset], y, rcond=None)
+            if float(np.linalg.norm(A[:, subset] @ sol - y)) <= thresh:
+                witnesses.append(subset)
+        if witnesses:
+            return SubsetOracleResult(feasible=True, min_support=k, witnesses=tuple(witnesses))
+    return SubsetOracleResult(feasible=False, min_support=None, witnesses=())

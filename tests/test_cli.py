@@ -159,6 +159,9 @@ CONFIG_ERRORS = {
     **{(command, f"{key} key"): (f"m = 6\ns = 2\n{key} = 1e-6\n",
                                  f"config error: key {key!r} is not accepted here", [])
        for key in TOLERANCE_KEYS for command in ("compare", "replay", "sweep")},
+    # the plan names a bad exponent before any trial runs, rather than count each trial an error
+    **{(command, f"p {p}"): (f"m = 6\ns = 2\np = {p}\n", f"config error: p: must lie in (0, 1], got {p}", [])
+       for p in ("-1", "0", "1.5") for command in ("compare", "replay", "sweep")},
 }
 
 
@@ -270,13 +273,31 @@ def test_bad_containers_exit_with_one_line(tmp_path, command, case):
     exits_with_one_line([command, bad_container(tmp_path, case)], BAD_CONTAINERS[case])
 
 
+@pytest.mark.parametrize("p", ["-1", "0", "1.5", "nan"])
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_bad_exponent_flag_exits_with_one_line(tmp_path, command, p):
+    inst = str(tmp_path / "inst.txt")
+    main(["gen", "--config", write_cfg(tmp_path, GEN_CFG), "--out", inst])
+    exits_with_one_line([command, inst, "--p", p], f"argument error: p: must lie in (0, 1], got {p}")
+
+
+def test_oracle_past_enumeration_guard_exits_with_one_line(tmp_path):
+    big = str(tmp_path / "big.txt")
+    main(["gen", "--config", write_cfg(tmp_path, "m = 4\ntheta = 3\nr = 101\ns = 2\n"), "--out", big])
+    exits_with_one_line(["oracle", big], "instance error: r**theta = 1030301 exceeds the enumeration guard")
+
+
 BAD_REDUCTION_ARGUMENTS = {
+    # triples are named 1-based, as typed
     "x3c short triple": ("reduce-x3c --m 6 --triples 1,2;4,5,6",
-                         "argument error: triple (0, 1) must have three"),
+                         "argument error: triple 1,2 must have three"),
+    "x3c triple out of range": ("reduce-x3c --m 6 --triples 1,2,7", "argument error: triple 1,2,7 out of range 1..6"),
+    "x3c duplicate triple": ("reduce-x3c --m 6 --triples 1,2,3;3,2,1", "argument error: duplicate triple 1,2,3"),
     "x3c non-integer": ("reduce-x3c --m 6 --triples 1,2,x", "argument error: triples: invalid integer 'x'"),
     "x3c m 7": ("reduce-x3c --m 7 --triples 1,2,3", "argument error: ground set size must be a positive"),
     "partition negative weight": ("reduce-partition --a 1,-2", "argument error: weights must be positive"),
     "partition odd theta": ("reduce-partition --a 3,1,4,2 --theta 3", "argument error: theta must be even"),
+    "partition p 2": ("reduce-partition --a 1,1 --p 2", "argument error: p: must lie in (0, 1], got 2"),
 }
 
 

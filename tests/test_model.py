@@ -29,9 +29,12 @@ def test_lp_norm_values():
 
 
 def test_lp_norm_rejects_bad_exponent():
-    for p in (0.0, -0.3, 1.5):
-        with pytest.raises(ValueError):
+    X = GuessEnsemble(blocks=(np.ones((3, 2)),), planted_cols=(0,))
+    for p in (0.0, -0.3, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
             lp_norm(np.ones(3), p)
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+            solver_weights(X, p)
 
 
 @given(

@@ -5,7 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle_reference import discrete_lp_oracle_reference, enumerate_selectors_reference
+from oracle_reference import (
+    discrete_lp_oracle_reference,
+    enumerate_selectors_reference,
+    l0_min_oracle_reference,
+)
 
 from blockrelax import oracle
 from blockrelax.generate import GenConfig, build_instance
@@ -25,7 +29,7 @@ from blockrelax.oracle import (
     enumerate_selectors,
     l0_min_oracle,
 )
-from blockrelax.reductions import PartitionInstance, partition_to_lp
+from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
 
 
 def identity_instance(X_blocks, planted_cols, x, support_idx):
@@ -289,3 +293,98 @@ def test_grid_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert res.evaluated_count == 5**10
     assert peak < 4_000_000, f"peak traced allocation {peak} bytes"
+
+
+# -- differential tests of the subset oracle against per-subset lstsq fits ----
+
+
+def assert_subsets_match_reference(A, y, max_support):
+    res = l0_min_oracle(A, y, max_support)
+    ref = l0_min_oracle_reference(A, y, max_support)
+    assert (res.feasible, res.min_support, res.witnesses) == (ref.feasible, ref.min_support, ref.witnesses)
+    return res
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subsets_match_reference_on_random_matrices(seed):
+    rng = np.random.default_rng(seed)
+    rows, ncols = (3, 6) if seed % 2 else (6, 8)
+    A = rng.standard_normal((rows, ncols))
+    x0 = np.zeros(ncols)
+    x0[rng.choice(ncols, size=min(3, rows), replace=False)] = rng.standard_normal(min(3, rows))
+    res = assert_subsets_match_reference(A, A @ x0, max_support=4)
+    assert res.feasible
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        # column 1 is zero: every subset holding it has rank below its size
+        ("zero column", ((0, 2, 3),)),
+        # column 3 repeats column 0, so (0, 3) spans one direction only
+        ("duplicated column", ((0, 2), (2, 3))),
+        # columns 0, 1 and 3 span one plane
+        ("collinear columns", ((0, 1), (0, 3), (1, 3))),
+    ],
+)
+def test_subsets_match_reference_on_rank_deficient_subsets(case, expected):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 4))
+    if case == "zero column":
+        A[:, 1] = 0.0
+        y = A[:, 0] - 2.0 * A[:, 2] + A[:, 3]
+    elif case == "duplicated column":
+        A[:, 3] = A[:, 0]
+        y = A[:, 0] + A[:, 2]
+    else:
+        A[:, 3] = 2.0 * A[:, 0] - A[:, 1]
+        y = A[:, 0] + 0.5 * A[:, 1]
+    res = assert_subsets_match_reference(A, y, max_support=3)
+    assert res.min_support == len(expected[0]) and res.witnesses == expected
+
+
+def test_subsets_match_reference_on_infeasible_y():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((6, 5))
+    A[:, 4] = A[:, 0]
+    res = assert_subsets_match_reference(A, rng.standard_normal(6), max_support=4)
+    assert not res.feasible and res.witnesses == ()
+
+
+def test_subsets_match_reference_on_x3c_reductions():
+    pool = ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (0, 2, 4), (1, 3, 5), (1, 2, 3), (0, 4, 5))
+    count = 0
+    for size in range(1, 5):
+        for chosen in itertools.combinations(pool, size):
+            rec = x3c_to_l0(X3CInstance(m=6, triples=chosen))
+            assert_subsets_match_reference(rec.A.full(), rec.y, max_support=2)
+            count += 1
+    assert count == 162
+
+
+def test_subsets_match_reference_across_blocks():
+    # 1001 subsets of size 4 span four blocks; columns 12 and 13 repeat columns
+    # 1 and 0, so the four witnesses lie in the first, second and last blocks
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((60, 14))
+    A[:, 12], A[:, 13] = A[:, 1], A[:, 0]
+    assert oracle._PAIR_FLOATS // (60 * 4) < 286 < 2 * (oracle._PAIR_FLOATS // (60 * 4))
+    res = assert_subsets_match_reference(A, A[:, :4].sum(axis=1), max_support=4)
+    assert res.witnesses == ((0, 1, 2, 3), (0, 2, 3, 12), (1, 2, 3, 13), (2, 3, 12, 13))
+
+
+def test_subset_scan_memory_stays_bounded():
+    # 38 760 subsets of size 6 would stack into 37 MB at once
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((20, 20))
+    x0 = np.zeros(20)
+    x0[[1, 4, 7, 11, 15, 19]] = 1.0
+    tracemalloc.start()
+    try:
+        res = l0_min_oracle(A, A @ x0, max_support=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.witnesses == ((1, 4, 7, 11, 15, 19),)
+    # the stack, LAPACK's copy of it and U each hold at most _PAIR_FLOATS floats
+    assert peak < 6 * 8 * oracle._PAIR_FLOATS, f"peak traced allocation {peak} bytes"
