@@ -46,12 +46,8 @@ def matrix_constants(A: BlockSensingMatrix, support: SupportPattern) -> MatrixCo
     """Compute the two matrix constants of the concentration bounds."""
     if (support.n, support.theta) != (A.n, A.theta):
         raise ValueError("support does not match the sensing matrix")
-    f_s_sq = math.inf
-    m_sq = 0.0
-    for l, b in enumerate(A.blocks):
-        cols = support.block(l)
-        f_s_sq = min(f_s_sq, float(np.sum(b[:, cols] ** 2)))
-        m_sq = max(m_sq, spectral_norm(b) ** 2)
+    f_s_sq = min(float(np.sum(b[:, support.block(l)] ** 2)) for l, b in enumerate(A.blocks))
+    m_sq = float(np.linalg.norm(A.blocks, 2, axis=(1, 2)).max()) ** 2
     return MatrixConstants(f_s_sq=f_s_sq, m_sq=m_sq)
 
 

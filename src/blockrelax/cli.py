@@ -2,7 +2,7 @@
 
 Subcommands: gen, solve, oracle, sweep, compare, concentration, reduce-x3c,
 reduce-partition, replay.  Configs are flat key = value files (repeat a key to
-span a grid); --jobs defaults to the BLOCKRELAX_JOBS environment variable.
+span a grid); sweep and compare read --jobs, else BLOCKRELAX_JOBS.
 Exit code 1 marks bad input (reported in one line), a violated exact identity
 or a concentration mean check beyond 4 sigma; the tail and window frequencies
 are only reported.
@@ -39,6 +39,7 @@ from .sweep import (
     build_comparison_plan,
     build_sweep_plan,
     config_exponent,
+    config_jobs,
     config_number,
     config_trials,
     expand_config,
@@ -57,13 +58,6 @@ __all__ = ["main"]
 _CHECKS = ("vectorization", "mean", "tail", "window")
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BLOCKRELAX_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 @contextlib.contextmanager
 def _one_line(kind: str):
     """An OSError or ValueError in the block ends the run with exit code 1 and
@@ -72,6 +66,12 @@ def _one_line(kind: str):
         yield
     except (OSError, ValueError) as exc:
         raise SystemExit(f"{kind} error: {exc}") from None
+
+
+def _jobs(flag: int | None) -> int:
+    """Worker processes: ``--jobs``, else BLOCKRELAX_JOBS, else 1; a bad count ends the run with one line."""
+    with _one_line("argument"):
+        return config_jobs(os.environ.get("BLOCKRELAX_JOBS", "1") if flag is None else flag)
 
 
 @contextlib.contextmanager
@@ -126,9 +126,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    jobs = _jobs(args.jobs)
     with _config(args.config) as flat:
         plan = build_sweep_plan(flat, seed=args.seed, trials=args.trials)
-    results = run_sweep(plan, jobs=args.jobs)
+    results = run_sweep(plan, jobs=jobs)
     write_sweep_csv(results, args.out)
     errors = sum(r.n_error for r in results)
     print(f"wrote {len(results)} cells to {args.out} ({errors} trial errors)")
@@ -136,9 +137,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    jobs = _jobs(args.jobs)
     with _config(args.config) as flat:
         cells = build_comparison_plan(flat, seed=args.seed, trials=args.trials)
-    results = run_comparison(cells, jobs=args.jobs)
+    results = run_comparison(cells, jobs=jobs)
     write_comparison_csv(results, args.out)
     for res in results:
         drift = abs(res.rate_relax - res.formula_exact)
@@ -305,7 +307,7 @@ def main(argv=None) -> int:
         if out:
             sp.add_argument("--out", required=False, help="output path")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=_default_jobs(),
+            sp.add_argument("--jobs", type=int, default=None,
                             help="worker processes (default: BLOCKRELAX_JOBS or 1)")
         if trials:
             sp.add_argument("--trials", type=int, default=None, help="trials override")

@@ -98,8 +98,7 @@ class ConcentrationStudy:
         cfg = self.cfg
         X, x = np.empty((1, cfg.theta, cfg.r, cfg.n)), np.empty((1, cfg.theta, cfg.n))
         self._draw(seed, trial, X, x)
-        blocks = tuple(c.T.copy() for c in X[0])
-        return x.reshape(-1), GuessEnsemble(blocks=blocks, planted_cols=self.planted_cols)
+        return x.reshape(-1), GuessEnsemble(blocks=X[0].transpose(0, 2, 1), planted_cols=self.planted_cols)
 
     def image_sq_norm(self, X, u) -> float:
         img = self.A.matvec(apply_selector(X, u))
@@ -115,7 +114,7 @@ class ConcentrationStudy:
         """
         cfg = self.cfg
         z = u.z.reshape(cfg.theta, cfg.r)
-        A = np.hstack(self.A.blocks)
+        A = self.A.full()
         out = np.empty(trials)
         chunk = min(_CHUNK, trials)
         X_buf, x_buf = np.empty((chunk, cfg.theta, cfg.r, cfg.n)), np.empty((chunk, cfg.theta, cfg.n))

@@ -212,19 +212,17 @@ def sample_guess_ensemble(
     """
     n, r, theta = cfg.n, cfg.r, cfg.theta
     x = np.asarray(x, dtype=float)
-    planted = [int(k) for k in rng.integers(0, r, size=theta)]
-    hidden = [x[l * n : (l + 1) * n] for l in range(theta)]
-    for l, xl in enumerate(hidden):
-        if not xl.any():
-            raise ValueError(
-                f"block {l} has empty support, so its planted column would be all-zero; "
-                "increase s or use equidistributed supports"
-            )
+    planted = rng.integers(0, r, size=theta)
+    hidden = x.reshape(theta, n)
+    empty = np.flatnonzero(~hidden.any(axis=1))
+    if empty.size:
+        raise ValueError(
+            f"block {empty[0]} has empty support, so its planted column would be all-zero; "
+            "increase s or use equidistributed supports"
+        )
     cols = sample_guess_columns(cfg, rng, (theta, r))
-    blocks = [c.T.copy() for c in cols]
-    for b, xl, k in zip(blocks, hidden, planted):
-        b[:, k] = xl
-    return GuessEnsemble(blocks=tuple(blocks), planted_cols=tuple(planted))
+    cols[np.arange(theta), planted] = hidden
+    return GuessEnsemble(blocks=cols.transpose(0, 2, 1), planted_cols=tuple(planted))
 
 
 def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSensingMatrix:
@@ -237,9 +235,9 @@ def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSens
     k = 1 if cfg.sensing_kind == "repeated-unitary" else theta
     g = rng.standard_normal((k, m, n))
     if cfg.sensing_kind == "gaussian":
-        return BlockSensingMatrix(blocks=tuple(g / np.sqrt(m)))
+        return BlockSensingMatrix(blocks=g / np.sqrt(m))
     q = _haar_stack(g)
-    return BlockSensingMatrix(blocks=tuple(q) if k == theta else (q[0],) * theta)
+    return BlockSensingMatrix(blocks=q if k == theta else np.repeat(q, theta, axis=0))
 
 
 def _haar_stack(g: np.ndarray) -> np.ndarray:

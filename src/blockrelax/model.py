@@ -7,6 +7,9 @@ block of the sparse vector; selecting it across all blocks reconstructs the
 whole signal.  Everything downstream (solver, oracle, bounds) works on these
 types.
 
+Blocks are stored as one C-contiguous float64 stack indexed by block first:
+sensing as (theta, m, n), guesses as (theta, n, r); ``blocks[l]`` is block l.
+
 Indices are 0-based everywhere in memory; file formats and CLI output use
 1-based labels.
 """
@@ -34,40 +37,37 @@ __all__ = [
 ]
 
 
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+def _as_stack(blocks, shape: str) -> np.ndarray:
+    """``blocks`` as one C-contiguous float64 stack of ``shape`` blocks, copied only when not one already."""
+    try:
+        a = np.asarray(blocks, dtype=float, order="C")
+    except ValueError:  # ragged: the blocks do not stack
+        raise ValueError(f"all blocks must share one {shape} shape") from None
+    if a.ndim != 3 or not len(a):
+        raise ValueError(f"need a non-empty stack of {shape} blocks, got shape {a.shape}")
     return a
 
 
 @dataclass(frozen=True)
 class BlockSensingMatrix:
-    """Sensing matrix stored as ``theta`` blocks of shape (m, n).
+    """Sensing matrix stored as one (theta, m, n) stack of blocks.
 
     The full matrix is the horizontal concatenation of the blocks and acts on
     vectors of length ``n * theta``.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(_as_matrix(b) for b in self.blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        m, n = blocks[0].shape
-        for b in blocks:
-            if b.shape != (m, n):
-                raise ValueError("all blocks must share one (m, n) shape")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _as_stack(self.blocks, "(m, n)"))
 
     @property
     def m(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def n(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
     @property
     def theta(self) -> int:
@@ -89,6 +89,8 @@ class BlockSensingMatrix:
             raise ValueError(f"expected vector of length {self.ncols}")
         out = np.zeros(self.m)
         n = self.n
+        # block by block: this summation order fixes the bits of every stored y,
+        # and one product with full() moves the last bit in most random shapes
         for l, b in enumerate(self.blocks):
             out += b @ x[l * n : (l + 1) * n]
         return out
@@ -128,53 +130,44 @@ class SupportPattern:
 
 @dataclass(frozen=True)
 class GuessEnsemble:
-    """Candidate matrices, one (n, r) block per sensing block.
+    """Candidate matrices stored as one (theta, n, r) stack, one block per sensing block.
 
-    ``planted_cols[l]`` is the column of block ``l`` that holds the hidden
-    block verbatim.  Columns live in [-1, 1].  All-zero columns are legal in
-    the bare container (the concentration studies draw from laws that can
-    produce them) but are rejected when an instance is assembled, because a
-    zero column gets zero weight in every objective.
+    ``blocks[l][:, k]`` is guess column k of block l, and ``planted_cols[l]``
+    is the column of block ``l`` that holds the hidden block verbatim.
+    Columns live in [-1, 1].  All-zero columns are legal in the bare
+    container (the concentration studies draw from laws that can produce
+    them) but are rejected when an instance is assembled, because a zero
+    column gets zero weight in every objective.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     planted_cols: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(_as_matrix(b) for b in self.blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        n, r = blocks[0].shape
-        for b in blocks:
-            if b.shape != (n, r):
-                raise ValueError("all guess blocks must share one (n, r) shape")
-        if len(self.planted_cols) != len(blocks):
-            raise ValueError("one planted column index per block required")
+        blocks = _as_stack(self.blocks, "(n, r)")
+        theta, _, r = blocks.shape
         cols = tuple(int(k) for k in self.planted_cols)
-        for k in cols:
-            if not 0 <= k < r:
-                raise ValueError("planted column index out of range")
-        for l, b in enumerate(blocks):
-            if np.abs(b).max(initial=0.0) > 1.0 + 1e-12:
-                raise ValueError(f"guess block {l} has entries outside [-1, 1]")
+        if len(cols) != theta:
+            raise ValueError("one planted column index per block required")
+        if min(cols) < 0 or max(cols) >= r:
+            raise ValueError("planted column index out of range")
+        bad = np.flatnonzero(np.abs(blocks).max(axis=(1, 2), initial=0.0) > 1.0 + 1e-12)
+        if bad.size:
+            raise ValueError(f"guess block {bad[0]} has entries outside [-1, 1]")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "planted_cols", cols)
 
     def zero_columns(self) -> list[tuple[int, int]]:
         """(block, column) pairs of all-zero columns, empty when none."""
-        out = []
-        for l, b in enumerate(self.blocks):
-            for k in np.flatnonzero(np.abs(b).max(axis=0) == 0.0):
-                out.append((l, int(k)))
-        return out
+        return [(int(l), int(k)) for l, k in np.argwhere(~self.blocks.any(axis=1))]
 
     @property
     def n(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def r(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
     @property
     def theta(self) -> int:
@@ -276,10 +269,10 @@ class RelaxedInstance:
         scale = 1.0 + np.abs(y).max(initial=0.0)
         if np.abs(A.matvec(x) - y).max(initial=0.0) > 1e-10 * scale:
             raise ValueError("y does not equal A x")
-        n = A.n
-        for l, k in enumerate(X.planted_cols):
-            if not np.array_equal(X.blocks[l][:, k], x[l * n : (l + 1) * n]):
-                raise ValueError(f"planted column of block {l} does not store the hidden block")
+        planted = X.blocks[np.arange(X.theta), :, X.planted_cols]  # (theta, n)
+        bad = np.flatnonzero((planted != x.reshape(A.theta, A.n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"planted column of block {bad[0]} does not store the hidden block")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -320,7 +313,7 @@ def effective_matrix(A: BlockSensingMatrix, X: GuessEnsemble) -> np.ndarray:
     """
     if A.n != X.n or A.theta != X.theta:
         raise ValueError("sensing matrix and ensemble disagree on (n, theta)")
-    return np.hstack([A.blocks[l] @ X.blocks[l] for l in range(A.theta)])
+    return np.hstack(A.blocks @ X.blocks)
 
 
 def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
@@ -331,10 +324,8 @@ def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
     it.  (All-zero columns are already rejected by GuessEnsemble.)
     """
     _check_exponent(p)
-    w = np.empty(X.ncols)
-    for l, b in enumerate(X.blocks):
-        w[l * X.r : (l + 1) * X.r] = np.sum(np.abs(b) ** p, axis=0)
-    col_norms = np.concatenate([np.linalg.norm(b, axis=0) for b in X.blocks])
+    w = np.sum(np.abs(X.blocks) ** p, axis=1).reshape(-1)
+    col_norms = np.linalg.norm(X.blocks, axis=1).reshape(-1)
     bad = np.flatnonzero((w < 1e-12) & (col_norms > 1e-12))
     if bad.size:
         raise ValueError(f"columns {bad.tolist()} have vanishing weight but nonzero norm")

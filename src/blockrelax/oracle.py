@@ -136,9 +136,7 @@ def enumerate_selectors(instance: RelaxedInstance, p: float) -> OracleResult:
         raise ValueError(f"r**theta = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
     feas_tol = TOL_FEAS * (1.0 + float(np.linalg.norm(instance.y)))
     w = solver_weights(instance.X, p)
-    parts = [
-        (instance.A.blocks[l] @ instance.X.blocks[l], w[l * r : (l + 1) * r]) for l in range(theta)
-    ]
+    parts = list(zip(instance.A.blocks @ instance.X.blocks, w.reshape(theta, r)))
     feasible, best_obj, combos = _scan(parts, np.asarray(instance.y, dtype=float), feas_tol)
     return OracleResult(
         best_combos=tuple(map(tuple, combos.tolist())),

@@ -119,7 +119,7 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
     bad = np.flatnonzero(~((spec >= 1.0 - 1e-9) & (spec <= math.sqrt(3.0) + 1e-9)))
     if bad.size:
         raise RuntimeError(f"block {bad[0]} spectral norm {spec[bad[0]]!r} outside [1, sqrt(3)]")
-    A = BlockSensingMatrix(blocks=tuple(stack))
+    A = BlockSensingMatrix(blocks=stack)
     y = np.zeros(rows)
     y[:m] = 1.0
     return ReductionRecord(
@@ -196,7 +196,7 @@ def partition_to_lp(inst: PartitionInstance, theta: int = 2) -> ReductionRecord:
     y[:m] = 1.0
     return ReductionRecord(
         reduction="partition",
-        A=BlockSensingMatrix(blocks=tuple(stack)),
+        A=BlockSensingMatrix(blocks=stack),
         y=y,
         certificate_target=float(m),
         extra={"weights": ",".join(format(v, ".17g") for v in inst.a), "row_scale": format(c, ".17g")},

@@ -53,6 +53,7 @@ __all__ = [
     "config_number",
     "config_trials",
     "config_exponent",
+    "config_jobs",
     "SweepPlan",
     "build_sweep_plan",
     "CellResult",
@@ -174,6 +175,14 @@ def config_exponent(value) -> float:
     return p
 
 
+def config_jobs(value) -> int:
+    """A worker-process count as an int; fewer than one raises, as no trial could run."""
+    jobs = config_number("jobs", value)
+    if jobs < 1:
+        raise ValueError(f"jobs: must be at least 1, got {jobs}")
+    return jobs
+
+
 def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
     if vals["m"] is None:
@@ -257,12 +266,13 @@ def _run_trials(cells, fn, jobs: int) -> list[tuple[tuple, float]]:
     """``fn(cell, trial)`` for every trial of every cell, on ``jobs`` processes.
 
     Per cell, in plan order: its trial outputs in trial order and their summed
-    time.  ``fn`` must be module-level so worker processes can import it.
+    time.  ``fn`` must be module-level so worker processes can import it;
+    ``jobs`` below one raises.
     """
     work_cells = [cell for cell in cells for _ in range(cell.trials)]
     work_trials = [t for cell in cells for t in range(cell.trials)]
     task = functools.partial(_timed_trial, fn)
-    if jobs <= 1:
+    if config_jobs(jobs) == 1:
         raw = map(task, work_cells, work_trials)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -521,7 +531,9 @@ def _comparison_trial(cell: Cell, t: int) -> tuple[bool, bool, bool]:
     A = sample_sensing_matrix(gen, substream(seed, "rel-A", t))
     cols = sample_guess_columns(gen, substream(seed, "rel-X", t), (theta, r))
     y = A.matvec(x)
-    B = np.hstack([A.blocks[l] @ cols[l].T for l in range(theta)])
+    # against the transposed view of the drawn columns, as the CSV digests were
+    # pinned: against a C-contiguous copy of it the last bits can move
+    B = np.hstack(A.blocks @ cols.transpose(0, 2, 1))
     w = np.sum(np.abs(cols) ** cell.p, axis=-1).ravel()
     relax_hit = False
     try:

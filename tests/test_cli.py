@@ -253,6 +253,9 @@ def bad_container(tmp_path, case: str) -> str:
         lines = path.read_text().splitlines()
         if case == "no m line":
             lines = [ln for ln in lines if not ln.startswith("m =")]
+        elif case == "ragged blocks":  # [A 2] loses the last of its m = 8 rows, so the blocks do not stack
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 2]"))
+            lines = [*lines[:at], "[A 2] 7 8", *lines[at + 1 : at + 8], *lines[at + 9 :]]
         else:  # the [A 1] section holds m = 8 rows; keep its shape line and three of them
             lines = lines[: next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]")) + 4]
         path.write_text("".join(ln + "\n" for ln in lines))
@@ -264,6 +267,7 @@ BAD_CONTAINERS = {
     "reduction container": "instance error: expected an instance container, got kind=reduction",
     "no m line": "instance error: container has no key 'm'",
     "cut mid-matrix": "instance error: container section 'A 1' is cut short: 3 of 8 rows",
+    "ragged blocks": "instance error: all blocks must share one (m, n) shape",
 }
 
 
@@ -353,14 +357,40 @@ def test_reduce_partition_guard_skips_decision(tmp_path, capsys):
 
 
 def test_jobs_env_default(monkeypatch):
-    from blockrelax.cli import _default_jobs
+    from blockrelax.cli import _jobs
 
     monkeypatch.setenv("BLOCKRELAX_JOBS", "6")
-    assert _default_jobs() == 6
-    monkeypatch.setenv("BLOCKRELAX_JOBS", "junk")
-    assert _default_jobs() == 1
+    assert _jobs(None) == 6
+    assert _jobs(2) == 2  # the flag wins over the variable
     monkeypatch.delenv("BLOCKRELAX_JOBS")
-    assert _default_jobs() == 1
+    assert _jobs(None) == 1
+
+
+BAD_JOBS = {
+    # (flags, BLOCKRELAX_JOBS, message); large counts stay untested, as the pool forks every worker up front
+    "flag 0": (["--jobs", "0"], None, "argument error: jobs: must be at least 1, got 0"),
+    "flag -2": (["--jobs", "-2"], None, "argument error: jobs: must be at least 1, got -2"),
+    "env abc": ([], "abc", "argument error: jobs: invalid integer 'abc'"),
+    "env 0": ([], "0", "argument error: jobs: must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JOBS))
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_bad_jobs_exit_with_one_line(tmp_path, monkeypatch, command, case):
+    flags, env, message = BAD_JOBS[case]
+    if env is not None:
+        monkeypatch.setenv("BLOCKRELAX_JOBS", env)
+    cfg = write_cfg(tmp_path, "m = 4\ns = 2\n")
+    exits_with_one_line([command, "--config", cfg, "--out", str(tmp_path / "out.csv"), *flags], message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bad_jobs_env_leaves_other_commands_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("BLOCKRELAX_JOBS", "abc")
+    out = str(tmp_path / "inst.txt")
+    assert main(["gen", "--config", write_cfg(tmp_path, GEN_CFG), "--out", out]) == 0
+    assert main(["solve", out]) == 0
 
 
 def test_module_entry_point(tmp_path):

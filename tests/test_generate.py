@@ -21,6 +21,7 @@ from blockrelax.generate import (
     substream,
 )
 from blockrelax.model import SupportPattern
+from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
 from blockrelax.storage import (
     ReductionRecord,
     load_instance,
@@ -223,6 +224,30 @@ def test_unconditioned_ensemble_is_one_tensor_draw(law):
         for k in range(cfg.r):
             expected = x[l * n : (l + 1) * n] if k == planted[l] else pure[l, k]
             assert np.array_equal(b[:, k], expected)
+
+
+def assert_one_stack(blocks, shape):
+    assert isinstance(blocks, np.ndarray) and blocks.dtype == np.float64
+    assert blocks.shape == shape and blocks.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", SENSING_KINDS)
+def test_blocks_are_stored_as_one_stack(tmp_path, kind):
+    # sensing as one (theta, m, n) stack and guesses as one (theta, n, r) stack,
+    # from every path that builds them
+    cfg = base_cfg(sensing_kind=kind)
+    inst = build_instance(cfg)
+    save_instance(inst, str(tmp_path / "inst.txt"))
+    for got in (inst, load_instance(str(tmp_path / "inst.txt"))):
+        assert_one_stack(got.A.blocks, (cfg.theta, cfg.m, cfg.n))
+        assert_one_stack(got.X.blocks, (cfg.theta, cfg.n, cfg.r))
+    assert_one_stack(ConcentrationStudy.from_config(cfg).redraw(8, 5)[1].blocks, (cfg.theta, cfg.n, cfg.r))
+    if kind == "repeated-unitary":  # one block, repeated
+        assert all(np.array_equal(b, inst.A.blocks[0]) for b in inst.A.blocks)
+    x3c = x3c_to_l0(X3CInstance(m=9, triples=((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6))), n=3)
+    assert_one_stack(x3c.A.blocks, (4, 11, 3))
+    part = partition_to_lp(PartitionInstance(a=(3.0, 1.0, 4.0, 2.0)), theta=4)
+    assert_one_stack(part.A.blocks, (4, 5, 2))
 
 
 @pytest.mark.parametrize("law", GUESS_LAWS)

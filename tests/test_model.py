@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,47 @@ def test_effective_matrix_matches_dense_product():
     B = effective_matrix(A, X)
     assert B.shape == (5, 9)
     np.testing.assert_allclose(B, A.full() @ X.dense(), atol=1e-13)
+
+
+# (theta, m, n, r), with theta = 1 and r = 1 among them
+LAYOUT_SHAPES = [(1, 1, 1, 1), (1, 5, 4, 1), (3, 5, 4, 1), (1, 6, 3, 4), (4, 7, 5, 3), (2, 3, 9, 8), (5, 12, 6, 20)]
+
+
+@pytest.mark.parametrize("theta, m, n, r", LAYOUT_SHAPES)
+def test_stacked_products_equal_per_block_reference(theta, m, n, r):
+    # the stacked layout changes no bit of the effective matrix, the weights or the zero columns
+    rng = np.random.default_rng(theta * 1000 + m * 100 + n * 10 + r)
+    A = BlockSensingMatrix(blocks=tuple(rng.standard_normal((m, n)) for _ in range(theta)))
+    cols = rng.uniform(-1, 1, size=(theta, r, n))  # column k of block l is cols[l, k]
+    cols[rng.random((theta, r, n)) < 0.3] = 0.0
+    cols[rng.random((theta, r)) < 0.2] = 0.0  # some all-zero columns
+    X = GuessEnsemble(blocks=tuple(c.T for c in cols), planted_cols=(0,) * theta)
+    reference = np.hstack([A.blocks[l] @ X.blocks[l] for l in range(theta)])
+    assert np.array_equal(effective_matrix(A, X), reference)
+    for p in (0.3, 0.5, 1.0):
+        reference = np.concatenate([np.sum(np.abs(b) ** p, axis=0) for b in X.blocks])
+        assert np.array_equal(solver_weights(X, p), reference)
+    zeros = [(l, int(k)) for l, b in enumerate(X.blocks) for k in np.flatnonzero(np.abs(b).max(axis=0) == 0.0)]
+    assert X.zero_columns() == zeros
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda blocks: BlockSensingMatrix(blocks=blocks), "(m, n)"),
+        (lambda blocks: GuessEnsemble(blocks=blocks, planted_cols=(0,) * len(blocks)), "(n, r)"),
+    ],
+    ids=["sensing", "ensemble"],
+)
+def test_blocks_that_do_not_stack_raise_naming_the_shape(build, shape):
+    for ragged in ((np.zeros((3, 2)), np.zeros((2, 2))), (np.zeros((3, 2)), np.zeros((3, 1)))):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'all blocks must share one {shape} shape')}$"):
+            build(ragged)
+    for empty in ((), np.zeros((0, 3, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"need a non-empty stack of {shape} blocks")):
+            build(empty)
+    with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):  # one block, not a stack of them
+        build(np.zeros((3, 2)))
 
 
 def test_effective_matrix_shape_mismatch():
