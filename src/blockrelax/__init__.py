@@ -23,7 +23,9 @@ from .generate import (
     GenConfig,
     build_instance,
     derive_seed,
-    sample_guess_ensemble,
+    instance_generator,
+    sample_guess_columns,
+    sample_instances,
     sample_planted_vector,
     sample_sensing_matrix,
     sample_support,

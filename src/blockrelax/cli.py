@@ -155,12 +155,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_replay(args) -> int:
     with _config(args.config) as flat:
-        plan = build_sweep_plan(flat, seed=args.seed)
+        plan = build_sweep_plan(flat, seed=args.seed, trials=args.trials)
+    with _one_line("argument"):  # a trial outside the plan is one no sweep of it draws
         if not 0 <= args.cell < len(plan.cells):
-            raise SystemExit(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
+            raise ValueError(f"cell {args.cell} out of range (plan has {len(plan.cells)})")
         trials = plan.cells[args.cell].trials
         if not 0 <= args.trial < trials:
-            raise SystemExit(f"trial {args.trial} out of range (cell {args.cell} has {trials} trials)")
+            raise ValueError(f"trial {args.trial} out of range (cell {args.cell} has {trials} trials)")
+    with _one_line("config"):  # the trial's own error, as its sweep recorded it
         instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
     if args.out:  # before any output, so a reader that stops early cannot lose the file
         save_instance(instance, args.out)
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
     sp.set_defaults(func=_cmd_reduce_partition)
 
     sp = sub.add_parser("replay", help="re-run one sweep trial from its coordinates")
-    add_common(sp, out=True)
+    add_common(sp, trials=True)
     sp.add_argument("--cell", type=int, required=True)
     sp.add_argument("--trial", type=int, required=True)
     sp.set_defaults(func=_cmd_replay)

@@ -1,16 +1,24 @@
 """Random planted instances: supports, hidden vectors, ensembles, sensing matrices.
 
-Randomness is counter-based and splittable: every consumer derives an
-independent Philox stream from (master_seed, label, index), so adding draws to
-one sampler never shifts another, and any single trial of a sweep can be
-replayed from its coordinates alone.
+Randomness is counter-based (stream 4).  The instance with master seed s
+takes every draw from one Philox generator keyed by s, ``instance_generator(s)``,
+in a fixed order: support keys, planted values, planted columns, guess
+columns, sensing.  ``sample_instances`` draws a chunk of instances, one
+generator each, and then does what does not depend on one instance's draws
+(the support argsort, the batched QR of the sensing blocks) once for the
+chunk; ``build_instance`` is a chunk of one, so the two agree bit for bit and
+any single trial of a sweep can be replayed from its seed alone.
+``substream`` derives independent labelled streams for the samplers that
+keep their own (the concentration redraws, the CLI's vectorization check and
+the reductions).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +36,9 @@ __all__ = [
     "sample_support",
     "sample_planted_vector",
     "sample_guess_columns",
-    "sample_guess_ensemble",
     "sample_sensing_matrix",
+    "instance_generator",
+    "sample_instances",
     "build_instance",
     "SENSING_KINDS",
     "SUPPORT_MODES",
@@ -41,10 +50,10 @@ SENSING_KINDS = ("orthonormal-blocks", "repeated-unitary", "gaussian")
 SUPPORT_MODES = ("equidistributed", "uniform")
 GUESS_LAWS = ("ternary", "alphabet")
 
-# first line of the sweep, compare and concentration outputs.  Stream 3 draws
-# all guess columns of an ensemble as one tensor and redraws only its all-zero
-# columns, and stacks the sensing blocks into one Gaussian draw.
-SCHEMA_COMMENT = "# schema=3"
+# first line of the sweep, compare and concentration outputs.  Stream 4 draws
+# each instance from one generator keyed by its seed, in a fixed order, and
+# its support from an argsort of uniform keys.
+SCHEMA_COMMENT = "# schema=4"
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,25 +145,36 @@ class GenConfig:
         return self.nu * self.p_x
 
     def with_seed(self, master_seed: int) -> "GenConfig":
-        return replace(self, master_seed=master_seed)
+        # __post_init__ checks no field a seed change touches, so a copy needs no new check
+        out = copy.copy(self)
+        object.__setattr__(out, "master_seed", master_seed)
+        return out
+
+
+def _key_shape(cfg: GenConfig) -> tuple[int, ...]:
+    """Shape of one instance's support keys: a row per block, or one row over all n*theta slots."""
+    return (cfg.theta, cfg.n) if cfg.support_mode == "equidistributed" else (cfg.n * cfg.theta,)
+
+
+def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
+    """Sorted global support indices, (chunk, s*theta), of a (chunk, *key shape) stack of uniform keys.
+
+    The slots holding a row's smallest keys are a uniform draw without
+    replacement: s per block for 'equidistributed', s*theta of all n*theta
+    slots for 'uniform', whose per-block counts are hypergeometric and may
+    leave a block empty.
+    """
+    take = cfg.s if cfg.support_mode == "equidistributed" else cfg.s * cfg.theta
+    chosen = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(chosen, np.argsort(keys, axis=-1)[..., :take], True, axis=-1)
+    # row-major positions of the chosen slots: sorted within each instance
+    return np.flatnonzero(chosen).reshape(len(keys), -1) % (cfg.n * cfg.theta)
 
 
 def sample_support(cfg: GenConfig, rng: np.random.Generator) -> SupportPattern:
-    """Draw the hidden support.
-
-    'equidistributed' places exactly s indices in every block; 'uniform'
-    scatters s*theta indices over all n*theta slots, so per-block counts are
-    hypergeometric and may leave a block empty.
-    """
-    n, theta, s = cfg.n, cfg.theta, cfg.s
-    if cfg.support_mode == "equidistributed":
-        idx = []
-        for l in range(theta):
-            local = rng.choice(n, size=s, replace=False)
-            idx.extend(l * n + int(i) for i in local)
-    else:
-        idx = [int(i) for i in rng.choice(n * theta, size=s * theta, replace=False)]
-    return SupportPattern(indices=tuple(sorted(idx)), n=n, theta=theta)
+    """Draw the hidden support from one draw of uniform keys (see ``_supports``)."""
+    idx = _supports(cfg, rng.random((1, *_key_shape(cfg))))[0]
+    return SupportPattern(indices=tuple(idx.tolist()), n=cfg.n, theta=cfg.theta)
 
 
 def sample_planted_vector(
@@ -200,44 +220,26 @@ def sample_guess_columns(
     raise RuntimeError("could not draw a nonzero guess column; guess_density too small")
 
 
-def sample_guess_ensemble(
-    x: np.ndarray, support: SupportPattern, cfg: GenConfig, rng: np.random.Generator
-) -> GuessEnsemble:
-    """Guess ensemble with the hidden blocks planted.
+def _sensing_shape(cfg: GenConfig) -> tuple[int, int, int]:
+    """(k, m, n) of one Gaussian sensing draw; k is theta, or 1 for 'repeated-unitary', whose one block repeats."""
+    return (1 if cfg.sensing_kind == "repeated-unitary" else cfg.theta, cfg.m, cfg.n)
 
-    Planted positions are drawn first, uniformly.  Then every column comes
-    from one ``sample_guess_columns`` call of shape (theta, r), whose entry
-    [l, k] is column k of block l, conditioned on being nonzero, so every
-    column carries positive weight.
+
+def _sensing_stacks(cfg: GenConfig, g: np.ndarray) -> np.ndarray:
+    """Sensing stacks (chunk, theta, m, n) of a (chunk, k, m, n) stack of Gaussian draws.
+
+    The orthonormal kinds take Haar blocks from one batched QR of all the
+    chunk's blocks.
     """
-    n, r, theta = cfg.n, cfg.r, cfg.theta
-    x = np.asarray(x, dtype=float)
-    planted = rng.integers(0, r, size=theta)
-    hidden = x.reshape(theta, n)
-    empty = np.flatnonzero(~hidden.any(axis=1))
-    if empty.size:
-        raise ValueError(
-            f"block {empty[0]} has empty support, so its planted column would be all-zero; "
-            "increase s or use equidistributed supports"
-        )
-    cols = sample_guess_columns(cfg, rng, (theta, r))
-    cols[np.arange(theta), planted] = hidden
-    return GuessEnsemble(blocks=cols.transpose(0, 2, 1), planted_cols=tuple(planted))
+    if cfg.sensing_kind == "gaussian":
+        return g / np.sqrt(cfg.m)
+    q = _haar_stack(g.reshape(-1, cfg.m, cfg.n)).reshape(g.shape)
+    return q if g.shape[1] == cfg.theta else np.repeat(q, cfg.theta, axis=1)
 
 
 def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSensingMatrix:
-    """Draw the sensing blocks for the configured kind from one (k, m, n) Gaussian stack.
-
-    k is theta, or 1 for 'repeated-unitary', whose one block repeats.  The
-    orthonormal kinds take Haar blocks from one batched QR of the stack.
-    """
-    m, n, theta = cfg.m, cfg.n, cfg.theta
-    k = 1 if cfg.sensing_kind == "repeated-unitary" else theta
-    g = rng.standard_normal((k, m, n))
-    if cfg.sensing_kind == "gaussian":
-        return BlockSensingMatrix(blocks=g / np.sqrt(m))
-    q = _haar_stack(g)
-    return BlockSensingMatrix(blocks=q if k == theta else np.repeat(q, theta, axis=0))
+    """Draw the sensing blocks for the configured kind from one (k, m, n) Gaussian stack."""
+    return BlockSensingMatrix(blocks=_sensing_stacks(cfg, rng.standard_normal((1, *_sensing_shape(cfg))))[0])
 
 
 def _haar_stack(g: np.ndarray) -> np.ndarray:
@@ -248,23 +250,83 @@ def _haar_stack(g: np.ndarray) -> np.ndarray:
     return q * d[:, None, :]
 
 
-def build_instance(cfg: GenConfig) -> RelaxedInstance:
-    """Assemble a planted instance from four independent streams.
+def instance_generator(seed: int) -> np.random.Generator:
+    """The generator of the instance with master seed ``seed``: Philox keyed by the seed, counter at zero."""
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
-    Streams are labelled 'support', 'planted', 'guess', 'sensing', so e.g.
-    switching the sensing kind leaves the hidden vector untouched.
+
+def _draw(cfg: GenConfig, rng: np.random.Generator) -> tuple:
+    """One instance's draws from its generator, in the stream-4 order.
+
+    Support keys, planted values, planted columns, guess columns (each
+    conditioned nonzero), sensing Gaussians.
     """
-    seed = cfg.master_seed
-    support = sample_support(cfg, substream(seed, "support"))
-    x = sample_planted_vector(support, cfg, substream(seed, "planted"))
-    X = sample_guess_ensemble(x, support, cfg, substream(seed, "guess"))
-    A = sample_sensing_matrix(cfg, substream(seed, "sensing"))
-    y = A.matvec(x)
-    return RelaxedInstance(
-        A=A,
-        X=X,
-        x=x,
-        support=support,
-        y=y,
-        config=cfg,
+    return (
+        rng.random(_key_shape(cfg)),
+        rng.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta),
+        rng.integers(0, cfg.r, size=cfg.theta),
+        sample_guess_columns(cfg, rng, (cfg.theta, cfg.r)),
+        rng.standard_normal(_sensing_shape(cfg)),
     )
+
+
+def sample_instances(cfgs, rngs) -> list:
+    """One planted instance per config and generator, drawn as one chunk.
+
+    Instance i takes all its draws from ``rngs[i]`` (see ``_draw``) and
+    carries ``cfgs[i]``; the configs may differ in their master seed only.
+    The support argsort, the planting of the hidden blocks and the batched QR
+    of the sensing blocks then run once over the chunk, and each instance
+    holds views of the chunk's tensors.  An entry is the instance, or the
+    error its own draws raised (a support block left empty, say), so one bad
+    draw leaves the rest of the chunk alone.
+    """
+    cfg = cfgs[0]
+    out: list = [None] * len(cfgs)
+    drawn, draws = [], []
+    for i, rng in enumerate(rngs):
+        try:
+            draws.append(_draw(cfg, rng))
+        except RuntimeError as exc:  # a guess column that stays all-zero
+            out[i] = exc
+        else:
+            drawn.append(i)
+    if not drawn:
+        return out
+    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
+    support = _supports(cfg, keys)
+    x = np.zeros((len(drawn), cfg.n * cfg.theta))
+    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
+    hidden = x.reshape(len(drawn), cfg.theta, cfg.n)
+    cols[np.arange(len(drawn))[:, None], np.arange(cfg.theta), planted] = hidden
+    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))  # (chunk, theta, n, r)
+    A = _sensing_stacks(cfg, g)
+    empty = ~hidden.any(axis=2)
+    for j, i in enumerate(drawn):
+        if empty[j].any():
+            out[i] = ValueError(
+                f"block {np.flatnonzero(empty[j])[0]} has empty support, so its planted column "
+                "would be all-zero; increase s or use equidistributed supports"
+            )
+            continue
+        try:
+            Aj = BlockSensingMatrix(blocks=A[j])
+            out[i] = RelaxedInstance(
+                A=Aj,
+                X=GuessEnsemble(blocks=X[j], planted_cols=tuple(planted[j].tolist())),
+                x=x[j],
+                support=SupportPattern(indices=tuple(support[j].tolist()), n=cfg.n, theta=cfg.theta),
+                y=Aj.matvec(x[j]),
+                config=cfgs[i],
+            )
+        except ValueError as exc:
+            out[i] = exc
+    return out
+
+
+def build_instance(cfg: GenConfig) -> RelaxedInstance:
+    """The planted instance of ``cfg``: a chunk of one, drawn from ``instance_generator(cfg.master_seed)``."""
+    (out,) = sample_instances([cfg], [instance_generator(cfg.master_seed)])
+    if isinstance(out, Exception):
+        raise out
+    return out

@@ -4,11 +4,13 @@ A config is a flat key = value text file, checked against the reading
 command's key table (``*_KEYS``, one default per key): an unknown key, or a
 repeated key off the command's grid, is an error; a key given several times on
 the grid spans an axis, and cells are the cartesian product in a fixed key order.
-Every trial's randomness is derived from (seed, cell, trial) alone.  Both
-``sweep`` and ``compare`` schedule one work item per cell x trial on one process
-pool and add up each cell's trials in trial order, so results are independent
-of worker count and any single sweep trial can be replayed from its CSV
-coordinates.  CSV files start with a '# schema=3' comment; wall_time is always
+Every trial's randomness comes from one generator keyed by the trial seed
+derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
+schedule one work item per chunk of a cell's trials on one process pool, draw
+the chunk's instances as one tensor pass (``generate.sample_instances``) and
+add up each cell's trials in trial order, so results are independent of worker
+count and chunking, and any single sweep trial can be replayed from its CSV
+coordinates.  CSV files start with a '# schema=4' comment; wall_time is always
 the last column and is the only one allowed to differ between runs.
 """
 
@@ -30,11 +32,12 @@ from .generate import (
     GenConfig,
     build_instance,
     derive_seed,
+    instance_generator,
     sample_guess_columns,
+    sample_instances,
     sample_planted_vector,
     sample_sensing_matrix,
     sample_support,
-    substream,
 )
 from .model import effective_matrix, solver_weights
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
@@ -256,31 +259,63 @@ def build_sweep_plan(
     )
 
 
-def _timed_trial(fn, cell: Cell, trial: int):
+# most floats one chunk's sensing and guess draws may hold; a chunk has at least one trial
+_CHUNK_FLOATS = 1 << 15
+
+
+def _chunks(cell: Cell) -> list[tuple[int, int]]:
+    """(start, stop) trial ranges of ``cell``'s chunks, in trial order."""
+    g = cell.gen
+    size = max(1, _CHUNK_FLOATS // (g.theta * g.n * (g.m + g.r)))
+    return [(start, min(start + size, cell.trials)) for start in range(0, cell.trials, size)]
+
+
+def _trial_config(cell: Cell, trial: int) -> GenConfig:
+    """The generation config of trial ``trial`` of ``cell``; its master seed keys the trial's generator."""
+    return cell.gen.with_seed(derive_seed(cell.seed, "trial", trial))
+
+
+def _cell_instances(cell: Cell, start: int, stop: int) -> tuple[list, list]:
+    """The instances of trials start .. stop-1 of ``cell``, drawn as one chunk, and their generators.
+
+    Trial t's instance equals ``build_instance(_trial_config(cell, t))`` bit
+    for bit, whatever the chunk; an entry is the error its trial's draw raised
+    instead, where it raised.
+    """
+    cfgs = [_trial_config(cell, t) for t in range(start, stop)]
+    rngs = [instance_generator(cfg.master_seed) for cfg in cfgs]
+    return sample_instances(cfgs, rngs), rngs
+
+
+def _timed_chunk(fn, cell: Cell, start: int, stop: int):
     t0 = time.perf_counter()
-    out = fn(cell, trial)
+    instances, rngs = _cell_instances(cell, start, stop)
+    out = [fn(cell, instance, rng) for instance, rng in zip(instances, rngs)]
     return out, time.perf_counter() - t0
 
 
-def _run_trials(cells, fn, jobs: int) -> list[tuple[tuple, float]]:
-    """``fn(cell, trial)`` for every trial of every cell, on ``jobs`` processes.
+def _run_trials(cells, fn, jobs: int) -> list[tuple[list, float]]:
+    """``fn(cell, instance, rng)`` for every trial of every cell, on ``jobs`` processes.
 
-    Per cell, in plan order: its trial outputs in trial order and their summed
-    time.  ``fn`` must be module-level so worker processes can import it;
-    ``jobs`` below one raises.
+    ``instance`` is the trial's instance, or the error its draw raised, and
+    ``rng`` the trial's generator after that draw.  One work item draws one
+    chunk of one cell's trials (``_chunks``, ``_cell_instances``), so the
+    items do not depend on ``jobs``.  Per cell, in plan order: its trial
+    outputs in trial order and the summed time of its chunks.  ``fn`` must be
+    module-level so worker processes can import it; ``jobs`` below one raises.
     """
-    work_cells = [cell for cell in cells for _ in range(cell.trials)]
-    work_trials = [t for cell in cells for t in range(cell.trials)]
-    task = functools.partial(_timed_trial, fn)
+    chunks = [_chunks(cell) for cell in cells]
+    items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
+    task = functools.partial(_timed_chunk, fn)
     if config_jobs(jobs) == 1:
-        raw = map(task, work_cells, work_trials)
+        raw = itertools.starmap(task, items)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = iter(list(pool.map(task, work_cells, work_trials, chunksize=8)))
+            raw = iter(list(pool.map(task, *zip(*items))))
     grouped = []
-    for cell in cells:
-        outs, times = zip(*itertools.islice(raw, cell.trials))
-        grouped.append((outs, sum(times)))
+    for ranges in chunks:
+        parts = list(itertools.islice(raw, len(ranges)))
+        grouped.append(([out for outs, _ in parts for out in outs], sum(dt for _, dt in parts)))
     return grouped
 
 
@@ -305,13 +340,16 @@ class CellResult:
         return self.n_certified / self.cell.trials
 
 
-def _sweep_trial(cell: Cell, trial: int) -> tuple[str, bool, bool, bool]:
-    """(verdict, certified, oracle_unique, oracle_agree) of one trial.
+def _sweep_trial(cell: Cell, instance, rng=None) -> tuple[str, bool, bool, bool]:
+    """(verdict, certified, oracle_unique, oracle_agree) of one trial's instance; ``rng`` is unused.
 
-    A trial that raises anywhere is data, not a crash: its verdict is 'error'.
+    A trial that raises anywhere, in its draw too, is data, not a crash: its
+    verdict is 'error'.
     """
+    if isinstance(instance, Exception):
+        return "error", False, False, False
     try:
-        instance, result, cert, verdict = _trial_artifacts(cell, trial)
+        result, cert, verdict = _trial_artifacts(cell, instance)
         unique = agree = False
         if cell.oracle and cell.gen.r**cell.gen.theta <= ENUMERATION_GUARD:
             oracle_res = enumerate_selectors(instance, cell.p)
@@ -434,23 +472,24 @@ def write_sweep_csv(results: list[CellResult], path: str) -> None:
 
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
-    """Re-run a single sweep trial and return its full artifacts."""
-    return _trial_artifacts(plan.cells[cell_index], trial)
+    """Re-run a single sweep trial: its instance, solve, certificate and verdict."""
+    cell = plan.cells[cell_index]
+    instance = build_instance(_trial_config(cell, trial))
+    return (instance, *_trial_artifacts(cell, instance))
 
 
-def _trial_artifacts(cell: Cell, trial: int):
-    """Instance, solve, planted-support certificate and verdict of one trial.
+def _trial_artifacts(cell: Cell, instance):
+    """Solve, planted-support certificate and verdict of one trial's instance.
 
     B and w are built once and shared by the solve and the certificate.
     """
-    instance = build_instance(cell.gen.with_seed(derive_seed(cell.seed, "trial", trial)))
     B = effective_matrix(instance.A, instance.X)
     w = solver_weights(instance.X, cell.p)
     result = solve_weighted_bp(B, w, instance.y, cell.options)
     cols = instance.X.planted_global_cols()
     cert = kkt_certificate(B, w, cols, np.ones(cols.size))
     verdict = recovery_check(instance, result)
-    return instance, result, cert, verdict
+    return result, cert, verdict
 
 
 # -- comparison against the repeated-guessing baseline ------------------------
@@ -521,15 +560,22 @@ def build_comparison_plan(
     ]
 
 
-def _comparison_trial(cell: Cell, t: int) -> tuple[bool, bool, bool]:
-    """(relax_hit, bestof_hit, certified) of trial ``t``; each side draws its own instance."""
-    gen, seed = cell.gen, cell.seed
+def _comparison_trial(cell: Cell, select, rng: np.random.Generator) -> tuple[bool, bool, bool]:
+    """(relax_hit, bestof_hit, certified) of one trial.
+
+    The trial takes all its draws from its one generator ``rng``, in a fixed
+    order: first the instance ``select`` whose certificate counts (drawn by
+    ``_run_trials``), then the relaxation side, then the best-of side.
+    """
+    if isinstance(select, Exception):
+        raise select
+    gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
 
-    support = sample_support(gen, substream(seed, "rel-support", t))
-    x = sample_planted_vector(support, gen, substream(seed, "rel-x", t))
-    A = sample_sensing_matrix(gen, substream(seed, "rel-A", t))
-    cols = sample_guess_columns(gen, substream(seed, "rel-X", t), (theta, r))
+    support = sample_support(gen, rng)
+    x = sample_planted_vector(support, gen, rng)
+    cols = sample_guess_columns(gen, rng, (theta, r))
+    A = sample_sensing_matrix(gen, rng)
     y = A.matvec(x)
     # against the transposed view of the drawn columns, as the CSV digests were
     # pinned: against a C-contiguous copy of it the last bits can move
@@ -552,14 +598,12 @@ def _comparison_trial(cell: Cell, t: int) -> tuple[bool, bool, bool]:
             for l, k in enumerate(combo)
         )
 
-    support = sample_support(gen, substream(seed, "base-support", t))
-    x = sample_planted_vector(support, gen, substream(seed, "base-x", t))
+    support = sample_support(gen, rng)
+    x = sample_planted_vector(support, gen, rng)
     # r independent guesses of the whole vector, one nonzero column per block
-    g = sample_guess_columns(gen, substream(seed, "base-guess", t), (r, theta))
+    g = sample_guess_columns(gen, rng, (r, theta))
     bestof_hit = bool(np.all(g.reshape(r, -1) == x, axis=1).any())
-
-    inst = build_instance(gen.with_seed(derive_seed(seed, "select", t)))
-    return relax_hit, bestof_hit, bool(certificate_for_instance(inst, cell.p).holds)
+    return relax_hit, bestof_hit, bool(certificate_for_instance(select, cell.p).holds)
 
 
 def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:

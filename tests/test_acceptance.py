@@ -284,13 +284,13 @@ def test_10_sweep_csv_independent_of_jobs(tmp_path):
     plan = build_sweep_plan(parse_config(CORPUS_SWEEP_CFG), seed=ACCEPT_SEED, trials=CORPUS_TRIALS)
     assert len(plan.cells) == len(CORPUS_GRID)
     stripped = {}
-    for jobs in (1, 8):
+    for jobs in (1, 2, 8):
         path = os.path.join(tmp_path, f"sweep-jobs{jobs}.csv")
         write_sweep_csv(run_sweep(plan, jobs=jobs), path)
         with open(path) as fh:
             lines = fh.read().splitlines()
         stripped[jobs] = [ln.rsplit(",", 1)[0] for ln in lines]  # drop wall_time
-    ok = stripped[1] == stripped[8] and len(stripped[1]) == len(CORPUS_GRID) + 2
+    ok = stripped[1] == stripped[2] == stripped[8] and len(stripped[1]) == len(CORPUS_GRID) + 2
     verdict("10 parallel determinism", ok, f"{len(stripped[1]) - 2} rows compared")
 
 

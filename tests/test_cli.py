@@ -7,7 +7,7 @@ import pytest
 
 from blockrelax.cli import main
 from blockrelax.storage import load_instance, load_reduction
-from blockrelax.sweep import SWEEP_COLUMNS
+from blockrelax.sweep import SWEEP_COLUMNS, _cell_instances, _chunks, build_sweep_plan, parse_config
 
 GEN_CFG = "m = 8\ntheta = 2\nr = 3\ns = 3\nseed = 5\n"
 
@@ -60,7 +60,7 @@ def test_sweep_writes_schema_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--trials", "3", "--seed", "2"]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=3"
+    assert lines[0] == "# schema=4"
     assert lines[1] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 3  # one cell
     with pytest.raises(SystemExit):
@@ -89,6 +89,28 @@ def test_replay_rejects_trial_outside_cell(tmp_path, trial):
                         f"trial {trial} out of range (cell 0 has 5 trials)")
 
 
+def test_replay_trials_flag_matches_the_sweep(tmp_path, capsys):
+    text = "m = 32\ntheta = 4\nr = 8\ns = 8\n"  # a 10-trial sweep draws chunks 0..5 and 6..9
+    cfg = write_cfg(tmp_path, text)
+    # after `sweep --trials 3`, trial 50 is an instance that sweep never drew
+    exits_with_one_line(["replay", "--config", cfg, "--trials", "3", "--cell", "0", "--trial", "50"],
+                        "argument error: trial 50 out of range (cell 0 has 3 trials)")
+    replayed, made = tmp_path / "replayed.txt", tmp_path / "made.txt"
+    assert main(["replay", "--config", cfg, "--trials", "10", "--cell", "0", "--trial", "9",
+                 "--out", str(replayed)]) == 0
+    seed = int(capsys.readouterr().out.splitlines()[0].rsplit("seed=", 1)[1])
+    # the last trial of the partial chunk replays as the sweep's chunk drew it
+    cell = build_sweep_plan(parse_config(text), trials=10).cells[0]
+    assert _chunks(cell)[-1] == (6, 10)
+    drawn, back = _cell_instances(cell, 6, 10)[0][-1], load_instance(str(replayed))
+    assert drawn.config.master_seed == seed
+    for a, b in [(drawn.A.blocks, back.A.blocks), (drawn.X.blocks, back.X.blocks), (drawn.x, back.x), (drawn.y, back.y)]:
+        assert np.array_equal(a, b)
+    # gen with the seed replay printed writes the same container
+    assert main(["gen", "--config", cfg, "--seed", str(seed), "--out", str(made)]) == 0
+    assert made.read_bytes() == replayed.read_bytes()
+
+
 def test_compare_writes_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 0.5\n")
     out = str(tmp_path / "cmp.csv")
@@ -96,7 +118,7 @@ def test_compare_writes_csv(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "cell 0:" in text
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=3"
+    assert lines[0] == "# schema=4"
     assert len(lines) == 3
 
 
@@ -105,7 +127,7 @@ def test_concentration_vectorization_exit_code(tmp_path, capsys):
     out = str(tmp_path / "vec.csv")
     assert main(["concentration", "--config", cfg, "--out", out, "--seed", "1"]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=3"
+    assert lines[0] == "# schema=4"
     assert lines[1].split(",")[0] == "check"
     assert len(lines) == 7
     assert all(row.endswith(",1") for row in lines[2:])
@@ -115,7 +137,7 @@ def test_concentration_mean_check(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 6\ntheta = 1\nr = 2\ns = 2\ncheck = mean\n")
     assert main(["concentration", "--config", cfg, "--trials", "400", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# schema=3\n")
+    assert out.startswith("# schema=4\n")
     assert "z_score" in out
 
 
@@ -202,7 +224,7 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
         (["gen"], EMPTY_BLOCK_CFG, EMPTY_BLOCK_ERROR),
         # a sweep records this trial as an error; its replay names the cause as gen does
         (["replay", "--seed", "0", "--cell", "0", "--trial", "0"],
-         EMPTY_BLOCK_CFG + "s = 2\ntrials = 40\n", "config error: block 2 has empty support"),
+         EMPTY_BLOCK_CFG + "s = 2\ntrials = 40\n", "config error: block 1 has empty support"),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

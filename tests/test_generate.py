@@ -9,18 +9,19 @@ from blockrelax.concentration import ConcentrationStudy
 from blockrelax.generate import (
     GUESS_LAWS,
     SENSING_KINDS,
+    SUPPORT_MODES,
     GenConfig,
     _draw_column,
     build_instance,
     derive_seed,
+    instance_generator,
     sample_guess_columns,
-    sample_guess_ensemble,
+    sample_instances,
     sample_planted_vector,
     sample_sensing_matrix,
     sample_support,
     substream,
 )
-from blockrelax.model import SupportPattern
 from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
 from blockrelax.storage import (
     ReductionRecord,
@@ -95,20 +96,56 @@ def test_build_instance_deterministic():
         assert np.array_equal(ba, bb)
 
 
+def assert_same_instance(got, ref):
+    for a, b in [(got.A.blocks, ref.A.blocks), (got.X.blocks, ref.X.blocks), (got.x, ref.x), (got.y, ref.y)]:
+        assert np.array_equal(a, b)
+    assert got.support == ref.support
+    assert got.X.planted_cols == ref.X.planted_cols
+    assert got.config == ref.config
+
+
+@pytest.mark.parametrize("law", GUESS_LAWS)
+@pytest.mark.parametrize("mode", SUPPORT_MODES)
+@pytest.mark.parametrize("kind", SENSING_KINDS)
+def test_chunks_equal_single_instances(kind, mode, law):
+    # every chunking of 7 instances (sizes 1, 3 with a partial last chunk, and 7)
+    # gives build_instance's arrays bit for bit; uniform supports of s * theta = 3
+    # slots leave a block empty in most draws, and each such draw fails alone
+    cfg = base_cfg(sensing_kind=kind, support_mode=mode, guess_law=law, s=1 if mode == "uniform" else 3)
+    cfgs = [cfg.with_seed(derive_seed(9, "trial", t)) for t in range(7)]
+    refs = []
+    for c in cfgs:
+        try:
+            refs.append(build_instance(c))
+        except ValueError as exc:
+            refs.append(exc)
+    if mode == "uniform":
+        assert 0 < sum(isinstance(ref, ValueError) for ref in refs) < len(refs)
+    for size in (1, 3, 7):
+        got = []
+        for start in range(0, len(cfgs), size):
+            part = cfgs[start : start + size]
+            got += sample_instances(part, [instance_generator(c.master_seed) for c in part])
+        for g, ref in zip(got, refs):
+            if isinstance(ref, ValueError):
+                assert isinstance(g, ValueError) and str(g) == str(ref)
+            else:
+                assert_same_instance(g, ref)
+
+
 def test_stream_isolation_across_parameters():
-    # the hidden vector comes from its own stream, so unrelated knobs leave it alone
+    # one generator, drawn in the order support, planted values, guesses,
+    # sensing: a knob read only by a later draw leaves every earlier one alone
     ref = build_instance(base_cfg())
     other_kind = build_instance(base_cfg(sensing_kind="repeated-unitary"))
     assert np.array_equal(ref.x, other_kind.x)
     assert ref.support.indices == other_kind.support.indices
-    for ba, bb in zip(ref.X.blocks, other_kind.X.blocks):
-        assert np.array_equal(ba, bb)
+    assert ref.X.planted_cols == other_kind.X.planted_cols
+    assert np.array_equal(ref.X.blocks, other_kind.X.blocks)
 
     wider = build_instance(base_cfg(r=6))
     assert np.array_equal(ref.x, wider.x)
     assert ref.support.indices == wider.support.indices
-    for ba, bb in zip(ref.A.blocks, wider.A.blocks):
-        assert np.array_equal(ba, bb)
 
 
 def test_equidistributed_support_counts():
@@ -191,23 +228,23 @@ def test_guess_columns_give_up_on_vanishing_density():
 
 
 def test_ensemble_plants_columns_verbatim():
-    cfg = base_cfg()
-    sp = sample_support(cfg, substream(5, "support"))
-    x = sample_planted_vector(sp, cfg, substream(5, "planted"))
-    X = sample_guess_ensemble(x, sp, cfg, substream(5, "guess"))
-    n = cfg.n
+    cfg = base_cfg(master_seed=5)
+    inst = build_instance(cfg)
+    X, x, n = inst.X, inst.x, cfg.n
     for l, k in enumerate(X.planted_cols):
         assert np.array_equal(X.blocks[l][:, k], x[l * n : (l + 1) * n])
     assert not X.zero_columns()
 
 
 def test_ensemble_rejects_empty_block_support():
-    cfg = base_cfg()
-    sp = SupportPattern(indices=(0, 1, 2), n=cfg.n, theta=cfg.theta)  # blocks 1,2 empty
-    x = np.zeros(cfg.n * cfg.theta)
-    x[[0, 1, 2]] = 1.0
+    # uniform supports of s * theta = 3 slots over theta = 3 blocks leave some block empty
+    cfg = base_cfg(s=1, support_mode="uniform")
+    seed = next(
+        seed for seed in range(100)
+        if 0 in sample_support(cfg, instance_generator(seed)).block_sizes()
+    )
     with pytest.raises(ValueError, match="empty support"):
-        sample_guess_ensemble(x, sp, cfg, substream(0, "guess"))
+        build_instance(cfg.with_seed(seed))
 
 
 @pytest.mark.parametrize("law", GUESS_LAWS)

@@ -48,9 +48,9 @@ def write_cfg(tmp_path, text):
     "command, text, flags, digest",
     [
         ("sweep", README_SWEEP, ["--trials", "21", "--seed", "1", "--jobs", "1"],
-         "e53db87b87f8a58967edcc01b409e7f37867778b39c5356c7239668833f4b0c0"),
+         "9c96dcc5cef04ed8ffbdea01cffcaafd56f5135debd173bf852947908e612180"),
         ("compare", COMPARE, ["--trials", "300", "--seed", "2", "--jobs", "1"],
-         "fb80f809d4453f941a9fe68408689d5369e335676789d0a8ae26478b8202b69b"),
+         "4f4c08d0e8fac037ba37ddd162b125a368884e6f56dac135443b6a24b12b09a8"),
     ],
 )
 def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
@@ -62,18 +62,18 @@ def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
 def test_gen_container_digest(tmp_path, capsys):
     out = tmp_path / "inst.txt"
     assert main(["gen", "--config", write_cfg(tmp_path, README_GEN), "--out", str(out)]) == 0
-    assert sha256(out.read_text()) == "a0180d2cf2a7931d2bdc0556fc46aee249d937fffac35716aad08e576867c230"
+    assert sha256(out.read_text()) == "e512824a6ff69efc1863175960d5b01679fe14821d8a8fd783a0ccacfbc7f0f8"
 
 
 @pytest.mark.parametrize(
     "text, digest",
     [
         (CONC_GEN + "check = tail\nepsilon = 0.5\nepsilon = 1\n",
-         "7ade406ef2fc806228ca400647632e58c616447a69e93d09a56364fde9c7f56d"),
+         "afaee9f0d18ee439945e079d152d44e6146dc21a0b7ac3a3f3fb77e2058ac927"),
         (CONC_GEN + "check = window\ndelta = 0.3\ndelta = 0.5\n",
-         "f4fc42ee91f246332cf5fa1b219c0a5efae52f20f61d6740f989c455fe3e953f"),
+         "f5a9af9e2fa7aefc5805ec94c92ec1122ffd658d0dddd7193b369504304e74a6"),
         (CONC_GEN + "check = mean\n",
-         "21538e44d3f5aef122953463d8fe1289b6c0bb8fdc21995e9de9a62d0e9018c3"),
+         "3a20d167e08b7a575c558047b6df5b255d243b9e53df219242d9e48ef598130e"),
     ],
 )
 def test_concentration_stdout_digest(tmp_path, capsys, text, digest):
@@ -96,4 +96,4 @@ def test_concentration_redraw_digest():
         x, X = study.redraw(3, t)
         for a in (x, *X.blocks):
             h.update(a.tobytes())
-    assert h.hexdigest() == "e6329bdb27784ae39291c2a536fd3349138b33f0dfb1ae47f8ed664f5e966a9a"
+    assert h.hexdigest() == "ab424a611bdd86b5418f1a2d9d90464b934deceadb308da7168a39c698343636"

@@ -5,6 +5,7 @@ from blockrelax.generate import GenConfig, derive_seed
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
+    _chunks,
     block_match_probability,
     build_comparison_plan,
     build_sweep_plan,
@@ -103,7 +104,7 @@ def test_sweep_counts_consistent_and_jobs_invariant(tmp_path):
     write_sweep_csv(parallel, str(p2))
     lines1 = p1.read_text().splitlines()
     lines2 = p2.read_text().splitlines()
-    assert lines1[0] == "# schema=3"
+    assert lines1[0] == "# schema=4"
     assert lines1[1] == ",".join(SWEEP_COLUMNS)
     assert SWEEP_COLUMNS[-1] == "wall_time"
     assert len(lines1) == len(lines2)
@@ -123,20 +124,59 @@ trials = 40
 """
 
 
-def test_sweep_error_trials_counted_once():
-    # uniform supports with s < theta leave some block empty, so build_instance
-    # raises in many trials; each counts once, as an error, at any jobs
-    plan = build_sweep_plan(parse_config(ERROR_SWEEP), seed=0)
-    expected = [(3, 0, 3, 1, 34, 6, 1), (7, 0, 22, 0, 11, 28, 0)]
-    for jobs in (1, 2):
+# one cell of 13 trials drawn in chunks of 6, 6 and 1; s * theta = 8 uniform
+# slots leave some block empty in about a third of the draws
+PARTIAL_CHUNK_SWEEP = "m = 32\ntheta = 4\nr = 8\ns = 2\nsupport_mode = uniform\ntrials = 13\n"
+
+
+def replay_tally(plan, cell):
+    """(exact, support-match, fail, certified, error) of ``cell``, one replay_trial per trial."""
+    tally = dict.fromkeys(("exact", "support-match", "fail", "certified", "error"), 0)
+    for t in range(cell.trials):
+        try:
+            _, _, cert, verdict = replay_trial(plan, cell.index, t)
+        except ValueError:
+            tally["error"] += 1
+            continue
+        tally[verdict] += 1
+        tally["certified"] += int(cert.holds)
+    return tuple(tally.values())
+
+
+def sweep_counts_at_jobs_1_and_2(text):
+    """Plan and jobs-1 results of the sweep of ``text``, after checking its
+    counts at jobs 2 and 1 against a trial-by-trial replay tally; every cell
+    must have some error trials and some others."""
+    plan = build_sweep_plan(parse_config(text), seed=0)
+    expected = [replay_tally(plan, cell) for cell in plan.cells]
+    assert all(0 < tally[-1] < cell.trials for cell, tally in zip(plan.cells, expected))
+    oracle = {}
+    for jobs in (2, 1):
         results = run_sweep(plan, jobs=jobs)
-        counts = [
-            (r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error, r.n_oracle_unique, r.n_oracle_agree)
-            for r in results
-        ]
+        counts = [(r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error) for r in results]
         assert counts == expected
+        oracle[jobs] = [(r.n_oracle_unique, r.n_oracle_agree) for r in results]
         for r in results:
             assert r.n_exact + r.n_support_match + r.n_fail + r.n_error == r.cell.trials
+    assert oracle[1] == oracle[2]
+    return plan, results
+
+
+def test_sweep_error_trials_counted_once():
+    # uniform supports with s < theta leave some block empty, so drawing the
+    # instance raises in many trials; each counts once, as an error, at any
+    # jobs, and leaves the other trials of its chunk alone
+    _, results = sweep_counts_at_jobs_1_and_2(ERROR_SWEEP)
+    counts = [
+        (r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error, r.n_oracle_unique, r.n_oracle_agree)
+        for r in results
+    ]
+    assert counts == [(1, 0, 3, 0, 36, 4, 0), (6, 0, 20, 1, 14, 25, 1)]
+
+
+def test_sweep_partial_chunk_counts_equal_replay():
+    plan, _ = sweep_counts_at_jobs_1_and_2(PARTIAL_CHUNK_SWEEP)
+    assert [stop - start for start, stop in _chunks(plan.cells[0])] == [6, 6, 1]
 
 
 def test_replay_reproduces_sweep_verdicts():
@@ -214,14 +254,15 @@ def test_comparison_single_block_rates_agree(tmp_path):
     out = tmp_path / "cmp.csv"
     write_comparison_csv(results, str(out))
     lines = out.read_text().splitlines()
-    assert lines[0] == "# schema=3"
+    assert lines[0] == "# schema=4"
     assert lines[1] == ",".join(COMPARISON_COLUMNS)
     assert COMPARISON_COLUMNS[-1] == "wall_time"
     assert len(lines) == 3
 
 
 def test_comparison_jobs_invariant():
-    # two blocks of four columns, m < r * theta; every count is nonzero at seed 7
+    # two blocks of four columns, m < r * theta; at seed 7 every count is nonzero
+    # but the two-block best-of count, whose hit needs both blocks guessed at once
     multi_block = "m = 5\ns = 1\ntheta = 2\nr = 4\nguess_density = 0.2\n"
     for text in (COMPARE_CFG, multi_block):
         cells = build_comparison_plan(parse_config(text), seed=7, trials=60)
