@@ -26,10 +26,6 @@ from .generate import (
     instance_generator,
     sample_guess_columns,
     sample_instances,
-    sample_planted_vector,
-    sample_sensing_matrix,
-    sample_support,
-    substream,
 )
 from .model import (
     BlockSensingMatrix,

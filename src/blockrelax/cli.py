@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import concentration as conc
-from .generate import build_instance, substream
+from .generate import build_instance, derive_seed, instance_generator
 from .model import Selector
 from .oracle import DEFAULT_GRID, GRID_GUARD, SUBSET_GUARD, enumerate_selectors
 from .reductions import (
@@ -207,7 +207,7 @@ def _cmd_concentration(args) -> int:
     failures = 0
 
     if check == "vectorization":
-        rng = substream(seed, "cli-vec")
+        rng = instance_generator(derive_seed(seed, "cli-vec"))
         for i in range(count):
             a, b, cdim = (int(v) for v in rng.integers(1, 9, size=3))
             M = rng.standard_normal((a, b))

@@ -4,11 +4,15 @@ Each check redraws the random ensemble many times with fixed sensing matrix,
 support and planted positions, measures an empirical statistic, and reports it
 next to its analytic counterpart or tail bound: the mean, the tail and the
 singular window of ||A X u||^2.  Two exact identities, the vectorization of
-M R w and the block norm bound, are checked beside them.  One sampler,
-``ConcentrationStudy._draw``, makes every redraw: the mean and tail checks
-draw a chunk of redraws at a time into one guess tensor and take all their
-images in one pass, and ``ConcentrationStudy.redraw(seed, t)`` is the chunk
-of trial t alone.
+M R w and the block norm bound, are checked beside them.  Redraw t takes
+all its draws from one generator,
+``instance_generator(derive_seed(seed, 'conc', t))``: first the planted
+values, then the guess tensor.  One sampler, ``ConcentrationStudy._draw``,
+makes every redraw: the mean and tail checks draw a chunk of redraws at a
+time into one guess tensor and take all their images in one pass, and
+``ConcentrationStudy.redraw(seed, t)`` is the chunk of trial t alone.  The
+window check draws only the planted values, so its trial t has the x of
+``redraw(seed, t)``.
 Statistical comparisons return z-scores or frequencies; nothing here raises on
 a statistical fluctuation, that judgement belongs to the caller.
 """
@@ -24,9 +28,9 @@ from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
 from .generate import (
     GenConfig,
     build_instance,
+    derive_seed,
+    instance_generator,
     sample_guess_columns,
-    sample_planted_vector,
-    substream,
 )
 from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
@@ -50,8 +54,8 @@ _CHUNK = 1024
 class ConcentrationStudy:
     """Frozen context for ensemble redraws: sensing matrix, support, planted slots.
 
-    Built once from a config; per-trial randomness comes from labelled
-    substreams of the study seed, so every trial is replayable.  ``redraw``
+    Built once from a config; trial t draws from its own generator, keyed
+    by (seed, 'conc', t), so every trial is replayable.  ``redraw``
     and ``image_sq_norm`` replay one trial; ``image_sq_norms`` computes the
     same images for many trials, one chunk of redraws per tensor pass.
     """
@@ -68,21 +72,29 @@ class ConcentrationStudy:
             cfg=cfg, A=base.A, support=base.support, planted_cols=base.X.planted_cols
         )
 
+    def _planted(self, seed: int, trial: int) -> tuple[np.ndarray, np.random.Generator]:
+        """Trial ``trial``'s hidden vector x, drawn first from its generator, and that generator.
+
+        x holds i.i.d. uniform alphabet values on the support and zeros off it.
+        """
+        rng = instance_generator(derive_seed(seed, "conc", trial))
+        x = np.zeros(self.cfg.n * self.cfg.theta)
+        alph = np.asarray(self.cfg.planted_alphabet)
+        x[list(self.support.indices)] = alph[rng.integers(0, len(alph), size=len(self.support))]
+        return x, rng
+
     def _draw(self, seed: int, start: int, X: np.ndarray, x: np.ndarray) -> None:
         """Fill X (size, theta, r, n) and x (size, theta, n) with trials start .. start+size-1.
 
-        Trial t takes x from substream (seed, 'conc-x', t) and its guess
-        columns, zero columns allowed, from (seed, 'conc-X', t); x is then
-        planted at ``planted_cols``, so X[i, l, k] is column k of block l.
+        Trial t takes x (``_planted``) and then its guess columns, zero
+        columns allowed, from one generator; x is then planted at
+        ``planted_cols``, so X[i, l, k] is column k of block l.
         """
         cfg = self.cfg
         for i in range(len(X)):
-            x[i] = sample_planted_vector(
-                self.support, cfg, substream(seed, "conc-x", start + i)
-            ).reshape(cfg.theta, cfg.n)
-            X[i] = sample_guess_columns(
-                cfg, substream(seed, "conc-X", start + i), (cfg.theta, cfg.r), reject_zero=False
-            )
+            xi, rng = self._planted(seed, start + i)
+            x[i] = xi.reshape(cfg.theta, cfg.n)
+            X[i] = sample_guess_columns(cfg, rng, (cfg.theta, cfg.r), reject_zero=False)
         X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
         empty = np.argwhere(~x.any(axis=-1))
         if empty.size:
@@ -237,7 +249,7 @@ def singular_window_check(
 
     inside = 0
     for t in range(trials):
-        x = sample_planted_vector(study.support, cfg, substream(seed, "conc-x", t))
+        x, _ = study._planted(seed, t)
         cols = np.stack(
             [
                 study.A.blocks[l] @ x[l * cfg.n : (l + 1) * cfg.n] / wa[g]

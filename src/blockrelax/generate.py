@@ -1,16 +1,18 @@
 """Random planted instances: supports, hidden vectors, ensembles, sensing matrices.
 
-Randomness is counter-based (stream 4).  The instance with master seed s
-takes every draw from one Philox generator keyed by s, ``instance_generator(s)``,
+Randomness is counter-based, and ``instance_generator(derive_seed(seed,
+label, index))`` is the package's one way to get a generator: Philox keyed
+by a 64-bit seed derived from (seed, label, index), counter at zero.  The
+instance with master seed s takes every draw from ``instance_generator(s)``
 in a fixed order: support keys, planted values, planted columns, guess
-columns, sensing.  ``sample_instances`` draws a chunk of instances, one
-generator each, and then does what does not depend on one instance's draws
-(the support argsort, the batched QR of the sensing blocks) once for the
-chunk; ``build_instance`` is a chunk of one, so the two agree bit for bit and
-any single trial of a sweep can be replayed from its seed alone.
-``substream`` derives independent labelled streams for the samplers that
-keep their own (the concentration redraws, the CLI's vectorization check and
-the reductions).
+columns, sensing.  ``sample_instances`` draws a chunk of instances in two
+stages.  The first turns each generator's draws into the chunk's supports,
+hidden vectors, guess columns and sensing stacks, doing what does not depend
+on one instance's draws (the support argsort, the batched QR of the sensing
+blocks) once for the chunk; the second plants the hidden blocks and wraps
+each instance.  ``build_instance`` is a chunk of one, so the two agree bit
+for bit and any single trial of a sweep can be replayed from its seed alone.
+``compare``'s relaxation side runs the first stage alone.
 """
 
 from __future__ import annotations
@@ -31,12 +33,8 @@ from .model import (
 
 __all__ = [
     "GenConfig",
-    "substream",
     "derive_seed",
-    "sample_support",
-    "sample_planted_vector",
     "sample_guess_columns",
-    "sample_sensing_matrix",
     "instance_generator",
     "sample_instances",
     "build_instance",
@@ -52,8 +50,10 @@ GUESS_LAWS = ("ternary", "alphabet")
 
 # first line of the sweep, compare and concentration outputs.  Stream 4 draws
 # each instance from one generator keyed by its seed, in a fixed order, and
-# its support from an argsort of uniform keys.
-SCHEMA_COMMENT = "# schema=4"
+# its support from an argsort of uniform keys; stream 5 draws the
+# concentration redraws, compare's relaxation side and every other stream
+# from such generators too.
+SCHEMA_COMMENT = "# schema=5"
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,20 +64,10 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
 
 
-def _seed_sequence(master_seed: int, label: str, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=(int(master_seed) & _MASK64, _label_key(label), int(index) & _MASK64)
-    )
-
-
-def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, label, index)."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, label, index)))
-
-
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
-    """Collapse (seed, label, index) to a fresh 64-bit seed for nested use."""
-    return int(_seed_sequence(master_seed, label, index).generate_state(1, dtype=np.uint64)[0])
+    """Collapse (seed, label, index) to a fresh 64-bit seed, for ``instance_generator`` or nested use."""
+    entropy = (int(master_seed) & _MASK64, _label_key(label), int(index) & _MASK64)
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -171,23 +161,6 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(chosen).reshape(len(keys), -1) % (cfg.n * cfg.theta)
 
 
-def sample_support(cfg: GenConfig, rng: np.random.Generator) -> SupportPattern:
-    """Draw the hidden support from one draw of uniform keys (see ``_supports``)."""
-    idx = _supports(cfg, rng.random((1, *_key_shape(cfg))))[0]
-    return SupportPattern(indices=tuple(idx.tolist()), n=cfg.n, theta=cfg.theta)
-
-
-def sample_planted_vector(
-    support: SupportPattern, cfg: GenConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Hidden vector: i.i.d. uniform alphabet draws on the support, zero off it."""
-    x = np.zeros(support.n * support.theta)
-    alph = np.asarray(cfg.planted_alphabet)
-    pos = list(support.indices)
-    x[pos] = alph[rng.integers(0, len(alph), size=len(pos))]
-    return x
-
-
 def _draw_column(cfg: GenConfig, rng: np.random.Generator, size) -> np.ndarray:
     """Unconditioned ``guess_law`` entries of any ``size``: one mask draw, one value draw."""
     mask = rng.random(size) < cfg.guess_density
@@ -237,11 +210,6 @@ def _sensing_stacks(cfg: GenConfig, g: np.ndarray) -> np.ndarray:
     return q if g.shape[1] == cfg.theta else np.repeat(q, cfg.theta, axis=1)
 
 
-def sample_sensing_matrix(cfg: GenConfig, rng: np.random.Generator) -> BlockSensingMatrix:
-    """Draw the sensing blocks for the configured kind from one (k, m, n) Gaussian stack."""
-    return BlockSensingMatrix(blocks=_sensing_stacks(cfg, rng.standard_normal((1, *_sensing_shape(cfg))))[0])
-
-
 def _haar_stack(g: np.ndarray) -> np.ndarray:
     """Q factors of one batched QR of the (k, a, b) Gaussian stack ``g``, each sign-fixed to be Haar."""
     q, rr = np.linalg.qr(g)
@@ -270,16 +238,31 @@ def _draw(cfg: GenConfig, rng: np.random.Generator) -> tuple:
     )
 
 
+def _stack(cfg: GenConfig, draws: list) -> tuple:
+    """The first stage of a chunk: (support, x, planted, X, A) of a list of ``_draw`` outputs, nothing planted.
+
+    Sorted support indices (k, s*theta), hidden vectors (k, n*theta),
+    planted column indices (k, theta), guess columns as one C-contiguous
+    (k, theta, n, r) stack and sensing stacks (k, theta, m, n).  The
+    planted slots of X still hold the columns drawn for them.
+    """
+    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
+    support = _supports(cfg, keys)
+    x = np.zeros((len(draws), cfg.n * cfg.theta))
+    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
+    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
+    return support, x, planted, X, _sensing_stacks(cfg, g)
+
+
 def sample_instances(cfgs, rngs) -> list:
     """One planted instance per config and generator, drawn as one chunk.
 
     Instance i takes all its draws from ``rngs[i]`` (see ``_draw``) and
     carries ``cfgs[i]``; the configs may differ in their master seed only.
-    The support argsort, the planting of the hidden blocks and the batched QR
-    of the sensing blocks then run once over the chunk, and each instance
-    holds views of the chunk's tensors.  An entry is the instance, or the
-    error its own draws raised (a support block left empty, say), so one bad
-    draw leaves the rest of the chunk alone.
+    ``_stack`` then runs once over the chunk, the hidden blocks are planted
+    and each instance holds views of the chunk's tensors.  An entry is the
+    instance, or the error its own draws raised (a support block left empty,
+    say), so one bad draw leaves the rest of the chunk alone.
     """
     cfg = cfgs[0]
     out: list = [None] * len(cfgs)
@@ -293,14 +276,9 @@ def sample_instances(cfgs, rngs) -> list:
             drawn.append(i)
     if not drawn:
         return out
-    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
-    support = _supports(cfg, keys)
-    x = np.zeros((len(drawn), cfg.n * cfg.theta))
-    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
+    support, x, planted, X, A = _stack(cfg, draws)
     hidden = x.reshape(len(drawn), cfg.theta, cfg.n)
-    cols[np.arange(len(drawn))[:, None], np.arange(cfg.theta), planted] = hidden
-    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))  # (chunk, theta, n, r)
-    A = _sensing_stacks(cfg, g)
+    X[np.arange(len(drawn))[:, None], np.arange(cfg.theta), :, planted] = hidden
     empty = ~hidden.any(axis=2)
     for j, i in enumerate(drawn):
         if empty[j].any():

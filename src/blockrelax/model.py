@@ -121,9 +121,6 @@ class SupportPattern:
         lo, hi = l * self.n, (l + 1) * self.n
         return np.array([i - lo for i in self.indices if lo <= i < hi], dtype=int)
 
-    def block_sizes(self) -> np.ndarray:
-        return np.array([len(self.block(l)) for l in range(self.theta)], dtype=int)
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -219,15 +216,6 @@ class Selector:
 
     def block(self, l: int) -> np.ndarray:
         return self.z[l * self.r : (l + 1) * self.r]
-
-    def is_discrete(self, tol: float = 0.0) -> bool:
-        """True when each block slice is a coordinate vector (a single 1)."""
-        for l in range(self.theta):
-            zl = self.block(l)
-            nz = np.flatnonzero(np.abs(zl) > tol)
-            if nz.size != 1 or zl[nz[0]] != 1.0:
-                return False
-        return True
 
 
 @dataclass(frozen=True)

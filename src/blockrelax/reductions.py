@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import _haar_stack, substream
+from .generate import _haar_stack, derive_seed, instance_generator
 from .model import BlockSensingMatrix
 from .oracle import discrete_lp_oracle, l0_min_oracle
 from .storage import ReductionRecord
@@ -109,7 +109,8 @@ def x3c_to_l0(inst: X3CInstance, n: int = 2, seed: int = 0) -> ReductionRecord:
     theta, rows = inst.theta, m + n - 1
     stack = np.zeros((theta, rows, n))
     stack[np.arange(theta)[:, None], np.array(inst.triples), 0] = 1.0
-    stack[:, m:, 1:] = _haar_stack(substream(seed, "x3c-orthogonal").standard_normal((theta, n - 1, n - 1)))
+    rng = instance_generator(derive_seed(seed, "x3c-orthogonal"))
+    stack[:, m:, 1:] = _haar_stack(rng.standard_normal((theta, n - 1, n - 1)))
     # norm windows guaranteed by construction; check rather than trust
     col_sq = np.sum(stack**2, axis=1)
     bad = np.flatnonzero(~np.all((col_sq >= 1.0 - 1e-9) & (col_sq <= 3.0 + 1e-9), axis=1))

@@ -10,8 +10,11 @@ schedule one work item per chunk of a cell's trials on one process pool, draw
 the chunk's instances as one tensor pass (``generate.sample_instances``) and
 add up each cell's trials in trial order, so results are independent of worker
 count and chunking, and any single sweep trial can be replayed from its CSV
-coordinates.  CSV files start with a '# schema=4' comment; wall_time is always
-the last column and is the only one allowed to differ between runs.
+coordinates.  A ``compare`` trial goes on drawing from its generator: an
+unplanted relaxation side through the sampler's first stage, then best-of-r
+guesses of that side's hidden vector.  CSV files start with a '# schema=5'
+comment; wall_time is always the last column and is the only one allowed to
+differ between runs.
 """
 
 from __future__ import annotations
@@ -30,16 +33,15 @@ from .bounds import success_prob_block_relaxation
 from .generate import (
     SCHEMA_COMMENT,
     GenConfig,
+    _draw,
+    _stack,
     build_instance,
     derive_seed,
     instance_generator,
     sample_guess_columns,
     sample_instances,
-    sample_planted_vector,
-    sample_sensing_matrix,
-    sample_support,
 )
-from .model import effective_matrix, solver_weights
+from .model import BlockSensingMatrix, effective_matrix, solver_weights
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import (
     SolveOptions,
@@ -565,22 +567,21 @@ def _comparison_trial(cell: Cell, select, rng: np.random.Generator) -> tuple[boo
 
     The trial takes all its draws from its one generator ``rng``, in a fixed
     order: first the instance ``select`` whose certificate counts (drawn by
-    ``_run_trials``), then the relaxation side, then the best-of side.
+    ``_run_trials``), then the relaxation side, an unplanted instance (the
+    first stage of ``sample_instances`` on ``rng``, a chunk of one), then the
+    best-of side's guesses.  The best-of side guesses the relaxation side's
+    x: every column of the alphabet law equals a given x^l with s nonzeros
+    with the same probability, so given x the two hits are independent.
     """
     if isinstance(select, Exception):
         raise select
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
 
-    support = sample_support(gen, rng)
-    x = sample_planted_vector(support, gen, rng)
-    cols = sample_guess_columns(gen, rng, (theta, r))
-    A = sample_sensing_matrix(gen, rng)
-    y = A.matvec(x)
-    # against the transposed view of the drawn columns, as the CSV digests were
-    # pinned: against a C-contiguous copy of it the last bits can move
-    B = np.hstack(A.blocks @ cols.transpose(0, 2, 1))
-    w = np.sum(np.abs(cols) ** cell.p, axis=-1).ravel()
+    _, x, _, X, A = (a[0] for a in _stack(gen, [_draw(gen, rng)]))
+    y = BlockSensingMatrix(blocks=A).matvec(x)
+    B = np.hstack(A @ X)
+    w = np.sum(np.abs(X) ** cell.p, axis=1).ravel()
     relax_hit = False
     try:
         res = solve_weighted_bp(B, w, y, cell.options)
@@ -594,12 +595,10 @@ def _comparison_trial(cell: Cell, select, rng: np.random.Generator) -> tuple[boo
         # probability p_l deliberately does not model.
         combo = _support_to_combo(res.detected_support, r, theta)
         relax_hit = combo is not None and all(
-            np.array_equal(cols[l, k], x[l * n : (l + 1) * n])
+            np.array_equal(X[l, :, k], x[l * n : (l + 1) * n])
             for l, k in enumerate(combo)
         )
 
-    support = sample_support(gen, rng)
-    x = sample_planted_vector(support, gen, rng)
     # r independent guesses of the whole vector, one nonzero column per block
     g = sample_guess_columns(gen, rng, (r, theta))
     bestof_hit = bool(np.all(g.reshape(r, -1) == x, axis=1).any())

@@ -60,7 +60,7 @@ def test_sweep_writes_schema_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--trials", "3", "--seed", "2"]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=4"
+    assert lines[0] == "# schema=5"
     assert lines[1] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 3  # one cell
     with pytest.raises(SystemExit):
@@ -118,7 +118,7 @@ def test_compare_writes_csv(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "cell 0:" in text
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=4"
+    assert lines[0] == "# schema=5"
     assert len(lines) == 3
 
 
@@ -127,7 +127,7 @@ def test_concentration_vectorization_exit_code(tmp_path, capsys):
     out = str(tmp_path / "vec.csv")
     assert main(["concentration", "--config", cfg, "--out", out, "--seed", "1"]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema=4"
+    assert lines[0] == "# schema=5"
     assert lines[1].split(",")[0] == "check"
     assert len(lines) == 7
     assert all(row.endswith(",1") for row in lines[2:])
@@ -137,7 +137,7 @@ def test_concentration_mean_check(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 6\ntheta = 1\nr = 2\ns = 2\ncheck = mean\n")
     assert main(["concentration", "--config", cfg, "--trials", "400", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# schema=4\n")
+    assert out.startswith("# schema=5\n")
     assert "z_score" in out
 
 

@@ -187,6 +187,25 @@ def test_singular_window_tiny_closed_form():
         singular_window_check(study, delta=1.0, trials=10, seed=0)
 
 
+def test_singular_window_trials_use_the_redraw_x():
+    # trial t of the window check draws x as redraw(seed, t) does; at delta = 0.3
+    # about half the trials fall inside, so a check on other x would miscount
+    study, delta, trials = batch_study(2), 0.3, 200
+    cfg = study.cfg
+    wa = ensemble_norm_weights(study.A, study.support, study.planted_cols, cfg.r, cfg.p_x, cfg.p_X)
+    inside = 0
+    for t in range(trials):
+        x = study.redraw(7, t)[0].reshape(cfg.theta, cfg.n)
+        cols = np.stack(
+            [study.A.blocks[l] @ x[l] / wa[l * cfg.r + k] for l, k in enumerate(study.planted_cols)],
+            axis=1,
+        )
+        sig = np.linalg.svd(cols, compute_uv=False)
+        inside += bool(sig.min() >= 1.0 - delta and sig.max() <= 1.0 + delta)
+    assert 0.2 * trials < inside < 0.8 * trials
+    assert singular_window_check(study, delta, trials, seed=7).inside_count == inside
+
+
 def test_singular_window_floor_is_not_vacuous():
     # the README's window-tight.txt: 44 of 48 support entries per block give
     # F_S^2/M^2 = 44, so the floor is a real claim that a lower frequency would falsify

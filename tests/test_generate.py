@@ -17,10 +17,6 @@ from blockrelax.generate import (
     instance_generator,
     sample_guess_columns,
     sample_instances,
-    sample_planted_vector,
-    sample_sensing_matrix,
-    sample_support,
-    substream,
 )
 from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
 from blockrelax.storage import (
@@ -63,12 +59,16 @@ def test_config_validation():
     GenConfig(m=4, n=8, theta=1, r=2, s=3, sensing_kind="gaussian")
 
 
-def test_substream_reproducible_and_separated():
-    a = substream(7, "support").standard_normal(4)
-    b = substream(7, "support").standard_normal(4)
+def keyed(seed, label, index=0):
+    return instance_generator(derive_seed(seed, label, index))
+
+
+def test_keyed_generators_reproducible_and_separated():
+    a = keyed(7, "support").standard_normal(4)
+    b = keyed(7, "support").standard_normal(4)
     assert np.array_equal(a, b)
-    c = substream(7, "planted").standard_normal(4)
-    d = substream(7, "support", index=1).standard_normal(4)
+    c = keyed(7, "planted").standard_normal(4)
+    d = keyed(7, "support", index=1).standard_normal(4)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
@@ -148,20 +148,30 @@ def test_stream_isolation_across_parameters():
     assert ref.support.indices == wider.support.indices
 
 
+def chunk(cfg, seeds):
+    """The instances of ``cfg`` with master seeds ``seeds``, drawn as one chunk."""
+    cfgs = [cfg.with_seed(seed) for seed in seeds]
+    return sample_instances(cfgs, [instance_generator(seed) for seed in seeds])
+
+
+def block_counts(sp):
+    return np.bincount(np.asarray(sp.indices) // sp.n, minlength=sp.theta)
+
+
 def test_equidistributed_support_counts():
     cfg = base_cfg(support_mode="equidistributed")
-    for seed in range(20):
-        sp = sample_support(cfg, substream(seed, "support"))
-        assert list(sp.block_sizes()) == [cfg.s] * cfg.theta
+    for inst in chunk(cfg, range(20)):
+        assert list(block_counts(inst.support)) == [cfg.s] * cfg.theta
 
 
 def test_uniform_support_total_and_moments():
-    cfg = GenConfig(m=100, n=100, theta=10, r=2, s=10, support_mode="uniform")
+    # gaussian sensing with one row keeps the 200 draws cheap; a block is left
+    # empty with probability about 3e-4 per instance, and none of these is
+    cfg = GenConfig(m=1, n=100, theta=10, r=2, s=10, support_mode="uniform", sensing_kind="gaussian")
     counts = []
-    for seed in range(200):
-        sp = sample_support(cfg, substream(seed, "support"))
-        assert len(sp) == cfg.s * cfg.theta
-        counts.extend(sp.block_sizes())
+    for inst in chunk(cfg, range(200)):
+        assert len(inst.support) == cfg.s * cfg.theta
+        counts.extend(block_counts(inst.support))
     counts = np.asarray(counts, dtype=float)
     # block counts are hypergeometric: N=1000 slots, 100 drawn, class size 100
     mean, var = 10.0, 8.10810810810811
@@ -172,9 +182,8 @@ def test_uniform_support_total_and_moments():
 
 def test_planted_vector_alphabet_and_support():
     cfg = base_cfg()
-    for seed in range(10):
-        sp = sample_support(cfg, substream(seed, "support"))
-        x = sample_planted_vector(sp, cfg, substream(seed, "planted"))
+    for inst in chunk(cfg, range(10)):
+        sp, x = inst.support, inst.x
         off = np.ones(x.size, dtype=bool)
         off[list(sp.indices)] = False
         assert not x[off].any()
@@ -184,20 +193,20 @@ def test_planted_vector_alphabet_and_support():
 
 def test_guess_column_laws():
     cfg = base_cfg(guess_density=0.3)
-    cols = sample_guess_columns(cfg, substream(0, "guess"), (200,))
+    cols = sample_guess_columns(cfg, instance_generator(0), (200,))
     assert cols.shape == (200, cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, 0.0, 1.0})
     assert np.all(np.abs(cols).sum(axis=1) > 0)
 
     alph_cfg = base_cfg(guess_law="alphabet", guess_density=0.3)
-    cols = sample_guess_columns(alph_cfg, substream(1, "guess"), (5, 10))
+    cols = sample_guess_columns(alph_cfg, instance_generator(1), (5, 10))
     assert cols.shape == (5, 10, alph_cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, -0.5, 0.0, 0.5, 1.0})
 
 
 def test_guess_column_density():
     cfg = base_cfg(n=50, m=50, guess_density=0.25)
-    draws = sample_guess_columns(cfg, substream(3, "guess"), (2000,), reject_zero=False)
+    draws = sample_guess_columns(cfg, instance_generator(3), (2000,), reject_zero=False)
     frac = np.mean(draws != 0)
     # binomial standard error at p=0.25 over 100000 entries
     assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / draws.size)
@@ -207,8 +216,8 @@ def test_guess_columns_conditioned_law():
     # at nu = 0.3 and n = 4 a first draw is all-zero with probability 0.7^4 ~ 0.24
     cfg = base_cfg(n=4, m=4, s=2, guess_density=0.3)
     shape = (20000,)
-    first = sample_guess_columns(cfg, substream(4, "guess"), shape, reject_zero=False)
-    cols = sample_guess_columns(cfg, substream(4, "guess"), shape)
+    first = sample_guess_columns(cfg, instance_generator(4), shape, reject_zero=False)
+    cols = sample_guess_columns(cfg, instance_generator(4), shape)
     zero = ~first.any(axis=1)
     assert 0.2 < zero.mean() < 0.28
     # nonzero columns of the first draw are kept; only the zero ones are redrawn
@@ -224,7 +233,7 @@ def test_guess_columns_conditioned_law():
 def test_guess_columns_give_up_on_vanishing_density():
     cfg = base_cfg(n=4, m=4, s=2, guess_density=1e-12)
     with pytest.raises(RuntimeError, match="nonzero guess column"):
-        sample_guess_columns(cfg, substream(0, "guess"), (2,))
+        sample_guess_columns(cfg, instance_generator(0), (2,))
 
 
 def test_ensemble_plants_columns_verbatim():
@@ -237,11 +246,16 @@ def test_ensemble_plants_columns_verbatim():
 
 
 def test_ensemble_rejects_empty_block_support():
-    # uniform supports of s * theta = 3 slots over theta = 3 blocks leave some block empty
+    # uniform supports of s * theta = 3 slots over theta = 3 blocks leave some block
+    # empty; the support is the slots holding the smallest of the uniform keys that
+    # an instance's generator draws first
     cfg = base_cfg(s=1, support_mode="uniform")
     seed = next(
         seed for seed in range(100)
-        if 0 in sample_support(cfg, instance_generator(seed)).block_sizes()
+        if 0 in np.bincount(
+            np.argsort(instance_generator(seed).random(cfg.n * cfg.theta))[: cfg.s * cfg.theta] // cfg.n,
+            minlength=cfg.theta,
+        )
     )
     with pytest.raises(ValueError, match="empty support"):
         build_instance(cfg.with_seed(seed))
@@ -249,12 +263,17 @@ def test_ensemble_rejects_empty_block_support():
 
 @pytest.mark.parametrize("law", GUESS_LAWS)
 def test_unconditioned_ensemble_is_one_tensor_draw(law):
-    # the concentration redraw, the one sampler of unconditioned ensembles: off the
-    # planted column, column k of block l is entry [l, k] of one (theta, r, n) draw
+    # the concentration redraw, the one sampler of unconditioned ensembles: its
+    # generator draws the planted values, then one (theta, r, n) tensor, and off
+    # the planted column, column k of block l is entry [l, k] of that tensor
     cfg = base_cfg(guess_law=law, guess_density=0.4)
-    x, X = ConcentrationStudy.from_config(cfg).redraw(8, 5)
+    study = ConcentrationStudy.from_config(cfg)
+    x, X = study.redraw(8, 5)
     planted = X.planted_cols
-    pure = _draw_column(cfg, substream(8, "conc-X", 5), (cfg.theta, cfg.r, cfg.n))
+    rng = keyed(8, "conc", 5)
+    vals = np.asarray(cfg.planted_alphabet)[rng.integers(0, len(cfg.planted_alphabet), size=len(study.support))]
+    assert np.array_equal(x[list(study.support.indices)], vals)
+    pure = _draw_column(cfg, rng, (cfg.theta, cfg.r, cfg.n))
     n = cfg.n
     for l, b in enumerate(X.blocks):
         assert b.shape == (n, cfg.r) and b.flags.c_contiguous
@@ -307,34 +326,31 @@ def test_unconditioned_ensemble_entry_law(law):
 
 def test_sensing_kinds():
     cfg = base_cfg(sensing_kind="orthonormal-blocks")
-    A = sample_sensing_matrix(cfg, substream(0, "sensing"))
+    A = build_instance(cfg).A
     for b in A.blocks:
         np.testing.assert_allclose(b.T @ b, np.eye(cfg.n), atol=1e-12)
 
-    rep = sample_sensing_matrix(
-        base_cfg(sensing_kind="repeated-unitary"), substream(0, "sensing")
-    )
+    rep = build_instance(base_cfg(sensing_kind="repeated-unitary")).A
     for b in rep.blocks[1:]:
         assert np.array_equal(b, rep.blocks[0])
 
-    g_cfg = GenConfig(m=400, n=30, theta=1, r=2, s=3, sensing_kind="gaussian")
-    G = sample_sensing_matrix(g_cfg, substream(2, "sensing"))
+    g_cfg = GenConfig(m=400, n=30, theta=1, r=2, s=3, sensing_kind="gaussian", master_seed=2)
+    G = build_instance(g_cfg).A
     col_sq = np.sum(G.blocks[0] ** 2, axis=0)
     # E||col||^2 = 1 after the 1/sqrt(m) scaling; chi^2_400/400 concentrates hard
     assert abs(col_sq.mean() - 1.0) < 0.05
 
 
 def test_sensing_matrix_digest():
-    # every kind's blocks, bit for bit: batching the draw or the QR of the
-    # blocks must not move them
+    # every kind's blocks, bit for bit, as a chunk of four instances draws them:
+    # batching the draw or the QR of the blocks must not move them
     h = hashlib.sha256()
     for kind in SENSING_KINDS:
         for m, n, theta in [(16, 16, 2), (12, 5, 3), (9, 4, 1), (20, 8, 4), (7, 7, 5)]:
-            for seed in range(4):
-                cfg = GenConfig(m=m, n=n, theta=theta, r=2, s=1, sensing_kind=kind)
-                for b in sample_sensing_matrix(cfg, substream(seed, "sensing")).blocks:
-                    h.update(b.tobytes())
-    assert h.hexdigest() == "f062cfb97bb69dc3f316759db7cd779af279c3f02696ef956cdde2351a4dc916"
+            cfg = GenConfig(m=m, n=n, theta=theta, r=2, s=1, sensing_kind=kind)
+            for inst in chunk(cfg, range(4)):
+                h.update(inst.A.blocks.tobytes())
+    assert h.hexdigest() == "71a84ac5c5a8e1ab142fcea8ef04cca384c6fef511adbd5bf02416bbfc89b54c"
 
 
 def test_instance_dist_params_follow_config():

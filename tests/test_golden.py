@@ -2,8 +2,8 @@
 
 The sha256 digests pin what the CLI writes for the README and acceptance
 configs; any change to how a valid config becomes cells, seeds or instances
-changes them.  CSVs are compared without their wall_time column, and the
-concentration outputs without their schema line.
+changes them.  Every output is compared without its schema line, which is
+asserted on its own, and CSVs without their wall_time column.
 """
 
 import hashlib
@@ -48,15 +48,17 @@ def write_cfg(tmp_path, text):
     "command, text, flags, digest",
     [
         ("sweep", README_SWEEP, ["--trials", "21", "--seed", "1", "--jobs", "1"],
-         "9c96dcc5cef04ed8ffbdea01cffcaafd56f5135debd173bf852947908e612180"),
+         "676ddc265eacdad8d2fe407ed0aa2b928142f744ab851d7af50ff04f5c499e41"),
         ("compare", COMPARE, ["--trials", "300", "--seed", "2", "--jobs", "1"],
-         "4f4c08d0e8fac037ba37ddd162b125a368884e6f56dac135443b6a24b12b09a8"),
+         "e59fc7cad6adb69e274fccffb7201a4980ceb9534d4dd734a1004989e37c2fe5"),
     ],
 )
 def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
     out = tmp_path / "out.csv"
     assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out), *flags]) == 0
-    assert sha256(without_wall_time(out)) == digest
+    head, body = without_wall_time(out).split("\n", 1)
+    assert head == SCHEMA_COMMENT
+    assert sha256(body) == digest
 
 
 def test_gen_container_digest(tmp_path, capsys):
@@ -69,11 +71,11 @@ def test_gen_container_digest(tmp_path, capsys):
     "text, digest",
     [
         (CONC_GEN + "check = tail\nepsilon = 0.5\nepsilon = 1\n",
-         "afaee9f0d18ee439945e079d152d44e6146dc21a0b7ac3a3f3fb77e2058ac927"),
+         "15874f9831ca0a79759a7af02caf03daa819ed6a5dddfa3760d175d1f1380371"),
         (CONC_GEN + "check = window\ndelta = 0.3\ndelta = 0.5\n",
-         "f5a9af9e2fa7aefc5805ec94c92ec1122ffd658d0dddd7193b369504304e74a6"),
+         "564a6f6a993bfbeca9a9165c31437671568bf35056f7b2cab766994f501d6c66"),
         (CONC_GEN + "check = mean\n",
-         "3a20d167e08b7a575c558047b6df5b255d243b9e53df219242d9e48ef598130e"),
+         "4d31b817e1bb01bedc908ef24290430d8bf3bed910665833556c9a9500810def"),
     ],
 )
 def test_concentration_stdout_digest(tmp_path, capsys, text, digest):
@@ -96,4 +98,4 @@ def test_concentration_redraw_digest():
         x, X = study.redraw(3, t)
         for a in (x, *X.blocks):
             h.update(a.tobytes())
-    assert h.hexdigest() == "ab424a611bdd86b5418f1a2d9d90464b934deceadb308da7168a39c698343636"
+    assert h.hexdigest() == "f5ab0108ad7094dbb56576af547f4f8512e99423d45ca09d4a5b782f76c812da"

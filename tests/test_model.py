@@ -157,10 +157,8 @@ def test_apply_selector_general_combination():
 
 def test_selector_discrete_shape_and_flags():
     z = Selector.discrete((1, 0), r=3, theta=2)
-    assert z.is_discrete()
     assert np.array_equal(z.block(0), [0.0, 1.0, 0.0])
-    zz = Selector(z=np.array([0.5, 0.5, 0.0, 1.0, 0.0, 0.0]), r=3, theta=2)
-    assert not zz.is_discrete()
+    assert np.array_equal(z.block(1), [1.0, 0.0, 0.0])
 
 
 def test_support_pattern_blocks_and_sbar():
@@ -168,7 +166,7 @@ def test_support_pattern_blocks_and_sbar():
     assert list(sp.block(0)) == [0, 2]
     assert list(sp.block(1)) == [1]
     assert list(sp.block(2)) == [1]
-    assert list(sp.block_sizes()) == [2, 1, 1]
+    assert list(np.bincount(np.asarray(sp.indices) // sp.n, minlength=sp.theta)) == [2, 1, 1]
     assert len(sp) == 4
 
 

@@ -69,9 +69,9 @@ def test_x3c_reduction_structure():
 
 
 def test_x3c_reduction_digest():
-    # pins the orthogonal tails over several sizes, seeds and theta: they come
-    # from one (theta, n-1, n-1) Gaussian draw and one batched QR, bit-identical
-    # to the block-by-block draws of earlier versions
+    # pins the orthogonal tails over several sizes, seeds and theta: one
+    # (theta, n-1, n-1) Gaussian draw from the generator keyed by
+    # (seed, 'x3c-orthogonal') and one batched QR
     h = hashlib.sha256()
     for m in (6, 9, 12):
         triples = list(itertools.combinations(range(m), 3))[:: max(1, m - 4)][:7]
@@ -80,7 +80,7 @@ def test_x3c_reduction_digest():
             for seed in range(3):
                 for b in x3c_to_l0(inst, n=n, seed=seed).A.blocks:
                     h.update(b.tobytes())
-    assert h.hexdigest() == "c51a33df2c51d8de23d913901ce98a165d2eb7405378ead10b4fcbc66b9c6e54"
+    assert h.hexdigest() == "17381da5081f966f2f4e089cb1861507a949f8593b126cc5705f7a04a742caae"
 
 
 def test_x3c_reduction_rejects_bad_width():

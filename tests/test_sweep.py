@@ -1,11 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
 
-from blockrelax.generate import GenConfig, derive_seed
+from blockrelax import sweep
+from blockrelax.generate import GenConfig, derive_seed, instance_generator, sample_instances
+from blockrelax.model import effective_matrix, solver_weights
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
     _chunks,
+    _comparison_trial,
     block_match_probability,
     build_comparison_plan,
     build_sweep_plan,
@@ -104,7 +109,7 @@ def test_sweep_counts_consistent_and_jobs_invariant(tmp_path):
     write_sweep_csv(parallel, str(p2))
     lines1 = p1.read_text().splitlines()
     lines2 = p2.read_text().splitlines()
-    assert lines1[0] == "# schema=4"
+    assert lines1[0] == "# schema=5"
     assert lines1[1] == ",".join(SWEEP_COLUMNS)
     assert SWEEP_COLUMNS[-1] == "wall_time"
     assert len(lines1) == len(lines2)
@@ -254,7 +259,7 @@ def test_comparison_single_block_rates_agree(tmp_path):
     out = tmp_path / "cmp.csv"
     write_comparison_csv(results, str(out))
     lines = out.read_text().splitlines()
-    assert lines[0] == "# schema=4"
+    assert lines[0] == "# schema=5"
     assert lines[1] == ",".join(COMPARISON_COLUMNS)
     assert COMPARISON_COLUMNS[-1] == "wall_time"
     assert len(lines) == 3
@@ -262,7 +267,6 @@ def test_comparison_single_block_rates_agree(tmp_path):
 
 def test_comparison_jobs_invariant():
     # two blocks of four columns, m < r * theta; at seed 7 every count is nonzero
-    # but the two-block best-of count, whose hit needs both blocks guessed at once
     multi_block = "m = 5\ns = 1\ntheta = 2\nr = 4\nguess_density = 0.2\n"
     for text in (COMPARE_CFG, multi_block):
         cells = build_comparison_plan(parse_config(text), seed=7, trials=60)
@@ -273,3 +277,28 @@ def test_comparison_jobs_invariant():
             assert (ra.n_relax, ra.n_bestof, ra.n_certified) == (rb.n_relax, rb.n_bestof, rb.n_certified)
             assert ra.p_l == rb.p_l
             assert ra.formula_exact == rb.formula_exact
+
+
+def test_comparison_relaxation_side_draws_as_sample_instances(monkeypatch):
+    # after the select instance, the relaxation side draws from the trial's
+    # generator what sample_instances draws, unplanted: its program equals the
+    # planted instance's off the planted columns, and y = A x is the same
+    cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=1)[0]
+    cfg = cell.gen.with_seed(derive_seed(cell.seed, "trial", 0))
+    rng = instance_generator(cfg.master_seed)
+    (select,) = sample_instances([cfg], [rng])
+    (ref,) = sample_instances([cfg], [copy.deepcopy(rng)])
+    seen = {}
+    solve = sweep.solve_weighted_bp
+
+    def spy(B, w, y, options):
+        seen.update(B=B, w=w, y=y)
+        return solve(B, w, y, options)
+
+    monkeypatch.setattr(sweep, "solve_weighted_bp", spy)
+    _comparison_trial(cell, select, rng)
+    off = np.ones(cfg.r * cfg.theta, dtype=bool)
+    off[ref.X.planted_global_cols()] = False
+    assert np.array_equal(seen["y"], ref.y)
+    assert np.array_equal(seen["B"][:, off], effective_matrix(ref.A, ref.X)[:, off])
+    assert np.array_equal(seen["w"][off], solver_weights(ref.X, cell.p)[off])
