@@ -35,8 +35,11 @@ from .model import (
     SupportPattern,
     apply_selector,
     effective_matrix,
+    effective_stack,
     lp_norm,
+    matvec_stack,
     solver_weights,
+    weight_stack,
 )
 from .oracle import (
     GridOracleResult,
@@ -61,9 +64,11 @@ from .solver import (
     SolveOptions,
     SolveResult,
     certificate_for_instance,
+    certificate_stack,
     kkt_certificate,
     recovery_check,
     solve_instance,
+    solve_stack,
     solve_weighted_bp,
 )
 from .storage import load_instance, load_reduction, save_instance, save_reduction

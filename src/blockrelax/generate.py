@@ -29,6 +29,8 @@ from .model import (
     GuessEnsemble,
     RelaxedInstance,
     SupportPattern,
+    _prechecked,
+    matvec_stack,
 )
 
 __all__ = [
@@ -259,10 +261,12 @@ def sample_instances(cfgs, rngs) -> list:
 
     Instance i takes all its draws from ``rngs[i]`` (see ``_draw``) and
     carries ``cfgs[i]``; the configs may differ in their master seed only.
-    ``_stack`` then runs once over the chunk, the hidden blocks are planted
-    and each instance holds views of the chunk's tensors.  An entry is the
-    instance, or the error its own draws raised (a support block left empty,
-    say), so one bad draw leaves the rest of the chunk alone.
+    ``_stack`` then runs once over the chunk, the hidden blocks are planted,
+    y = A x is one stacked product, and each instance holds views of the
+    chunk's tensors, in containers built without re-running the checks
+    their construction guarantees.  An entry is the instance, or the error
+    its own draws raised (a support block left empty, say), so one bad draw
+    leaves the rest of the chunk alone.
     """
     cfg = cfgs[0]
     out: list = [None] * len(cfgs)
@@ -277,8 +281,10 @@ def sample_instances(cfgs, rngs) -> list:
     if not drawn:
         return out
     support, x, planted, X, A = _stack(cfg, draws)
-    hidden = x.reshape(len(drawn), cfg.theta, cfg.n)
-    X[np.arange(len(drawn))[:, None], np.arange(cfg.theta), :, planted] = hidden
+    k = len(drawn)
+    hidden = x.reshape(k, cfg.theta, cfg.n)
+    X[np.arange(k)[:, None], np.arange(cfg.theta), :, planted] = hidden
+    y = matvec_stack(A, x)
     empty = ~hidden.any(axis=2)
     for j, i in enumerate(drawn):
         if empty[j].any():
@@ -287,18 +293,16 @@ def sample_instances(cfgs, rngs) -> list:
                 "would be all-zero; increase s or use equidistributed supports"
             )
             continue
-        try:
-            Aj = BlockSensingMatrix(blocks=A[j])
-            out[i] = RelaxedInstance(
-                A=Aj,
-                X=GuessEnsemble(blocks=X[j], planted_cols=tuple(planted[j].tolist())),
-                x=x[j],
-                support=SupportPattern(indices=tuple(support[j].tolist()), n=cfg.n, theta=cfg.theta),
-                y=Aj.matvec(x[j]),
-                config=cfgs[i],
-            )
-        except ValueError as exc:
-            out[i] = exc
+        # every invariant RelaxedInstance checks holds by construction, so none is re-checked
+        out[i] = _prechecked(
+            RelaxedInstance,
+            A=_prechecked(BlockSensingMatrix, blocks=A[j]),
+            X=_prechecked(GuessEnsemble, blocks=X[j], planted_cols=tuple(planted[j].tolist())),
+            x=x[j],
+            support=_prechecked(SupportPattern, indices=tuple(support[j].tolist()), n=cfg.n, theta=cfg.theta),
+            y=y[j],
+            config=cfgs[i],
+        )
     return out
 
 

@@ -31,8 +31,11 @@ __all__ = [
     "Selector",
     "RelaxedInstance",
     "lp_norm",
+    "matvec_stack",
     "effective_matrix",
+    "effective_stack",
     "solver_weights",
+    "weight_stack",
     "apply_selector",
 ]
 
@@ -87,13 +90,7 @@ class BlockSensingMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ncols,):
             raise ValueError(f"expected vector of length {self.ncols}")
-        out = np.zeros(self.m)
-        n = self.n
-        # block by block: this summation order fixes the bits of every stored y,
-        # and one product with full() moves the last bit in most random shapes
-        for l, b in enumerate(self.blocks):
-            out += b @ x[l * n : (l + 1) * n]
-        return out
+        return matvec_stack(self.blocks, x)
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,21 @@ class RelaxedInstance:
         return self.X.r
 
 
+def _prechecked(cls, **fields):
+    """A ``cls`` instance (one of the frozen containers above) holding ``fields`` as given, unchecked.
+
+    For ``generate.sample_instances`` alone, which builds every invariant
+    the constructors test: sorted distinct support indices, nonzero guess
+    columns in [-1, 1] whose planted ones store the hidden blocks, x
+    vanishing off its support, y = A x, C-contiguous float64 stacks.
+    Everything else goes through the checking constructors.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_exponent(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
@@ -293,6 +305,21 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(v) ** p))
 
 
+def matvec_stack(A_blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Products (..., m) of (..., theta, m, n) sensing stacks with (..., n*theta) vectors.
+
+    The blocks' products are summed in block order: this order fixes the
+    bits of every stored y, and one product with the concatenated matrix
+    moves the last bit in most random shapes.
+    """
+    theta, m, n = A_blocks.shape[-3:]
+    parts = A_blocks @ x.reshape(*x.shape[:-1], theta, n, 1)
+    out = np.zeros((*parts.shape[:-3], m))
+    for l in range(theta):
+        out += parts[..., l, :, 0]
+    return out
+
+
 def effective_matrix(A: BlockSensingMatrix, X: GuessEnsemble) -> np.ndarray:
     """Dense (m, r*theta) matrix whose column l*r+k is A_block_l @ X_block_l[:, k].
 
@@ -301,7 +328,17 @@ def effective_matrix(A: BlockSensingMatrix, X: GuessEnsemble) -> np.ndarray:
     """
     if A.n != X.n or A.theta != X.theta:
         raise ValueError("sensing matrix and ensemble disagree on (n, theta)")
-    return np.hstack(A.blocks @ X.blocks)
+    return effective_stack(A.blocks, X.blocks)
+
+
+def effective_stack(A_blocks: np.ndarray, X_blocks: np.ndarray) -> np.ndarray:
+    """Effective matrices (..., m, r*theta) of (..., theta, m, n) sensing and (..., theta, n, r) guess stacks.
+
+    One stacked product gives every block of every instance the bits it gets
+    alone, so a chunk of instances shares one call with ``effective_matrix``.
+    """
+    prod = A_blocks @ X_blocks  # (..., theta, m, r)
+    return np.swapaxes(prod, -3, -2).reshape(*prod.shape[:-3], prod.shape[-2], -1)
 
 
 def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
@@ -312,12 +349,18 @@ def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
     it.  (All-zero columns are already rejected by GuessEnsemble.)
     """
     _check_exponent(p)
-    w = np.sum(np.abs(X.blocks) ** p, axis=1).reshape(-1)
+    w = weight_stack(X.blocks, p)
     col_norms = np.linalg.norm(X.blocks, axis=1).reshape(-1)
     bad = np.flatnonzero((w < 1e-12) & (col_norms > 1e-12))
     if bad.size:
         raise ValueError(f"columns {bad.tolist()} have vanishing weight but nonzero norm")
     return w
+
+
+def weight_stack(X_blocks: np.ndarray, p: float) -> np.ndarray:
+    """Weights (..., r*theta) of (..., theta, n, r) guess stacks: each column's sum of |entry|**p."""
+    w = np.sum(np.abs(X_blocks) ** p, axis=-2)
+    return w.reshape(*w.shape[:-2], -1)
 
 
 def apply_selector(X: GuessEnsemble, z: Selector | np.ndarray) -> np.ndarray:

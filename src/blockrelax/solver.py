@@ -27,16 +27,35 @@ tolerance.
 sign pattern: injectivity of the support columns plus a strict dual margin on
 every off-support column.  When it holds, the weighted program has exactly one
 minimizer, namely the vector supported there.
+
+Programs come in stacks: ``solve_stack`` and ``certificate_stack`` take k
+programs of one shape (m, R) as (k, m, R), (k, R) and (k, m) arrays, and
+``solve_weighted_bp`` and ``kkt_certificate`` are stacks of one.  The stack
+walks in lockstep: each round every live program takes one step, and
+programs whose active sets have the same size take it as one stacked product
+per operation.  Bland's rule and every tolerance apply per program.  A
+program leaves the lockstep when it stops, and a leave step re-factors its
+own basis alone; the multipliers, gap, residual and support are worked out
+once, for the program that stops.  The certificate factors every support in
+one batched SVD, and ``recovery_stack`` checks every solve against its
+planted truth with one stacked reconstruction.
+
+A program's result does not depend on its stack-mates.  Every operation is
+elementwise, per program, or a stacked ``matmul`` or ``linalg`` gufunc whose
+operands are laid out as a single program's are, so each slice gets the bits
+it gets alone: a stack of k returns what k stacks of one return, bit for
+bit.  A program's error (weights that are not strictly positive, a failed
+factorization) is its entry in the results and leaves the rest of the stack
+alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelaxedInstance, apply_selector, effective_matrix, solver_weights
+from .model import RelaxedInstance, effective_matrix, solver_weights
 
 __all__ = [
     "TOL_FEAS",
@@ -44,8 +63,11 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "CertificateResult",
+    "solve_stack",
     "solve_weighted_bp",
+    "certificate_stack",
     "kkt_certificate",
+    "recovery_stack",
     "recovery_check",
     "solve_instance",
     "certificate_for_instance",
@@ -101,95 +123,231 @@ def _gap_from_dual(B, w, y, obj, h) -> float:
     return obj - float(y @ h)
 
 
-def solve_weighted_bp(
-    B: np.ndarray, w: np.ndarray, y: np.ndarray, options: SolveOptions | None = None
-) -> SolveResult:
-    """Minimize sum w_k |z_k| subject to B z = y.
+@dataclass(slots=True)
+class _Lockstep:
+    """Programs of a stack that walk together because their active sets have one size.
 
-    Returns status 'optimal' when the walk stops with a closed duality gap,
-    'infeasible' when y is out of range of B (the least-squares point is
-    reported, with ``iterations == 0``), and 'max-iter' with the last iterate
-    when the step cap is reached.  ``iterations`` counts the walk's steps.  A
-    stop whose gap does not close is reported as 'max-iter' too rather than as
-    'optimal'; no tested program has hit that case.
+    Each array has one program per row.  Vectors are kept as (L, m, 1)
+    columns or (L, 1, m) rows, and ``Q`` is C-contiguous, so that every
+    stacked product reads each program's data as a single program's product
+    would and gives it the same bits.
+    """
+
+    idx: np.ndarray  # (L,) positions in the stack
+    A: np.ndarray  # (L, m, R) dual normals B / w
+    tol_a: np.ndarray  # (L, 1, R) _WALK_TOL times each normal's length
+    y: np.ndarray  # (L, m, 1)
+    tol_y: np.ndarray  # (L, 1, 1) _WALK_TOL * ||y||
+    h: np.ndarray  # (L, 1, m) dual point
+    Q: np.ndarray  # (L, m, c) orthonormal basis of the c active normals
+    active: np.ndarray  # (L, R) the active columns first, in the order they became tight
+    tight: np.ndarray  # (L, 1, R) True on the active columns
+
+    def arrays(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def take(self, sel) -> "_Lockstep":
+        return _Lockstep(*(a[sel] for a in self.arrays()))
+
+
+def _any(mask: np.ndarray) -> bool:
+    """``mask.any()`` at a fraction of its call cost on tiny arrays: argmax finds the first True."""
+    return bool(mask.flat[mask.argmax()])
+
+
+def solve_stack(B, w, y, options: SolveOptions | None = None) -> list:
+    """Minimize sum w_k |z_k| subject to B z = y for each program of a stack.
+
+    ``B`` is (k, m, R), ``w`` (k, R) and ``y`` (k, m).  Entry i is program
+    i's ``SolveResult``, or the error it raises as a stack of one (weights
+    that are not strictly positive, say), so one bad program leaves the rest
+    alone.  Statuses are those of ``solve_weighted_bp``.  The programs walk in
+    lockstep, and each gets the same bits as in a stack of one.
     """
     opts = options or SolveOptions()
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m, R = B.shape
-    if w.shape != (R,) or y.shape != (m,):
+    B = np.ascontiguousarray(B, dtype=float)
+    w = np.ascontiguousarray(w, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    if B.ndim != 3 or w.shape != (len(B), B.shape[2]) or y.shape != B.shape[:2]:
         raise ValueError("shape mismatch between B, w, y")
-    if np.any(w <= 0.0):
-        raise ValueError(f"weights must be strictly positive; offending {np.flatnonzero(w <= 0).tolist()}")
+    k, m, R = B.shape
+    if not k:
+        return []
+    y_norm = np.sqrt(y[:, None, :] @ y[:, :, None])
+    bad = w <= 0.0
+    zero = (y_norm <= TOL_FEAS * (1.0 + y_norm))[:, 0, 0]  # z = 0 is feasible to tolerance
+    out: list = [None] * k
+    walk = slice(None)
+    if _any(bad) or _any(zero):
+        skip = bad.any(axis=1) | zero
+        for i in np.flatnonzero(skip):
+            if bad[i].any():
+                out[i] = ValueError(f"weights must be strictly positive; offending {np.flatnonzero(bad[i]).tolist()}")
+            else:
+                out[i] = SolveResult(
+                    z=np.zeros(R),
+                    objective=0.0,
+                    status="optimal",
+                    iterations=0,
+                    feas_residual=float(y_norm[i, 0, 0]),
+                    duality_gap=0.0,
+                    detected_support=(),
+                )
+        walk = np.flatnonzero(~skip)
+        if not walk.size:
+            return out
+    A = B[walk] / w[walk, None, :]  # the dual constraints are |A^T h| <= 1
+    L = len(A)
+    start = _Lockstep(
+        idx=np.arange(k)[walk],
+        A=A,
+        tol_a=_WALK_TOL * np.sqrt(np.add.reduce(A * A, axis=1, keepdims=True)),
+        y=y[walk, :, None],
+        tol_y=_WALK_TOL * y_norm[walk],
+        h=np.zeros((L, 1, m)),
+        Q=np.zeros((L, m, 0)),
+        active=np.zeros((L, R), dtype=int),
+        tight=np.zeros((L, 1, R), dtype=bool),
+    )
+    for i, end in _walk(start, opts.max_iter).items():
+        try:
+            out[i] = end if isinstance(end, Exception) else _finish(B[i], w[i], y[i], float(y_norm[i, 0, 0]), *end)
+        except np.linalg.LinAlgError as exc:
+            out[i] = exc
+    return out
 
-    y_norm = float(np.linalg.norm(y))
-    if y_norm <= TOL_FEAS * (1.0 + y_norm):  # z = 0 is feasible to tolerance
-        return SolveResult(
-            z=np.zeros(R),
-            objective=0.0,
-            status="optimal",
-            iterations=0,
-            feas_residual=y_norm,
-            duality_gap=0.0,
-            detected_support=(),
-        )
 
-    A = B / w  # the dual constraints are |A^T h| <= 1
-    a_norm = np.linalg.norm(A, axis=0)
-    h = np.zeros(m)
-    active: list[int] = []  # the tight constraints, in the order they became tight
-    signs: list[float] = []
-    Q = np.zeros((m, 0))  # orthonormal basis of the active normals
-    it = 0
-    while True:
-        # y minus its projection on the active normals, projected twice so that
-        # the normals' products with d stay at rounding level relative to d
-        d = y - Q @ (Q.T @ y)
-        d -= Q @ (Q.T @ d)
-        d_norm = math.sqrt(d @ d)
-        on_span = d_norm <= _WALK_TOL * y_norm
-        if on_span or it >= opts.max_iter:
-            # multipliers of y on the normals, through the basis: Q^T N is square
-            lam = np.linalg.solve(Q.T @ (A[:, active] * signs), Q.T @ y)
-        if on_span:
-            negative = [active[i] for i in np.flatnonzero(lam < -_WALK_TOL * np.abs(lam).max())]
-            if not negative:
-                status = "optimal"
-                break
-        if it >= opts.max_iter:
-            status = "max-iter"
-            break
-        it += 1
-        if on_span:
-            # Bland: the lowest column with a negative multiplier leaves
-            k = active.index(min(negative))
-            del active[k], signs[k]
-            Q = np.linalg.qr(A[:, active])[0]
-            continue
-        # ascend along d, which keeps the active constraints tight
-        c, g = h @ A, d @ A
-        g[active] = 0.0
-        cols = np.flatnonzero(np.abs(g) > _WALK_TOL * a_norm * d_norm)
-        if not cols.size:
-            status = "infeasible"  # the dual is unbounded along d
-            break
-        gc = g[cols]
-        t = np.maximum((np.sign(gc) - c[cols]) / gc, 0.0)
-        t_min = t.min()
-        # Bland: of the constraints tight after the step, the lowest column enters
-        i = int(np.argmax(np.abs(gc) * (t - t_min) <= _WALK_TOL))
-        h = h + t_min * d
-        active.append(int(cols[i]))
-        signs.append(float(np.sign(gc[i])))
-        a = A[:, cols[i]]
-        v = a - Q @ (Q.T @ a)
-        v -= Q @ (Q.T @ v)
-        Q = np.column_stack([Q, v / math.sqrt(v @ v)])
+def _walk(start: _Lockstep, max_iter: int) -> dict:
+    """Walk the programs of ``start`` in lockstep until each ends.
 
-    z = np.zeros(R)
+    Returns position -> (status, steps, h, active, signs, multipliers), or
+    the error the program raised.  Each round, every live program takes one
+    step, and programs whose active sets have the same size step as one group.
+    """
+    ends: dict = {}
+    groups, it = [start], 0
+    # the ratio test divides by every slope and masks the columns off it after
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while groups:
+            groups = [g for grp in groups for g in _step(grp, it, max_iter, ends)]
+            if len(groups) > 1:
+                by_size: dict = {}
+                for g in groups:
+                    by_size.setdefault(g.Q.shape[2], []).append(g)
+                groups = [
+                    gs[0] if len(gs) == 1 else _Lockstep(*map(np.concatenate, zip(*(g.arrays() for g in gs))))
+                    for gs in by_size.values()
+                ]
+            it += 1
+    return ends
+
+
+def _step(grp: _Lockstep, it: int, max_iter: int, ends: dict) -> list:
+    """One round of the group ``grp`` after ``it`` steps: the groups that walk on.
+
+    A program that stops goes to ``ends``; one whose lowest negative
+    multiplier leaves walks on as a group of one with a re-factored basis.
+    """
+    Q = grp.Q
+    Qt = Q.transpose(0, 2, 1)
+    # y minus its projection on the active normals, projected twice so that
+    # the normals' products with d stay at rounding level relative to d
+    d = grp.y - Q @ (Qt @ grp.y)
+    d -= Q @ (Qt @ d)
+    dt = d.transpose(0, 2, 1)
+    d_norm = np.sqrt(dt @ d)
+    on_span = d_norm <= grp.tol_y
+    stop = it >= max_iter
+    walk_on = []
+    if stop or _any(on_span):
+        on_span = on_span.ravel()
+        ending = np.arange(len(on_span)) if stop else on_span.nonzero()[0]
+        size = Q.shape[2]
+        for j in ending:
+            i, active = grp.idx[j], grp.active[j, :size]
+            normals = grp.A[j][:, active]
+            signs = np.sign(grp.h[j, 0] @ normals)  # an active constraint is tight: A_j^T h = +-1
+            try:
+                # multipliers of y on the normals, through the basis: Q^T N is square
+                lam = np.linalg.solve(Q[j].T @ (normals * signs), Q[j].T @ grp.y[j, :, 0])
+                if on_span[j]:
+                    negative = active[lam < -_WALK_TOL * np.abs(lam).max()]
+                    if not negative.size:
+                        ends[i] = ("optimal", it, grp.h[j, 0], active, signs, lam)
+                        continue
+                if stop:
+                    ends[i] = ("max-iter", it, grp.h[j, 0], active, signs, lam)
+                else:
+                    walk_on.append(_leave(grp, j, negative.min()))  # Bland: the lowest column leaves
+            except np.linalg.LinAlgError as exc:
+                ends[i] = exc
+        if len(ending) == len(on_span):
+            return walk_on
+        keep = ~on_span
+        grp, dt, d_norm = grp.take(keep), dt[keep], d_norm[keep]
+        Q = grp.Q
+        Qt = Q.transpose(0, 2, 1)
+    # ascend along d, which keeps the active constraints tight
+    c = grp.h @ grp.A
+    g = dt @ grp.A
+    g[grp.tight] = 0.0
+    slope = np.abs(g)
+    t = (np.sign(g) - c) / g
+    np.maximum(t, 0.0, out=t)
+    t[~(slope > grp.tol_a * d_norm)] = np.inf  # only columns with a slope (not NaN) can become tight
+    t_min = np.minimum.reduce(t, axis=2, keepdims=True)
+    unbounded = t_min == np.inf  # no column stops the ascent: the dual is unbounded along d
+    if _any(unbounded):
+        keep = ~unbounded.ravel()
+        for i in grp.idx[~keep]:
+            ends[i] = ("infeasible", 0, None, None, None, None)
+        if not keep.any():
+            return walk_on
+        grp, dt, slope, t, t_min = grp.take(keep), dt[keep], slope[keep], t[keep], t_min[keep]
+        Q = grp.Q
+        Qt = Q.transpose(0, 2, 1)
+    # Bland: of the constraints tight after the step, the lowest column enters
+    col = (slope * (t - t_min) <= _WALK_TOL).argmax(axis=2).ravel()
+    size = Q.shape[2]
+    # the entering columns, copied out with a non-unit stride: a single
+    # program's walk reads its column of A in place, and BLAS takes another
+    # path, and gives other bits, for a vector with unit stride
+    a = np.empty((len(col), Q.shape[1], 2))
+    if len(col) == 1:  # integer indexing, for a single program's speed
+        j = int(col[0])
+        a[0, :, 0] = grp.A[0, :, j]
+        grp.tight[0, 0, j] = True
+        grp.active[0, size] = j
+    else:
+        rows = np.arange(len(col))
+        a[:, :, 0] = grp.A[rows, :, col]
+        grp.tight[rows, 0, col] = True
+        grp.active[rows, size] = col
+    a = a[:, :, :1]
+    v = a - Q @ (Qt @ a)
+    v -= Q @ (Qt @ v)
+    grp.h = grp.h + t_min * dt
+    grp.Q = np.concatenate([Q, v / np.sqrt(v.transpose(0, 2, 1) @ v)], axis=2)
+    walk_on.append(grp)
+    return walk_on
+
+
+def _leave(grp: _Lockstep, j: int, col: int) -> _Lockstep:
+    """Program ``j`` of ``grp`` after column ``col`` leaves its active set, as a group of one."""
+    one = grp if len(grp.idx) == 1 else grp.take([j])
+    size = one.Q.shape[2]
+    active = one.active[0, :size]
+    active[: size - 1] = active[active != col]
+    one.tight[0, 0, col] = False
+    one.Q = np.linalg.qr(one.A[0][:, active[: size - 1]])[0][None]
+    return one
+
+
+def _finish(B, w, y, y_norm: float, status: str, it: int, h, active, signs, lam) -> SolveResult:
+    """The result of one program whose walk ended with ``status`` after ``it`` steps."""
+    z = np.zeros(B.shape[1])
     if status != "infeasible":
-        z[active] = np.asarray(signs) * lam / w[active]
+        z[active] = signs * lam / w[active]
     feas = float(np.linalg.norm(B @ z - y))
     if status == "infeasible" or (status == "optimal" and feas > TOL_FEAS * (1.0 + y_norm)):
         status, it = "infeasible", 0
@@ -210,6 +368,24 @@ def solve_weighted_bp(
     )
 
 
+def solve_weighted_bp(
+    B: np.ndarray, w: np.ndarray, y: np.ndarray, options: SolveOptions | None = None
+) -> SolveResult:
+    """Minimize sum w_k |z_k| subject to B z = y: a stack of one (see ``solve_stack``).
+
+    Returns status 'optimal' when the walk stops with a closed duality gap,
+    'infeasible' when y is out of range of B (the least-squares point is
+    reported, with ``iterations == 0``), and 'max-iter' with the last iterate
+    when the step cap is reached.  ``iterations`` counts the walk's steps.  A
+    stop whose gap does not close is reported as 'max-iter' too rather than as
+    'optimal'; no tested program has hit that case.
+    """
+    (out,) = solve_stack(*(np.asarray(a, dtype=float)[None] for a in (B, w, y)), options)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _support_indices(z: np.ndarray) -> np.ndarray:
     top = float(np.abs(z).max(initial=0.0))
     if top == 0.0:
@@ -217,10 +393,65 @@ def _support_indices(z: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(z) > _SUPPORT_THRESHOLD * top)
 
 
+def certificate_stack(B, w, support, signs) -> list:
+    """Uniqueness certificates of a stack of programs, each at its own (support, signs).
+
+    ``B`` is (k, m, R), ``w`` (k, R), and ``support`` and ``signs`` are
+    (k, s): every program has a support of the same size.  Entry i is
+    program i's ``CertificateResult`` (see ``kkt_certificate``), or the error
+    it raises as a stack of one.  One batched SVD factors every support, and
+    one stacked product gives every off-support slack.
+    """
+    B = np.ascontiguousarray(B, dtype=float)
+    w = np.ascontiguousarray(w, dtype=float)
+    support = np.asarray(support, dtype=int)
+    signs = np.asarray(signs, dtype=float)
+    if support.shape != signs.shape:
+        raise ValueError("one sign per support index required")
+    k, m, R = B.shape
+    if not k:
+        return []
+    s = support.shape[1]
+    if s and _any((support < 0) | (support >= R)):
+        raise ValueError(f"support indices must lie in [0, {R})")
+    rows = np.arange(k)[:, None]
+    off = np.ones((k, R), dtype=bool)
+    off[rows, support] = False
+    if np.count_nonzero(off) != k * (R - s):  # a repeated index leaves one column too many off
+        raise ValueError("support indices must be distinct")
+    if s == 0:
+        margin = np.minimum.reduce(w, axis=1, initial=np.inf)
+        return [CertificateResult(holds=True, injective=True, margin=float(mg), h=np.zeros(m)) for mg in margin]
+
+    # columns as rows: BT[rows, cols] is laid out as one program's B[:, cols].T is
+    BT = B.transpose(0, 2, 1)
+    try:
+        uu, sig, vvt = np.linalg.svd(BT[rows, support].transpose(0, 2, 1), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # a program whose factorization fails fails alone
+        if k == 1:
+            return [exc]
+        return [certificate_stack(B[i : i + 1], w[i : i + 1], support[i : i + 1], signs[i : i + 1])[0] for i in range(k)]
+    kept = sig > _PINV_RCOND * sig[:, :1]
+    # singular values come sorted, so B_S has full column rank when its last one is kept
+    injective = kept[:, -1] if m >= s else np.zeros(k, dtype=bool)
+    # h = (B_S^*)^+ (w_S * signs) through the SVD of B_S, cut at its rank
+    vt_target = (vvt @ (w[rows, support] * signs)[:, :, None])[:, :, 0]
+    coef = np.divide(vt_target, sig, out=np.zeros_like(sig), where=kept)
+    h = (uu @ coef[:, :, None])[:, :, 0]
+    off = np.nonzero(off)[1].reshape(k, R - s)
+    slack = w[rows, off] - np.abs((BT[rows, off] @ h[:, :, None])[:, :, 0])
+    margin = np.minimum.reduce(slack, axis=1, initial=np.inf)
+    holds = injective & (margin > 1e-9 * np.maximum.reduce(w, axis=1))
+    return [
+        CertificateResult(holds=bool(holds[i]), injective=bool(injective[i]), margin=float(margin[i]), h=h[i])
+        for i in range(k)
+    ]
+
+
 def kkt_certificate(
     B: np.ndarray, w: np.ndarray, support, signs
 ) -> CertificateResult:
-    """Uniqueness certificate for the weighted program at (support, signs).
+    """Uniqueness certificate for the weighted program at (support, signs): a stack of one.
 
     Builds the least-norm dual h with B_S^T h = w_S * signs and measures the
     worst off-support slack w_j - |<B_j, h>|.  ``holds`` requires the support
@@ -233,57 +464,49 @@ def kkt_certificate(
     lands on either side of 0.0 in floating point, and the test is sufficient
     anyway, so refusing hairline margins only makes it more conservative.
     """
-    B = np.asarray(B, dtype=float)
-    w = np.asarray(w, dtype=float)
     support = np.asarray(support, dtype=int)
     signs = np.asarray(signs, dtype=float)
     if support.size != signs.size:
         raise ValueError("one sign per support index required")
-    if support.size and len(set(support.tolist())) != support.size:
-        raise ValueError("support indices must be distinct")
-    R = B.shape[1]
-    if support.size and (support.min() < 0 or support.max() >= R):
-        raise ValueError(f"support indices must lie in [0, {R})")
-    if support.size == 0:
-        return CertificateResult(holds=True, injective=True, margin=float(np.min(w)) if R else np.inf, h=np.zeros(B.shape[0]))
+    (out,) = certificate_stack(
+        np.asarray(B, dtype=float)[None], np.asarray(w, dtype=float)[None], support.reshape(1, -1), signs.reshape(1, -1)
+    )
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    Bs = B[:, support]
-    uu, sig, vvt = np.linalg.svd(Bs, full_matrices=False)
-    cutoff = _PINV_RCOND * (sig[0] if sig.size else 0.0)
-    rank = int(np.sum(sig > cutoff))
-    injective = rank == support.size
-    target = w[support] * signs
-    # h = (B_S^*)^+ target through the SVD of B_S
-    h = uu[:, :rank] @ ((vvt[:rank] @ target) / sig[:rank]) if rank else np.zeros(B.shape[0])
 
-    off = np.ones(R, dtype=bool)
-    off[support] = False
-    if off.any():
-        slack = w[off] - np.abs(B[:, off].T @ h)
-        margin = float(slack.min())
-    else:
-        margin = np.inf
-    holds = bool(injective and margin > 1e-9 * float(np.max(w)))
-    return CertificateResult(holds=holds, injective=injective, margin=margin, h=h)
+def recovery_stack(X_blocks, x, planted, results, tol: float = 1e-6) -> list[str]:
+    """``recovery_check`` of each solve of a stack of instances.
+
+    ``X_blocks`` is the (k, theta, n, r) guess stack, ``x`` the (k, n*theta)
+    hidden vectors and ``planted`` the (k, theta) planted global columns, in
+    increasing order.  One stacked product reconstructs every X z: each block
+    gets the bits ``model.apply_selector`` gives it, up to the sign of a zero,
+    so the verdicts are the same.
+    """
+    k, theta, n, r = X_blocks.shape
+    same = [res.detected_support == cols for res, cols in zip(results, map(tuple, planted.tolist()))]
+    out = ["fail"] * k
+    if any(same):
+        z = np.stack([res.z for res in results]).reshape(k, theta, r, 1)
+        err = np.abs((X_blocks @ z).reshape(k, n * theta) - x).max(axis=1, initial=0.0)
+        for j in np.flatnonzero(same):
+            out[j] = "exact" if err[j] <= tol else "support-match"
+    return out
 
 
 def recovery_check(
     instance: RelaxedInstance, result: SolveResult, tol: float = 1e-6
 ) -> str:
-    """Classify a solve against the planted truth.
+    """Classify a solve against the planted truth: a stack of one (see ``recovery_stack``).
 
     'exact': detected support equals the planted one and the reconstruction
     matches entrywise within tol.  'support-match': supports agree but values
     drift beyond tol.  'fail': anything else.
     """
-    planted = set(int(i) for i in instance.X.planted_global_cols())
-    detected = set(result.detected_support)
-    if detected != planted:
-        return "fail"
-    recon = apply_selector(instance.X, result.z)
-    if float(np.abs(recon - instance.x).max(initial=0.0)) <= tol:
-        return "exact"
-    return "support-match"
+    X = instance.X
+    return recovery_stack(X.blocks[None], instance.x[None], X.planted_global_cols()[None], [result], tol)[0]
 
 
 def solve_instance(

@@ -7,14 +7,17 @@ the grid spans an axis, and cells are the cartesian product in a fixed key order
 Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
-the chunk's instances as one tensor pass (``generate.sample_instances``) and
-add up each cell's trials in trial order, so results are independent of worker
-count and chunking, and any single sweep trial can be replayed from its CSV
-coordinates.  A ``compare`` trial goes on drawing from its generator: an
-unplanted relaxation side through the sampler's first stage, then best-of-r
-guesses of that side's hidden vector.  CSV files start with a '# schema=5'
-comment; wall_time is always the last column and is the only one allowed to
-differ between runs.
+the chunk's instances as one tensor pass (``generate.sample_instances``),
+solve and certify the chunk's programs as one stack (``solver.solve_stack``,
+``solver.certificate_stack``) and add up each cell's trials in trial order.
+Each stacked operation gives a program the bits it gets alone, so a trial's
+outcome does not depend on its chunk-mates, results are independent of
+worker count and chunking, and any single sweep trial can be replayed from
+its CSV coordinates as a chunk of one.  A ``compare`` trial goes on drawing
+from its generator: an unplanted relaxation side through the sampler's first
+stage, then best-of-r guesses of that side's hidden vector.  CSV files start
+with a '# schema=5' comment; wall_time is always the last column and is the
+only one allowed to differ between runs.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ from .generate import (
     sample_guess_columns,
     sample_instances,
 )
-from .model import BlockSensingMatrix, effective_matrix, solver_weights
+from .model import effective_stack, matvec_stack, weight_stack
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import (
     SolveOptions,
-    certificate_for_instance,
-    kkt_certificate,
-    recovery_check,
-    solve_weighted_bp,
+    certificate_stack,
+    recovery_stack,
+    solve_stack,
 )
 
 __all__ = [
@@ -291,20 +293,20 @@ def _cell_instances(cell: Cell, start: int, stop: int) -> tuple[list, list]:
 
 def _timed_chunk(fn, cell: Cell, start: int, stop: int):
     t0 = time.perf_counter()
-    instances, rngs = _cell_instances(cell, start, stop)
-    out = [fn(cell, instance, rng) for instance, rng in zip(instances, rngs)]
+    out = fn(cell, *_cell_instances(cell, start, stop))
     return out, time.perf_counter() - t0
 
 
 def _run_trials(cells, fn, jobs: int) -> list[tuple[list, float]]:
-    """``fn(cell, instance, rng)`` for every trial of every cell, on ``jobs`` processes.
+    """``fn(cell, instances, rngs)`` for every chunk of every cell, on ``jobs`` processes.
 
-    ``instance`` is the trial's instance, or the error its draw raised, and
-    ``rng`` the trial's generator after that draw.  One work item draws one
-    chunk of one cell's trials (``_chunks``, ``_cell_instances``), so the
-    items do not depend on ``jobs``.  Per cell, in plan order: its trial
-    outputs in trial order and the summed time of its chunks.  ``fn`` must be
-    module-level so worker processes can import it; ``jobs`` below one raises.
+    ``instances`` holds each trial's instance, or the error its draw raised,
+    and ``rngs`` each trial's generator after that draw; ``fn`` returns one
+    output per trial.  One work item draws one chunk of one cell's trials
+    (``_chunks``, ``_cell_instances``), so the items do not depend on
+    ``jobs``.  Per cell, in plan order: its trial outputs in trial order and
+    the summed time of its chunks.  ``fn`` must be module-level so worker
+    processes can import it; ``jobs`` below one raises.
     """
     chunks = [_chunks(cell) for cell in cells]
     items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
@@ -342,16 +344,21 @@ class CellResult:
         return self.n_certified / self.cell.trials
 
 
-def _sweep_trial(cell: Cell, instance, rng=None) -> tuple[str, bool, bool, bool]:
-    """(verdict, certified, oracle_unique, oracle_agree) of one trial's instance; ``rng`` is unused.
+def _sweep_chunk(cell: Cell, instances: list, rngs=None) -> list[tuple[str, bool, bool, bool]]:
+    """(verdict, certified, oracle_unique, oracle_agree) of each trial of a chunk; ``rngs`` is unused.
 
     A trial that raises anywhere, in its draw too, is data, not a crash: its
     verdict is 'error'.
     """
-    if isinstance(instance, Exception):
+    return [_sweep_trial(cell, inst, art) for inst, art in zip(instances, _trial_artifacts(cell, instances))]
+
+
+def _sweep_trial(cell: Cell, instance, artifacts) -> tuple[str, bool, bool, bool]:
+    """The sweep outputs of one trial, from its instance and its ``_trial_artifacts`` entry."""
+    if isinstance(artifacts, Exception):
         return "error", False, False, False
     try:
-        result, cert, verdict = _trial_artifacts(cell, instance)
+        result, cert, verdict = artifacts
         unique = agree = False
         if cell.oracle and cell.gen.r**cell.gen.theta <= ENUMERATION_GUARD:
             oracle_res = enumerate_selectors(instance, cell.p)
@@ -378,7 +385,7 @@ def _support_to_combo(support, r: int, theta: int):
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
     """Execute all cells; results do not depend on ``jobs``."""
     results = []
-    for cell, (outs, wall_time) in zip(plan.cells, _run_trials(plan.cells, _sweep_trial, jobs)):
+    for cell, (outs, wall_time) in zip(plan.cells, _run_trials(plan.cells, _sweep_chunk, jobs)):
         verdicts, certified, unique, agree = zip(*outs)
         results.append(
             CellResult(
@@ -474,24 +481,52 @@ def write_sweep_csv(results: list[CellResult], path: str) -> None:
 
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
-    """Re-run a single sweep trial: its instance, solve, certificate and verdict."""
+    """Re-run a single sweep trial, as a chunk of one: its instance, solve, certificate and verdict."""
     cell = plan.cells[cell_index]
     instance = build_instance(_trial_config(cell, trial))
-    return (instance, *_trial_artifacts(cell, instance))
+    (artifacts,) = _trial_artifacts(cell, [instance])
+    if isinstance(artifacts, Exception):
+        raise artifacts
+    return (instance, *artifacts)
 
 
-def _trial_artifacts(cell: Cell, instance):
-    """Solve, planted-support certificate and verdict of one trial's instance.
+def _trial_artifacts(cell: Cell, instances: list) -> list:
+    """(solve, planted-support certificate, verdict) of each instance of a chunk.
 
-    B and w are built once and shared by the solve and the certificate.
+    The chunk's programs form one stack: B is one product of its sensing and
+    guess stacks, and one solve, one certificate and one reconstruction call
+    cover the chunk, each giving a program the bits it gets alone.  An entry
+    is the error its instance's draw or its own program raised instead,
+    where one did.
     """
-    B = effective_matrix(instance.A, instance.X)
-    w = solver_weights(instance.X, cell.p)
-    result = solve_weighted_bp(B, w, instance.y, cell.options)
-    cols = instance.X.planted_global_cols()
-    cert = kkt_certificate(B, w, cols, np.ones(cols.size))
-    verdict = recovery_check(instance, result)
-    return result, cert, verdict
+    out = list(instances)
+    drawn = [t for t, inst in enumerate(instances) if not isinstance(inst, Exception)]
+    if not drawn:
+        return out
+    X, x, B, w, y, planted = _stacked_programs(cell, [instances[t] for t in drawn])
+    results = solve_stack(B, w, y, cell.options)
+    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
+    solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
+    verdicts = dict(zip(solved, recovery_stack(X[solved], x[solved], planted[solved], [results[j] for j in solved])))
+    for j, (t, result, cert) in enumerate(zip(drawn, results, certs)):
+        if isinstance(result, Exception) or isinstance(cert, Exception):
+            out[t] = result if isinstance(result, Exception) else cert
+        else:
+            out[t] = (result, cert, verdicts[j])
+    return out
+
+
+def _stacked_programs(cell: Cell, instances: list) -> tuple:
+    """(X, x, B, w, y, planted columns) of a chunk's instances, each stacked over the chunk."""
+    X = np.stack([inst.X.blocks for inst in instances])
+    return (
+        X,
+        np.stack([inst.x for inst in instances]),
+        effective_stack(np.stack([inst.A.blocks for inst in instances]), X),
+        weight_stack(X, cell.p),
+        np.stack([inst.y for inst in instances]),
+        np.stack([inst.X.planted_global_cols() for inst in instances]),
+    )
 
 
 # -- comparison against the repeated-guessing baseline ------------------------
@@ -562,54 +597,55 @@ def build_comparison_plan(
     ]
 
 
-def _comparison_trial(cell: Cell, select, rng: np.random.Generator) -> tuple[bool, bool, bool]:
-    """(relax_hit, bestof_hit, certified) of one trial.
+def _comparison_chunk(cell: Cell, instances: list, rngs: list) -> list[tuple[bool, bool, bool]]:
+    """(relax_hit, bestof_hit, certified) of each trial of a chunk.
 
-    The trial takes all its draws from its one generator ``rng``, in a fixed
-    order: first the instance ``select`` whose certificate counts (drawn by
-    ``_run_trials``), then the relaxation side, an unplanted instance (the
-    first stage of ``sample_instances`` on ``rng``, a chunk of one), then the
-    best-of side's guesses.  The best-of side guesses the relaxation side's
-    x: every column of the alphabet law equals a given x^l with s nonzeros
-    with the same probability, so given x the two hits are independent.
+    Each trial takes all its draws from its own generator, in a fixed order:
+    first the instance whose certificate counts (drawn by ``_run_trials``),
+    then the relaxation side, an unplanted instance (the first stage of
+    ``sample_instances``), then the best-of side's guesses.  The best-of
+    side guesses the relaxation side's x: every column of the alphabet law
+    equals a given x^l with s nonzeros with the same probability, so given x
+    the two hits are independent.  The chunk's relaxation programs are
+    solved as one stack and its instances certified as another.
     """
-    if isinstance(select, Exception):
-        raise select
+    for select in instances:
+        if isinstance(select, Exception):
+            raise select
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
+    _, _, B, w, _, planted = _stacked_programs(cell, instances)
+    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
 
-    _, x, _, X, A = (a[0] for a in _stack(gen, [_draw(gen, rng)]))
-    y = BlockSensingMatrix(blocks=A).matvec(x)
-    B = np.hstack(A @ X)
-    w = np.sum(np.abs(X) ** cell.p, axis=1).ravel()
-    relax_hit = False
-    try:
-        res = solve_weighted_bp(B, w, y, cell.options)
-    except ValueError:
-        pass
-    else:
+    _, x, _, X, A = _stack(gen, [_draw(gen, rng) for rng in rngs])
+    solves = solve_stack(effective_stack(A, X), weight_stack(X, cell.p), matvec_stack(A, x), cell.options)
+    out = []
+    for j, rng in enumerate(rngs):
+        if isinstance(certs[j], Exception):
+            raise certs[j]
         # success means the relaxation SELECTS the hidden blocks: the solution
         # must be one column per block and those columns must equal x exactly.
         # Reconstruction alone would also count sign flips (z_l = -1 on a column
         # storing -x^l) and accidental span hits, events the per-column match
-        # probability p_l deliberately does not model.
-        combo = _support_to_combo(res.detected_support, r, theta)
+        # probability p_l deliberately does not model.  A program that raised
+        # (weights not strictly positive, say) selects nothing.
+        combo = None if isinstance(solves[j], Exception) else _support_to_combo(solves[j].detected_support, r, theta)
         relax_hit = combo is not None and all(
-            np.array_equal(X[l, :, k], x[l * n : (l + 1) * n])
+            np.array_equal(X[j, l, :, k], x[j, l * n : (l + 1) * n])
             for l, k in enumerate(combo)
         )
-
-    # r independent guesses of the whole vector, one nonzero column per block
-    g = sample_guess_columns(gen, rng, (r, theta))
-    bestof_hit = bool(np.all(g.reshape(r, -1) == x, axis=1).any())
-    return relax_hit, bestof_hit, bool(certificate_for_instance(select, cell.p).holds)
+        # r independent guesses of the whole vector, one nonzero column per block
+        g = sample_guess_columns(gen, rng, (r, theta))
+        bestof_hit = bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
+        out.append((relax_hit, bestof_hit, certs[j].holds))
+    return out
 
 
 def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:
     """Relaxation, best-of-r and certificate rates per cell; results do not depend on ``jobs``."""
     p_ls = [block_match_probability(cell.gen) for cell in cells]
     results = []
-    for cell, p_l, (outs, wall_time) in zip(cells, p_ls, _run_trials(cells, _comparison_trial, jobs)):
+    for cell, p_l, (outs, wall_time) in zip(cells, p_ls, _run_trials(cells, _comparison_chunk, jobs)):
         relax, bestof, certified = (sum(col) for col in zip(*outs))
         p_select = certified / cell.trials
         r, theta = cell.gen.r, cell.gen.theta

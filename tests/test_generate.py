@@ -18,6 +18,7 @@ from blockrelax.generate import (
     sample_guess_columns,
     sample_instances,
 )
+from blockrelax.model import BlockSensingMatrix, GuessEnsemble, RelaxedInstance, SupportPattern
 from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
 from blockrelax.storage import (
     ReductionRecord,
@@ -109,8 +110,9 @@ def assert_same_instance(got, ref):
 @pytest.mark.parametrize("kind", SENSING_KINDS)
 def test_chunks_equal_single_instances(kind, mode, law):
     # every chunking of 7 instances (sizes 1, 3 with a partial last chunk, and 7)
-    # gives build_instance's arrays bit for bit; uniform supports of s * theta = 3
-    # slots leave a block empty in most draws, and each such draw fails alone
+    # gives build_instance's arrays bit for bit, and each instance passes the
+    # checks the sampler skips; uniform supports of s * theta = 3 slots leave
+    # a block empty in most draws, and each such draw fails alone
     cfg = base_cfg(sensing_kind=kind, support_mode=mode, guess_law=law, s=1 if mode == "uniform" else 3)
     cfgs = [cfg.with_seed(derive_seed(9, "trial", t)) for t in range(7)]
     refs = []
@@ -131,6 +133,24 @@ def test_chunks_equal_single_instances(kind, mode, law):
                 assert isinstance(g, ValueError) and str(g) == str(ref)
             else:
                 assert_same_instance(g, ref)
+                assert_passes_checks(g)
+
+
+def assert_passes_checks(inst):
+    """The sampler builds instances unchecked; the checking constructors accept each one as it is."""
+    for a in (inst.A.blocks, inst.X.blocks, inst.x, inst.y):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    checked = RelaxedInstance(
+        A=BlockSensingMatrix(inst.A.blocks),
+        X=GuessEnsemble(inst.X.blocks, inst.X.planted_cols),
+        x=inst.x,
+        support=SupportPattern(inst.support.indices, inst.n, inst.theta),
+        y=inst.y,
+        config=inst.config,
+    )
+    assert checked.support == inst.support  # already sorted and distinct
+    assert checked.X.planted_cols == inst.X.planted_cols
+    assert np.array_equal(checked.A.matvec(inst.x), inst.y)  # y = A x to the bit
 
 
 def test_stream_isolation_across_parameters():

@@ -10,7 +10,7 @@ from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
     _chunks,
-    _comparison_trial,
+    _comparison_chunk,
     block_match_probability,
     build_comparison_plan,
     build_sweep_plan,
@@ -289,14 +289,14 @@ def test_comparison_relaxation_side_draws_as_sample_instances(monkeypatch):
     (select,) = sample_instances([cfg], [rng])
     (ref,) = sample_instances([cfg], [copy.deepcopy(rng)])
     seen = {}
-    solve = sweep.solve_weighted_bp
+    solve = sweep.solve_stack
 
     def spy(B, w, y, options):
-        seen.update(B=B, w=w, y=y)
+        (seen["B"],), (seen["w"],), (seen["y"],) = B, w, y  # a chunk of one
         return solve(B, w, y, options)
 
-    monkeypatch.setattr(sweep, "solve_weighted_bp", spy)
-    _comparison_trial(cell, select, rng)
+    monkeypatch.setattr(sweep, "solve_stack", spy)
+    _comparison_chunk(cell, [select], [rng])
     off = np.ones(cfg.r * cfg.theta, dtype=bool)
     off[ref.X.planted_global_cols()] = False
     assert np.array_equal(seen["y"], ref.y)
