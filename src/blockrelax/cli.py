@@ -140,7 +140,8 @@ def _cmd_compare(args) -> int:
     jobs = _jobs(args.jobs)
     with _config(args.config) as flat:
         cells = build_comparison_plan(flat, seed=args.seed, trials=args.trials)
-    results = run_comparison(cells, jobs=jobs)
+    with _one_line("trial"):  # a draw that fails, named by its cell and trial
+        results = run_comparison(cells, jobs=jobs)
     write_comparison_csv(results, args.out)
     for res in results:
         drift = abs(res.rate_relax - res.formula_exact)

@@ -5,22 +5,24 @@ label, index))`` is the package's one way to get a generator: Philox keyed
 by a 64-bit seed derived from (seed, label, index), counter at zero.  The
 instance with master seed s takes every draw from ``instance_generator(s)``
 in a fixed order: support keys, planted values, planted columns, guess
-columns, sensing.  ``sample_instances`` draws a chunk of instances in two
-stages.  The first turns each generator's draws into the chunk's supports,
+columns, sensing.  ``sample_instances`` draws a chunk of instances as one
+``InstanceStack`` of stacked arrays, in two stages.  The first,
+``draw_instances``, turns each generator's draws into the chunk's supports,
 hidden vectors, guess columns and sensing stacks, doing what does not depend
 on one instance's draws (the support argsort, the batched QR of the sensing
-blocks) once for the chunk; the second plants the hidden blocks and wraps
-each instance.  ``build_instance`` is a chunk of one, so the two agree bit
-for bit and any single trial of a sweep can be replayed from its seed alone.
-``compare``'s relaxation side runs the first stage alone.
+blocks) once for the chunk; the second plants the hidden blocks.
+``InstanceStack.instance`` is the one place a drawn ``RelaxedInstance`` is
+made, through the checking constructors.  ``build_instance`` is a chunk of
+one, so the two agree bit for bit and any single trial of a sweep can be
+replayed from its seed alone.  ``compare``'s relaxation side is
+``draw_instances`` alone.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .model import (
     GuessEnsemble,
     RelaxedInstance,
     SupportPattern,
-    _prechecked,
     matvec_stack,
 )
 
@@ -38,6 +39,8 @@ __all__ = [
     "derive_seed",
     "sample_guess_columns",
     "instance_generator",
+    "InstanceStack",
+    "draw_instances",
     "sample_instances",
     "build_instance",
     "SENSING_KINDS",
@@ -135,12 +138,6 @@ class GenConfig:
         if self.guess_law == "ternary":
             return self.nu
         return self.nu * self.p_x
-
-    def with_seed(self, master_seed: int) -> "GenConfig":
-        # __post_init__ checks no field a seed change touches, so a copy needs no new check
-        out = copy.copy(self)
-        object.__setattr__(out, "master_seed", master_seed)
-        return out
 
 
 def _key_shape(cfg: GenConfig) -> tuple[int, ...]:
@@ -240,75 +237,95 @@ def _draw(cfg: GenConfig, rng: np.random.Generator) -> tuple:
     )
 
 
-def _stack(cfg: GenConfig, draws: list) -> tuple:
-    """The first stage of a chunk: (support, x, planted, X, A) of a list of ``_draw`` outputs, nothing planted.
+@dataclass(frozen=True, eq=False)
+class InstanceStack:
+    """A chunk of one config's trials as stacked C-contiguous arrays, one row per trial that drew an instance.
 
-    Sorted support indices (k, s*theta), hidden vectors (k, n*theta),
-    planted column indices (k, theta), guess columns as one C-contiguous
-    (k, theta, n, r) stack and sensing stacks (k, theta, m, n).  The
-    planted slots of X still hold the columns drawn for them.
+    ``errors`` maps each other trial's position in the chunk to the error its
+    draw raised, and row j belongs to trial ``rows[j]``.  In a stack from
+    ``sample_instances`` each planted column of X stores its hidden block; in
+    one from ``draw_instances`` it still holds the column drawn for it.
     """
-    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
-    support = _supports(cfg, keys)
-    x = np.zeros((len(draws), cfg.n * cfg.theta))
-    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
-    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
-    return support, x, planted, X, _sensing_stacks(cfg, g)
+
+    config: GenConfig
+    seeds: tuple[int, ...]  # each trial's master seed
+    errors: dict[int, Exception]
+    A: np.ndarray  # sensing stacks (k, theta, m, n)
+    X: np.ndarray  # guess stacks (k, theta, n, r)
+    x: np.ndarray  # hidden vectors (k, n*theta)
+    y: np.ndarray  # observations A x (k, m)
+    support: np.ndarray  # sorted global support indices (k, s*theta)
+    planted: np.ndarray  # the planted column of each block (k, theta)
+
+    @property
+    def rows(self) -> list[int]:
+        return [i for i in range(len(self.seeds)) if i not in self.errors]
+
+    def instance(self, i: int) -> RelaxedInstance:
+        """Trial i's instance, built through the checking constructors; trial i's draw error is raised."""
+        if i in self.errors:
+            raise self.errors[i]
+        j, cfg = self.rows.index(i), self.config
+        return RelaxedInstance(
+            A=BlockSensingMatrix(self.A[j]),
+            X=GuessEnsemble(self.X[j], self.planted[j].tolist()),
+            x=self.x[j],
+            support=SupportPattern(self.support[j].tolist(), cfg.n, cfg.theta),
+            y=self.y[j],
+            config=replace(cfg, master_seed=self.seeds[i]),
+        )
 
 
-def sample_instances(cfgs, rngs) -> list:
-    """One planted instance per config and generator, drawn as one chunk.
+def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
+    """The first stage of a chunk: trial i's draws from ``rngs[i]``, ``instance_generator(seeds[i])``, unplanted.
 
-    Instance i takes all its draws from ``rngs[i]`` (see ``_draw``) and
-    carries ``cfgs[i]``; the configs may differ in their master seed only.
-    ``_stack`` then runs once over the chunk, the hidden blocks are planted,
-    y = A x is one stacked product, and each instance holds views of the
-    chunk's tensors, in containers built without re-running the checks
-    their construction guarantees.  An entry is the instance, or the error
-    its own draws raised (a support block left empty, say), so one bad draw
-    leaves the rest of the chunk alone.
+    A trial whose draw raises is an entry of ``errors``.  The support
+    argsort, the batched sensing QR and y = A x run once over the chunk.
     """
-    cfg = cfgs[0]
-    out: list = [None] * len(cfgs)
-    drawn, draws = [], []
+    errors, draws = {}, []
     for i, rng in enumerate(rngs):
         try:
             draws.append(_draw(cfg, rng))
         except RuntimeError as exc:  # a guess column that stays all-zero
-            out[i] = exc
-        else:
-            drawn.append(i)
-    if not drawn:
-        return out
-    support, x, planted, X, A = _stack(cfg, draws)
-    k = len(drawn)
-    hidden = x.reshape(k, cfg.theta, cfg.n)
-    X[np.arange(k)[:, None], np.arange(cfg.theta), :, planted] = hidden
-    y = matvec_stack(A, x)
+            errors[i] = exc
+    t, m, n = cfg.theta, cfg.m, cfg.n
+    if not draws:  # no row: every array is empty
+        floats = [np.empty((0, *shape)) for shape in ((t, m, n), (t, n, cfg.r), (n * t,), (m,))]
+        return InstanceStack(cfg, tuple(seeds), errors, *floats, np.empty((0, cfg.s * t), int), np.empty((0, t), int))
+    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
+    support = _supports(cfg, keys)
+    x = np.zeros((len(draws), n * t))
+    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
+    A = _sensing_stacks(cfg, g)
+    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
+    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted)
+
+
+def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
+    """One planted instance per trial, drawn as one chunk: ``draw_instances`` with the hidden blocks planted.
+
+    A trial whose support leaves a block empty, so that its planted column
+    would be all-zero, joins ``errors`` and leaves the rest of the chunk
+    alone.  Each stacked operation gives a row the bits it gets alone.
+    """
+    stack = draw_instances(cfg, seeds, rngs)
+    k, rows = len(stack.x), stack.rows
+    hidden = stack.x.reshape(k, cfg.theta, cfg.n)
+    stack.X[np.arange(k)[:, None], np.arange(cfg.theta), :, stack.planted] = hidden
     empty = ~hidden.any(axis=2)
-    for j, i in enumerate(drawn):
-        if empty[j].any():
-            out[i] = ValueError(
-                f"block {np.flatnonzero(empty[j])[0]} has empty support, so its planted column "
-                "would be all-zero; increase s or use equidistributed supports"
-            )
-            continue
-        # every invariant RelaxedInstance checks holds by construction, so none is re-checked
-        out[i] = _prechecked(
-            RelaxedInstance,
-            A=_prechecked(BlockSensingMatrix, blocks=A[j]),
-            X=_prechecked(GuessEnsemble, blocks=X[j], planted_cols=tuple(planted[j].tolist())),
-            x=x[j],
-            support=_prechecked(SupportPattern, indices=tuple(support[j].tolist()), n=cfg.n, theta=cfg.theta),
-            y=y[j],
-            config=cfgs[i],
+    good = ~empty.any(axis=1)
+    if good.all():
+        return stack
+    errors = dict(stack.errors)
+    for j in np.flatnonzero(~good):
+        errors[rows[j]] = ValueError(
+            f"block {np.flatnonzero(empty[j])[0]} has empty support, so its planted column "
+            "would be all-zero; increase s or use equidistributed supports"
         )
-    return out
+    kept = {f: getattr(stack, f)[good] for f in ("A", "X", "x", "y", "support", "planted")}
+    return replace(stack, errors=errors, **kept)
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:
     """The planted instance of ``cfg``: a chunk of one, drawn from ``instance_generator(cfg.master_seed)``."""
-    (out,) = sample_instances([cfg], [instance_generator(cfg.master_seed)])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return sample_instances(cfg, [cfg.master_seed], [instance_generator(cfg.master_seed)]).instance(0)

@@ -9,6 +9,8 @@ types.
 
 Blocks are stored as one C-contiguous float64 stack indexed by block first:
 sensing as (theta, m, n), guesses as (theta, n, r); ``blocks[l]`` is block l.
+Every container checks its invariants on construction, whoever builds it:
+``generate`` makes each drawn instance through these same constructors.
 
 Indices are 0-based everywhere in memory; file formats and CLI output use
 1-based labels.
@@ -276,21 +278,6 @@ class RelaxedInstance:
     @property
     def r(self) -> int:
         return self.X.r
-
-
-def _prechecked(cls, **fields):
-    """A ``cls`` instance (one of the frozen containers above) holding ``fields`` as given, unchecked.
-
-    For ``generate.sample_instances`` alone, which builds every invariant
-    the constructors test: sorted distinct support indices, nonzero guess
-    columns in [-1, 1] whose planted ones store the hidden blocks, x
-    vanishing off its support, y = A x, C-contiguous float64 stacks.
-    Everything else goes through the checking constructors.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _check_exponent(p: float) -> None:

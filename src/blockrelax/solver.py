@@ -60,6 +60,7 @@ from .model import RelaxedInstance, effective_matrix, solver_weights
 __all__ = [
     "TOL_FEAS",
     "TOL_OPT",
+    "TOL_RECOVERY",
     "SolveOptions",
     "SolveResult",
     "CertificateResult",
@@ -76,6 +77,7 @@ __all__ = [
 # relative tolerances: feasibility against 1 + ||y||, the duality gap against
 # 1 + |objective|.  The exhaustive oracles use the same feasibility rule.
 TOL_FEAS = TOL_OPT = 1e-8
+TOL_RECOVERY = 1e-6  # the largest entrywise error of X z against x that ``recovery_check`` calls 'exact'
 _PINV_RCOND = 1e-10  # relative singular value cutoff, shared by solver and certificate
 _SUPPORT_THRESHOLD = 1e-7  # an entry of z is in the support above this times its largest entry
 _WALK_TOL = 1e-12  # relative zero of the active-set walk: residual, slopes, ties, multipliers
@@ -476,7 +478,7 @@ def kkt_certificate(
     return out
 
 
-def recovery_stack(X_blocks, x, planted, results, tol: float = 1e-6) -> list[str]:
+def recovery_stack(X_blocks, x, planted, results) -> list[str]:
     """``recovery_check`` of each solve of a stack of instances.
 
     ``X_blocks`` is the (k, theta, n, r) guess stack, ``x`` the (k, n*theta)
@@ -492,21 +494,19 @@ def recovery_stack(X_blocks, x, planted, results, tol: float = 1e-6) -> list[str
         z = np.stack([res.z for res in results]).reshape(k, theta, r, 1)
         err = np.abs((X_blocks @ z).reshape(k, n * theta) - x).max(axis=1, initial=0.0)
         for j in np.flatnonzero(same):
-            out[j] = "exact" if err[j] <= tol else "support-match"
+            out[j] = "exact" if err[j] <= TOL_RECOVERY else "support-match"
     return out
 
 
-def recovery_check(
-    instance: RelaxedInstance, result: SolveResult, tol: float = 1e-6
-) -> str:
+def recovery_check(instance: RelaxedInstance, result: SolveResult) -> str:
     """Classify a solve against the planted truth: a stack of one (see ``recovery_stack``).
 
     'exact': detected support equals the planted one and the reconstruction
-    matches entrywise within tol.  'support-match': supports agree but values
-    drift beyond tol.  'fail': anything else.
+    matches entrywise within ``TOL_RECOVERY``.  'support-match': supports
+    agree but values drift beyond it.  'fail': anything else.
     """
     X = instance.X
-    return recovery_stack(X.blocks[None], instance.x[None], X.planted_global_cols()[None], [result], tol)[0]
+    return recovery_stack(X.blocks[None], instance.x[None], X.planted_global_cols()[None], [result])[0]
 
 
 def solve_instance(

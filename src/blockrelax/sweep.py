@@ -7,17 +7,17 @@ the grid spans an axis, and cells are the cartesian product in a fixed key order
 Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
-the chunk's instances as one tensor pass (``generate.sample_instances``),
-solve and certify the chunk's programs as one stack (``solver.solve_stack``,
-``solver.certificate_stack``) and add up each cell's trials in trial order.
-Each stacked operation gives a program the bits it gets alone, so a trial's
-outcome does not depend on its chunk-mates, results are independent of
-worker count and chunking, and any single sweep trial can be replayed from
-its CSV coordinates as a chunk of one.  A ``compare`` trial goes on drawing
-from its generator: an unplanted relaxation side through the sampler's first
-stage, then best-of-r guesses of that side's hidden vector.  CSV files start
-with a '# schema=5' comment; wall_time is always the last column and is the
-only one allowed to differ between runs.
+the chunk as one ``generate.InstanceStack``, solve and certify straight from
+its arrays as one stack (``solver.solve_stack``, ``solver.certificate_stack``)
+and add up each cell's trials in trial order; only an oracle cell builds a
+``RelaxedInstance``.  Each stacked operation gives a program the bits it gets
+alone, so a trial's outcome does not depend on its chunk-mates, results are
+independent of worker count and chunking, and any single sweep trial can be
+replayed from its CSV coordinates as a chunk of one.  A ``compare`` trial goes
+on drawing from its generator: an unplanted relaxation side
+(``generate.draw_instances``), then best-of-r guesses of that side's hidden
+vector.  CSV files start with a '# schema=5' comment; wall_time is always the
+last column and is the only one allowed to differ between runs.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ from .bounds import success_prob_block_relaxation
 from .generate import (
     SCHEMA_COMMENT,
     GenConfig,
-    _draw,
-    _stack,
-    build_instance,
+    InstanceStack,
     derive_seed,
+    draw_instances,
     instance_generator,
     sample_guess_columns,
     sample_instances,
 )
-from .model import effective_stack, matvec_stack, weight_stack
+from .model import effective_stack, weight_stack
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import (
     SolveOptions,
@@ -213,8 +212,12 @@ def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
     )
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate."""
+WILSON_Z = 1.96  # the normal quantile of the CSVs' Wilson intervals: 95% two-sided
+
+
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial rate, at z = ``WILSON_Z``."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     phat = k / n
@@ -226,7 +229,7 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Cell:
-    """One grid point of a ``sweep`` or ``compare`` plan; ``oracle`` is read by ``sweep`` only."""
+    """One grid point of a ``sweep`` or ``compare`` plan; ``oracle`` (sweep only) implies r**theta fits its guard."""
 
     index: int
     gen: GenConfig
@@ -248,17 +251,18 @@ def build_sweep_plan(
     """Expand a parsed config into ordered cells, one per point of the ``_GRID_KEYS`` grid."""
     cells = expand_config(cfg, SWEEP_KEYS, _GRID_KEYS, seed=seed, trials=trials)
     master_seed = config_number("seed", cells[0]["seed"])
+    gens = [gen_config(vals) for vals in cells]
     return SweepPlan(
         cells=tuple(
             Cell(
                 index=idx,
-                gen=gen_config(vals),
+                gen=gen,
                 p=config_exponent(vals["p"]),
                 trials=config_trials(vals["trials"]),
                 seed=derive_seed(master_seed, "cell", idx),
-                oracle=vals["oracle"] in ("1", "true", "on", "yes"),
+                oracle=vals["oracle"] in ("1", "true", "on", "yes") and gen.r**gen.theta <= ENUMERATION_GUARD,
             )
-            for idx, vals in enumerate(cells)
+            for idx, (vals, gen) in enumerate(zip(cells, gens))
         )
     )
 
@@ -274,38 +278,27 @@ def _chunks(cell: Cell) -> list[tuple[int, int]]:
     return [(start, min(start + size, cell.trials)) for start in range(0, cell.trials, size)]
 
 
-def _trial_config(cell: Cell, trial: int) -> GenConfig:
-    """The generation config of trial ``trial`` of ``cell``; its master seed keys the trial's generator."""
-    return cell.gen.with_seed(derive_seed(cell.seed, "trial", trial))
-
-
-def _cell_instances(cell: Cell, start: int, stop: int) -> tuple[list, list]:
-    """The instances of trials start .. stop-1 of ``cell``, drawn as one chunk, and their generators.
-
-    Trial t's instance equals ``build_instance(_trial_config(cell, t))`` bit
-    for bit, whatever the chunk; an entry is the error its trial's draw raised
-    instead, where it raised.
-    """
-    cfgs = [_trial_config(cell, t) for t in range(start, stop)]
-    rngs = [instance_generator(cfg.master_seed) for cfg in cfgs]
-    return sample_instances(cfgs, rngs), rngs
+def _cell_stack(cell: Cell, start: int, stop: int) -> tuple[InstanceStack, list]:
+    """Trials start .. stop-1 of ``cell`` drawn as one stack, and their generators after the draw."""
+    seeds = [derive_seed(cell.seed, "trial", t) for t in range(start, stop)]
+    rngs = [instance_generator(seed) for seed in seeds]
+    return sample_instances(cell.gen, seeds, rngs), rngs
 
 
 def _timed_chunk(fn, cell: Cell, start: int, stop: int):
     t0 = time.perf_counter()
-    out = fn(cell, *_cell_instances(cell, start, stop))
+    out = fn(cell, start, *_cell_stack(cell, start, stop))
     return out, time.perf_counter() - t0
 
 
 def _run_trials(cells, fn, jobs: int) -> list[tuple[list, float]]:
-    """``fn(cell, instances, rngs)`` for every chunk of every cell, on ``jobs`` processes.
+    """``fn(cell, start, stack, rngs)`` for every chunk of every cell, on ``jobs`` processes.
 
-    ``instances`` holds each trial's instance, or the error its draw raised,
-    and ``rngs`` each trial's generator after that draw; ``fn`` returns one
+    ``stack`` holds the chunk's trials from ``start`` on (``_cell_stack``)
+    and ``rngs`` each trial's generator after its draw; ``fn`` returns one
     output per trial.  One work item draws one chunk of one cell's trials
-    (``_chunks``, ``_cell_instances``), so the items do not depend on
-    ``jobs``.  Per cell, in plan order: its trial outputs in trial order and
-    the summed time of its chunks.  ``fn`` must be module-level so worker
+    (``_chunks``), so the items do not depend on ``jobs``.  Per cell, in plan
+    order: its trial outputs in trial order and the summed time of its chunks.  ``fn`` must be module-level so worker
     processes can import it; ``jobs`` below one raises.
     """
     chunks = [_chunks(cell) for cell in cells]
@@ -344,27 +337,28 @@ class CellResult:
         return self.n_certified / self.cell.trials
 
 
-def _sweep_chunk(cell: Cell, instances: list, rngs=None) -> list[tuple[str, bool, bool, bool]]:
-    """(verdict, certified, oracle_unique, oracle_agree) of each trial of a chunk; ``rngs`` is unused.
+def _sweep_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> list[tuple]:
+    """(verdict, certified, oracle_unique, oracle_agree) of each trial of a chunk; ``start`` and ``rngs`` are unused.
 
     A trial that raises anywhere, in its draw too, is data, not a crash: its
     verdict is 'error'.
     """
-    return [_sweep_trial(cell, inst, art) for inst, art in zip(instances, _trial_artifacts(cell, instances))]
+    return [_sweep_trial(cell, stack, i, art) for i, art in enumerate(_trial_artifacts(cell, stack))]
 
 
-def _sweep_trial(cell: Cell, instance, artifacts) -> tuple[str, bool, bool, bool]:
-    """The sweep outputs of one trial, from its instance and its ``_trial_artifacts`` entry."""
+def _sweep_trial(cell: Cell, stack: InstanceStack, i: int, artifacts) -> tuple[str, bool, bool, bool]:
+    """Sweep outputs of trial ``i`` of a stack from its ``_trial_artifacts`` entry; oracle cells build its instance."""
     if isinstance(artifacts, Exception):
         return "error", False, False, False
     try:
         result, cert, verdict = artifacts
         unique = agree = False
-        if cell.oracle and cell.gen.r**cell.gen.theta <= ENUMERATION_GUARD:
+        if cell.oracle:
+            instance = stack.instance(i)
             oracle_res = enumerate_selectors(instance, cell.p)
             unique = oracle_res.unique
             if unique and cert.holds:
-                planted = tuple(int(k) for k in instance.X.planted_cols)
+                planted = instance.X.planted_cols
                 solver_combo = _support_to_combo(result.detected_support, cell.gen.r, cell.gen.theta)
                 agree = oracle_res.best_combos[0] == planted == solver_combo
         return verdict, bool(cert.holds), bool(unique), bool(agree)
@@ -483,50 +477,45 @@ def write_sweep_csv(results: list[CellResult], path: str) -> None:
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
     """Re-run a single sweep trial, as a chunk of one: its instance, solve, certificate and verdict."""
     cell = plan.cells[cell_index]
-    instance = build_instance(_trial_config(cell, trial))
-    (artifacts,) = _trial_artifacts(cell, [instance])
+    stack, _ = _cell_stack(cell, trial, trial + 1)
+    instance = stack.instance(0)
+    (artifacts,) = _trial_artifacts(cell, stack)
     if isinstance(artifacts, Exception):
         raise artifacts
     return (instance, *artifacts)
 
 
-def _trial_artifacts(cell: Cell, instances: list) -> list:
-    """(solve, planted-support certificate, verdict) of each instance of a chunk.
+def _programs(cell: Cell, stack: InstanceStack) -> tuple:
+    """(B, w, planted global columns) of each row of a stack, as ``solver.certificate_for_instance`` forms them."""
+    planted = stack.planted + cell.gen.r * np.arange(cell.gen.theta)
+    return effective_stack(stack.A, stack.X), weight_stack(stack.X, cell.p), planted
 
-    The chunk's programs form one stack: B is one product of its sensing and
-    guess stacks, and one solve, one certificate and one reconstruction call
-    cover the chunk, each giving a program the bits it gets alone.  An entry
-    is the error its instance's draw or its own program raised instead,
-    where one did.
+
+def _trial_artifacts(cell: Cell, stack: InstanceStack) -> list:
+    """(solve, planted-support certificate, verdict) of each trial of a stack.
+
+    The stack's rows form one stack of programs: B is one product of its
+    sensing and guess stacks, and one solve, one certificate and one
+    reconstruction call cover the chunk, each giving a program the bits it
+    gets alone.  An entry is the error the trial's draw or program raised
+    instead, where one did.
     """
-    out = list(instances)
-    drawn = [t for t, inst in enumerate(instances) if not isinstance(inst, Exception)]
-    if not drawn:
+    out: list = [stack.errors.get(i) for i in range(len(stack.seeds))]
+    rows = stack.rows
+    if not rows:
         return out
-    X, x, B, w, y, planted = _stacked_programs(cell, [instances[t] for t in drawn])
-    results = solve_stack(B, w, y, cell.options)
+    B, w, planted = _programs(cell, stack)
+    results = solve_stack(B, w, stack.y, cell.options)
     certs = certificate_stack(B, w, planted, np.ones(planted.shape))
     solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
-    verdicts = dict(zip(solved, recovery_stack(X[solved], x[solved], planted[solved], [results[j] for j in solved])))
-    for j, (t, result, cert) in enumerate(zip(drawn, results, certs)):
+    checked = recovery_stack(stack.X[solved], stack.x[solved], planted[solved], [results[j] for j in solved])
+    verdicts = dict(zip(solved, checked))
+    for j, (i, result, cert) in enumerate(zip(rows, results, certs)):
         if isinstance(result, Exception) or isinstance(cert, Exception):
-            out[t] = result if isinstance(result, Exception) else cert
+            out[i] = result if isinstance(result, Exception) else cert
         else:
-            out[t] = (result, cert, verdicts[j])
+            out[i] = (result, cert, verdicts[j])
     return out
-
-
-def _stacked_programs(cell: Cell, instances: list) -> tuple:
-    """(X, x, B, w, y, planted columns) of a chunk's instances, each stacked over the chunk."""
-    X = np.stack([inst.X.blocks for inst in instances])
-    return (
-        X,
-        np.stack([inst.x for inst in instances]),
-        effective_stack(np.stack([inst.A.blocks for inst in instances]), X),
-        weight_stack(X, cell.p),
-        np.stack([inst.y for inst in instances]),
-        np.stack([inst.X.planted_global_cols() for inst in instances]),
-    )
 
 
 # -- comparison against the repeated-guessing baseline ------------------------
@@ -597,28 +586,29 @@ def build_comparison_plan(
     ]
 
 
-def _comparison_chunk(cell: Cell, instances: list, rngs: list) -> list[tuple[bool, bool, bool]]:
+def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> list[tuple[bool, bool, bool]]:
     """(relax_hit, bestof_hit, certified) of each trial of a chunk.
 
     Each trial takes all its draws from its own generator, in a fixed order:
-    first the instance whose certificate counts (drawn by ``_run_trials``),
-    then the relaxation side, an unplanted instance (the first stage of
-    ``sample_instances``), then the best-of side's guesses.  The best-of
+    first the instance whose certificate counts (``stack``, drawn by
+    ``_run_trials``), then the relaxation side, an unplanted stack
+    (``draw_instances``), then the best-of side's guesses.  The best-of
     side guesses the relaxation side's x: every column of the alphabet law
     equals a given x^l with s nonzeros with the same probability, so given x
     the two hits are independent.  The chunk's relaxation programs are
-    solved as one stack and its instances certified as another.
+    solved as one stack and its instances certified as another.  A draw
+    that fails ends the comparison with one error naming its trial.
     """
-    for select in instances:
-        if isinstance(select, Exception):
-            raise select
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
-    _, _, B, w, _, planted = _stacked_programs(cell, instances)
+    relax = draw_instances(gen, stack.seeds, rngs)
+    failed = {**relax.errors, **stack.errors}  # a trial's select draw fails before its relaxation side's
+    if failed:
+        raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
+    B, w, planted = _programs(cell, stack)
     certs = certificate_stack(B, w, planted, np.ones(planted.shape))
-
-    _, x, _, X, A = _stack(gen, [_draw(gen, rng) for rng in rngs])
-    solves = solve_stack(effective_stack(A, X), weight_stack(X, cell.p), matvec_stack(A, x), cell.options)
+    x, X = relax.x, relax.X
+    solves = solve_stack(effective_stack(relax.A, X), weight_stack(X, cell.p), relax.y, cell.options)
     out = []
     for j, rng in enumerate(rngs):
         if isinstance(certs[j], Exception):

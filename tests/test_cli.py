@@ -7,7 +7,7 @@ import pytest
 
 from blockrelax.cli import main
 from blockrelax.storage import load_instance, load_reduction
-from blockrelax.sweep import SWEEP_COLUMNS, _cell_instances, _chunks, build_sweep_plan, parse_config
+from blockrelax.sweep import SWEEP_COLUMNS, _cell_stack, _chunks, build_sweep_plan, parse_config
 
 GEN_CFG = "m = 8\ntheta = 2\nr = 3\ns = 3\nseed = 5\n"
 
@@ -102,7 +102,7 @@ def test_replay_trials_flag_matches_the_sweep(tmp_path, capsys):
     # the last trial of the partial chunk replays as the sweep's chunk drew it
     cell = build_sweep_plan(parse_config(text), trials=10).cells[0]
     assert _chunks(cell)[-1] == (6, 10)
-    drawn, back = _cell_instances(cell, 6, 10)[0][-1], load_instance(str(replayed))
+    drawn, back = _cell_stack(cell, 6, 10)[0].instance(3), load_instance(str(replayed))
     assert drawn.config.master_seed == seed
     for a, b in [(drawn.A.blocks, back.A.blocks), (drawn.X.blocks, back.X.blocks), (drawn.x, back.x), (drawn.y, back.y)]:
         assert np.array_equal(a, b)
@@ -165,6 +165,7 @@ TRIALS_ERROR = "config error: trials: must be at least 1"
 # uniform supports scatter s*theta = 4 indices over 4 blocks; at seed 0 one block is left empty
 EMPTY_BLOCK_CFG = "m = 8\ntheta = 4\nr = 4\ns = 1\nsupport_mode = uniform\n"
 EMPTY_BLOCK_ERROR = "config error: block 3 has empty support"
+SPARSE_GUESS_CFG = "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"
 # (text, flags, commands): a --trials flag comes after, so overrides, the command's own
 BAD_TRIALS = {
     "trials flag 0": ("m = 6\ns = 2\n", ["--trials", "0"], ("compare", "concentration", "sweep")),
@@ -225,6 +226,10 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
         # a sweep records this trial as an error; its replay names the cause as gen does
         (["replay", "--seed", "0", "--cell", "0", "--trial", "0"],
          EMPTY_BLOCK_CFG + "s = 2\ntrials = 40\n", "config error: block 1 has empty support"),
+        # no guess column of density 1e-7 turns nonzero within the redraw cap, so trial 0's
+        # draw fails; a sweep counts it as an error, compare ends naming its cell and trial
+        *((["compare", "--trials", "2", "--seed", "2", "--jobs", jobs], SPARSE_GUESS_CFG,
+           "trial error: cell 0 trial 0: could not draw a nonzero guess column") for jobs in ("1", "2")),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

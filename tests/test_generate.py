@@ -109,35 +109,41 @@ def assert_same_instance(got, ref):
 @pytest.mark.parametrize("mode", SUPPORT_MODES)
 @pytest.mark.parametrize("kind", SENSING_KINDS)
 def test_chunks_equal_single_instances(kind, mode, law):
-    # every chunking of 7 instances (sizes 1, 3 with a partial last chunk, and 7)
-    # gives build_instance's arrays bit for bit, and each instance passes the
-    # checks the sampler skips; uniform supports of s * theta = 3 slots leave
-    # a block empty in most draws, and each such draw fails alone
+    # every chunking of 7 trials (sizes 1, 3 with a partial last chunk, and 7)
+    # gives one stack whose instance(i) is build_instance's bit for bit, and
+    # passes the checking constructors; uniform supports of s * theta = 3
+    # slots leave a block empty in most draws, and each such draw fails alone,
+    # its error at its trial's position and its row left out of the arrays
     cfg = base_cfg(sensing_kind=kind, support_mode=mode, guess_law=law, s=1 if mode == "uniform" else 3)
-    cfgs = [cfg.with_seed(derive_seed(9, "trial", t)) for t in range(7)]
+    seeds = [derive_seed(9, "trial", t) for t in range(7)]
     refs = []
-    for c in cfgs:
+    for seed in seeds:
         try:
-            refs.append(build_instance(c))
+            refs.append(build_instance(dataclasses.replace(cfg, master_seed=seed)))
         except ValueError as exc:
             refs.append(exc)
     if mode == "uniform":
         assert 0 < sum(isinstance(ref, ValueError) for ref in refs) < len(refs)
     for size in (1, 3, 7):
-        got = []
-        for start in range(0, len(cfgs), size):
-            part = cfgs[start : start + size]
-            got += sample_instances(part, [instance_generator(c.master_seed) for c in part])
-        for g, ref in zip(got, refs):
-            if isinstance(ref, ValueError):
-                assert isinstance(g, ValueError) and str(g) == str(ref)
-            else:
-                assert_same_instance(g, ref)
-                assert_passes_checks(g)
+        for start in range(0, len(seeds), size):
+            part = seeds[start : start + size]
+            stack = sample_instances(cfg, part, [instance_generator(seed) for seed in part])
+            want = refs[start : start + size]
+            assert stack.seeds == tuple(part)
+            assert stack.rows == [i for i, ref in enumerate(want) if not isinstance(ref, ValueError)]
+            assert all(len(a) == len(stack.rows) for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+            for i, ref in enumerate(want):
+                if isinstance(ref, ValueError):
+                    assert isinstance(stack.errors[i], ValueError) and str(stack.errors[i]) == str(ref)
+                    with pytest.raises(ValueError, match="empty support"):
+                        stack.instance(i)
+                else:
+                    assert_same_instance(stack.instance(i), ref)
+                    assert_passes_checks(stack.instance(i))
 
 
 def assert_passes_checks(inst):
-    """The sampler builds instances unchecked; the checking constructors accept each one as it is."""
+    """An instance of a stack is one the checking constructors accept as it is: rebuilding it changes nothing."""
     for a in (inst.A.blocks, inst.X.blocks, inst.x, inst.y):
         assert a.dtype == np.float64 and a.flags.c_contiguous
     checked = RelaxedInstance(
@@ -170,8 +176,8 @@ def test_stream_isolation_across_parameters():
 
 def chunk(cfg, seeds):
     """The instances of ``cfg`` with master seeds ``seeds``, drawn as one chunk."""
-    cfgs = [cfg.with_seed(seed) for seed in seeds]
-    return sample_instances(cfgs, [instance_generator(seed) for seed in seeds])
+    stack = sample_instances(cfg, seeds, [instance_generator(seed) for seed in seeds])
+    return [stack.instance(i) for i in range(len(seeds))]
 
 
 def block_counts(sp):
@@ -278,7 +284,7 @@ def test_ensemble_rejects_empty_block_support():
         )
     )
     with pytest.raises(ValueError, match="empty support"):
-        build_instance(cfg.with_seed(seed))
+        build_instance(dataclasses.replace(cfg, master_seed=seed))
 
 
 @pytest.mark.parametrize("law", GUESS_LAWS)

@@ -19,7 +19,8 @@ from blockrelax.solver import (
     solve_stack,
     solve_weighted_bp,
 )
-from blockrelax.sweep import _cell_instances, _chunks, _trial_artifacts, build_sweep_plan, parse_config, replay_trial
+from blockrelax.model import RelaxedInstance
+from blockrelax.sweep import _cell_stack, _chunks, _programs, _trial_artifacts, build_sweep_plan, parse_config, replay_trial
 
 from test_solver import UNDERDETERMINED_CELLS
 from test_sweep import PARTIAL_CHUNK_SWEEP
@@ -40,17 +41,18 @@ def assert_matches_reference(B, w, y, options=None):
 
 
 def chunk_programs(text, seed, trials=None):
-    """(X, x, B, w, y, planted columns) stacks of every chunk of the sweep of ``text``, its draw errors left out."""
+    """(B, w, y, planted columns) stacks of every chunk of the sweep of ``text``, its draw errors left out."""
     plan = build_sweep_plan(parse_config(text), seed=seed, trials=trials)
     for cell in plan.cells:
         for start, stop in _chunks(cell):
-            insts = [i for i in _cell_instances(cell, start, stop)[0] if not isinstance(i, Exception)]
-            if insts:
-                yield sweep._stacked_programs(cell, insts)
+            stack, _ = _cell_stack(cell, start, stop)
+            if stack.rows:
+                B, w, planted = _programs(cell, stack)
+                yield B, w, stack.y, planted
 
 
 def test_stack_matches_reference_on_readme_sweep():
-    for _, _, B, w, y, planted in chunk_programs(README_SWEEP, seed=1, trials=21):
+    for B, w, y, planted in chunk_programs(README_SWEEP, seed=1, trials=21):
         assert_matches_reference(B, w, y)
         for j, cert in enumerate(certificate_stack(B, w, planted, np.ones(planted.shape))):
             want = ref.kkt_certificate(B[j], w[j], planted[j], np.ones(planted.shape[1]))
@@ -136,14 +138,28 @@ def assert_same_certificate(a, b):
 
 
 @pytest.mark.parametrize("text, trials", [(README_SWEEP, 21), (PARTIAL_CHUNK_SWEEP, None)], ids=["readme", "partial-chunk"])
-def test_sweep_chunk_equals_replayed_stacks_of_one(text, trials):
+def test_sweep_chunk_equals_replayed_stacks_of_one(text, trials, monkeypatch):
     # a trial's solve and certificate in its sweep chunk are bit for bit those
-    # of its replay, a chunk of one
+    # of its replay, a chunk of one; the chunks of these non-oracle sweeps
+    # build no RelaxedInstance, and each replay builds its trial's one
+    built = []  # every RelaxedInstance constructed
+    check = RelaxedInstance.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self)
+
+    monkeypatch.setattr(RelaxedInstance, "__post_init__", counted)
     plan = build_sweep_plan(parse_config(text), seed=1, trials=trials)
+    assert not any(cell.oracle for cell in plan.cells)
+    sweep.run_sweep(plan)
+    assert built == []
     solved = 0
     for cell in plan.cells:
         for start, stop in _chunks(cell):
-            for t, art in enumerate(_trial_artifacts(cell, _cell_instances(cell, start, stop)[0]), start):
+            arts = _trial_artifacts(cell, _cell_stack(cell, start, stop)[0])
+            assert len(built) == solved
+            for t, art in enumerate(arts, start):
                 if isinstance(art, Exception):  # a draw that left a block empty
                     with pytest.raises(ValueError) as raised:
                         replay_trial(plan, cell.index, t)
@@ -154,6 +170,7 @@ def test_sweep_chunk_equals_replayed_stacks_of_one(text, trials):
                 assert_same_certificate(art[1], cert)
                 assert art[2] == verdict
                 solved += 1
+                assert len(built) == solved
     assert solved == 504 if text == README_SWEEP else 0 < solved < 13
 
 

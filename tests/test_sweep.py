@@ -70,6 +70,18 @@ def test_build_sweep_plan_grid_and_seeds():
         assert cell.seed == derive_seed(11, "cell", idx)
 
 
+def test_oracle_columns_blank_past_the_enumeration_guard(tmp_path):
+    # 101**3 selectors exceed the enumeration guard, so the oracle cannot run:
+    # the plan turns it off and the CSV leaves both oracle columns blank, not 0
+    plan = build_sweep_plan(parse_config("m = 4\ntheta = 3\nr = 101\ns = 2\noracle = 1\ntrials = 3\n"))
+    assert not plan.cells[0].oracle
+    path = tmp_path / "big.csv"
+    write_sweep_csv(run_sweep(plan), str(path))
+    header, row = (line.split(",") for line in path.read_text().splitlines()[1:])
+    fields = dict(zip(header, row))
+    assert fields["n_oracle_unique"] == fields["n_oracle_agree"] == ""
+
+
 def test_build_sweep_plan_density_coupling():
     text = "m = 8\ns = 2\ns = 4\nguess_density = s/n\n"
     plan = build_sweep_plan(parse_config(text), seed=0, trials=1)
@@ -284,10 +296,11 @@ def test_comparison_relaxation_side_draws_as_sample_instances(monkeypatch):
     # generator what sample_instances draws, unplanted: its program equals the
     # planted instance's off the planted columns, and y = A x is the same
     cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=1)[0]
-    cfg = cell.gen.with_seed(derive_seed(cell.seed, "trial", 0))
-    rng = instance_generator(cfg.master_seed)
-    (select,) = sample_instances([cfg], [rng])
-    (ref,) = sample_instances([cfg], [copy.deepcopy(rng)])
+    cfg = cell.gen
+    seeds = [derive_seed(cell.seed, "trial", 0)]
+    rng = instance_generator(seeds[0])
+    select = sample_instances(cfg, seeds, [rng])
+    ref = sample_instances(cfg, seeds, [copy.deepcopy(rng)]).instance(0)
     seen = {}
     solve = sweep.solve_stack
 
@@ -296,7 +309,7 @@ def test_comparison_relaxation_side_draws_as_sample_instances(monkeypatch):
         return solve(B, w, y, options)
 
     monkeypatch.setattr(sweep, "solve_stack", spy)
-    _comparison_chunk(cell, [select], [rng])
+    _comparison_chunk(cell, 0, select, [rng])
     off = np.ones(cfg.r * cfg.theta, dtype=bool)
     off[ref.X.planted_global_cols()] = False
     assert np.array_equal(seen["y"], ref.y)
