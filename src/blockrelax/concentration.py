@@ -19,6 +19,7 @@ a statistical fluctuation, that judgement belongs to the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,9 +80,17 @@ class ConcentrationStudy:
         """
         rng = instance_generator(derive_seed(seed, "conc", trial))
         x = np.zeros(self.cfg.n * self.cfg.theta)
-        alph = np.asarray(self.cfg.planted_alphabet)
-        x[list(self.support.indices)] = alph[rng.integers(0, len(alph), size=len(self.support))]
+        alph, idx = self._alphabet, self._support_indices
+        x[idx] = alph[rng.integers(0, len(alph), size=len(idx))]
         return x, rng
+
+    @functools.cached_property
+    def _alphabet(self) -> np.ndarray:
+        return np.asarray(self.cfg.planted_alphabet)
+
+    @functools.cached_property
+    def _support_indices(self) -> np.ndarray:
+        return np.array(self.support.indices, dtype=int)
 
     def _draw(self, seed: int, start: int, X: np.ndarray, x: np.ndarray) -> None:
         """Fill X (size, theta, r, n) and x (size, theta, n) with trials start .. start+size-1.

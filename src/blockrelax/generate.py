@@ -2,7 +2,13 @@
 
 Randomness is counter-based, and ``instance_generator(derive_seed(seed,
 label, index))`` is the package's one way to get a generator: Philox keyed
-by a 64-bit seed derived from (seed, label, index), counter at zero.  The
+by a 64-bit seed derived from (seed, label, index), counter at zero.  Both
+are computed here without NumPy's ``SeedSequence``: ``derive_seed`` runs
+its hash in integer arithmetic, and ``instance_generator`` hands Philox its
+key directly, so their values are bit for bit those of
+``SeedSequence(entropy=...).generate_state(1, np.uint64)`` and
+``Philox(key=...)``, without the OS entropy ``Philox(key=...)`` draws and
+discards.  The
 instance with master seed s takes every draw from ``instance_generator(s)``
 in a fixed order: support keys, planted values, planted columns, guess
 columns, sensing.  ``sample_instances`` draws a chunk of instances as one
@@ -61,6 +67,27 @@ GUESS_LAWS = ("ternary", "alphabet")
 SCHEMA_COMMENT = "# schema=5"
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), pool of four
+# 32-bit words.  Hash i of an entropy or pool word xors it with _HASH_A[i] and
+# multiplies by _HASH_A[i + 1], the running multiplier; the output words do the
+# same with _HASH_B.
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, count: int) -> tuple[int, ...]:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+# 4 words hashed in, 12 mixing hashes, 4 per word past the fourth: at most 2 more for 3 64-bit ints
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 4 + 12 + 4 * 2)
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 2)
+# (source, destination) of the pool's all-pairs mixing pass, hashes 4 to 15
+_MIX_ORDER = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
 
 
 @functools.lru_cache(maxsize=None)  # the labels are a small fixed set
@@ -69,10 +96,54 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
 
 
+def _words(value: int) -> tuple[int, ...]:
+    """The 32-bit words SeedSequence reads from a 64-bit int: low word first, one word for 0."""
+    return (value & _MASK32, value >> 32) if value >> 32 else (value,)
+
+
+def _mix(pool: list[int], dst: int, word: int, i: int) -> None:
+    """Mix hash i of ``word`` into pool word ``dst``."""
+    h = (word ^ _HASH_A[i]) * _HASH_A[i + 1] & _MASK32
+    mixed = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
+    pool[dst] = mixed ^ mixed >> 16
+
+
+# The pool depends only on the head, the first four entropy words.  A master
+# of 2**32 or more fills the head with (master, label) alone, so every index
+# keyed under it (a sweep cell's trials, a study's redraws) hits; a smaller
+# master puts the index's low word in the head, so a head repeats only with
+# its index (a fixed index such as 0).  Bounded: a run keys under a few such
+# heads at a time, and a miss costs what the uncached hash does.
+@functools.lru_cache(maxsize=8)
+def _mixed_pool(head: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """SeedSequence's pool after its first four entropy words are hashed in and mixed."""
+    pool = []
+    for i, word in enumerate(head):
+        h = (word ^ _HASH_A[i]) * _HASH_A[i + 1] & _MASK32
+        pool.append(h ^ h >> 16)
+    for i, (src, dst) in enumerate(_MIX_ORDER, start=4):
+        _mix(pool, dst, pool[src], i)
+    return tuple(pool)
+
+
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
-    """Collapse (seed, label, index) to a fresh 64-bit seed, for ``instance_generator`` or nested use."""
-    entropy = (int(master_seed) & _MASK64, _label_key(label), int(index) & _MASK64)
-    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, dtype=np.uint64)[0])
+    """Collapse (seed, label, index) to a fresh 64-bit seed, for ``instance_generator`` or nested use.
+
+    The seed is ``SeedSequence(entropy=(master_seed & M, key, index & M))
+    .generate_state(1, np.uint64)[0]``, with M = 2**64 - 1 and ``key`` the
+    label's SHA-256 prefix, bit for bit; it is computed in integer
+    arithmetic.  The entropy's 32-bit words, padded with zeros to four, fill
+    and mix the pool; each further word is mixed into every pool word; two
+    output words make the seed.
+    """
+    words = (*_words(int(master_seed) & _MASK64), *_words(_label_key(label)), *_words(int(index) & _MASK64))
+    pool = list(_mixed_pool((words + (0, 0, 0))[:4]))
+    for k, word in enumerate(words[4:]):
+        for dst in range(4):
+            _mix(pool, dst, word, 16 + 4 * k + dst)
+    lo = (pool[0] ^ _HASH_B[0]) * _HASH_B[1] & _MASK32
+    hi = (pool[1] ^ _HASH_B[1]) * _HASH_B[2] & _MASK32
+    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
 
 
 @dataclass(frozen=True)
@@ -217,9 +288,41 @@ def _haar_stack(g: np.ndarray) -> np.ndarray:
     return q * d[:, None, :]
 
 
+class _PhiloxKey:
+    """A 64-bit Philox key posing as NumPy's seed sequence: Philox reads its key as ``generate_state(2, np.uint64)``."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key gives only its two 64-bit key words")
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _keyed_philox() -> type:
+    """``np.random.Philox``, once ``_PhiloxKey`` is registered as an ``ISeedSequence``.
+
+    Registering on first use keeps ``numpy.random``, which NumPy 2 imports
+    lazily, out of the package's import.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+    return np.random.Philox
+
+
 def instance_generator(seed: int) -> np.random.Generator:
-    """The generator of the instance with master seed ``seed``: Philox keyed by the seed, counter at zero."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    """The generator of the instance with master seed ``seed``: Philox keyed by the seed, counter at zero.
+
+    Its state is bit for bit that of ``Philox(key=seed & (2**64 - 1))``,
+    whose key words are [seed, 0]; the key goes in through ``_PhiloxKey``,
+    so no ``SeedSequence`` is built.
+    """
+    return np.random.Generator(_keyed_philox()(_PhiloxKey(int(seed) & _MASK64)))
 
 
 def _draw(cfg: GenConfig, rng: np.random.Generator) -> tuple:
@@ -265,14 +368,14 @@ class InstanceStack:
         """Trial i's instance, built through the checking constructors; trial i's draw error is raised."""
         if i in self.errors:
             raise self.errors[i]
-        j, cfg = self.rows.index(i), self.config
+        j, cfg, seed = self.rows.index(i), self.config, self.seeds[i]
         return RelaxedInstance(
             A=BlockSensingMatrix(self.A[j]),
             X=GuessEnsemble(self.X[j], self.planted[j].tolist()),
             x=self.x[j],
             support=SupportPattern(self.support[j].tolist(), cfg.n, cfg.theta),
             y=self.y[j],
-            config=replace(cfg, master_seed=self.seeds[i]),
+            config=cfg if cfg.master_seed == seed else replace(cfg, master_seed=seed),
         )
 
 

@@ -250,9 +250,8 @@ class RelaxedInstance:
         off[list(S.indices)] = False
         if x[off].any():
             raise ValueError("hidden vector has mass off the declared support")
-        dead = X.zero_columns()
-        if dead:
-            raise ValueError(f"ensemble has all-zero columns {dead}; every column needs weight")
+        if not X.blocks.any(axis=1).all():
+            raise ValueError(f"ensemble has all-zero columns {X.zero_columns()}; every column needs weight")
         scale = 1.0 + np.abs(y).max(initial=0.0)
         if np.abs(A.matvec(x) - y).max(initial=0.0) > 1e-10 * scale:
             raise ValueError("y does not equal A x")
