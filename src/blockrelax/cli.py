@@ -41,7 +41,6 @@ from .sweep import (
     config_exponent,
     config_jobs,
     config_number,
-    config_trials,
     expand_config,
     gen_config,
     parse_config,
@@ -54,8 +53,6 @@ from .sweep import (
 )
 
 __all__ = ["main"]
-
-_CHECKS = ("vectorization", "mean", "tail", "window")
 
 
 @contextlib.contextmanager
@@ -85,7 +82,7 @@ def _config(path: str | None):
 def _cmd_gen(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
-        cfg = gen_config(vals, config_number("seed", vals["seed"]))
+        cfg = gen_config(vals, vals["seed"])
         instance = build_instance(cfg)
     save_instance(instance, args.out)
     print(f"wrote instance: m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} "
@@ -184,23 +181,7 @@ def _cmd_concentration(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, CONCENTRATION_KEYS, lists=("epsilon", "delta"),
                              seed=args.seed, trials=args.trials)[0]
-        check = vals["check"]
-        if check not in _CHECKS:
-            raise ValueError(
-                f"check: unknown concentration check {check!r}; expected one of {', '.join(_CHECKS)}"
-            )
-        seed, count = config_number("seed", vals["seed"]), config_number("count", vals["count"])
-        if count < 1:
-            raise ValueError(f"count: must be at least 1, got {count}")
-        trials = config_trials(vals["trials"])
-        epsilons = config_number("epsilon", vals["epsilon"], float)
-        for eps in epsilons:
-            if not eps > 0.0:
-                raise ValueError(f"epsilon: must be positive, got {eps:g}")
-        deltas = config_number("delta", vals["delta"], float)
-        for d in deltas:
-            if not 0.0 < d < 1.0:
-                raise ValueError(f"delta: must lie in (0, 1), got {d:g}")
+        check, seed, trials = vals["check"], vals["seed"], vals["trials"]
         if check != "vectorization":
             gen = gen_config(vals, seed)
             study = conc.ConcentrationStudy.from_config(gen)
@@ -209,7 +190,7 @@ def _cmd_concentration(args) -> int:
 
     if check == "vectorization":
         rng = instance_generator(derive_seed(seed, "cli-vec"))
-        for i in range(count):
+        for i in range(vals["count"]):
             a, b, cdim = (int(v) for v in rng.integers(1, 9, size=3))
             M = rng.standard_normal((a, b))
             R = rng.standard_normal((b, cdim))
@@ -223,7 +204,7 @@ def _cmd_concentration(args) -> int:
     else:
         planted = Selector.discrete(study.planted_cols, gen.r, gen.theta)
         if check == "tail":
-            for eps in epsilons:
+            for eps in vals["epsilon"]:
                 est = conc.empirical_concentration_tail(study, planted, eps, trials, seed)
                 rows.append(
                     ["tail", format(eps, ".6g"), est.trials, est.exceed_count,
@@ -240,7 +221,7 @@ def _cmd_concentration(args) -> int:
             if abs(mom.z_score) > 4.0:
                 failures += 1
         else:
-            for d in deltas:
+            for d in vals["delta"]:
                 est = conc.singular_window_check(study, d, trials, seed)
                 rows.append(
                     ["window", format(d, ".6g"), est.trials, est.inside_count,
@@ -258,7 +239,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_reduce_x3c(args) -> int:
     with _one_line("argument"):
-        triples = [config_number("triples", part.split(",")) for part in args.triples.split(";")]
+        triples = [[config_number("triples", v) for v in part.split(",")] for part in args.triples.split(";")]
         inst = X3CInstance(m=args.m, triples=tuple(tuple(v - 1 for v in t) for t in triples))
         record = x3c_to_l0(inst, n=args.n, seed=args.seed or 0)
     decision = None
@@ -278,7 +259,7 @@ def _cmd_reduce_x3c(args) -> int:
 
 def _cmd_reduce_partition(args) -> int:
     with _one_line("argument"):
-        inst = PartitionInstance(a=tuple(config_number("a", args.a.split(","), float)))
+        inst = PartitionInstance(a=tuple(config_number("a", v, float) for v in args.a.split(",")))
         p = config_exponent(args.p)
         record = partition_to_lp(inst, theta=args.theta)
     decision = None

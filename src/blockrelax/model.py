@@ -332,7 +332,8 @@ def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
 
     Raises if any weight collapses below 1e-12 while the column itself is
     nonzero, since a zero-weight column makes the weighted objective blind to
-    it.  (All-zero columns are already rejected by GuessEnsemble.)
+    it.  (All-zero columns are rejected by RelaxedInstance; a bare GuessEnsemble
+    allows them.)
     """
     _check_exponent(p)
     w = weight_stack(X.blocks, p)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .generate import GenConfig
 from .model import BlockSensingMatrix, GuessEnsemble, RelaxedInstance, SupportPattern
+from .sweep import config_number
 
 __all__ = ["save_instance", "load_instance", "save_reduction", "load_reduction", "ReductionRecord"]
 
@@ -61,14 +62,22 @@ def _parse(text: str):
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
-            name, shape = line[1:].split("]")
-            name = name.strip()
-            rows, cols = (int(t) for t in shape.split())
+            name, bracket, shape = line[1:].partition("]")
+            name, shape = name.strip(), shape.split()
+            if not bracket or len(shape) != 2 or not all(t.isdigit() for t in shape):
+                raise ValueError(f"container line {i}: expected '[name] rows cols', got {line!r}")
+            rows, cols = int(shape[0]), int(shape[1])
             if i + rows > len(lines):
                 raise ValueError(f"container section {name!r} is cut short: {len(lines) - i} of {rows} rows")
             block = np.empty((rows, cols))
             for j in range(rows):
-                block[j] = [float(t) for t in lines[i + j].split(",")]
+                where, row = f"container section {name!r} row {j + 1}", lines[i + j].split(",")
+                if len(row) != cols:
+                    raise ValueError(f"{where} holds {len(row)} values, not {cols}")
+                try:
+                    block[j] = [float(t) for t in row]
+                except ValueError:  # parse value by value to name the bad one, as configs do
+                    block[j] = [config_number(where, t, float) for t in row]
             i += rows
             matrices[name] = block
         else:
@@ -119,38 +128,41 @@ def save_instance(instance: RelaxedInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> RelaxedInstance:
+    """The instance of a container; a header that its arrays contradict raises naming the key."""
     with open(path) as fh:
         header, matrices = _parse(fh.read())
     if header.get("kind") != "instance":
         raise ValueError(f"expected an instance container, got kind={header.get('kind')}")
-    m, n = int(header["m"]), int(header["n"])
-    theta, r, s = int(header["theta"]), int(header["r"]), int(header["s"])
+    dims = {key: config_number(key, header[key]) for key in ("m", "n", "theta", "r", "s")}
     cfg = GenConfig(
-        m=m,
-        n=n,
-        theta=theta,
-        r=r,
-        s=s,
+        **dims,
         sensing_kind=header["sensing_kind"],
-        planted_alphabet=tuple(float(t) for t in header["planted_alphabet"].split(",")),
-        guess_density=float(header["guess_density"]),
+        planted_alphabet=tuple(
+            config_number("planted_alphabet", a, float) for a in header["planted_alphabet"].split(",")
+        ),
+        guess_density=config_number("guess_density", header["guess_density"], float),
         support_mode=header["support_mode"],
         guess_law=header.get("guess_law", "ternary"),
-        master_seed=int(header["master_seed"]),
+        master_seed=config_number("master_seed", header["master_seed"]),
     )
+    n, theta = dims["n"], dims["theta"]
     A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
-    planted = tuple(int(t) - 1 for t in header["planted_cols"].split(","))
+    planted = tuple(config_number("planted_cols", t) - 1 for t in header["planted_cols"].split(","))
     X = GuessEnsemble(
         blocks=tuple(matrices[f"X {l + 1}"] for l in range(theta)), planted_cols=planted
     )
-    support = SupportPattern(
-        indices=tuple(int(t) - 1 for t in header["support"].split(",")), n=n, theta=theta
-    )
+    indices = tuple(config_number("support", t) - 1 for t in header["support"].split(","))
+    # the header is what a saved instance writes back, so it must describe these arrays
+    for key, found in (("m", A.m), ("n", A.n), ("r", X.r)):
+        if dims[key] != found:
+            raise ValueError(f"container header has {key} = {dims[key]}, but its arrays have {key} = {found}")
+    if cfg.s * theta != len(indices):
+        raise ValueError(f"container header has s*theta = {cfg.s * theta}, but its support has {len(indices)} indices")
     return RelaxedInstance(
         A=A,
         X=X,
         x=matrices["x"].ravel(),
-        support=support,
+        support=SupportPattern(indices=indices, n=n, theta=theta),
         y=matrices["y"].ravel(),
         config=cfg,
     )
@@ -192,7 +204,7 @@ def load_reduction(path: str) -> ReductionRecord:
         header, matrices = _parse(fh.read())
     if header.get("kind") != "reduction":
         raise ValueError(f"expected a reduction container, got kind={header.get('kind')}")
-    theta = int(header["theta"])
+    theta = config_number("theta", header["theta"])
     A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
     known = {"kind", "reduction", "m", "n", "theta", "certificate_target"}
     extra = {k: v for k, v in header.items() if k not in known}
@@ -200,6 +212,6 @@ def load_reduction(path: str) -> ReductionRecord:
         reduction=header["reduction"],
         A=A,
         y=matrices["y"].ravel(),
-        certificate_target=float(header["certificate_target"]),
+        certificate_target=config_number("certificate_target", header["certificate_target"], float),
         extra=extra,
     )

@@ -1,9 +1,12 @@
 """Deterministic experiment sweeps over instance grids.
 
-A config is a flat key = value text file, checked against the reading
-command's key table (``*_KEYS``, one default per key): an unknown key, or a
-repeated key off the command's grid, is an error; a key given several times on
-the grid spans an axis, and cells are the cartesian product in a fixed key order.
+A config is a flat key = value text file, read through the reading command's
+key table (``*_KEYS``: per key a typed default and a parser of one value), the
+one place its keys are parsed and checked.  An unknown key, a repeated key off
+the command's grid or a value its parser rejects is an error; a key given
+several times on the grid spans an axis, each value parsed once, and one cell
+builder makes the cells of ``sweep`` and ``compare``: the cartesian product in
+a fixed key order.
 Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
@@ -57,7 +60,6 @@ __all__ = [
     "expand_config",
     "gen_config",
     "config_number",
-    "config_trials",
     "config_exponent",
     "config_jobs",
     "SweepPlan",
@@ -93,40 +95,84 @@ def parse_config(text: str) -> dict[str, list[str]]:
     return out
 
 
-# Each command's accepted keys and their defaults; None means no default
-# (m is required wherever a GenConfig is built, n defaults to the cell's m).
+def config_number(key: str, value, kind: type = int, ok=None, rule: str = ""):
+    """``value`` as ``kind``; one that is not, or fails ``ok``, raises naming ``key`` ('<key>: must <rule>')."""
+    try:
+        v = kind(value)
+    except ValueError:
+        raise ValueError(f"{key}: invalid {'integer' if kind is int else 'number'} {value!r}") from None
+    if ok is not None and not ok(v):
+        raise ValueError(f"{key}: must {rule}, got {format(v, 'g') if kind is float else v}")
+    return v
+
+
+# a count below one leaves no trial, worker or redraw to run; p outside (0, 1]
+# leaves the weighted objective no p-quasinorm
+_AT_LEAST_ONE = functools.partial(config_number, ok=lambda v: v >= 1, rule="be at least 1")
+_EXPONENT = functools.partial(config_number, kind=float, ok=lambda p: 0.0 < p <= 1.0, rule="lie in (0, 1]")
+# the same parsers for the --p and --jobs flags and BLOCKRELAX_JOBS
+config_exponent = functools.partial(_EXPONENT, "p")
+config_jobs = functools.partial(_AT_LEAST_ONE, "jobs")
+
+
+def _guess_density(key: str, value: str):
+    """A float, or the literal 's/n' that couples it to the cell's support fraction."""
+    return value if value == "s/n" else config_number(key, value, float)
+
+
+def _alphabet(key: str, value: str) -> tuple[float, ...]:
+    return tuple(config_number(key, a, float) for a in value.split(","))
+
+
+def _choice(key: str, value: str, what: str, values: dict):
+    """``values[value]``; a value that is not a key of ``values`` raises naming the choices."""
+    if value not in values:
+        raise ValueError(f"{key}: unknown {what} {value!r}; expected one of {', '.join(values)}")
+    return values[value]
+
+
+# Each command's accepted keys, as (typed default, parser of one value); a
+# None parser keeps the text, which GenConfig checks, and a None default means
+# none (m is required wherever a GenConfig is built, n defaults to the cell's m).
 GEN_KEYS = {
-    "m": None,
-    "n": None,
-    "theta": 2,
-    "r": 4,
-    "s": 4,
-    "guess_density": GenConfig.guess_density,
-    "sensing_kind": GenConfig.sensing_kind,
-    "support_mode": GenConfig.support_mode,
-    "guess_law": GenConfig.guess_law,
-    "alphabet": "-1,-0.5,0.5,1",
-    "seed": 0,
+    "m": (None, config_number),
+    "n": (None, config_number),
+    "theta": (2, config_number),
+    "r": (4, config_number),
+    "s": (4, config_number),
+    "guess_density": (GenConfig.guess_density, _guess_density),
+    "sensing_kind": (GenConfig.sensing_kind, None),
+    "support_mode": (GenConfig.support_mode, None),
+    "guess_law": (GenConfig.guess_law, None),
+    "alphabet": (GenConfig.planted_alphabet, _alphabet),
+    "seed": (0, config_number),
 }
-SWEEP_KEYS = {**GEN_KEYS, "p": 0.5, "trials": 100, "oracle": "0"}
+_SWITCH = {**dict.fromkeys(("1", "true", "on", "yes"), True), **dict.fromkeys(("0", "false", "off", "no"), False)}
+SWEEP_KEYS = {
+    **GEN_KEYS,
+    "p": (0.5, _EXPONENT),
+    "trials": (100, _AT_LEAST_ONE),
+    "oracle": (False, functools.partial(_choice, what="switch", values=_SWITCH)),
+}
 # compare fixes support_mode and guess_law, so it does not accept them
 COMPARE_KEYS = {
-    **{k: d for k, d in GEN_KEYS.items() if k not in ("support_mode", "guess_law")},
-    "p": 0.5,
-    "theta": 1,
-    "r": 2,
-    "s": 2,
-    "guess_density": 0.5,
-    "alphabet": "-1,1",
-    "trials": 400,
+    **{k: e for k, e in GEN_KEYS.items() if k not in ("support_mode", "guess_law")},
+    "p": (0.5, _EXPONENT),
+    "theta": (1, config_number),
+    "r": (2, config_number),
+    "s": (2, config_number),
+    "guess_density": (0.5, _guess_density),
+    "alphabet": ((-1.0, 1.0), _alphabet),
+    "trials": (400, _AT_LEAST_ONE),
 }
+_CHECKS = ("vectorization", "mean", "tail", "window")
 CONCENTRATION_KEYS = {
     **GEN_KEYS,
-    "trials": 2000,
-    "check": "tail",
-    "count": 100,
-    "epsilon": 0.5,
-    "delta": 0.5,
+    "trials": (2000, _AT_LEAST_ONE),
+    "check": ("tail", functools.partial(_choice, what="concentration check", values=dict(zip(_CHECKS, _CHECKS)))),
+    "count": (100, _AT_LEAST_ONE),
+    "epsilon": (0.5, functools.partial(config_number, kind=float, ok=lambda e: e > 0.0, rule="be positive")),
+    "delta": (0.5, functools.partial(config_number, kind=float, ok=lambda d: 0.0 < d < 1.0, rule="lie in (0, 1)")),
 }
 
 
@@ -134,80 +180,39 @@ def expand_config(
     cfg: dict[str, list[str]], table: dict, grid: tuple[str, ...] = (), lists: tuple[str, ...] = (),
     **overrides,
 ) -> list[dict]:
-    """One value dict per cell of a parsed config, with ``table``'s defaults filled in.
+    """One dict of typed values per cell of a parsed config, with ``table``'s defaults filled in.
 
     Keys outside ``table`` are rejected, and so is a repeated key unless it is
-    in ``grid`` or ``lists``.  Cells are the cartesian product over ``grid``
-    in its order; a ``lists`` key holds the list of all its values.
-    Overrides that are not None replace the config's values.
+    in ``grid`` or ``lists``.  An override that is not None replaces the
+    config's values.  Each value given is parsed once, by its key's parser,
+    in table order; a grid axis is parsed value by value, not cell by cell.
+    Cells are the cartesian product over ``grid`` in its order; a ``lists``
+    key holds the list of all its values.
     """
     for key, vals in cfg.items():
         if key not in table:
             raise ValueError(f"key {key!r} is not accepted here; accepted keys: {', '.join(table)}")
         if len(vals) > 1 and key not in grid and key not in lists:
             raise ValueError(f"key {key!r} must not repeat")
-    base = {}
-    for key, default in table.items():
-        vals = cfg.get(key, [default])
-        base[key] = vals if key in lists else vals[0]
-    base.update((k, v) for k, v in overrides.items() if v is not None)
-    axes = [cfg.get(k, [table[k]]) for k in grid]
-    return [{**base, **dict(zip(grid, combo))} for combo in itertools.product(*axes)]
-
-
-def config_number(key: str, value, kind: type = int):
-    """Config ``value`` (a list: each item) as ``kind``; a value that is not one raises naming ``key``."""
-    if isinstance(value, list):
-        return [config_number(key, v, kind) for v in value]
-    try:
-        return kind(value)
-    except ValueError:
-        raise ValueError(f"{key}: invalid {'integer' if kind is int else 'number'} {value!r}") from None
-
-
-def config_trials(value) -> int:
-    """A ``trials`` value as an int; fewer than one trial raises, as no statistic has one."""
-    trials = config_number("trials", value)
-    if trials < 1:
-        raise ValueError(f"trials: must be at least 1, got {trials}")
-    return trials
-
-
-def config_exponent(value) -> float:
-    """A ``p`` value as a float; p must lie in (0, 1], where the weighted objective is the p-quasinorm's."""
-    p = config_number("p", value, float)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p: must lie in (0, 1], got {p:g}")
-    return p
-
-
-def config_jobs(value) -> int:
-    """A worker-process count as an int; fewer than one raises, as no trial could run."""
-    jobs = config_number("jobs", value)
-    if jobs < 1:
-        raise ValueError(f"jobs: must be at least 1, got {jobs}")
-    return jobs
+    parsed = {}
+    for key, (default, parse) in table.items():
+        given = cfg.get(key) if overrides.get(key) is None else [overrides[key]]
+        parsed[key] = [default] if given is None else [parse(key, v) if parse else v for v in given]
+    base = {key: vals if key in lists else vals[0] for key, vals in parsed.items()}
+    return [{**base, **dict(zip(grid, combo))} for combo in itertools.product(*(parsed[k] for k in grid))]
 
 
 def gen_config(vals: dict, master_seed: int = 0) -> GenConfig:
-    """The GenConfig of one cell; ``guess_density = s/n`` couples it to the support fraction."""
+    """The GenConfig of one cell's typed values; ``guess_density = s/n`` couples it to the support fraction."""
     if vals["m"] is None:
         raise ValueError("missing required key 'm'")
-    m = config_number("m", vals["m"])
-    n = m if vals["n"] is None else config_number("n", vals["n"])
-    s = config_number("s", vals["s"])
+    n = vals["m"] if vals["n"] is None else vals["n"]
     gd = vals["guess_density"]
     return GenConfig(
-        m=m,
+        **{key: vals[key] for key in ("m", "theta", "r", "s", "sensing_kind", "support_mode", "guess_law")},
         n=n,
-        theta=config_number("theta", vals["theta"]),
-        r=config_number("r", vals["r"]),
-        s=s,
-        sensing_kind=vals["sensing_kind"],
-        planted_alphabet=tuple(config_number("alphabet", vals["alphabet"].split(","), float)),
-        guess_density=s / n if gd == "s/n" else config_number("guess_density", gd, float),
-        support_mode=vals["support_mode"],
-        guess_law=vals["guess_law"],
+        planted_alphabet=vals["alphabet"],
+        guess_density=vals["s"] / n if gd == "s/n" and n else gd,  # n = 0 fails GenConfig's first check
         master_seed=master_seed,
     )
 
@@ -245,26 +250,28 @@ class SweepPlan:
     cells: tuple[Cell, ...]
 
 
+def _plan_cells(
+    cfg: dict[str, list[str]], table: dict, grid: tuple[str, ...], label: str, seed: int | None,
+    trials: int | None, **fixed,
+) -> list[Cell]:
+    """The cells of ``sweep`` and ``compare``: one per point of ``grid``, seeded derive_seed(seed, ``label``, index).
+
+    ``fixed`` values replace the config's.  A cell runs its oracle where
+    ``table`` has the key, it is on and r**theta fits the guard.
+    """
+    cells = []
+    for idx, vals in enumerate(expand_config(cfg, table, grid, seed=seed, trials=trials)):
+        gen = gen_config({**vals, **fixed})
+        oracle = vals.get("oracle", False) and gen.r**gen.theta <= ENUMERATION_GUARD
+        cells.append(Cell(idx, gen, vals["p"], vals["trials"], derive_seed(vals["seed"], label, idx), oracle))
+    return cells
+
+
 def build_sweep_plan(
     cfg: dict[str, list[str]], seed: int | None = None, trials: int | None = None
 ) -> SweepPlan:
     """Expand a parsed config into ordered cells, one per point of the ``_GRID_KEYS`` grid."""
-    cells = expand_config(cfg, SWEEP_KEYS, _GRID_KEYS, seed=seed, trials=trials)
-    master_seed = config_number("seed", cells[0]["seed"])
-    gens = [gen_config(vals) for vals in cells]
-    return SweepPlan(
-        cells=tuple(
-            Cell(
-                index=idx,
-                gen=gen,
-                p=config_exponent(vals["p"]),
-                trials=config_trials(vals["trials"]),
-                seed=derive_seed(master_seed, "cell", idx),
-                oracle=vals["oracle"] in ("1", "true", "on", "yes") and gen.r**gen.theta <= ENUMERATION_GUARD,
-            )
-            for idx, (vals, gen) in enumerate(zip(cells, gens))
-        )
-    )
+    return SweepPlan(cells=tuple(_plan_cells(cfg, SWEEP_KEYS, _GRID_KEYS, "cell", seed, trials)))
 
 
 # most floats one chunk's sensing and guess draws may hold; a chunk has at least one trial
@@ -573,17 +580,10 @@ def build_comparison_plan(
     cfg: dict[str, list[str]], seed: int | None = None, trials: int | None = None
 ) -> list[Cell]:
     """One cell per (theta, r); supports are equidistributed and guesses draw from the alphabet."""
-    cells = expand_config(cfg, COMPARE_KEYS, ("theta", "r"), seed=seed, trials=trials)
-    return [
-        Cell(
-            index=idx,
-            gen=gen_config({**vals, "support_mode": "equidistributed", "guess_law": "alphabet"}),
-            p=config_exponent(vals["p"]),
-            trials=config_trials(vals["trials"]),
-            seed=derive_seed(config_number("seed", vals["seed"]), "compare-cell", idx),
-        )
-        for idx, vals in enumerate(cells)
-    ]
+    return _plan_cells(
+        cfg, COMPARE_KEYS, ("theta", "r"), "compare-cell", seed, trials,
+        support_mode="equidistributed", guess_law="alphabet",
+    )
 
 
 def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> list[tuple[bool, bool, bool]]:

@@ -160,6 +160,9 @@ BAD_CONFIGS = {
     "missing m": ("s = 2\n", "missing required key 'm'"),
     "no equals sign": ("m = 6\nthetta 3\n", "line 2: expected key = value"),
     "not a number": ("m = 6\ns = 2\ntheta = two\n", "config error: theta: invalid integer 'two'"),
+    # s/n over n = 0 divides by zero unless GenConfig's own check names n first
+    "s/n with n 0": ("m = 6\nn = 0\ns = 2\nguess_density = s/n\n",
+                     "config error: m, n, theta, r must be positive"),
 }
 TRIALS_ERROR = "config error: trials: must be at least 1"
 # uniform supports scatter s*theta = 4 indices over 4 blocks; at seed 0 one block is left empty
@@ -185,6 +188,15 @@ CONFIG_ERRORS = {
     # the plan names a bad exponent before any trial runs, rather than count each trial an error
     **{(command, f"p {p}"): (f"m = 6\ns = 2\np = {p}\n", f"config error: p: must lie in (0, 1], got {p}", [])
        for p in ("-1", "0", "1.5") for command in ("compare", "replay", "sweep")},
+    # oracle takes exactly 1/true/on/yes or 0/false/off/no; anything else is not read as off
+    **{(command, f"oracle {value}"): (f"m = 6\ns = 2\noracle = {value}\n",
+                                      f"config error: oracle: unknown switch {value!r}", [])
+       for value in ("True", "maybe") for command in ("replay", "sweep")},
+    # a bad later value of a grid axis is named, as a first one is
+    **{(command, f"later {key} value"): (f"m = 6\ns = 2\n{key} = {first}\n{key} = x\n",
+                                         f"config error: {key}: invalid integer 'x'", [])
+       for key, first, commands in (("m", 6, ("replay", "sweep")), ("theta", 1, ("compare", "replay", "sweep")))
+       for command in commands},
 }
 
 
@@ -280,6 +292,13 @@ def bad_container(tmp_path, case: str) -> str:
         lines = path.read_text().splitlines()
         if case == "no m line":
             lines = [ln for ln in lines if not ln.startswith("m =")]
+        elif case in HEADER_EDITS:  # a header key that disagrees with the arrays, or is not a number
+            key, value = HEADER_EDITS[case]
+            lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln for ln in lines]
+        elif case in SECTION_EDITS:  # the [A 1] shape line, or its second row, replaced
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]"))
+            offset, line = SECTION_EDITS[case]
+            lines[at + offset] = line
         elif case == "ragged blocks":  # [A 2] loses the last of its m = 8 rows, so the blocks do not stack
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 2]"))
             lines = [*lines[:at], "[A 2] 7 8", *lines[at + 1 : at + 8], *lines[at + 9 :]]
@@ -289,8 +308,29 @@ def bad_container(tmp_path, case: str) -> str:
     return str(path)
 
 
+# GEN_CFG's container has m = n = 8, theta = 2, r = 3 and s*theta = 6 support indices
+HEADER_EDITS = {
+    "header m": ("m", 9),
+    "header n": ("n", 7),
+    "header r": ("r", 5),
+    "header s": ("s", 1),
+    "theta not a number": ("theta", "x"),
+}
+SECTION_EDITS = {
+    "unclosed section": (0, "[A 1 8 8"),
+    "narrow shape line": (0, "[A 1] 8 7"),
+    "row not numbers": (2, "0.5,abc,1,1,1,1,1,1"),
+}
 BAD_CONTAINERS = {
     "missing file": "instance error: [Errno 2] No such file",
+    "header m": "instance error: container header has m = 9, but its arrays have m = 8",
+    "header n": "instance error: container header has n = 7, but its arrays have n = 8",
+    "header r": "instance error: container header has r = 5, but its arrays have r = 3",
+    "header s": "instance error: container header has s*theta = 2, but its support has 6 indices",
+    "theta not a number": "instance error: theta: invalid integer 'x'",
+    "unclosed section": "instance error: container line 19: expected '[name] rows cols', got '[A 1 8 8'",
+    "narrow shape line": "instance error: container section 'A 1' row 1 holds 8 values, not 7",
+    "row not numbers": "instance error: container section 'A 1' row 2: invalid number 'abc'",
     "reduction container": "instance error: expected an instance container, got kind=reduction",
     "no m line": "instance error: container has no key 'm'",
     "cut mid-matrix": "instance error: container section 'A 1' is cut short: 3 of 8 rows",

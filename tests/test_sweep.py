@@ -94,6 +94,40 @@ def test_build_comparison_plan_density_coupling():
     assert [(c.gen.r, c.gen.nu) for c in cells] == [(2, 0.5), (4, 0.5)]
 
 
+def test_expand_config_parses_each_value_once():
+    # a grid axis is parsed value by value, not once per cell
+    calls = []
+    parse = lambda key, value: calls.append((key, value)) or int(value)  # noqa: E731
+    table = {"a": (0, parse), "b": (0, parse), "c": (7, parse)}
+    cells = sweep.expand_config({"a": ["1", "2"], "b": ["3", "4", "5"]}, table, ("a", "b"))
+    assert [(cell["a"], cell["b"], cell["c"]) for cell in cells] == [
+        (a, b, 7) for a in (1, 2) for b in (3, 4, 5)
+    ]
+    assert calls == [("a", "1"), ("a", "2"), ("b", "3"), ("b", "4"), ("b", "5")]
+    # an override replaces the config's values and goes through the same parser
+    calls.clear()
+    assert sweep.expand_config({"a": ["x"]}, table, a="9") == [{"a": 9, "b": 0, "c": 7}]
+    assert calls == [("a", "9")]
+
+
+@pytest.mark.parametrize("value, on", [(v, True) for v in ("1", "true", "on", "yes")]
+                         + [(v, False) for v in ("0", "false", "off", "no")])
+def test_oracle_switch_values(value, on):
+    plan = build_sweep_plan(parse_config(f"m = 6\ntheta = 2\nr = 2\ns = 2\noracle = {value}\n"))
+    assert plan.cells[0].oracle is on
+
+
+def test_sweep_and_compare_cells_share_one_builder():
+    # the same grid point differs only in the seed label and compare's fixed keys
+    text = "m = 6\ntheta = 1\nr = 2\nr = 3\ns = 2\nalphabet = -1,1\nguess_density = 0.5\np = 0.7\ntrials = 5\n"
+    swept = build_sweep_plan(parse_config(text + "support_mode = equidistributed\nguess_law = alphabet\n"),
+                             seed=4).cells
+    compared = build_comparison_plan(parse_config(text), seed=4)
+    assert [c.gen for c in swept] == [c.gen for c in compared]
+    assert [(c.p, c.trials, c.oracle) for c in compared] == [(0.7, 5, False)] * 2
+    assert [c.seed for c in compared] == [derive_seed(4, "compare-cell", i) for i in range(2)]
+
+
 def test_build_sweep_plan_requires_m():
     with pytest.raises(ValueError, match="missing required key"):
         build_sweep_plan(parse_config("s = 4\n"), seed=0)
