@@ -31,7 +31,7 @@ from .reductions import (
     partition_to_lp,
     x3c_to_l0,
 )
-from .solver import certificate_for_instance, recovery_check, solve_instance
+from .solver import check_stack
 from .storage import load_instance, save_instance, save_reduction
 from .sweep import (
     CONCENTRATION_KEYS,
@@ -95,9 +95,12 @@ def _cmd_solve(args) -> int:
         p = config_exponent(args.p)
     with _one_line("instance"):
         instance = load_instance(args.instance)
-        result = solve_instance(instance, p)
-        cert = certificate_for_instance(instance, p)
-        verdict = recovery_check(instance, result)
+        # the container's instance as a stack of one
+        arrays = (instance.A.blocks, instance.X.blocks, instance.x, instance.y, np.asarray(instance.X.planted_cols))
+        (record,) = check_stack(*(a[None] for a in arrays), p)
+        if record.error is not None:
+            raise record.error
+    result, cert = record.result, record.cert
     print(f"status: {result.status}")
     print(f"objective: {result.objective:.12g}")
     print(f"iterations: {result.iterations}")
@@ -105,7 +108,7 @@ def _cmd_solve(args) -> int:
     print(f"duality gap: {result.duality_gap:.3e}")
     print(f"detected support (1-based): {[i + 1 for i in result.detected_support]}")
     print(f"certificate holds: {cert.holds} (margin {cert.margin:.6g}, injective {cert.injective})")
-    print(f"recovery: {verdict}")
+    print(f"recovery: {record.verdict}")
     return 0
 
 

@@ -38,7 +38,12 @@ program leaves the lockstep when it stops, and a leave step re-factors its
 own basis alone; the multipliers, gap, residual and support are worked out
 once, for the program that stops.  The certificate factors every support in
 one batched SVD, and ``recovery_stack`` checks every solve against its
-planted truth with one stacked reconstruction.
+planted truth with one stacked reconstruction.  ``check_stack`` runs all three
+and gives each trial one ``TrialRecord``, the one source of ``sweep``,
+``replay`` and CLI ``solve`` (a stack of one) outcomes.  The single-instance
+trio ``solve_instance``, ``certificate_for_instance`` and ``recovery_check``
+stays for callers that time one stage of one instance (the tests and the
+benchmark); it gives the bits of a stack of one.
 
 A program's result does not depend on its stack-mates.  Every operation is
 elementwise, per program, or a stacked ``matmul`` or ``linalg`` gufunc whose
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelaxedInstance, effective_matrix, solver_weights
+from .model import RelaxedInstance, effective_matrix, effective_stack, solver_weights, weight_stack
 
 __all__ = [
     "TOL_FEAS",
@@ -70,6 +75,9 @@ __all__ = [
     "kkt_certificate",
     "recovery_stack",
     "recovery_check",
+    "TrialRecord",
+    "stack_programs",
+    "check_stack",
     "solve_instance",
     "certificate_for_instance",
 ]
@@ -507,6 +515,46 @@ def recovery_check(instance: RelaxedInstance, result: SolveResult) -> str:
     """
     X = instance.X
     return recovery_stack(X.blocks[None], instance.x[None], X.planted_global_cols()[None], [result])[0]
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial's solve, certificate at the planted support and ``recovery_check`` verdict, or the error it raised."""
+
+    verdict: str  # 'exact' | 'support-match' | 'fail' | 'error'
+    result: SolveResult | None = None
+    cert: CertificateResult | None = None
+    error: Exception | None = None
+
+
+def stack_programs(A, X, planted, p: float) -> tuple:
+    """(B, w, planted global columns) of a stack of instances, from ``check_stack``'s arrays."""
+    theta, r = X.shape[1], X.shape[3]
+    return effective_stack(A, X), weight_stack(X, p), np.asarray(planted) + r * np.arange(theta)
+
+
+def check_stack(A, X, x, y, planted, p: float, options: SolveOptions | None = None) -> list[TrialRecord]:
+    """The ``TrialRecord`` of each planted instance of a stack, solved at exponent ``p``.
+
+    The arrays are ``InstanceStack``'s: (k, theta, m, n) sensing and
+    (k, theta, n, r) guess stacks, (k, n*theta) hidden vectors, (k, m)
+    observations and (k, theta) planted columns.  One solve, one certificate
+    and one recovery call cover the stack, each giving a program the bits it
+    gets alone; a program that raises gets a record of its error.
+    """
+    if not len(X):
+        return []
+    B, w, planted = stack_programs(A, X, planted, p)
+    results = solve_stack(B, w, y, options)
+    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
+    solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
+    checked = recovery_stack(X[solved], x[solved], planted[solved], [results[j] for j in solved])
+    verdicts = dict(zip(solved, checked))
+    return [
+        TrialRecord(verdicts[j], res, cert) if j in verdicts and not isinstance(cert, Exception)
+        else TrialRecord("error", error=cert if j in verdicts else res)  # the solve's error comes first
+        for j, (res, cert) in enumerate(zip(results, certs))
+    ]
 
 
 def solve_instance(

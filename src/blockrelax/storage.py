@@ -39,7 +39,7 @@ def _dump_header(out: io.StringIO, fields: dict) -> None:
 
 
 class _Entries(dict):
-    """Header keys or matrix sections of a container; a missing one raises ValueError naming it."""
+    """Header keys or matrix sections of a container; a missing or repeated one raises ValueError naming it."""
 
     def __init__(self, kind: str):
         super().__init__()
@@ -47,6 +47,11 @@ class _Entries(dict):
 
     def __missing__(self, key):
         raise ValueError(f"container has no {self.kind} {key!r}")
+
+    def __setitem__(self, key, value):
+        if key in self:
+            raise ValueError(f"container {self.kind} {key!r} must not repeat")
+        super().__setitem__(key, value)
 
 
 def _parse(text: str):

@@ -10,16 +10,16 @@ a fixed key order.
 Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
-the chunk as one ``generate.InstanceStack``, solve and certify straight from
-its arrays as one stack (``solver.solve_stack``, ``solver.certificate_stack``)
-and add up each cell's trials in trial order; only an oracle cell builds a
-``RelaxedInstance``.  Each stacked operation gives a program the bits it gets
-alone, so a trial's outcome does not depend on its chunk-mates, results are
-independent of worker count and chunking, and any single sweep trial can be
-replayed from its CSV coordinates as a chunk of one.  A ``compare`` trial goes
-on drawing from its generator: an unplanted relaxation side
-(``generate.draw_instances``), then best-of-r guesses of that side's hidden
-vector.  CSV files start with a '# schema=5' comment; wall_time is always the
+the chunk as one ``generate.InstanceStack`` and return the chunk's integer
+counts, which add up per cell.  A ``sweep`` chunk takes each trial's
+``solver.TrialRecord`` from one ``solver.check_stack`` over the stack's arrays;
+only an oracle cell builds a ``RelaxedInstance``.  Each stacked operation
+gives a program the bits it gets alone, so a trial's outcome does not depend
+on its chunk-mates, results are independent of worker count and chunking,
+and any single sweep trial can be replayed from its CSV coordinates as a
+chunk of one.  A ``compare`` trial goes on drawing from its generator: an
+unplanted relaxation side (``generate.draw_instances``), then best-of-r
+guesses of that side's hidden vector.  CSV files start with a '# schema=5' comment; wall_time is always the
 last column and is the only one allowed to differ between runs.
 """
 
@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -48,12 +49,7 @@ from .generate import (
 )
 from .model import effective_stack, weight_stack
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
-from .solver import (
-    SolveOptions,
-    certificate_stack,
-    recovery_stack,
-    solve_stack,
-)
+from .solver import SolveOptions, TrialRecord, certificate_stack, check_stack, solve_stack, stack_programs
 
 __all__ = [
     "parse_config",
@@ -292,21 +288,24 @@ def _cell_stack(cell: Cell, start: int, stop: int) -> tuple[InstanceStack, list]
     return sample_instances(cell.gen, seeds, rngs), rngs
 
 
-def _timed_chunk(fn, cell: Cell, start: int, stop: int):
+def _timed_chunk(fn, cell: Cell, start: int, stop: int) -> Counter:
     t0 = time.perf_counter()
-    out = fn(cell, start, *_cell_stack(cell, start, stop))
-    return out, time.perf_counter() - t0
+    counts = fn(cell, start, *_cell_stack(cell, start, stop))
+    counts["wall_time"] = time.perf_counter() - t0
+    return counts
 
 
-def _run_trials(cells, fn, jobs: int) -> list[tuple[list, float]]:
+def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     """``fn(cell, start, stack, rngs)`` for every chunk of every cell, on ``jobs`` processes.
 
     ``stack`` holds the chunk's trials from ``start`` on (``_cell_stack``)
-    and ``rngs`` each trial's generator after its draw; ``fn`` returns one
-    output per trial.  One work item draws one chunk of one cell's trials
-    (``_chunks``), so the items do not depend on ``jobs``.  Per cell, in plan
-    order: its trial outputs in trial order and the summed time of its chunks.  ``fn`` must be module-level so worker
-    processes can import it; ``jobs`` below one raises.
+    and ``rngs`` each trial's generator after its draw; ``fn`` returns the
+    chunk's integer counts as a ``Counter``, so only counts cross the pool,
+    and the chunk's seconds are added as 'wall_time'.  One work item draws one
+    chunk of one cell's trials (``_chunks``), so the items do not depend on
+    ``jobs``.  Per cell, in plan order: the sums over its chunks.  ``fn`` must
+    be module-level so worker processes can import it; ``jobs`` below one
+    raises.
     """
     chunks = [_chunks(cell) for cell in cells]
     items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
@@ -316,11 +315,7 @@ def _run_trials(cells, fn, jobs: int) -> list[tuple[list, float]]:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = iter(list(pool.map(task, *zip(*items))))
-    grouped = []
-    for ranges in chunks:
-        parts = list(itertools.islice(raw, len(ranges)))
-        grouped.append(([out for outs, _ in parts for out in outs], sum(dt for _, dt in parts)))
-    return grouped
+    return [sum(itertools.islice(raw, len(ranges)), Counter()) for ranges in chunks]
 
 
 @dataclass(frozen=True)
@@ -344,33 +339,44 @@ class CellResult:
         return self.n_certified / self.cell.trials
 
 
-def _sweep_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> list[tuple]:
-    """(verdict, certified, oracle_unique, oracle_agree) of each trial of a chunk; ``start`` and ``rngs`` are unused.
+def _records(cell: Cell, stack: InstanceStack) -> list[TrialRecord]:
+    """Each trial's record in a chunk: its draw error, or its row's record from one ``check_stack``."""
+    checked = iter(check_stack(stack.A, stack.X, stack.x, stack.y, stack.planted, cell.p, cell.options))
+    return [
+        TrialRecord("error", error=stack.errors[i]) if i in stack.errors else next(checked)
+        for i in range(len(stack.seeds))
+    ]
 
-    A trial that raises anywhere, in its draw too, is data, not a crash: its
-    verdict is 'error'.
+
+def _sweep_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> Counter:
+    """A chunk's counts: its trials per verdict, 'certified' and, in an oracle cell, 'unique' and 'agree'.
+
+    ``start`` and ``rngs`` are unused.  A trial that raises anywhere, in its
+    draw or its oracle too, is data, not a crash: it counts once, as 'error'.
     """
-    return [_sweep_trial(cell, stack, i, art) for i, art in enumerate(_trial_artifacts(cell, stack))]
+    counts = Counter()
+    for i, record in enumerate(_records(cell, stack)):
+        tags = [record.verdict]
+        if record.error is None:
+            if record.cert.holds:
+                tags.append("certified")
+            if cell.oracle:
+                try:
+                    tags += _oracle_tags(cell, stack.instance(i), record)
+                except Exception:
+                    tags = ["error"]
+        counts.update(tags)
+    return counts
 
 
-def _sweep_trial(cell: Cell, stack: InstanceStack, i: int, artifacts) -> tuple[str, bool, bool, bool]:
-    """Sweep outputs of trial ``i`` of a stack from its ``_trial_artifacts`` entry; oracle cells build its instance."""
-    if isinstance(artifacts, Exception):
-        return "error", False, False, False
-    try:
-        result, cert, verdict = artifacts
-        unique = agree = False
-        if cell.oracle:
-            instance = stack.instance(i)
-            oracle_res = enumerate_selectors(instance, cell.p)
-            unique = oracle_res.unique
-            if unique and cert.holds:
-                planted = instance.X.planted_cols
-                solver_combo = _support_to_combo(result.detected_support, cell.gen.r, cell.gen.theta)
-                agree = oracle_res.best_combos[0] == planted == solver_combo
-        return verdict, bool(cert.holds), bool(unique), bool(agree)
-    except Exception:
-        return "error", False, False, False
+def _oracle_tags(cell: Cell, instance, record: TrialRecord) -> list[str]:
+    """'unique' when the exhaustive oracle's optimum is unique, and 'agree' when the certified solve selects it too."""
+    res = enumerate_selectors(instance, cell.p)
+    if not res.unique:
+        return []
+    combo = _support_to_combo(record.result.detected_support, cell.gen.r, cell.gen.theta)
+    agree = record.cert.holds and res.best_combos[0] == instance.X.planted_cols == combo
+    return ["unique", "agree"] if agree else ["unique"]
 
 
 def _support_to_combo(support, r: int, theta: int):
@@ -385,23 +391,20 @@ def _support_to_combo(support, r: int, theta: int):
 
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
     """Execute all cells; results do not depend on ``jobs``."""
-    results = []
-    for cell, (outs, wall_time) in zip(plan.cells, _run_trials(plan.cells, _sweep_chunk, jobs)):
-        verdicts, certified, unique, agree = zip(*outs)
-        results.append(
-            CellResult(
-                cell=cell,
-                n_exact=verdicts.count("exact"),
-                n_support_match=verdicts.count("support-match"),
-                n_fail=verdicts.count("fail"),
-                n_certified=sum(certified),
-                n_error=verdicts.count("error"),
-                n_oracle_unique=sum(unique) if cell.oracle else None,
-                n_oracle_agree=sum(agree) if cell.oracle else None,
-                wall_time=wall_time,
-            )
+    return [
+        CellResult(
+            cell=cell,
+            n_exact=counts["exact"],
+            n_support_match=counts["support-match"],
+            n_fail=counts["fail"],
+            n_certified=counts["certified"],
+            n_error=counts["error"],
+            n_oracle_unique=counts["unique"] if cell.oracle else None,
+            n_oracle_agree=counts["agree"] if cell.oracle else None,
+            wall_time=counts["wall_time"],
         )
-    return results
+        for cell, counts in zip(plan.cells, _run_trials(plan.cells, _sweep_chunk, jobs))
+    ]
 
 
 SWEEP_COLUMNS = [
@@ -482,47 +485,14 @@ def write_sweep_csv(results: list[CellResult], path: str) -> None:
 
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
-    """Re-run a single sweep trial, as a chunk of one: its instance, solve, certificate and verdict."""
+    """Re-run a single sweep trial, as a chunk of one: its instance, solve, certificate and verdict, or its error."""
     cell = plan.cells[cell_index]
     stack, _ = _cell_stack(cell, trial, trial + 1)
     instance = stack.instance(0)
-    (artifacts,) = _trial_artifacts(cell, stack)
-    if isinstance(artifacts, Exception):
-        raise artifacts
-    return (instance, *artifacts)
-
-
-def _programs(cell: Cell, stack: InstanceStack) -> tuple:
-    """(B, w, planted global columns) of each row of a stack, as ``solver.certificate_for_instance`` forms them."""
-    planted = stack.planted + cell.gen.r * np.arange(cell.gen.theta)
-    return effective_stack(stack.A, stack.X), weight_stack(stack.X, cell.p), planted
-
-
-def _trial_artifacts(cell: Cell, stack: InstanceStack) -> list:
-    """(solve, planted-support certificate, verdict) of each trial of a stack.
-
-    The stack's rows form one stack of programs: B is one product of its
-    sensing and guess stacks, and one solve, one certificate and one
-    reconstruction call cover the chunk, each giving a program the bits it
-    gets alone.  An entry is the error the trial's draw or program raised
-    instead, where one did.
-    """
-    out: list = [stack.errors.get(i) for i in range(len(stack.seeds))]
-    rows = stack.rows
-    if not rows:
-        return out
-    B, w, planted = _programs(cell, stack)
-    results = solve_stack(B, w, stack.y, cell.options)
-    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
-    solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
-    checked = recovery_stack(stack.X[solved], stack.x[solved], planted[solved], [results[j] for j in solved])
-    verdicts = dict(zip(solved, checked))
-    for j, (i, result, cert) in enumerate(zip(rows, results, certs)):
-        if isinstance(result, Exception) or isinstance(cert, Exception):
-            out[i] = result if isinstance(result, Exception) else cert
-        else:
-            out[i] = (result, cert, verdicts[j])
-    return out
+    (record,) = _records(cell, stack)
+    if record.error is not None:
+        raise record.error
+    return instance, record.result, record.cert, record.verdict
 
 
 # -- comparison against the repeated-guessing baseline ------------------------
@@ -586,8 +556,8 @@ def build_comparison_plan(
     )
 
 
-def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> list[tuple[bool, bool, bool]]:
-    """(relax_hit, bestof_hit, certified) of each trial of a chunk.
+def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> Counter:
+    """A chunk's counts of relaxation hits ('relax'), best-of-r hits ('bestof') and certified trials.
 
     Each trial takes all its draws from its own generator, in a fixed order:
     first the instance whose certificate counts (``stack``, drawn by
@@ -605,11 +575,11 @@ def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) 
     failed = {**relax.errors, **stack.errors}  # a trial's select draw fails before its relaxation side's
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
-    B, w, planted = _programs(cell, stack)
+    B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
     certs = certificate_stack(B, w, planted, np.ones(planted.shape))
     x, X = relax.x, relax.X
     solves = solve_stack(effective_stack(relax.A, X), weight_stack(X, cell.p), relax.y, cell.options)
-    out = []
+    counts = Counter()
     for j, rng in enumerate(rngs):
         if isinstance(certs[j], Exception):
             raise certs[j]
@@ -626,17 +596,18 @@ def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) 
         )
         # r independent guesses of the whole vector, one nonzero column per block
         g = sample_guess_columns(gen, rng, (r, theta))
-        bestof_hit = bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
-        out.append((relax_hit, bestof_hit, certs[j].holds))
-    return out
+        counts["relax"] += relax_hit
+        counts["bestof"] += bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
+        counts["certified"] += certs[j].holds
+    return counts
 
 
 def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:
     """Relaxation, best-of-r and certificate rates per cell; results do not depend on ``jobs``."""
     p_ls = [block_match_probability(cell.gen) for cell in cells]
     results = []
-    for cell, p_l, (outs, wall_time) in zip(cells, p_ls, _run_trials(cells, _comparison_chunk, jobs)):
-        relax, bestof, certified = (sum(col) for col in zip(*outs))
+    for cell, p_l, counts in zip(cells, p_ls, _run_trials(cells, _comparison_chunk, jobs)):
+        certified = counts["certified"]
         p_select = certified / cell.trials
         r, theta = cell.gen.r, cell.gen.theta
         results.append(
@@ -647,9 +618,9 @@ def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:
                 n_certified=certified,
                 formula_exact=success_prob_block_relaxation(p_l, r, theta, p_select),
                 formula_taylor=success_prob_block_relaxation(p_l, r, theta, p_select, taylor=True),
-                n_relax=relax,
-                n_bestof=bestof,
-                wall_time=wall_time,
+                n_relax=counts["relax"],
+                n_bestof=counts["bestof"],
+                wall_time=counts["wall_time"],
             )
         )
     return results

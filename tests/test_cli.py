@@ -299,6 +299,11 @@ def bad_container(tmp_path, case: str) -> str:
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]"))
             offset, line = SECTION_EDITS[case]
             lines[at + offset] = line
+        elif case == "repeated header key":  # a second master_seed line, after the arrays
+            lines.append("master_seed = 99")
+        elif case == "repeated section":  # [X 1] again, its shape line and n = 8 rows
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("[X 1]"))
+            lines += lines[at : at + 9]
         elif case == "ragged blocks":  # [A 2] loses the last of its m = 8 rows, so the blocks do not stack
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 2]"))
             lines = [*lines[:at], "[A 2] 7 8", *lines[at + 1 : at + 8], *lines[at + 9 :]]
@@ -335,6 +340,8 @@ BAD_CONTAINERS = {
     "no m line": "instance error: container has no key 'm'",
     "cut mid-matrix": "instance error: container section 'A 1' is cut short: 3 of 8 rows",
     "ragged blocks": "instance error: all blocks must share one (m, n) shape",
+    "repeated header key": "instance error: container key 'master_seed' must not repeat",
+    "repeated section": "instance error: container section 'X 1' must not repeat",
 }
 
 

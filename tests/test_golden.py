@@ -2,8 +2,10 @@
 
 The sha256 digests pin what the CLI writes for the README and acceptance
 configs; any change to how a valid config becomes cells, seeds or instances
-changes them.  Every output is compared without its schema line, which is
-asserted on its own, and CSVs without their wall_time column.
+changes them.  Every output that starts with a schema line is compared without
+it, and the line is asserted on its own; CSVs are compared without their
+wall_time column.  ``solve`` and ``replay`` print no schema line, and their
+whole stdout is pinned.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ r = 8
 guess_density = s/n
 """
 README_GEN = "m = 16\ntheta = 2\nr = 4\ns = 4\nseed = 7\n"
+# the README walk-through's repeated-unitary container: one block stored theta times
+REPEATED_UNITARY_GEN = "m = 16\ntheta = 3\nr = 4\ns = 4\nseed = 7\nsensing_kind = repeated-unitary\n"
 COMPARE = "m = 4\ns = 2\ntheta = 1\nr = 2\nr = 4\nguess_density = 0.5\n"  # acceptance test_09
 CONC_GEN = "m = 12\ntheta = 2\nr = 4\ns = 3\n"
 
@@ -65,6 +69,28 @@ def test_gen_container_digest(tmp_path, capsys):
     out = tmp_path / "inst.txt"
     assert main(["gen", "--config", write_cfg(tmp_path, README_GEN), "--out", str(out)]) == 0
     assert sha256(out.read_text()) == "e512824a6ff69efc1863175960d5b01679fe14821d8a8fd783a0ccacfbc7f0f8"
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (README_GEN, "b604365ac24de4efbfaedf012996b67f638db2f6697b61fa9c14acee182dea05"),
+        (REPEATED_UNITARY_GEN, "9487a662ffbde11c53cb8c3e4c4393b630b953bcf156ba27bc818161747b1ed5"),
+    ],
+    ids=["readme", "repeated-unitary"],
+)
+def test_solve_stdout_digest(tmp_path, capsys, text, digest):
+    inst = str(tmp_path / "inst.txt")
+    assert main(["gen", "--config", write_cfg(tmp_path, text), "--out", inst]) == 0
+    capsys.readouterr()
+    assert main(["solve", inst]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_replay_stdout_digest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, README_SWEEP)
+    assert main(["replay", "--config", cfg, "--seed", "1", "--trials", "21", "--cell", "3", "--trial", "17"]) == 0
+    assert sha256(capsys.readouterr().out) == "db47f7437247bad7f096a0a8af6b8ee3568fa7c06f3e654776a603e7108f3a3e"
 
 
 @pytest.mark.parametrize(

@@ -10,18 +10,26 @@ import pytest
 
 import solver_reference as ref
 from blockrelax import sweep
+from blockrelax.cli import main
 from blockrelax.generate import GenConfig, build_instance, derive_seed
 from blockrelax.model import effective_matrix, solver_weights
 from blockrelax.solver import (
     SolveOptions,
+    certificate_for_instance,
     certificate_stack,
+    check_stack,
     kkt_certificate,
+    recovery_check,
+    solve_instance,
     solve_stack,
     solve_weighted_bp,
+    stack_programs,
 )
 from blockrelax.model import RelaxedInstance
-from blockrelax.sweep import _cell_stack, _chunks, _programs, _trial_artifacts, build_sweep_plan, parse_config, replay_trial
+from blockrelax.storage import load_instance
+from blockrelax.sweep import _cell_stack, _chunks, _records, build_sweep_plan, parse_config, replay_trial
 
+from test_golden import README_GEN, REPEATED_UNITARY_GEN, write_cfg
 from test_solver import UNDERDETERMINED_CELLS
 from test_sweep import PARTIAL_CHUNK_SWEEP
 
@@ -47,7 +55,7 @@ def chunk_programs(text, seed, trials=None):
         for start, stop in _chunks(cell):
             stack, _ = _cell_stack(cell, start, stop)
             if stack.rows:
-                B, w, planted = _programs(cell, stack)
+                B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
                 yield B, w, stack.y, planted
 
 
@@ -157,21 +165,45 @@ def test_sweep_chunk_equals_replayed_stacks_of_one(text, trials, monkeypatch):
     solved = 0
     for cell in plan.cells:
         for start, stop in _chunks(cell):
-            arts = _trial_artifacts(cell, _cell_stack(cell, start, stop)[0])
+            records = _records(cell, _cell_stack(cell, start, stop)[0])
             assert len(built) == solved
-            for t, art in enumerate(arts, start):
-                if isinstance(art, Exception):  # a draw that left a block empty
+            for t, record in enumerate(records, start):
+                if record.error is not None:  # a draw that left a block empty
+                    assert record.verdict == "error"
                     with pytest.raises(ValueError) as raised:
                         replay_trial(plan, cell.index, t)
-                    assert str(raised.value) == str(art)
+                    assert str(raised.value) == str(record.error)
                     continue
                 _, result, cert, verdict = replay_trial(plan, cell.index, t)
-                assert_same_solve(art[0], result)
-                assert_same_certificate(art[1], cert)
-                assert art[2] == verdict
+                assert_same_solve(record.result, result)
+                assert_same_certificate(record.cert, cert)
+                assert record.verdict == verdict
                 solved += 1
                 assert len(built) == solved
     assert solved == 504 if text == README_SWEEP else 0 < solved < 13
+
+
+def single_instances(tmp_path):
+    """The two golden containers, loaded, and trial 0 of each underdetermined cell (m < r * theta)."""
+    for name, text in (("readme", README_GEN), ("repeated-unitary", REPEATED_UNITARY_GEN)):
+        path = str(tmp_path / f"{name}.txt")
+        assert main(["gen", "--config", write_cfg(tmp_path, text), "--out", path]) == 0
+        yield load_instance(path)
+    for m, theta, s, r in UNDERDETERMINED_CELLS:
+        yield build_instance(GenConfig(m=m, n=m, theta=theta, r=r, s=s, guess_density=s / m, master_seed=derive_seed(5, "trial", 0)))
+
+
+def test_record_of_a_stack_of_one_equals_the_single_instance_trio(tmp_path, capsys):
+    # the CLI's solve takes its output from this record; the benchmark and the
+    # tests call the trio, and both must see the same bits
+    for inst in single_instances(tmp_path):
+        arrays = (inst.A.blocks, inst.X.blocks, inst.x, inst.y, np.asarray(inst.X.planted_cols))
+        (record,) = check_stack(*(a[None] for a in arrays), 0.5)
+        assert record.error is None
+        result = solve_instance(inst, 0.5)
+        assert_same_solve(record.result, result)
+        assert_same_certificate(record.cert, certificate_for_instance(inst, 0.5))
+        assert record.verdict == recovery_check(inst, result)
 
 
 def test_error_paths_inside_one_stack():

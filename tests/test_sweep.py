@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ def test_sweep_error_trials_counted_once():
         for r in results
     ]
     assert counts == [(1, 0, 3, 0, 36, 4, 0), (6, 0, 20, 1, 14, 25, 1)]
+
+
+def test_chunks_return_only_integer_counts():
+    # a chunk sends the pool one Counter of ints and its seconds, never a
+    # per-trial record; these chunks hold draw errors, oracle trials and hits
+    sweep_cell = build_sweep_plan(parse_config(ERROR_SWEEP), seed=0).cells[1]
+    compare_cell = build_comparison_plan(parse_config(COMPARE_CFG), seed=5, trials=40)[0]
+    for fn, cell, tags in (
+        (sweep._sweep_chunk, sweep_cell, {"error", "certified", "unique"}),
+        (sweep._comparison_chunk, compare_cell, {"relax", "bestof", "certified"}),
+    ):
+        counts = sweep._timed_chunk(fn, cell, 0, 20)
+        assert type(counts) is Counter and tags <= set(counts) and counts["wall_time"] > 0.0
+        assert all(type(v) is int for k, v in counts.items() if k != "wall_time")
 
 
 def test_sweep_partial_chunk_counts_equal_replay():
