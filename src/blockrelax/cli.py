@@ -84,7 +84,8 @@ def _cmd_gen(args) -> int:
         vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
         cfg = gen_config(vals, vals["seed"])
         instance = build_instance(cfg)
-    save_instance(instance, args.out)
+    with _one_line("output"):
+        save_instance(instance, args.out)
     print(f"wrote instance: m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} "
           f"seed={cfg.master_seed} -> {args.out}")
     return 0
@@ -130,7 +131,8 @@ def _cmd_sweep(args) -> int:
     with _config(args.config) as flat:
         plan = build_sweep_plan(flat, seed=args.seed, trials=args.trials)
     results = run_sweep(plan, jobs=jobs)
-    write_sweep_csv(results, args.out)
+    with _one_line("output"):
+        write_sweep_csv(results, args.out)
     errors = sum(r.n_error for r in results)
     print(f"wrote {len(results)} cells to {args.out} ({errors} trial errors)")
     return 0
@@ -142,7 +144,8 @@ def _cmd_compare(args) -> int:
         cells = build_comparison_plan(flat, seed=args.seed, trials=args.trials)
     with _one_line("trial"):  # a draw that fails, named by its cell and trial
         results = run_comparison(cells, jobs=jobs)
-    write_comparison_csv(results, args.out)
+    with _one_line("output"):
+        write_comparison_csv(results, args.out)
     for res in results:
         drift = abs(res.rate_relax - res.formula_exact)
         print(
@@ -166,7 +169,8 @@ def _cmd_replay(args) -> int:
     with _one_line("config"):  # the trial's own error, as its sweep recorded it
         instance, result, cert, verdict = replay_trial(plan, args.cell, args.trial)
     if args.out:  # before any output, so a reader that stops early cannot lose the file
-        save_instance(instance, args.out)
+        with _one_line("output"):
+            save_instance(instance, args.out)
     cfg = instance.config
     print(f"cell {args.cell} trial {args.trial}: seed={cfg.master_seed}")
     print(f"m={cfg.m} n={cfg.n} theta={cfg.theta} r={cfg.r} s={cfg.s} nu={cfg.nu:.6g}")
@@ -233,9 +237,11 @@ def _cmd_concentration(args) -> int:
             header = ["check", "delta", "trials", "inside", "frequency", "bound_floor"]
 
     out = args.out or "-"
-    with (contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
-        write_csv(fh, header, rows)
-    if out != "-":
+    if out == "-":  # a closed stdout is main's BrokenPipeError, not an output error
+        write_csv(sys.stdout, header, rows)
+    else:
+        with _one_line("output"), open(out, "w", newline="") as fh:
+            write_csv(fh, header, rows)
         print(f"wrote {len(rows)} rows to {out}")
     return 1 if failures else 0
 
@@ -253,7 +259,8 @@ def _cmd_reduce_x3c(args) -> int:
             extra={**record.extra, "oracle_value": inst.m // 3 if decision else "above-target",
                    "decision": str(decision).lower()},
         )
-    save_reduction(record, args.out)
+    with _one_line("output"):
+        save_reduction(record, args.out)
     print(f"wrote reduction (target {record.certificate_target:g}) to {args.out}")
     if decision is not None:
         print(f"decision: {'cover exists' if decision else 'no exact cover'}")
@@ -273,7 +280,8 @@ def _cmd_reduce_partition(args) -> int:
             extra={**record.extra, "oracle_value": inst.m if decision else "above-target",
                    "decision": str(decision).lower()},
         )
-    save_reduction(record, args.out)
+    with _one_line("output"):
+        save_reduction(record, args.out)
     print(f"wrote reduction (target {record.certificate_target:g}) to {args.out}")
     if decision is not None:
         print(f"decision: {'partition exists' if decision else 'no partition'}")

@@ -250,7 +250,8 @@ def sample_guess_columns(
     All columns come from one tensor draw.  With ``reject_zero`` every all-zero
     column is then redrawn, all of them in one draw per round, until none is
     left, which conditions each column on being nonzero as instance
-    construction requires.
+    construction requires; a column still all-zero after 10000 rounds raises
+    ValueError.
     """
     cols = _draw_column(cfg, rng, (*shape, cfg.n))
     if not reject_zero:
@@ -260,7 +261,7 @@ def sample_guess_columns(
         if not zero.any():
             return cols
         cols[zero] = _draw_column(cfg, rng, (int(zero.sum()), cfg.n))
-    raise RuntimeError("could not draw a nonzero guess column; guess_density too small")
+    raise ValueError("could not draw a nonzero guess column; guess_density too small")
 
 
 def _sensing_shape(cfg: GenConfig) -> tuple[int, int, int]:
@@ -389,7 +390,7 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     for i, rng in enumerate(rngs):
         try:
             draws.append(_draw(cfg, rng))
-        except RuntimeError as exc:  # a guess column that stays all-zero
+        except ValueError as exc:  # a guess column that stays all-zero
             errors[i] = exc
     t, m, n = cfg.theta, cfg.m, cfg.n
     if not draws:  # no row: every array is empty

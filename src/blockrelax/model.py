@@ -147,7 +147,8 @@ class GuessEnsemble:
             raise ValueError("one planted column index per block required")
         if min(cols) < 0 or max(cols) >= r:
             raise ValueError("planted column index out of range")
-        bad = np.flatnonzero(np.abs(blocks).max(axis=(1, 2), initial=0.0) > 1.0 + 1e-12)
+        # written so that a NaN entry fails it too
+        bad = np.flatnonzero(~(np.abs(blocks).max(axis=(1, 2), initial=0.0) <= 1.0 + 1e-12))
         if bad.size:
             raise ValueError(f"guess block {bad[0]} has entries outside [-1, 1]")
         object.__setattr__(self, "blocks", blocks)
@@ -253,7 +254,7 @@ class RelaxedInstance:
         if not X.blocks.any(axis=1).all():
             raise ValueError(f"ensemble has all-zero columns {X.zero_columns()}; every column needs weight")
         scale = 1.0 + np.abs(y).max(initial=0.0)
-        if np.abs(A.matvec(x) - y).max(initial=0.0) > 1e-10 * scale:
+        if not np.abs(A.matvec(x) - y).max(initial=0.0) <= 1e-10 * scale:  # NaN fails it too
             raise ValueError("y does not equal A x")
         planted = X.blocks[np.arange(X.theta), :, X.planted_cols]  # (theta, n)
         bad = np.flatnonzero((planted != x.reshape(A.theta, A.n)).any(axis=1))

@@ -151,8 +151,8 @@ class PartitionInstance:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.a)
-        if not vals or any(v <= 0 for v in vals):
-            raise ValueError("weights must be positive")
+        if not vals or not all(0 < v < math.inf for v in vals):  # NaN fails it too
+            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "a", vals)
 
     @property

@@ -8,6 +8,7 @@ each a shape line plus comma-separated rows printed at 17 significant digits
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,13 @@ def _parse(text: str):
                     raise ValueError(f"{where} holds {len(row)} values, not {cols}")
                 try:
                     block[j] = [float(t) for t in row]
-                except ValueError:  # parse value by value to name the bad one, as configs do
-                    block[j] = [config_number(where, t, float) for t in row]
+                    if np.isfinite(block[j]).all():
+                        continue
+                except ValueError:
+                    pass
+                # parse value by value to name the bad one, as configs do; a
+                # non-finite value would slip past the containers' checks
+                block[j] = [config_number(where, t, float, ok=math.isfinite, rule="be finite") for t in row]
             i += rows
             matrices[name] = block
         else:

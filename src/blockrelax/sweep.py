@@ -19,8 +19,14 @@ on its chunk-mates, results are independent of worker count and chunking,
 and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
 unplanted relaxation side (``generate.draw_instances``), then best-of-r
-guesses of that side's hidden vector.  CSV files start with a '# schema=5' comment; wall_time is always the
-last column and is the only one allowed to differ between runs.
+guesses of that side's hidden vector.
+
+Each CSV is written from one column table (``_SWEEP_TABLE``,
+``_COMPARISON_TABLE``) that declares every column once: its name, its place
+and how its value is read from a result and formatted.  Both tables start with
+the same eight cell columns, and ``SWEEP_COLUMNS`` and ``COMPARISON_COLUMNS``
+are their names.  CSV files start with a '# schema=5' comment; wall_time is
+always the last column and is the only one allowed to differ between runs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -330,14 +337,6 @@ class CellResult:
     n_oracle_agree: int | None
     wall_time: float
 
-    @property
-    def rate_exact(self) -> float:
-        return self.n_exact / self.cell.trials
-
-    @property
-    def rate_certified(self) -> float:
-        return self.n_certified / self.cell.trials
-
 
 def _records(cell: Cell, stack: InstanceStack) -> list[TrialRecord]:
     """Each trial's record in a chunk: its draw error, or its row's record from one ``check_stack``."""
@@ -405,83 +404,6 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
         )
         for cell, counts in zip(plan.cells, _run_trials(plan.cells, _sweep_chunk, jobs))
     ]
-
-
-SWEEP_COLUMNS = [
-    "cell",
-    "m",
-    "n",
-    "theta",
-    "r",
-    "s",
-    "nu",
-    "p",
-    "sensing_kind",
-    "support_mode",
-    "guess_law",
-    "trials",
-    "cell_seed",
-    "n_exact",
-    "n_support_match",
-    "n_fail",
-    "n_certified",
-    "n_error",
-    "n_oracle_unique",
-    "n_oracle_agree",
-    "rate_exact",
-    "exact_lo",
-    "exact_hi",
-    "rate_cert",
-    "cert_lo",
-    "cert_hi",
-    "wall_time",
-]
-
-
-def _f(v: float) -> str:
-    return format(v, ".12g")
-
-
-def write_csv(fh, columns, rows) -> None:
-    """The schema line, the header ``columns`` and ``rows`` as CSV on the open text file ``fh``."""
-    fh.write(SCHEMA_COMMENT + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def _cell_fields(cell: Cell) -> list:
-    """The leading CSV fields of a cell, shared by the sweep and comparison CSVs."""
-    g = cell.gen
-    return [cell.index, g.m, g.n, g.theta, g.r, g.s, _f(g.nu), _f(cell.p)]
-
-
-def write_sweep_csv(results: list[CellResult], path: str) -> None:
-    rows = (
-        [
-            *_cell_fields(res.cell),
-            res.cell.gen.sensing_kind,
-            res.cell.gen.support_mode,
-            res.cell.gen.guess_law,
-            res.cell.trials,
-            res.cell.seed,
-            res.n_exact,
-            res.n_support_match,
-            res.n_fail,
-            res.n_certified,
-            res.n_error,
-            "" if res.n_oracle_unique is None else res.n_oracle_unique,
-            "" if res.n_oracle_agree is None else res.n_oracle_agree,
-            _f(res.rate_exact),
-            *map(_f, wilson_interval(res.n_exact, res.cell.trials)),
-            _f(res.rate_certified),
-            *map(_f, wilson_interval(res.n_certified, res.cell.trials)),
-            _f(res.wall_time),
-        ]
-        for res in results
-    )
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, SWEEP_COLUMNS, rows)
 
 
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
@@ -626,48 +548,81 @@ def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:
     return results
 
 
-COMPARISON_COLUMNS = [
-    "cell",
-    "m",
-    "n",
-    "theta",
-    "r",
-    "s",
-    "nu",
-    "p",
-    "trials",
-    "cell_seed",
-    "p_l",
-    "p_select",
-    "formula_exact",
-    "formula_taylor",
-    "n_relax",
-    "rate_relax",
-    "n_bestof",
-    "rate_bestof",
-    "sigma_joint",
-    "wall_time",
+# -- CSV output ----------------------------------------------------------------
+# A column table lists, in file order, each column's header name and its value
+# in one result's row.  Counts and names are written as they are (csv writes a
+# None count as a blank cell), floats at 12 significant digits.
+
+
+def _f(v: float) -> str:
+    return format(v, ".12g")
+
+
+def _column(name: str, field: str | None = None, fmt=None) -> tuple:
+    """The column ``name``: a result's (dotted) ``field``, by default ``name``, passed through ``fmt`` if given."""
+    get = operator.attrgetter(field or name)
+    return name, get if fmt is None else lambda res: fmt(get(res))
+
+
+def _rate_columns(count: str, tag: str) -> list[tuple]:
+    """rate_<tag>, <tag>_lo and <tag>_hi: a result's ``count`` per trial, and its Wilson interval."""
+
+    def value(res, i: int) -> str:
+        k, trials = getattr(res, count), res.cell.trials
+        return _f((k / trials, *wilson_interval(k, trials))[i])
+
+    return [(name, functools.partial(value, i=i)) for i, name in enumerate((f"rate_{tag}", f"{tag}_lo", f"{tag}_hi"))]
+
+
+# the leading columns of both CSVs: the cell's index, shape, density and exponent
+_CELL_COLUMNS = [
+    _column("cell", "cell.index"),
+    *(_column(key, f"cell.gen.{key}") for key in ("m", "n", "theta", "r", "s")),
+    _column("nu", "cell.gen.nu", _f),
+    _column("p", "cell.p", _f),
 ]
+_SWEEP_TABLE = [
+    *_CELL_COLUMNS,
+    *(_column(key, f"cell.gen.{key}") for key in ("sensing_kind", "support_mode", "guess_law")),
+    _column("trials", "cell.trials"),
+    _column("cell_seed", "cell.seed"),
+    *map(_column, ("n_exact", "n_support_match", "n_fail", "n_certified", "n_error")),
+    *map(_column, ("n_oracle_unique", "n_oracle_agree")),
+    *_rate_columns("n_exact", "exact"),
+    *_rate_columns("n_certified", "cert"),
+    _column("wall_time", fmt=_f),
+]
+_COMPARISON_TABLE = [
+    *_CELL_COLUMNS,
+    _column("trials", "cell.trials"),
+    _column("cell_seed", "cell.seed"),
+    *(_column(name, fmt=_f) for name in ("p_l", "p_select", "formula_exact", "formula_taylor")),
+    _column("n_relax"),
+    _column("rate_relax", fmt=_f),
+    _column("n_bestof"),
+    *(_column(name, fmt=_f) for name in ("rate_bestof", "sigma_joint", "wall_time")),
+]
+SWEEP_COLUMNS = [name for name, _ in _SWEEP_TABLE]
+COMPARISON_COLUMNS = [name for name, _ in _COMPARISON_TABLE]
+
+
+def write_csv(fh, columns, rows) -> None:
+    """The schema line, the header ``columns`` and ``rows`` as CSV on the open text file ``fh``."""
+    fh.write(SCHEMA_COMMENT + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def _write_table(table: list[tuple], results, path: str) -> None:
+    """``results`` as the CSV file ``path``: ``table``'s header, then one row per result."""
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [name for name, _ in table], ([value(res) for _, value in table] for res in results))
+
+
+def write_sweep_csv(results: list[CellResult], path: str) -> None:
+    _write_table(_SWEEP_TABLE, results, path)
 
 
 def write_comparison_csv(results: list[ComparisonResult], path: str) -> None:
-    rows = (
-        [
-            *_cell_fields(res.cell),
-            res.cell.trials,
-            res.cell.seed,
-            _f(res.p_l),
-            _f(res.p_select),
-            _f(res.formula_exact),
-            _f(res.formula_taylor),
-            res.n_relax,
-            _f(res.rate_relax),
-            res.n_bestof,
-            _f(res.rate_bestof),
-            _f(res.sigma_joint),
-            _f(res.wall_time),
-        ]
-        for res in results
-    )
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, COMPARISON_COLUMNS, rows)
+    _write_table(_COMPARISON_TABLE, results, path)

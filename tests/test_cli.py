@@ -169,6 +169,7 @@ TRIALS_ERROR = "config error: trials: must be at least 1"
 EMPTY_BLOCK_CFG = "m = 8\ntheta = 4\nr = 4\ns = 1\nsupport_mode = uniform\n"
 EMPTY_BLOCK_ERROR = "config error: block 3 has empty support"
 SPARSE_GUESS_CFG = "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"
+SPARSE_GUESS_ERROR = "config error: could not draw a nonzero guess column; guess_density too small"
 # (text, flags, commands): a --trials flag comes after, so overrides, the command's own
 BAD_TRIALS = {
     "trials flag 0": ("m = 6\ns = 2\n", ["--trials", "0"], ("compare", "concentration", "sweep")),
@@ -242,6 +243,13 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
         # draw fails; a sweep counts it as an error, compare ends naming its cell and trial
         *((["compare", "--trials", "2", "--seed", "2", "--jobs", jobs], SPARSE_GUESS_CFG,
            "trial error: cell 0 trial 0: could not draw a nonzero guess column") for jobs in ("1", "2")),
+        # gen, the trial that sweep counts as an error, and the concentration study's
+        # base instance end with the draw's own line
+        (["gen"], SPARSE_GUESS_CFG, SPARSE_GUESS_ERROR),
+        (["replay", "--trials", "2", "--seed", "2", "--cell", "0", "--trial", "0"], SPARSE_GUESS_CFG,
+         SPARSE_GUESS_ERROR),
+        (["concentration"], SPARSE_GUESS_CFG + "check = tail\n", SPARSE_GUESS_ERROR),
+        (["concentration"], SPARSE_GUESS_CFG + "check = mean\n", SPARSE_GUESS_ERROR),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):
@@ -295,6 +303,10 @@ def bad_container(tmp_path, case: str) -> str:
         elif case in HEADER_EDITS:  # a header key that disagrees with the arrays, or is not a number
             key, value = HEADER_EDITS[case]
             lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln for ln in lines]
+        elif case in VALUE_EDITS:  # the first value of one row of one section replaced
+            section, row, value = VALUE_EDITS[case]
+            at = next(i for i, ln in enumerate(lines) if ln.startswith(f"[{section}]")) + row
+            lines[at] = value + lines[at][lines[at].index(","):]
         elif case in SECTION_EDITS:  # the [A 1] shape line, or its second row, replaced
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]"))
             offset, line = SECTION_EDITS[case]
@@ -326,6 +338,13 @@ SECTION_EDITS = {
     "narrow shape line": (0, "[A 1] 8 7"),
     "row not numbers": (2, "0.5,abc,1,1,1,1,1,1"),
 }
+# (section, 1-based row, value); y is one row of m = 8 values
+VALUE_EDITS = {
+    "nan in A": ("A 1", 3, "nan"),
+    "inf in A": ("A 1", 1, "inf"),
+    "nan in X": ("X 1", 2, "nan"),
+    "nan in y": ("y", 1, "nan"),
+}
 BAD_CONTAINERS = {
     "missing file": "instance error: [Errno 2] No such file",
     "header m": "instance error: container header has m = 9, but its arrays have m = 8",
@@ -342,9 +361,15 @@ BAD_CONTAINERS = {
     "ragged blocks": "instance error: all blocks must share one (m, n) shape",
     "repeated header key": "instance error: container key 'master_seed' must not repeat",
     "repeated section": "instance error: container section 'X 1' must not repeat",
+    # a non-finite value would pass the containers' checks, or warn, so loading names it
+    "nan in A": "instance error: container section 'A 1' row 3: must be finite, got nan",
+    "inf in A": "instance error: container section 'A 1' row 1: must be finite, got inf",
+    "nan in X": "instance error: container section 'X 1' row 2: must be finite, got nan",
+    "nan in y": "instance error: container section 'y' row 1: must be finite, got nan",
 }
 
 
+@pytest.mark.filterwarnings("error")  # the one line comes before any warning
 @pytest.mark.parametrize("case", sorted(BAD_CONTAINERS))
 @pytest.mark.parametrize("command", ["oracle", "solve"])
 def test_bad_containers_exit_with_one_line(tmp_path, command, case):
@@ -374,17 +399,40 @@ BAD_REDUCTION_ARGUMENTS = {
     "x3c non-integer": ("reduce-x3c --m 6 --triples 1,2,x", "argument error: triples: invalid integer 'x'"),
     "x3c m 7": ("reduce-x3c --m 7 --triples 1,2,3", "argument error: ground set size must be a positive"),
     "partition negative weight": ("reduce-partition --a 1,-2", "argument error: weights must be positive"),
+    "partition nan weight": ("reduce-partition --a nan,1", "argument error: weights must be positive and finite"),
+    "partition inf weight": ("reduce-partition --a inf,1", "argument error: weights must be positive and finite"),
     "partition odd theta": ("reduce-partition --a 3,1,4,2 --theta 3", "argument error: theta must be even"),
     "partition p 2": ("reduce-partition --a 1,1 --p 2", "argument error: p: must lie in (0, 1], got 2"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # the one line comes before any warning
 @pytest.mark.parametrize("case", sorted(BAD_REDUCTION_ARGUMENTS))
 def test_bad_reduction_arguments_exit_with_one_line(tmp_path, case):
     args, message = BAD_REDUCTION_ARGUMENTS[case]
     out = tmp_path / "red.txt"
     exits_with_one_line([*args.split(), "--out", str(out)], message)
     assert not out.exists()
+
+
+# every command that writes --out; each writes into a directory that does not exist
+OUTPUT_COMMANDS = {
+    "gen": ["gen", "--config", "{cfg}"],
+    "sweep": ["sweep", "--config", "{cfg}", "--trials", "2"],
+    "compare": ["compare", "--config", "{cfg}", "--trials", "2"],
+    "concentration": ["concentration", "--config", "{cfg}", "--trials", "10"],
+    "replay": ["replay", "--config", "{cfg}", "--cell", "0", "--trial", "0"],
+    "reduce-x3c": ["reduce-x3c", "--m", "6", "--triples", "1,2,3;4,5,6"],
+    "reduce-partition": ["reduce-partition", "--a", "3,1,4,2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_out_exits_with_one_line(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "m = 6\ns = 2\n")
+    out = tmp_path / "absent" / "out.txt"
+    argv = [a.format(cfg=cfg) for a in OUTPUT_COMMANDS[command]]
+    exits_with_one_line([*argv, "--out", str(out)], f"output error: [Errno 2] No such file or directory: '{out}'")
 
 
 def test_missing_config_file_exits_with_one_line(tmp_path):

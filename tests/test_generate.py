@@ -258,7 +258,7 @@ def test_guess_columns_conditioned_law():
 
 def test_guess_columns_give_up_on_vanishing_density():
     cfg = base_cfg(n=4, m=4, s=2, guess_density=1e-12)
-    with pytest.raises(RuntimeError, match="nonzero guess column"):
+    with pytest.raises(ValueError, match="nonzero guess column"):
         sample_guess_columns(cfg, instance_generator(0), (2,))
 
 

@@ -32,6 +32,10 @@ README_GEN = "m = 16\ntheta = 2\nr = 4\ns = 4\nseed = 7\n"
 REPEATED_UNITARY_GEN = "m = 16\ntheta = 3\nr = 4\ns = 4\nseed = 7\nsensing_kind = repeated-unitary\n"
 COMPARE = "m = 4\ns = 2\ntheta = 1\nr = 2\nr = 4\nguess_density = 0.5\n"  # acceptance test_09
 CONC_GEN = "m = 12\ntheta = 2\nr = 4\ns = 3\n"
+# every oracle cell fits the enumeration guard, so the oracle columns hold counts
+ORACLE_SWEEP = "m = 6\ntheta = 2\nr = 2\nr = 3\ns = 2\noracle = 1\n"
+# theta = 2 and m < r*theta, where every compare column is nonzero
+COMPARE_THETA2 = "m = 3\nn = 2\ns = 1\ntheta = 2\nr = 4\nguess_density = 0.5\n"
 
 
 def sha256(text: str) -> str:
@@ -55,6 +59,10 @@ def write_cfg(tmp_path, text):
          "676ddc265eacdad8d2fe407ed0aa2b928142f744ab851d7af50ff04f5c499e41"),
         ("compare", COMPARE, ["--trials", "300", "--seed", "2", "--jobs", "1"],
          "e59fc7cad6adb69e274fccffb7201a4980ceb9534d4dd734a1004989e37c2fe5"),
+        ("sweep", ORACLE_SWEEP, ["--trials", "20", "--seed", "1", "--jobs", "1"],
+         "786e7d33bba6869573de45958271f56bd4a454ab7b39014390ccc3f6ac36d184"),
+        ("compare", COMPARE_THETA2, ["--trials", "300", "--seed", "3", "--jobs", "1"],
+         "f345f36f7aa483517a6c443247e968512220dea7fd87b77559ddae1fe802a171"),
     ],
 )
 def test_csv_digest(tmp_path, capsys, command, text, flags, digest):

@@ -180,6 +180,8 @@ def test_support_pattern_rejects_duplicates_and_range():
 def test_guess_ensemble_rejects_out_of_range_entries():
     with pytest.raises(ValueError):
         GuessEnsemble(blocks=(np.array([[2.0], [0.0]]),), planted_cols=(0,))
+    with pytest.raises(ValueError, match=r"guess block 1 has entries outside \[-1, 1\]"):  # NaN fails the range test
+        GuessEnsemble(blocks=(np.array([[1.0], [0.0]]), np.array([[np.nan], [0.5]])), planted_cols=(0, 0))
 
 
 def test_instance_invariants_enforced():
@@ -194,6 +196,12 @@ def test_instance_invariants_enforced():
 
     with pytest.raises(ValueError, match="does not equal"):
         RelaxedInstance(A=A, X=X, x=x, support=support, y=x + 1.0)
+    # a NaN in y or A makes the residual NaN, which fails the check rather than passing it
+    with pytest.raises(ValueError, match="does not equal"):
+        RelaxedInstance(A=A, X=X, x=x, support=support, y=np.array([np.nan, 0.0, -0.5]))
+    A_nan = BlockSensingMatrix(blocks=(np.diag([np.nan, 1.0, 1.0]),))
+    with pytest.raises(ValueError, match="does not equal"):
+        RelaxedInstance(A=A_nan, X=X, x=x, support=support, y=x.copy())
     with pytest.raises(ValueError, match="off the declared support"):
         RelaxedInstance(
             A=A,
