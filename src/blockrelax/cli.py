@@ -79,6 +79,18 @@ def _config(path: str | None):
         yield parse_config("" if path is None else Path(path).read_text())
 
 
+def _check_out(path: str) -> None:
+    """End the run with one ``output error`` line, before any trial runs, if ``path`` cannot be opened to append to.
+
+    A file the check creates is removed again.
+    """
+    with _one_line("output"):
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_gen(args) -> int:
     with _config(args.config) as flat:
         vals = expand_config(flat, GEN_KEYS, seed=args.seed)[0]
@@ -130,6 +142,7 @@ def _cmd_sweep(args) -> int:
     jobs = _jobs(args.jobs)
     with _config(args.config) as flat:
         plan = build_sweep_plan(flat, seed=args.seed, trials=args.trials)
+    _check_out(args.out)
     results = run_sweep(plan, jobs=jobs)
     with _one_line("output"):
         write_sweep_csv(results, args.out)
@@ -142,6 +155,7 @@ def _cmd_compare(args) -> int:
     jobs = _jobs(args.jobs)
     with _config(args.config) as flat:
         cells = build_comparison_plan(flat, seed=args.seed, trials=args.trials)
+    _check_out(args.out)
     with _one_line("trial"):  # a draw that fails, named by its cell and trial
         results = run_comparison(cells, jobs=jobs)
     with _one_line("output"):

@@ -7,12 +7,16 @@ singular window of ||A X u||^2.  Two exact identities, the vectorization of
 M R w and the block norm bound, are checked beside them.  Redraw t takes
 all its draws from one generator,
 ``instance_generator(derive_seed(seed, 'conc', t))``: first the planted
-values, then the guess tensor.  One sampler, ``ConcentrationStudy._draw``,
-makes every redraw: the mean and tail checks draw a chunk of redraws at a
-time into one guess tensor and take all their images in one pass, and
+values, then the guess tensor.  One chunk pass, ``ConcentrationStudy._draw``,
+makes every redraw: each redraw's generator writes its planted-value
+indices, its guess uniforms and its guess-value indices straight into the
+chunk's buffers, then the hidden vectors are written and the guess law
+(shared with ``generate.sample_guess_columns``) runs once over the chunk's
+guess tensor, in place.  The mean and tail checks draw up to ``_CHUNK``
+redraws at a time and take all their images in one pass, and
 ``ConcentrationStudy.redraw(seed, t)`` is the chunk of trial t alone.  The
-window check draws only the planted values, so its trial t has the x of
-``redraw(seed, t)``.
+window check draws only the planted values, through the same ``_planted``,
+so its trial t has the x of ``redraw(seed, t)``.
 Statistical comparisons return z-scores or frequencies; nothing here raises on
 a statistical fluctuation, that judgement belongs to the caller.
 """
@@ -26,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
-from .generate import (
-    GenConfig,
-    build_instance,
-    derive_seed,
-    instance_generator,
-    sample_guess_columns,
-)
+from .generate import GenConfig, _guess_law, _guess_values, build_instance, derive_seed, instance_generator
 from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
 __all__ = [
@@ -73,16 +71,19 @@ class ConcentrationStudy:
             cfg=cfg, A=base.A, support=base.support, planted_cols=base.X.planted_cols
         )
 
-    def _planted(self, seed: int, trial: int) -> tuple[np.ndarray, np.random.Generator]:
-        """Trial ``trial``'s hidden vector x, drawn first from its generator, and that generator.
+    def _planted(self, seed: int, trial: int, idx: np.ndarray) -> np.random.Generator:
+        """Trial ``trial``'s generator, after its first draw: the planted-value indices, written into ``idx``.
 
-        x holds i.i.d. uniform alphabet values on the support and zeros off it.
+        x takes ``_alphabet[idx]`` on the support and zeros off it (``_hidden``).
         """
         rng = instance_generator(derive_seed(seed, "conc", trial))
-        x = np.zeros(self.cfg.n * self.cfg.theta)
-        alph, idx = self._alphabet, self._support_indices
-        x[idx] = alph[rng.integers(0, len(alph), size=len(idx))]
-        return x, rng
+        idx[:] = rng.integers(0, len(self._alphabet), size=len(idx))
+        return rng
+
+    def _hidden(self, idx: np.ndarray, x: np.ndarray) -> None:
+        """Write into x (..., n*theta) the hidden vectors of the planted-value indices idx (..., |support|)."""
+        x[...] = 0.0
+        x[..., self._support_indices] = self._alphabet[idx]
 
     @functools.cached_property
     def _alphabet(self) -> np.ndarray:
@@ -95,22 +96,31 @@ class ConcentrationStudy:
     def _draw(self, seed: int, start: int, X: np.ndarray, x: np.ndarray) -> None:
         """Fill X (size, theta, r, n) and x (size, theta, n) with trials start .. start+size-1.
 
-        Trial t takes x (``_planted``) and then its guess columns, zero
-        columns allowed, from one generator; x is then planted at
-        ``planted_cols``, so X[i, l, k] is column k of block l.
+        One pass per chunk.  Trial t's generator draws, in this order, its
+        planted-value indices (``_planted``), the uniforms of its guess tensor
+        straight into X[i] and its guess-value indices into a narrow array;
+        then x is written, the guess law (``generate._guess_law``, zero
+        columns allowed) turns the chunk's uniforms into entries in place, and
+        x is planted at ``planted_cols``, so X[i, l, k] is column k of block l.
         """
-        cfg = self.cfg
-        for i in range(len(X)):
-            xi, rng = self._planted(seed, start + i)
-            x[i] = xi.reshape(cfg.theta, cfg.n)
-            X[i] = sample_guess_columns(cfg, rng, (cfg.theta, cfg.r), reject_zero=False)
-        X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
+        cfg, size = self.cfg, len(X)
+        u = X.reshape(size, -1)
+        n_values, n_entries = len(_guess_values(cfg)), u.shape[1]
+        planted = np.empty((size, len(self._support_indices)), dtype=int)
+        guess = np.empty(u.shape, dtype=np.min_scalar_type(n_values - 1))
+        for i, row in enumerate(u):
+            rng = self._planted(seed, start + i, planted[i])
+            rng.random(out=row)
+            guess[i] = rng.integers(0, n_values, size=n_entries)
+        self._hidden(planted, x.reshape(size, -1))
         empty = np.argwhere(~x.any(axis=-1))
         if empty.size:
             raise ValueError(
                 f"block {empty[0, 1]} has empty support, so its planted column would be "
                 "all-zero; increase s or use equidistributed supports"
             )
+        _guess_law(cfg, X, guess)
+        X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
         if X.min() < -1.0 - 1e-12 or X.max() > 1.0 + 1e-12:
             raise ValueError("guess entries outside [-1, 1]")
 
@@ -257,8 +267,10 @@ def singular_window_check(
         raise ValueError("ensemble norm weighting is singular; empty block support?")
 
     inside = 0
+    idx, x = np.empty(len(study.support), dtype=int), np.empty(cfg.n * cfg.theta)
     for t in range(trials):
-        x, _ = study._planted(seed, t)
+        study._planted(seed, t, idx)
+        study._hidden(idx, x)
         cols = np.stack(
             [
                 study.A.blocks[l] @ x[l * cfg.n : (l + 1) * cfg.n] / wa[g]

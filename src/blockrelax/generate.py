@@ -231,31 +231,48 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(chosen).reshape(len(keys), -1) % (cfg.n * cfg.theta)
 
 
+def _guess_values(cfg: GenConfig) -> np.ndarray:
+    """The nonzero entry values of ``guess_law``, indexed by its value draw: -1, 1 or the alphabet."""
+    return np.array((-1.0, 1.0) if cfg.guess_law == "ternary" else cfg.planted_alphabet)
+
+
+# entries per pass of ``_guess_law``: take casts narrow indices to an intp copy
+# of the pass's size (and, in its default mode 'raise', buffers ``out`` too;
+# the indices are in range, so 'clip' changes nothing)
+_LAW_PASS = 1 << 14
+
+
+def _guess_law(cfg: GenConfig, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The guess law in place: uniforms ``u`` and value indices ``idx`` (same shape) become entries.
+
+    Entry = (u < guess_density) * ``_guess_values(cfg)``[idx], a zero keeping
+    its value's sign.  ``u`` must be C-contiguous; ``idx`` may be of any
+    integer type, and no temporary exceeds ``_LAW_PASS`` entries.
+    """
+    values, flat, flat_idx = _guess_values(cfg), u.reshape(-1), idx.reshape(-1)
+    for lo in range(0, flat.size, _LAW_PASS):
+        part = flat[lo : lo + _LAW_PASS]
+        mask = part < cfg.guess_density
+        values.take(flat_idx[lo : lo + _LAW_PASS], out=part, mode="clip")
+        part *= mask
+    return u
+
+
 def _draw_column(cfg: GenConfig, rng: np.random.Generator, size) -> np.ndarray:
-    """Unconditioned ``guess_law`` entries of any ``size``: one mask draw, one value draw."""
-    mask = rng.random(size) < cfg.guess_density
-    if cfg.guess_law == "ternary":
-        vals = rng.integers(0, 2, size=size) * 2.0 - 1.0
-    else:
-        alph = np.asarray(cfg.planted_alphabet)
-        vals = alph[rng.integers(0, len(alph), size=size)]
-    return mask * vals
+    """Unconditioned ``guess_law`` entries of any ``size``: one uniform draw, one value draw, then the law."""
+    u = rng.random(size)
+    return _guess_law(cfg, u, rng.integers(0, len(_guess_values(cfg)), size=size))
 
 
-def sample_guess_columns(
-    cfg: GenConfig, rng: np.random.Generator, shape, reject_zero: bool = True
-) -> np.ndarray:
-    """Random guess columns of length n, one per index of ``shape``: a (*shape, n) array.
+def sample_guess_columns(cfg: GenConfig, rng: np.random.Generator, shape) -> np.ndarray:
+    """Random guess columns of length n, each conditioned nonzero, one per index of ``shape``: a (*shape, n) array.
 
-    All columns come from one tensor draw.  With ``reject_zero`` every all-zero
+    All columns come from one tensor draw (``_draw_column``); every all-zero
     column is then redrawn, all of them in one draw per round, until none is
-    left, which conditions each column on being nonzero as instance
-    construction requires; a column still all-zero after 10000 rounds raises
-    ValueError.
+    left, as instance construction requires; a column still all-zero after
+    10000 rounds raises ValueError.
     """
     cols = _draw_column(cfg, rng, (*shape, cfg.n))
-    if not reject_zero:
-        return cols
     for _ in range(10000):
         zero = ~cols.any(axis=-1)
         if not zero.any():

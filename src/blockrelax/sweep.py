@@ -38,7 +38,6 @@ import math
 import operator
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +319,9 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     if config_jobs(jobs) == 1:
         raw = itertools.starmap(task, items)
     else:
+        # imported here, so that a process that never starts a pool does not pay for its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = iter(list(pool.map(task, *zip(*items))))
     return [sum(itertools.islice(raw, len(ranges)), Counter()) for ranges in chunks]

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from blockrelax import cli
 from blockrelax.cli import main
 from blockrelax.storage import load_instance, load_reduction
 from blockrelax.sweep import SWEEP_COLUMNS, _cell_stack, _chunks, build_sweep_plan, parse_config
@@ -433,6 +434,32 @@ def test_unwritable_out_exits_with_one_line(tmp_path, capsys, command):
     out = tmp_path / "absent" / "out.txt"
     argv = [a.format(cfg=cfg) for a in OUTPUT_COMMANDS[command]]
     exits_with_one_line([*argv, "--out", str(out)], f"output error: [Errno 2] No such file or directory: '{out}'")
+
+
+@pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"), ("compare", "run_comparison")])
+def test_unwritable_out_ends_before_any_trial(tmp_path, monkeypatch, command, runner):
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda *args, **kwargs: calls.append(args))
+    cfg = write_cfg(tmp_path, "m = 6\ns = 2\n")
+    out = tmp_path / "absent" / "out.csv"
+    exits_with_one_line([command, "--config", cfg, "--trials", "2", "--out", str(out)], "output error: ")
+    assert calls == []
+
+
+def test_out_check_leaves_no_file_behind(tmp_path, monkeypatch):
+    # a compare run whose trials fail leaves no empty CSV from the check;
+    # an existing file stays as it was until the run writes it
+    def failing_run(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_comparison", failing_run)
+    cfg = write_cfg(tmp_path, "m = 6\ns = 2\n")
+    out = tmp_path / "c.csv"
+    exits_with_one_line(["compare", "--config", cfg, "--trials", "2", "--out", str(out)], "trial error: boom")
+    assert not out.exists()
+    out.write_text("kept\n")
+    exits_with_one_line(["compare", "--config", cfg, "--trials", "2", "--out", str(out)], "trial error: boom")
+    assert out.read_text() == "kept\n"
 
 
 def test_missing_config_file_exits_with_one_line(tmp_path):

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
 
+import concentration_reference as reference
 import numpy as np
 import pytest
 
+from blockrelax import concentration
 from blockrelax.bounds import ensemble_norm_weights
 from blockrelax.concentration import (
     _CHUNK,
@@ -141,6 +143,62 @@ def test_tail_count_matches_single_trial_replay():
     want = int(np.count_nonzero(np.abs(vals - analytic) >= 0.3 * f_sq))
     assert 0 < want < 400
     assert est.exceed_count == want
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def chunk_draw(study, seed, start, size):
+    cfg = study.cfg
+    X, x = np.empty((size, cfg.theta, cfg.r, cfg.n)), np.empty((size, cfg.theta, cfg.n))
+    study._draw(seed, start, X, x)
+    return X, x
+
+
+@pytest.mark.parametrize("guess_law", ["ternary", "alphabet"])
+@pytest.mark.parametrize("theta", [1, 4])
+def test_chunk_pass_matches_per_trial_reference(theta, guess_law):
+    # the chunk pass draws each trial's bits as the one-trial-at-a-time loop
+    # did, zero signs included, and images them to the same bits
+    study = batch_study(theta, guess_law)
+    for X, want in zip(chunk_draw(study, 8, 3, 60), reference.draw(study, 8, 3, 60)):
+        assert_same_bits(X, want)
+    u = Selector(z=np.random.default_rng(theta).standard_normal(4 * theta), r=4, theta=theta)
+    assert_same_bits(study.image_sq_norms(u, 60, seed=8), reference.image_sq_norms(study, u, 60, 8, _CHUNK))
+
+
+def test_chunk_pass_matches_reference_across_two_chunks(monkeypatch):
+    monkeypatch.setattr(concentration, "_CHUNK", 7)
+    study = batch_study(4, "alphabet")
+    u = Selector.discrete(study.planted_cols, 4, 4)
+    assert_same_bits(study.image_sq_norms(u, 11, seed=2), reference.image_sq_norms(study, u, 11, 2, 7))
+
+
+@pytest.mark.parametrize("guess_law", ["ternary", "alphabet"])
+def test_redraw_is_row_of_reference(guess_law):
+    study = batch_study(4, guess_law)
+    X, x = reference.draw(study, 5, 0, 12)
+    for t in (0, 7, 11):
+        got_x, got_X = study.redraw(5, t)
+        assert_same_bits(got_x, x[t].reshape(-1))
+        assert_same_bits(np.ascontiguousarray(got_X.blocks.transpose(0, 2, 1)), X[t])
+
+
+def test_empty_block_error_matches_reference():
+    # a uniform-support study whose support misses block 2: both passes reject
+    # the same trial with the same message
+    cfg = GenConfig(m=4, n=4, theta=3, r=2, s=1, support_mode="uniform", master_seed=0)
+    base = ConcentrationStudy.from_config(GenConfig(m=4, n=4, theta=3, r=2, s=1, master_seed=0))
+    starved = ConcentrationStudy(
+        cfg=cfg, A=base.A, support=SupportPattern(indices=(1, 6, 7), n=4, theta=3), planted_cols=base.planted_cols
+    )
+    with pytest.raises(ValueError, match="block 2 has empty support") as want:
+        reference.draw(starved, 3, 4, 1)
+    with pytest.raises(ValueError) as got:
+        starved.redraw(3, 4)
+    assert str(got.value) == str(want.value)
 
 
 def test_image_sq_norms_reject_empty_hidden_block():

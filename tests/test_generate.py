@@ -232,7 +232,7 @@ def test_guess_column_laws():
 
 def test_guess_column_density():
     cfg = base_cfg(n=50, m=50, guess_density=0.25)
-    draws = sample_guess_columns(cfg, instance_generator(3), (2000,), reject_zero=False)
+    draws = _draw_column(cfg, instance_generator(3), (2000, cfg.n))
     frac = np.mean(draws != 0)
     # binomial standard error at p=0.25 over 100000 entries
     assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / draws.size)
@@ -242,7 +242,7 @@ def test_guess_columns_conditioned_law():
     # at nu = 0.3 and n = 4 a first draw is all-zero with probability 0.7^4 ~ 0.24
     cfg = base_cfg(n=4, m=4, s=2, guess_density=0.3)
     shape = (20000,)
-    first = sample_guess_columns(cfg, instance_generator(4), shape, reject_zero=False)
+    first = _draw_column(cfg, instance_generator(4), (*shape, cfg.n))
     cols = sample_guess_columns(cfg, instance_generator(4), shape)
     zero = ~first.any(axis=1)
     assert 0.2 < zero.mean() < 0.28
