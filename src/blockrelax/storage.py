@@ -3,13 +3,20 @@
 One file holds a key = value header followed by labelled matrix sections,
 each a shape line plus comma-separated rows printed at 17 significant digits
 (enough for bit-exact float round-trips).  Indices in files are 1-based.
+An instance header is every ``GenConfig`` field in declaration order, the
+moments p_x, p_X and nu, the planted columns and the support.  A load reads
+exactly the keys a save writes, so saving a loaded container writes the same
+bytes; any other key, a line with no '=', or a moment or size that the config
+or the arrays contradict raises naming it.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -26,17 +33,23 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write_matrix(out: io.StringIO, name: str, a: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    out.write(f"[{name}] {a.shape[0]} {a.shape[1]}\n")
-    for row in a:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+def _numbers(key: str, text: str, kind: type = int) -> tuple:
+    return tuple(config_number(key, t, kind) for t in text.split(","))
 
 
-def _dump_header(out: io.StringIO, fields: dict) -> None:
-    out.write(_MAGIC + "\n")
-    for k, v in fields.items():
-        out.write(f"{k} = {v}\n")
+# per GenConfig field type: how a value is written, and how its text is read
+# back naming its key; GenConfig itself checks the text of its choice keys
+_CODECS = {
+    int: (str, config_number),
+    float: (_fmt, functools.partial(config_number, kind=float)),
+    str: (str, lambda key, text: text),
+    tuple[float, ...]: (lambda v: ",".join(map(_fmt, v)), functools.partial(_numbers, kind=float)),
+}
+# GenConfig's fields in declaration order, each with its type's codec
+_FIELDS = {key: _CODECS[hint] for key, hint in get_type_hints(GenConfig).items()}
+# implied by the config; written for readers and checked on load
+_MOMENTS = ("p_x", "p_X", "nu")
+_INSTANCE_KEYS = (*_FIELDS, *_MOMENTS, "planted_cols", "support")
 
 
 class _Entries(dict):
@@ -53,6 +66,11 @@ class _Entries(dict):
         if key in self:
             raise ValueError(f"container {self.kind} {key!r} must not repeat")
         super().__setitem__(key, value)
+
+    def pop(self, key):
+        value = self[key]
+        del self[key]
+        return value
 
 
 def _parse(text: str):
@@ -92,91 +110,84 @@ def _parse(text: str):
             i += rows
             matrices[name] = block
         else:
-            k, _, v = line.partition("=")
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ValueError(f"container line {i}: expected key = value, got {line!r}")
             header[k.strip()] = v.strip()
     return header, matrices
 
 
-def _alphabet_str(alph) -> str:
-    return ",".join(_fmt(a) for a in alph)
+def _write(path: str, kind: str, header: dict, sections: dict) -> None:
+    """The container of ``kind``: its header as key = value lines, then each named section."""
+    out = io.StringIO()
+    out.write(f"{_MAGIC}\nkind = {kind}\n")
+    for k, v in header.items():
+        out.write(f"{k} = {v}\n")
+    for name, a in sections.items():
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        out.write(f"[{name}] {a.shape[0]} {a.shape[1]}\n")
+        for row in a:
+            out.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "w") as fh:
+        fh.write(out.getvalue())
+
+
+def _read(path: str, kind: str):
+    """Header (without its kind) and sections of the container at ``path``, which must be of ``kind``."""
+    with open(path) as fh:
+        header, matrices = _parse(fh.read())
+    found = header.get("kind")
+    if found != kind:
+        raise ValueError(f"expected {'an' if kind == 'instance' else 'a'} {kind} container, got kind={found}")
+    del header["kind"]
+    return header, matrices
+
+
+def _blocks(name: str, blocks) -> dict:
+    return {f"{name} {l + 1}": b for l, b in enumerate(blocks)}
+
+
+def _agree(key: str, written, found, where: str = "its arrays have") -> None:
+    # a saved container writes back what it holds, so its header must describe it
+    if written != found:
+        raise ValueError(f"container header has {key} = {written}, but {where} {key} = {found}")
 
 
 def save_instance(instance: RelaxedInstance, path: str) -> None:
     cfg = instance.config
     if cfg is None:
         raise ValueError("instance carries no generation config; cannot serialize")
-    fields = {
-        "kind": "instance",
-        "m": cfg.m,
-        "n": cfg.n,
-        "theta": cfg.theta,
-        "r": cfg.r,
-        "s": cfg.s,
-        "sensing_kind": cfg.sensing_kind,
-        "planted_alphabet": _alphabet_str(cfg.planted_alphabet),
-        "guess_density": _fmt(cfg.guess_density),
-        "support_mode": cfg.support_mode,
-        "guess_law": cfg.guess_law,
-        # p_x, p_X and nu follow from the config; they are written for readers, not read back
-        "master_seed": cfg.master_seed,
-        "p_x": _fmt(cfg.p_x),
-        "p_X": _fmt(cfg.p_X),
-        "nu": _fmt(cfg.nu),
-        # 1-based on disk
-        "planted_cols": ",".join(str(k + 1) for k in instance.X.planted_cols),
-        "support": ",".join(str(i + 1) for i in instance.support.indices),
-    }
-    out = io.StringIO()
-    _dump_header(out, fields)
-    for l, b in enumerate(instance.A.blocks):
-        _write_matrix(out, f"A {l + 1}", b)
-    for l, b in enumerate(instance.X.blocks):
-        _write_matrix(out, f"X {l + 1}", b)
-    _write_matrix(out, "x", instance.x.reshape(1, -1))
-    _write_matrix(out, "y", instance.y.reshape(1, -1))
-    with open(path, "w") as fh:
-        fh.write(out.getvalue())
+    header = {key: write(getattr(cfg, key)) for key, (write, _) in _FIELDS.items()}
+    header.update((key, _fmt(getattr(cfg, key))) for key in _MOMENTS)
+    # 1-based on disk
+    header["planted_cols"] = ",".join(str(k + 1) for k in instance.X.planted_cols)
+    header["support"] = ",".join(str(i + 1) for i in instance.support.indices)
+    blocks = {**_blocks("A", instance.A.blocks), **_blocks("X", instance.X.blocks)}
+    _write(path, "instance", header, {**blocks, "x": instance.x, "y": instance.y})
 
 
 def load_instance(path: str) -> RelaxedInstance:
-    """The instance of a container; a header that its arrays contradict raises naming the key."""
-    with open(path) as fh:
-        header, matrices = _parse(fh.read())
-    if header.get("kind") != "instance":
-        raise ValueError(f"expected an instance container, got kind={header.get('kind')}")
-    dims = {key: config_number(key, header[key]) for key in ("m", "n", "theta", "r", "s")}
-    cfg = GenConfig(
-        **dims,
-        sensing_kind=header["sensing_kind"],
-        planted_alphabet=tuple(
-            config_number("planted_alphabet", a, float) for a in header["planted_alphabet"].split(",")
-        ),
-        guess_density=config_number("guess_density", header["guess_density"], float),
-        support_mode=header["support_mode"],
-        guess_law=header.get("guess_law", "ternary"),
-        master_seed=config_number("master_seed", header["master_seed"]),
-    )
-    n, theta = dims["n"], dims["theta"]
+    """The instance of a container; a header key that a save would not write back raises naming it."""
+    header, matrices = _read(path, "instance")
+    unknown = [key for key in header if key not in _INSTANCE_KEYS]
+    if unknown:
+        raise ValueError(f"container has unknown key {unknown[0]!r}")
+    cfg = GenConfig(**{key: read(key, header[key]) for key, (_, read) in _FIELDS.items()})
+    for key in _MOMENTS:
+        _agree(key, config_number(key, header[key], float), getattr(cfg, key), "its config gives")
+    theta = cfg.theta
     A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
-    planted = tuple(config_number("planted_cols", t) - 1 for t in header["planted_cols"].split(","))
     X = GuessEnsemble(
-        blocks=tuple(matrices[f"X {l + 1}"] for l in range(theta)), planted_cols=planted
+        blocks=tuple(matrices[f"X {l + 1}"] for l in range(theta)),
+        planted_cols=tuple(k - 1 for k in _numbers("planted_cols", header["planted_cols"])),
     )
-    indices = tuple(config_number("support", t) - 1 for t in header["support"].split(","))
-    # the header is what a saved instance writes back, so it must describe these arrays
+    indices = tuple(i - 1 for i in _numbers("support", header["support"]))
     for key, found in (("m", A.m), ("n", A.n), ("r", X.r)):
-        if dims[key] != found:
-            raise ValueError(f"container header has {key} = {dims[key]}, but its arrays have {key} = {found}")
+        _agree(key, getattr(cfg, key), found)
     if cfg.s * theta != len(indices):
         raise ValueError(f"container header has s*theta = {cfg.s * theta}, but its support has {len(indices)} indices")
-    return RelaxedInstance(
-        A=A,
-        X=X,
-        x=matrices["x"].ravel(),
-        support=SupportPattern(indices=indices, n=n, theta=theta),
-        y=matrices["y"].ravel(),
-        config=cfg,
-    )
+    x, y = matrices["x"].ravel(), matrices["y"].ravel()
+    return RelaxedInstance(A, X, x, SupportPattern(indices, cfg.n, theta), y, config=cfg)
 
 
 @dataclass(frozen=True)
@@ -191,38 +202,19 @@ class ReductionRecord:
 
 
 def save_reduction(record: ReductionRecord, path: str) -> None:
-    fields = {
-        "kind": "reduction",
-        "reduction": record.reduction,
-        "m": record.A.m,
-        "n": record.A.n,
-        "theta": record.A.theta,
-        "certificate_target": _fmt(record.certificate_target),
-    }
-    for k, v in record.extra.items():
-        fields[k] = v
-    out = io.StringIO()
-    _dump_header(out, fields)
-    for l, b in enumerate(record.A.blocks):
-        _write_matrix(out, f"A {l + 1}", b)
-    _write_matrix(out, "y", np.asarray(record.y).reshape(1, -1))
-    with open(path, "w") as fh:
-        fh.write(out.getvalue())
+    A = record.A
+    header = {"reduction": record.reduction, "m": A.m, "n": A.n, "theta": A.theta,
+              "certificate_target": _fmt(record.certificate_target), **record.extra}
+    _write(path, "reduction", header, {**_blocks("A", A.blocks), "y": record.y})
 
 
 def load_reduction(path: str) -> ReductionRecord:
-    with open(path) as fh:
-        header, matrices = _parse(fh.read())
-    if header.get("kind") != "reduction":
-        raise ValueError(f"expected a reduction container, got kind={header.get('kind')}")
-    theta = config_number("theta", header["theta"])
+    """The record of a reduction container; every header key past the ones a save derives is ``extra``."""
+    header, matrices = _read(path, "reduction")
+    reduction = header.pop("reduction")
+    theta = config_number("theta", header.pop("theta"))
     A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
-    known = {"kind", "reduction", "m", "n", "theta", "certificate_target"}
-    extra = {k: v for k, v in header.items() if k not in known}
-    return ReductionRecord(
-        reduction=header["reduction"],
-        A=A,
-        y=matrices["y"].ravel(),
-        certificate_target=config_number("certificate_target", header["certificate_target"], float),
-        extra=extra,
-    )
+    for key, found in (("m", A.m), ("n", A.n)):
+        _agree(key, config_number(key, header.pop(key)), found)
+    target = config_number("certificate_target", header.pop("certificate_target"), float)
+    return ReductionRecord(reduction, A, matrices["y"].ravel(), target, extra=dict(header))

@@ -299,8 +299,12 @@ def bad_container(tmp_path, case: str) -> str:
     elif case != "missing file":
         main(["gen", "--config", write_cfg(tmp_path, GEN_CFG), "--out", str(path)])
         lines = path.read_text().splitlines()
-        if case == "no m line":
-            lines = [ln for ln in lines if not ln.startswith("m =")]
+        if case in KEY_EDITS:  # a header line dropped, or its key misspelled
+            key, renamed = KEY_EDITS[case]
+            at = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} ="))
+            lines[at : at + 1] = [renamed + lines[at][len(key):]] if renamed else []
+        elif case == "line without =":  # after the magic and kind lines
+            lines.insert(2, "garbage")
         elif case in HEADER_EDITS:  # a header key that disagrees with the arrays, or is not a number
             key, value = HEADER_EDITS[case]
             lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln for ln in lines]
@@ -333,6 +337,13 @@ HEADER_EDITS = {
     "header r": ("r", 5),
     "header s": ("s", 1),
     "theta not a number": ("theta", "x"),
+    "header nu": ("nu", 0.9),  # guess_density is 0.25
+}
+# (key, its misspelling, or None to drop the line)
+KEY_EDITS = {
+    "no m line": ("m", None),
+    "no guess_law line": ("guess_law", None),
+    "misspelled guess_law": ("guess_law", "guess_lwa"),
 }
 SECTION_EDITS = {
     "unclosed section": (0, "[A 1 8 8"),
@@ -358,6 +369,12 @@ BAD_CONTAINERS = {
     "row not numbers": "instance error: container section 'A 1' row 2: invalid number 'abc'",
     "reduction container": "instance error: expected an instance container, got kind=reduction",
     "no m line": "instance error: container has no key 'm'",
+    # a header a save would not write back: a key missing or unknown, a line
+    # with no '=', a moment that its config contradicts
+    "no guess_law line": "instance error: container has no key 'guess_law'",
+    "misspelled guess_law": "instance error: container has unknown key 'guess_lwa'",
+    "line without =": "instance error: container line 3: expected key = value, got 'garbage'",
+    "header nu": "instance error: container header has nu = 0.9, but its config gives nu = 0.25",
     "cut mid-matrix": "instance error: container section 'A 1' is cut short: 3 of 8 rows",
     "ragged blocks": "instance error: all blocks must share one (m, n) shape",
     "repeated header key": "instance error: container key 'master_seed' must not repeat",

@@ -388,8 +388,11 @@ def test_instance_dist_params_follow_config():
     assert inst.config.nu == pytest.approx(0.4)
 
 
-def test_instance_container_round_trip(tmp_path):
-    cfg = base_cfg(master_seed=314)
+@pytest.mark.parametrize("guess_law", GUESS_LAWS)
+@pytest.mark.parametrize("support_mode", SUPPORT_MODES)
+@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
+def test_instance_container_round_trip(tmp_path, sensing_kind, support_mode, guess_law):
+    cfg = base_cfg(master_seed=314, sensing_kind=sensing_kind, support_mode=support_mode, guess_law=guess_law)
     inst = build_instance(cfg)
     path = tmp_path / "inst.txt"
     save_instance(inst, str(path))
@@ -404,6 +407,10 @@ def test_instance_container_round_trip(tmp_path):
     assert back.support.indices == inst.support.indices
     assert back.X.planted_cols == inst.X.planted_cols
     assert back.config == cfg
+    # the header is the config's field list, so a loaded container saves back byte for byte
+    again = tmp_path / "again.txt"
+    save_instance(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_instance_without_config_does_not_serialize(tmp_path):
@@ -448,3 +455,14 @@ def test_reduction_container_round_trip(tmp_path):
         assert np.array_equal(ba, bb)
     assert back.extra["ground_set"] == "6"
     assert back.extra["note"] == "fixture"
+    again = tmp_path / "again.txt"
+    save_reduction(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_reduction_header_must_describe_its_arrays(tmp_path):
+    path = tmp_path / "red.txt"
+    save_reduction(partition_to_lp(PartitionInstance(a=(1.0, 1.0))), str(path))  # A has m = 3 rows
+    path.write_text(path.read_text().replace("\nm = 3\n", "\nm = 4\n"))
+    with pytest.raises(ValueError, match="container header has m = 4, but its arrays have m = 3"):
+        load_reduction(str(path))

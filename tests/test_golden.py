@@ -30,6 +30,7 @@ guess_density = s/n
 README_GEN = "m = 16\ntheta = 2\nr = 4\ns = 4\nseed = 7\n"
 # the README walk-through's repeated-unitary container: one block stored theta times
 REPEATED_UNITARY_GEN = "m = 16\ntheta = 3\nr = 4\ns = 4\nseed = 7\nsensing_kind = repeated-unitary\n"
+ALPHABET_GEN = README_GEN + "sensing_kind = gaussian\nsupport_mode = uniform\nguess_law = alphabet\n"
 COMPARE = "m = 4\ns = 2\ntheta = 1\nr = 2\nr = 4\nguess_density = 0.5\n"  # acceptance test_09
 CONC_GEN = "m = 12\ntheta = 2\nr = 4\ns = 3\n"
 # every oracle cell fits the enumeration guard, so the oracle columns hold counts
@@ -73,10 +74,25 @@ def test_csv_digest(tmp_path, capsys, command, text, flags, digest):
     assert sha256(body) == digest
 
 
-def test_gen_container_digest(tmp_path, capsys):
-    out = tmp_path / "inst.txt"
-    assert main(["gen", "--config", write_cfg(tmp_path, README_GEN), "--out", str(out)]) == 0
-    assert sha256(out.read_text()) == "e512824a6ff69efc1863175960d5b01679fe14821d8a8fd783a0ccacfbc7f0f8"
+# a gen container per config, and the README walk-through's two reduction containers
+@pytest.mark.parametrize(
+    "command, text, flags, digest",
+    [
+        ("gen", README_GEN, [], "e512824a6ff69efc1863175960d5b01679fe14821d8a8fd783a0ccacfbc7f0f8"),
+        ("gen", ALPHABET_GEN, [], "1c08e36819c819886e853139ae0e760b4a8bed4b1ec17a466de075e6beaff5e3"),
+        ("gen", REPEATED_UNITARY_GEN, [], "89f6e7c03a1131b5b8fbe13763889c408df46e0da1e17a2ae2661bd38db91e9b"),
+        ("reduce-x3c", None, ["--m", "6", "--triples", "1,2,3;4,5,6"],
+         "4b255053c266c4fc2e1924a72bd5c8bb6496e1f7618f3d9f4961cb959e9feca2"),
+        ("reduce-partition", None, ["--a", "3,1,4,2"],
+         "5b3401c92a52c8b0a8b20261f33462c6ebaa7e68a7b40960cbd3d33a0a11d2d9"),
+    ],
+    ids=["readme", "gaussian-uniform-alphabet", "repeated-unitary", "reduce-x3c", "reduce-partition"],
+)
+def test_gen_container_digest(tmp_path, capsys, command, text, flags, digest):
+    out = tmp_path / "out.txt"
+    config = ["--config", write_cfg(tmp_path, text)] if text else []
+    assert main([command, *config, *flags, "--out", str(out)]) == 0
+    assert sha256(out.read_text()) == digest
 
 
 @pytest.mark.parametrize(
