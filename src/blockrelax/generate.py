@@ -21,7 +21,8 @@ blocks) once for the chunk; the second plants the hidden blocks.
 made, through the checking constructors.  ``build_instance`` is a chunk of
 one, so the two agree bit for bit and any single trial of a sweep can be
 replayed from its seed alone.  ``compare``'s relaxation side is
-``draw_instances`` alone.
+``draw_instances`` alone: ``sample_instance_pairs`` draws a chunk's planted
+instances and then its unplanted ones in one ``draw_instances`` pass.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "InstanceStack",
     "draw_instances",
     "sample_instances",
+    "sample_instance_pairs",
     "build_instance",
     "SENSING_KINDS",
     "SUPPORT_MODES",
@@ -422,15 +424,18 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted)
 
 
-def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
-    """One planted instance per trial, drawn as one chunk: ``draw_instances`` with the hidden blocks planted.
+# InstanceStack's per-row arrays
+_ROW_FIELDS = ("A", "X", "x", "y", "support", "planted")
+
+
+def _plant(stack: InstanceStack) -> InstanceStack:
+    """The second stage of a chunk: each row's hidden blocks written into its planted columns of X, in place.
 
     A trial whose support leaves a block empty, so that its planted column
     would be all-zero, joins ``errors`` and leaves the rest of the chunk
-    alone.  Each stacked operation gives a row the bits it gets alone.
+    alone.
     """
-    stack = draw_instances(cfg, seeds, rngs)
-    k, rows = len(stack.x), stack.rows
+    cfg, k, rows = stack.config, len(stack.x), stack.rows
     hidden = stack.x.reshape(k, cfg.theta, cfg.n)
     stack.X[np.arange(k)[:, None], np.arange(cfg.theta), :, stack.planted] = hidden
     empty = ~hidden.any(axis=2)
@@ -443,8 +448,40 @@ def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
             f"block {np.flatnonzero(empty[j])[0]} has empty support, so its planted column "
             "would be all-zero; increase s or use equidistributed supports"
         )
-    kept = {f: getattr(stack, f)[good] for f in ("A", "X", "x", "y", "support", "planted")}
-    return replace(stack, errors=errors, **kept)
+    return replace(stack, errors=errors, **{f: getattr(stack, f)[good] for f in _ROW_FIELDS})
+
+
+def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
+    """One planted instance per trial, drawn as one chunk: ``draw_instances`` with the hidden blocks planted.
+
+    A trial whose support leaves a block empty joins ``errors``.  Each
+    stacked operation gives a row the bits it gets alone.
+    """
+    return _plant(draw_instances(cfg, seeds, rngs))
+
+
+def sample_instance_pairs(cfg: GenConfig, seeds, rngs) -> tuple[InstanceStack, InstanceStack]:
+    """Each trial's planted instance and then an unplanted one, from its one generator, drawn as one chunk.
+
+    One ``draw_instances`` runs over the generators listed twice, so every
+    generator draws its first instance before its second, as two calls in
+    turn would, and the support argsort, the batched QR and y = A x run once
+    for both.  The first stack is planted and checked as ``sample_instances``
+    plants it; the second is ``draw_instances``' own.
+    """
+    k = len(seeds)
+    both = draw_instances(cfg, (*seeds, *seeds), (*rngs, *rngs))
+    cut = sum(i < k for i in both.rows)  # the first instances' rows come first
+    first, second = (
+        replace(
+            both,
+            seeds=tuple(seeds),
+            errors={i - lo: exc for i, exc in both.errors.items() if lo <= i < lo + k},
+            **{f: getattr(both, f)[part] for f in _ROW_FIELDS},
+        )
+        for lo, part in ((0, slice(cut)), (k, slice(cut, None)))
+    )
+    return _plant(first), second
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:

@@ -325,7 +325,8 @@ def effective_stack(A_blocks: np.ndarray, X_blocks: np.ndarray) -> np.ndarray:
     alone, so a chunk of instances shares one call with ``effective_matrix``.
     """
     prod = A_blocks @ X_blocks  # (..., theta, m, r)
-    return np.swapaxes(prod, -3, -2).reshape(*prod.shape[:-3], prod.shape[-2], -1)
+    theta, m, r = prod.shape[-3:]  # sized, not -1, so that an empty stack reshapes too
+    return np.swapaxes(prod, -3, -2).reshape(*prod.shape[:-3], m, theta * r)
 
 
 def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
@@ -348,7 +349,7 @@ def solver_weights(X: GuessEnsemble, p: float) -> np.ndarray:
 def weight_stack(X_blocks: np.ndarray, p: float) -> np.ndarray:
     """Weights (..., r*theta) of (..., theta, n, r) guess stacks: each column's sum of |entry|**p."""
     w = np.sum(np.abs(X_blocks) ** p, axis=-2)
-    return w.reshape(*w.shape[:-2], -1)
+    return w.reshape(*w.shape[:-2], w.shape[-2] * w.shape[-1])
 
 
 def apply_selector(X: GuessEnsemble, z: Selector | np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ each a shape line plus comma-separated rows printed at 17 significant digits
 (enough for bit-exact float round-trips).  Indices in files are 1-based.
 An instance header is every ``GenConfig`` field in declaration order, the
 moments p_x, p_X and nu, the planted columns and the support.  A load reads
-exactly the keys a save writes, so saving a loaded container writes the same
-bytes; any other key, a line with no '=', or a moment or size that the config
-or the arrays contradict raises naming it.
+exactly the keys and sections a save writes, so saving a loaded container
+writes the same bytes; any other key or section, a line with no '=', or a
+moment or size that the config or the arrays contradict raises naming it.
 """
 
 from __future__ import annotations
@@ -147,6 +147,14 @@ def _blocks(name: str, blocks) -> dict:
     return {f"{name} {l + 1}": b for l, b in enumerate(blocks)}
 
 
+def _sections(matrices: dict, names: list[str]) -> list[np.ndarray]:
+    """The sections ``names`` of a container, in order; a section a load does not use raises naming it."""
+    unknown = [name for name in matrices if name not in names]
+    if unknown:
+        raise ValueError(f"container has unknown section {unknown[0]!r}")
+    return [matrices[name] for name in names]
+
+
 def _agree(key: str, written, found, where: str = "its arrays have") -> None:
     # a saved container writes back what it holds, so its header must describe it
     if written != found:
@@ -167,7 +175,7 @@ def save_instance(instance: RelaxedInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> RelaxedInstance:
-    """The instance of a container; a header key that a save would not write back raises naming it."""
+    """The instance of a container; a header key or section that a save would not write back raises naming it."""
     header, matrices = _read(path, "instance")
     unknown = [key for key in header if key not in _INSTANCE_KEYS]
     if unknown:
@@ -176,9 +184,10 @@ def load_instance(path: str) -> RelaxedInstance:
     for key in _MOMENTS:
         _agree(key, config_number(key, header[key], float), getattr(cfg, key), "its config gives")
     theta = cfg.theta
-    A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
+    *blocks, x, y = _sections(matrices, [*(f"{name} {l + 1}" for name in "AX" for l in range(theta)), "x", "y"])
+    A = BlockSensingMatrix(blocks=tuple(blocks[:theta]))
     X = GuessEnsemble(
-        blocks=tuple(matrices[f"X {l + 1}"] for l in range(theta)),
+        blocks=tuple(blocks[theta:]),
         planted_cols=tuple(k - 1 for k in _numbers("planted_cols", header["planted_cols"])),
     )
     indices = tuple(i - 1 for i in _numbers("support", header["support"]))
@@ -186,8 +195,7 @@ def load_instance(path: str) -> RelaxedInstance:
         _agree(key, getattr(cfg, key), found)
     if cfg.s * theta != len(indices):
         raise ValueError(f"container header has s*theta = {cfg.s * theta}, but its support has {len(indices)} indices")
-    x, y = matrices["x"].ravel(), matrices["y"].ravel()
-    return RelaxedInstance(A, X, x, SupportPattern(indices, cfg.n, theta), y, config=cfg)
+    return RelaxedInstance(A, X, x.ravel(), SupportPattern(indices, cfg.n, theta), y.ravel(), config=cfg)
 
 
 @dataclass(frozen=True)
@@ -209,12 +217,16 @@ def save_reduction(record: ReductionRecord, path: str) -> None:
 
 
 def load_reduction(path: str) -> ReductionRecord:
-    """The record of a reduction container; every header key past the ones a save derives is ``extra``."""
+    """The record of a reduction container; every header key past the ones a save derives is ``extra``.
+
+    A section other than the blocks ``A 1`` .. ``A theta`` and ``y`` raises naming it.
+    """
     header, matrices = _read(path, "reduction")
     reduction = header.pop("reduction")
     theta = config_number("theta", header.pop("theta"))
-    A = BlockSensingMatrix(blocks=tuple(matrices[f"A {l + 1}"] for l in range(theta)))
+    *blocks, y = _sections(matrices, [*(f"A {l + 1}" for l in range(theta)), "y"])
+    A = BlockSensingMatrix(blocks=tuple(blocks))
     for key, found in (("m", A.m), ("n", A.n)):
         _agree(key, config_number(key, header.pop(key)), found)
     target = config_number("certificate_target", header.pop("certificate_target"), float)
-    return ReductionRecord(reduction, A, matrices["y"].ravel(), target, extra=dict(header))
+    return ReductionRecord(reduction, A, y.ravel(), target, extra=dict(header))

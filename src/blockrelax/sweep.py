@@ -10,16 +10,19 @@ a fixed key order.
 Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
-the chunk as one ``generate.InstanceStack`` and return the chunk's integer
-counts, which add up per cell.  A ``sweep`` chunk takes each trial's
+the chunk as stacks (``generate.InstanceStack``) and return the chunk's
+integer counts, which add up per cell.  A ``sweep`` chunk takes each trial's
 ``solver.TrialRecord`` from one ``solver.check_stack`` over the stack's arrays;
 only an oracle cell builds a ``RelaxedInstance``.  Each stacked operation
 gives a program the bits it gets alone, so a trial's outcome does not depend
 on its chunk-mates, results are independent of worker count and chunking,
 and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
-unplanted relaxation side (``generate.draw_instances``), then best-of-r
-guesses of that side's hidden vector.
+unplanted relaxation side, drawn in the same pass as the chunk's planted
+instances (``generate.sample_instance_pairs``), then best-of-r guesses of
+that side's hidden vector.  A relaxation hit selects, in every block l, a
+column equal to x^l, so only the relaxation programs whose every block holds
+such a column are solved; the others cannot hit and count as misses.
 
 Each CSV is written from one column table (``_SWEEP_TABLE``,
 ``_COMPARISON_TABLE``) that declares every column once: its name, its place
@@ -48,9 +51,9 @@ from .generate import (
     GenConfig,
     InstanceStack,
     derive_seed,
-    draw_instances,
     instance_generator,
     sample_guess_columns,
+    sample_instance_pairs,
     sample_instances,
 )
 from .model import effective_stack, weight_stack
@@ -276,7 +279,9 @@ def build_sweep_plan(
     return SweepPlan(cells=tuple(_plan_cells(cfg, SWEEP_KEYS, _GRID_KEYS, "cell", seed, trials)))
 
 
-# most floats one chunk's sensing and guess draws may hold; a chunk has at least one trial
+# most floats one stack of a chunk's sensing and guess draws may hold (a compare
+# chunk draws two such stacks, its select and relaxation sides); a chunk has at
+# least one trial
 _CHUNK_FLOATS = 1 << 15
 
 
@@ -287,31 +292,34 @@ def _chunks(cell: Cell) -> list[tuple[int, int]]:
     return [(start, min(start + size, cell.trials)) for start in range(0, cell.trials, size)]
 
 
-def _cell_stack(cell: Cell, start: int, stop: int) -> tuple[InstanceStack, list]:
-    """Trials start .. stop-1 of ``cell`` drawn as one stack, and their generators after the draw."""
+def _trial_generators(cell: Cell, start: int, stop: int) -> tuple[list[int], list]:
+    """The seeds of trials start .. stop-1 of ``cell``, and each trial's generator before any draw."""
     seeds = [derive_seed(cell.seed, "trial", t) for t in range(start, stop)]
-    rngs = [instance_generator(seed) for seed in seeds]
-    return sample_instances(cell.gen, seeds, rngs), rngs
+    return seeds, [instance_generator(seed) for seed in seeds]
+
+
+def _cell_stack(cell: Cell, start: int, stop: int) -> InstanceStack:
+    """Trials start .. stop-1 of ``cell`` drawn as one stack."""
+    return sample_instances(cell.gen, *_trial_generators(cell, start, stop))
 
 
 def _timed_chunk(fn, cell: Cell, start: int, stop: int) -> Counter:
     t0 = time.perf_counter()
-    counts = fn(cell, start, *_cell_stack(cell, start, stop))
+    counts = fn(cell, start, stop)
     counts["wall_time"] = time.perf_counter() - t0
     return counts
 
 
 def _run_trials(cells, fn, jobs: int) -> list[Counter]:
-    """``fn(cell, start, stack, rngs)`` for every chunk of every cell, on ``jobs`` processes.
+    """``fn(cell, start, stop)`` for every chunk of every cell, on ``jobs`` processes.
 
-    ``stack`` holds the chunk's trials from ``start`` on (``_cell_stack``)
-    and ``rngs`` each trial's generator after its draw; ``fn`` returns the
-    chunk's integer counts as a ``Counter``, so only counts cross the pool,
-    and the chunk's seconds are added as 'wall_time'.  One work item draws one
-    chunk of one cell's trials (``_chunks``), so the items do not depend on
-    ``jobs``.  Per cell, in plan order: the sums over its chunks.  ``fn`` must
-    be module-level so worker processes can import it; ``jobs`` below one
-    raises.
+    ``fn`` draws and runs the chunk's trials start .. stop-1 and returns
+    their integer counts as a ``Counter``, so only counts cross the pool,
+    and the chunk's seconds, its draw included, are added as 'wall_time'.
+    One work item is one chunk of one cell's trials (``_chunks``), so the
+    items do not depend on ``jobs``.  Per cell, in plan order: the sums over
+    its chunks.  ``fn`` must be module-level so worker processes can import
+    it; ``jobs`` below one raises.
     """
     chunks = [_chunks(cell) for cell in cells]
     items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
@@ -349,13 +357,13 @@ def _records(cell: Cell, stack: InstanceStack) -> list[TrialRecord]:
     ]
 
 
-def _sweep_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> Counter:
+def _sweep_chunk(cell: Cell, start: int, stop: int) -> Counter:
     """A chunk's counts: its trials per verdict, 'certified' and, in an oracle cell, 'unique' and 'agree'.
 
-    ``start`` and ``rngs`` are unused.  A trial that raises anywhere, in its
-    draw or its oracle too, is data, not a crash: it counts once, as 'error'.
+    A trial that raises anywhere, in its draw or its oracle too, is data, not
+    a crash: it counts once, as 'error'.
     """
-    counts = Counter()
+    stack, counts = _cell_stack(cell, start, stop), Counter()
     for i, record in enumerate(_records(cell, stack)):
         tags = [record.verdict]
         if record.error is None:
@@ -411,7 +419,7 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
 def replay_trial(plan: SweepPlan, cell_index: int, trial: int):
     """Re-run a single sweep trial, as a chunk of one: its instance, solve, certificate and verdict, or its error."""
     cell = plan.cells[cell_index]
-    stack, _ = _cell_stack(cell, trial, trial + 1)
+    stack = _cell_stack(cell, trial, trial + 1)
     instance = stack.instance(0)
     (record,) = _records(cell, stack)
     if record.error is not None:
@@ -480,47 +488,56 @@ def build_comparison_plan(
     )
 
 
-def _comparison_chunk(cell: Cell, start: int, stack: InstanceStack, rngs: list) -> Counter:
+def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     """A chunk's counts of relaxation hits ('relax'), best-of-r hits ('bestof') and certified trials.
 
     Each trial takes all its draws from its own generator, in a fixed order:
-    first the instance whose certificate counts (``stack``, drawn by
-    ``_run_trials``), then the relaxation side, an unplanted stack
-    (``draw_instances``), then the best-of side's guesses.  The best-of
+    first the instance whose certificate counts, then the relaxation side,
+    an unplanted instance, both drawn for the whole chunk by one
+    ``sample_instance_pairs``, then the best-of side's guesses.  The best-of
     side guesses the relaxation side's x: every column of the alphabet law
     equals a given x^l with s nonzeros with the same probability, so given x
-    the two hits are independent.  The chunk's relaxation programs are
-    solved as one stack and its instances certified as another.  A draw
-    that fails ends the comparison with one error naming its trial.
+    the two hits are independent.  A relaxation hit selects, in every block
+    l, a column equal to x^l, so a program with a block that holds no such
+    column cannot hit, whatever its solution; only the other programs are
+    solved, as one stack, and the chunk's instances are certified as
+    another.  A draw that fails ends the comparison with one error naming
+    its trial.
     """
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
-    relax = draw_instances(gen, stack.seeds, rngs)
+    seeds, rngs = _trial_generators(cell, start, stop)
+    stack, relax = sample_instance_pairs(gen, seeds, rngs)
     failed = {**relax.errors, **stack.errors}  # a trial's select draw fails before its relaxation side's
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
     B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
     certs = certificate_stack(B, w, planted, np.ones(planted.shape))
     x, X = relax.x, relax.X
-    solves = solve_stack(effective_stack(relax.A, X), weight_stack(X, cell.p), relax.y, cell.options)
-    counts = Counter()
+    # success means the relaxation SELECTS the hidden blocks: the solution must
+    # be one column per block and those columns must equal x exactly.
+    # Reconstruction alone would also count sign flips (z_l = -1 on a column
+    # storing -x^l) and accidental span hits, events the per-column match
+    # probability p_l deliberately does not model.  holds[j, l, k]: column k of
+    # block l equals x^l in trial j; a trial with a block of no such column is
+    # not solved.  A program that raised (weights not strictly positive, say)
+    # selects nothing.
+    holds = (X == x.reshape(len(x), theta, n, 1)).all(axis=2)
+    solvable = np.flatnonzero(holds.any(axis=2).all(axis=1))
+    X_solvable = X[solvable]
+    solves = solve_stack(
+        effective_stack(relax.A[solvable], X_solvable), weight_stack(X_solvable, cell.p), relax.y[solvable],
+        cell.options,
+    )
+    counts = Counter(relax=0)
+    for j, res in zip(solvable.tolist(), solves):
+        combo = None if isinstance(res, Exception) else _support_to_combo(res.detected_support, r, theta)
+        counts["relax"] += combo is not None and bool(holds[j, np.arange(theta), combo].all())
     for j, rng in enumerate(rngs):
         if isinstance(certs[j], Exception):
             raise certs[j]
-        # success means the relaxation SELECTS the hidden blocks: the solution
-        # must be one column per block and those columns must equal x exactly.
-        # Reconstruction alone would also count sign flips (z_l = -1 on a column
-        # storing -x^l) and accidental span hits, events the per-column match
-        # probability p_l deliberately does not model.  A program that raised
-        # (weights not strictly positive, say) selects nothing.
-        combo = None if isinstance(solves[j], Exception) else _support_to_combo(solves[j].detected_support, r, theta)
-        relax_hit = combo is not None and all(
-            np.array_equal(X[j, l, :, k], x[j, l * n : (l + 1) * n])
-            for l, k in enumerate(combo)
-        )
         # r independent guesses of the whole vector, one nonzero column per block
         g = sample_guess_columns(gen, rng, (r, theta))
-        counts["relax"] += relax_hit
         counts["bestof"] += bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
         counts["certified"] += certs[j].holds
     return counts

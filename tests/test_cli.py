@@ -103,7 +103,7 @@ def test_replay_trials_flag_matches_the_sweep(tmp_path, capsys):
     # the last trial of the partial chunk replays as the sweep's chunk drew it
     cell = build_sweep_plan(parse_config(text), trials=10).cells[0]
     assert _chunks(cell)[-1] == (6, 10)
-    drawn, back = _cell_stack(cell, 6, 10)[0].instance(3), load_instance(str(replayed))
+    drawn, back = _cell_stack(cell, 6, 10).instance(3), load_instance(str(replayed))
     assert drawn.config.master_seed == seed
     for a, b in [(drawn.A.blocks, back.A.blocks), (drawn.X.blocks, back.X.blocks), (drawn.x, back.x), (drawn.y, back.y)]:
         assert np.array_equal(a, b)
@@ -316,6 +316,10 @@ def bad_container(tmp_path, case: str) -> str:
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]"))
             offset, line = SECTION_EDITS[case]
             lines[at + offset] = line
+        elif case == "extra section":  # an [A 3] section, which theta = 2 does not use, after the arrays
+            lines += ["[A 3] 1 2", "1,2"]
+        elif case == "misspelled section":  # [y] renamed [Y]
+            lines = ["[Y]" + ln[3:] if ln.startswith("[y]") else ln for ln in lines]
         elif case == "repeated header key":  # a second master_seed line, after the arrays
             lines.append("master_seed = 99")
         elif case == "repeated section":  # [X 1] again, its shape line and n = 8 rows
@@ -379,6 +383,9 @@ BAD_CONTAINERS = {
     "ragged blocks": "instance error: all blocks must share one (m, n) shape",
     "repeated header key": "instance error: container key 'master_seed' must not repeat",
     "repeated section": "instance error: container section 'X 1' must not repeat",
+    # a section a load would not use, so a save would drop it
+    "extra section": "instance error: container has unknown section 'A 3'",
+    "misspelled section": "instance error: container has unknown section 'Y'",
     # a non-finite value would pass the containers' checks, or warn, so loading names it
     "nan in A": "instance error: container section 'A 1' row 3: must be finite, got nan",
     "inf in A": "instance error: container section 'A 1' row 1: must be finite, got inf",

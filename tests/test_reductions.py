@@ -193,3 +193,14 @@ def test_x3c_record_round_trip(tmp_path):
         assert np.array_equal(ba, bb)
     assert back.extra["triples"] == rec.extra["triples"]
     assert int(back.extra["ground_set"]) == 6
+
+
+def test_reduction_container_rejects_unknown_section(tmp_path):
+    # a section past A 1 .. A theta and y would be dropped by the next save, so loading names it
+    rec = x3c_to_l0(X3CInstance(m=6, triples=((0, 1, 2), (3, 4, 5))), n=2, seed=7)
+    path = tmp_path / "x3c.txt"
+    save_reduction(rec, str(path))
+    extra = f"A {rec.A.theta + 1}"
+    path.write_text(path.read_text() + f"[{extra}] 1 2\n1,2\n")
+    with pytest.raises(ValueError, match=f"^container has unknown section '{extra}'$"):
+        load_reduction(str(path))

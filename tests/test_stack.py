@@ -53,7 +53,7 @@ def chunk_programs(text, seed, trials=None):
     plan = build_sweep_plan(parse_config(text), seed=seed, trials=trials)
     for cell in plan.cells:
         for start, stop in _chunks(cell):
-            stack, _ = _cell_stack(cell, start, stop)
+            stack = _cell_stack(cell, start, stop)
             if stack.rows:
                 B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
                 yield B, w, stack.y, planted
@@ -165,7 +165,7 @@ def test_sweep_chunk_equals_replayed_stacks_of_one(text, trials, monkeypatch):
     solved = 0
     for cell in plan.cells:
         for start, stop in _chunks(cell):
-            records = _records(cell, _cell_stack(cell, start, stop)[0])
+            records = _records(cell, _cell_stack(cell, start, stop))
             assert len(built) == solved
             for t, record in enumerate(records, start):
                 if record.error is not None:  # a draw that left a block empty

@@ -1,17 +1,15 @@
-import copy
 from collections import Counter
 
+import comparison_reference
 import numpy as np
 import pytest
 
 from blockrelax import sweep
-from blockrelax.generate import GenConfig, derive_seed, instance_generator, sample_instances
-from blockrelax.model import effective_matrix, solver_weights
+from blockrelax.generate import GenConfig, derive_seed, instance_generator, sample_instance_pairs, sample_instances
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
     _chunks,
-    _comparison_chunk,
     block_match_probability,
     build_comparison_plan,
     build_sweep_plan,
@@ -340,27 +338,65 @@ def test_comparison_jobs_invariant():
             assert ra.formula_exact == rb.formula_exact
 
 
-def test_comparison_relaxation_side_draws_as_sample_instances(monkeypatch):
-    # after the select instance, the relaxation side draws from the trial's
-    # generator what sample_instances draws, unplanted: its program equals the
-    # planted instance's off the planted columns, and y = A x is the same
-    cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=1)[0]
+def test_comparison_relaxation_side_draws_as_sample_instances():
+    # one draw over the generators listed twice gives each trial its select
+    # instance, then what sample_instances would draw next from the same
+    # generator, unplanted: equal to that instance off the planted columns,
+    # with the same y = A x, and every generator goes on where two calls leave it
+    cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=3)[0]
     cfg = cell.gen
-    seeds = [derive_seed(cell.seed, "trial", 0)]
-    rng = instance_generator(seeds[0])
-    select = sample_instances(cfg, seeds, [rng])
-    ref = sample_instances(cfg, seeds, [copy.deepcopy(rng)]).instance(0)
-    seen = {}
-    solve = sweep.solve_stack
+    seeds = [derive_seed(cell.seed, "trial", t) for t in range(3)]
+    rngs = [instance_generator(seed) for seed in seeds]
+    select, relax = sample_instance_pairs(cfg, seeds, rngs)
+    twice = [instance_generator(seed) for seed in seeds]
+    first = sample_instances(cfg, seeds, twice)
+    second = sample_instances(cfg, seeds, twice)
+    for f in ("A", "X", "x", "y", "support", "planted"):
+        assert np.array_equal(getattr(select, f), getattr(first, f))
+    assert select.seeds == relax.seeds == tuple(seeds) and not select.errors and not relax.errors
+    for j in range(3):
+        ref = second.instance(j)
+        off = np.ones((cfg.theta, cfg.r), dtype=bool)
+        off[np.arange(cfg.theta), second.planted[j]] = False
+        assert np.array_equal(relax.A[j], ref.A.blocks)
+        assert np.array_equal(relax.x[j], ref.x) and np.array_equal(relax.y[j], ref.y)
+        assert np.array_equal(relax.X[j].transpose(0, 2, 1)[off], ref.X.blocks.transpose(0, 2, 1)[off])
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in twice]
 
-    def spy(B, w, y, options):
-        (seen["B"],), (seen["w"],), (seen["y"],) = B, w, y  # a chunk of one
-        return solve(B, w, y, options)
 
-    monkeypatch.setattr(sweep, "solve_stack", spy)
-    _comparison_chunk(cell, 0, select, [rng])
-    off = np.ones(cfg.r * cfg.theta, dtype=bool)
-    off[ref.X.planted_global_cols()] = False
-    assert np.array_equal(seen["y"], ref.y)
-    assert np.array_equal(seen["B"][:, off], effective_matrix(ref.A, ref.X)[:, off])
-    assert np.array_equal(seen["w"][off], solver_weights(ref.X, cell.p)[off])
+# (config, trials): test_09's cells, the golden theta = 2 cell, a theta = 3
+# cell and a dense cell whose relaxation programs mostly hold x, so most are solved
+REFERENCE_COMPARISONS = {
+    "test_09": (COMPARE_CFG, 103),
+    "golden theta 2": ("m = 3\nn = 2\ns = 1\ntheta = 2\nr = 4\nguess_density = 0.5\n", 301),
+    "theta 3": ("m = 5\nn = 2\ns = 1\ntheta = 3\nr = 3\nguess_density = 0.5\n", 151),
+    "dense": ("m = 4\nn = 2\ns = 1\nguess_density = 0.5\nr = 8\ntheta = 1\ntheta = 2\n", 103),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_COMPARISONS))
+def test_comparison_counts_equal_two_draw_reference(monkeypatch, case):
+    # run_comparison solves only the relaxation programs that can select x and
+    # draws both sides in one pass; the reference draws twice and solves every
+    # program, and the counts must agree on chunks whose last one is partial
+    text, trials = REFERENCE_COMPARISONS[case]
+    monkeypatch.setattr(sweep, "_CHUNK_FLOATS", 1 << 9)
+    cells = build_comparison_plan(parse_config(text), seed=4, trials=trials)
+    for cell in cells:
+        sizes = [stop - start for start, stop in _chunks(cell)]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+    got = [(res.n_relax, res.n_bestof, res.n_certified) for res in run_comparison(cells)]
+    assert got == comparison_reference.comparison_counts(cells)
+    assert any(relax for relax, _, _ in got)
+
+
+def test_comparison_failed_draw_error_equals_reference():
+    # no guess column of density 1e-7 turns nonzero: both end on the same line
+    sparse = "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"
+    cells = build_comparison_plan(parse_config(sparse), seed=2, trials=2)
+    with pytest.raises(ValueError) as ref:
+        comparison_reference.comparison_counts(cells)
+    with pytest.raises(ValueError) as got:
+        run_comparison(cells)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("cell 0 trial 0: could not draw a nonzero guess column")
