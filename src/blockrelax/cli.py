@@ -233,7 +233,8 @@ def _cmd_concentration(args) -> int:
                 )
             header = ["check", "epsilon", "trials", "exceed", "frequency", "bound"]
         elif check == "mean":
-            mom = conc.empirical_image_moments(study, planted, trials, seed)
+            with _one_line("config"):  # fewer than 2 trials give no standard error
+                mom = conc.empirical_image_moments(study, planted, trials, seed)
             rows.append(
                 ["mean", format(mom.mean, ".10g"), format(mom.analytic_sq, ".10g"),
                  format(mom.std_error, ".4g"), format(mom.z_score, ".4g")]

@@ -8,15 +8,13 @@ M R w and the block norm bound, are checked beside them.  Redraw t takes
 all its draws from one generator,
 ``instance_generator(derive_seed(seed, 'conc', t))``: first the planted
 values, then the guess tensor.  One chunk pass, ``ConcentrationStudy._draw``,
-makes every redraw: each redraw's generator writes its planted-value
-indices, its guess uniforms and its guess-value indices straight into the
-chunk's buffers, then the hidden vectors are written and the guess law
-(shared with ``generate.sample_guess_columns``) runs once over the chunk's
-guess tensor, in place.  The mean and tail checks draw up to ``_CHUNK``
-redraws at a time and take all their images in one pass, and
-``ConcentrationStudy.redraw(seed, t)`` is the chunk of trial t alone.  The
-window check draws only the planted values, through the same ``_planted``,
-so its trial t has the x of ``redraw(seed, t)``.
+makes every redraw: each redraw's generator draws its planted-value indices,
+then ``generate.draw_guesses``, the package's one guess draw, fills the
+chunk's guess tensor from the generators in turn and runs the guess law once
+over it.  The mean, tail and window checks walk ``_CHUNK`` redraws at a time
+(``ConcentrationStudy._chunks``): the mean and tail checks image a chunk in
+one pass, the window check takes one batched SVD of its planted columns, and
+``ConcentrationStudy.redraw(seed, t)`` is the chunk of trial t alone.
 Statistical comparisons return z-scores or frequencies; nothing here raises on
 a statistical fluctuation, that judgement belongs to the caller.
 """
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
-from .generate import GenConfig, _guess_law, _guess_values, build_instance, derive_seed, instance_generator
+from .generate import GenConfig, build_instance, derive_seed, draw_guesses, instance_generator
 from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
 __all__ = [
@@ -45,7 +43,7 @@ __all__ = [
     "block_norm_bound_check",
 ]
 
-# redraws per guess tensor of ``image_sq_norms``: memory stays bounded in the trial count
+# redraws per chunk of ``ConcentrationStudy._chunks``: memory stays bounded in the trial count
 _CHUNK = 1024
 
 
@@ -71,20 +69,6 @@ class ConcentrationStudy:
             cfg=cfg, A=base.A, support=base.support, planted_cols=base.X.planted_cols
         )
 
-    def _planted(self, seed: int, trial: int, idx: np.ndarray) -> np.random.Generator:
-        """Trial ``trial``'s generator, after its first draw: the planted-value indices, written into ``idx``.
-
-        x takes ``_alphabet[idx]`` on the support and zeros off it (``_hidden``).
-        """
-        rng = instance_generator(derive_seed(seed, "conc", trial))
-        idx[:] = rng.integers(0, len(self._alphabet), size=len(idx))
-        return rng
-
-    def _hidden(self, idx: np.ndarray, x: np.ndarray) -> None:
-        """Write into x (..., n*theta) the hidden vectors of the planted-value indices idx (..., |support|)."""
-        x[...] = 0.0
-        x[..., self._support_indices] = self._alphabet[idx]
-
     @functools.cached_property
     def _alphabet(self) -> np.ndarray:
         return np.asarray(self.cfg.planted_alphabet)
@@ -96,31 +80,41 @@ class ConcentrationStudy:
     def _draw(self, seed: int, start: int, X: np.ndarray, x: np.ndarray) -> None:
         """Fill X (size, theta, r, n) and x (size, theta, n) with trials start .. start+size-1.
 
-        One pass per chunk.  Trial t's generator draws, in this order, its
-        planted-value indices (``_planted``), the uniforms of its guess tensor
-        straight into X[i] and its guess-value indices into a narrow array;
-        then x is written, the guess law (``generate._guess_law``, zero
-        columns allowed) turns the chunk's uniforms into entries in place, and
-        x is planted at ``planted_cols``, so X[i, l, k] is column k of block l.
+        One ``generate.draw_guesses`` pass per chunk: trial t's generator
+        draws its planted-value indices as it is yielded, so one generator is
+        alive at a time, then its guess tensor into X[i] (zero columns
+        allowed).  x is planted at ``planted_cols``: X[i, l, k] is column k of
+        block l.
         """
         cfg, size = self.cfg, len(X)
-        u = X.reshape(size, -1)
-        n_values, n_entries = len(_guess_values(cfg)), u.shape[1]
-        planted = np.empty((size, len(self._support_indices)), dtype=int)
-        guess = np.empty(u.shape, dtype=np.min_scalar_type(n_values - 1))
-        for i, row in enumerate(u):
-            rng = self._planted(seed, start + i, planted[i])
-            rng.random(out=row)
-            guess[i] = rng.integers(0, n_values, size=n_entries)
-        self._hidden(planted, x.reshape(size, -1))
+        idx = np.empty((size, len(self._support_indices)), dtype=int)
+
+        def generators():
+            for t, row in enumerate(idx, start):
+                rng = instance_generator(derive_seed(seed, "conc", t))
+                row[:] = rng.integers(0, len(self._alphabet), size=len(row))
+                yield rng
+
+        draw_guesses(cfg, generators(), X)
+        x[...] = 0.0
+        x.reshape(size, -1)[:, self._support_indices] = self._alphabet[idx]
         empty = np.argwhere(~x.any(axis=-1))
         if empty.size:
             raise ValueError(
                 f"block {empty[0, 1]} has empty support, so its planted column would be "
                 "all-zero; increase s or use equidistributed supports"
             )
-        _guess_law(cfg, X, guess)
         X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
+
+    def _chunks(self, seed: int, trials: int):
+        """(start, X, x) of each chunk of up to ``_CHUNK`` of trials 0 .. trials-1, drawn into reused buffers."""
+        cfg, chunk = self.cfg, min(_CHUNK, trials)
+        X_buf, x_buf = np.empty((chunk, cfg.theta, cfg.r, cfg.n)), np.empty((chunk, cfg.theta, cfg.n))
+        for start in range(0, trials, _CHUNK):
+            size = min(_CHUNK, trials - start)
+            X, x = X_buf[:size], x_buf[:size]
+            self._draw(seed, start, X, x)
+            yield start, X, x
 
     def redraw(self, seed: int, trial: int):
         """Fresh (x, X) pair from the pure ensemble law (zero columns allowed)."""
@@ -137,22 +131,15 @@ class ConcentrationStudy:
         """||A X u||^2 for the redraws X of trials 0 .. trials-1, as one array.
 
         Entry t equals ``image_sq_norm(redraw(seed, t)[1], u)`` up to rounding:
-        both draw through ``_draw``.  Up to ``_CHUNK`` trials are written into
-        one (chunk, theta, r, n) guess tensor, reused by every chunk, and
-        imaged at once.
+        both draw through ``_draw``.  Each chunk of ``_chunks`` is imaged at
+        once.
         """
-        cfg = self.cfg
-        z = u.z.reshape(cfg.theta, cfg.r)
+        z = u.z.reshape(self.cfg.theta, self.cfg.r)
         A = self.A.full()
         out = np.empty(trials)
-        chunk = min(_CHUNK, trials)
-        X_buf, x_buf = np.empty((chunk, cfg.theta, cfg.r, cfg.n)), np.empty((chunk, cfg.theta, cfg.n))
-        for start in range(0, trials, _CHUNK):
-            size = min(_CHUNK, trials - start)
-            X = X_buf[:size]
-            self._draw(seed, start, X, x_buf[:size])
-            img = np.einsum("clkn,lk->cln", X, z).reshape(size, -1) @ A.T
-            out[start : start + size] = np.einsum("cm,cm->c", img, img)
+        for start, X, _ in self._chunks(seed, trials):
+            img = np.einsum("clkn,lk->cln", X, z).reshape(len(X), -1) @ A.T
+            out[start : start + len(X)] = np.einsum("cm,cm->c", img, img)
         return out
 
 
@@ -181,8 +168,11 @@ class ImageMoments:
 
     @property
     def z_score(self) -> float:
+        """(mean - analytic_sq) / std_error; 0 within rounding of the closed form, where std_error may be too."""
+        if abs(self.mean - self.analytic_sq) <= 1e-12 * (1.0 + abs(self.analytic_sq)):
+            return 0.0
         if self.std_error == 0.0:
-            return 0.0 if self.mean == self.analytic_sq else math.inf
+            return math.inf
         return (self.mean - self.analytic_sq) / self.std_error
 
 
@@ -192,11 +182,14 @@ def empirical_image_moments(
     """Monte Carlo mean of ||A X u||^2 against its closed form.
 
     The closed form is the squared ensemble norm of u; the z-score uses the
-    sample standard error, so |z| <= 3 is the expected regime.
+    sample standard error, so |z| <= 3 is the expected regime; fewer than 2
+    trials give no standard error and raise ValueError.
     """
+    if trials < 2:
+        raise ValueError(f"the mean check needs at least 2 trials for a standard error, got {trials}")
     vals = study.image_sq_norms(u, trials, seed)
     analytic = _sq_norm(study, u, study.cfg.p_x, study.cfg.p_X)
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se = float(np.std(vals, ddof=1) / math.sqrt(trials))
     return ImageMoments(mean=float(vals.mean()), std_error=se, analytic_sq=analytic, trials=trials)
 
 
@@ -264,21 +257,14 @@ def singular_window_check(
     if np.any(wa == 0.0):
         raise ValueError("ensemble norm weighting is singular; empty block support?")
 
+    scale = wa[planted_global][:, None]
     inside = 0
-    idx, x = np.empty(len(study.support), dtype=int), np.empty(cfg.n * cfg.theta)
-    for t in range(trials):
-        study._planted(seed, t, idx)
-        study._hidden(idx, x)
-        cols = np.stack(
-            [
-                study.A.blocks[l] @ x[l * cfg.n : (l + 1) * cfg.n] / wa[g]
-                for l, g in enumerate(planted_global)
-            ],
-            axis=1,
-        )
-        sig = np.linalg.svd(cols, compute_uv=False)
-        if sig.size and sig.min() >= 1.0 - delta and sig.max() <= 1.0 + delta:
-            inside += 1
+    # theta columns in R^m with m < theta have theta - m zero singular values,
+    # which svd leaves out, so no trial lies inside
+    for _, _, x in study._chunks(seed, trials) if cfg.m >= cfg.theta else ():
+        cols = np.matmul(study.A.blocks, x[..., None])[..., 0] / scale  # (chunk, theta, m)
+        sig = np.linalg.svd(cols.transpose(0, 2, 1), compute_uv=False)
+        inside += int(np.count_nonzero((sig.min(axis=1) >= 1.0 - delta) & (sig.max(axis=1) <= 1.0 + delta)))
 
     arg = min(cfg.p_x**2 * delta**2 / 4, cfg.p_x * delta / 2)
     fail = _rip_term(study, arg, cover=(12.0 / delta) ** cfg.theta)

@@ -23,12 +23,15 @@ one, so the two agree bit for bit and any single trial of a sweep can be
 replayed from its seed alone.  ``compare``'s relaxation side is
 ``draw_instances`` alone: ``sample_instance_pairs`` draws a chunk's planted
 instances and then its unplanted ones in one ``draw_instances`` pass.
+Every guess tensor is drawn by ``draw_guesses``: an instance's as a row of
+one, the concentration redraws' and ``compare``'s best-of side a chunk at once.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +47,7 @@ from .model import (
 __all__ = [
     "GenConfig",
     "derive_seed",
+    "draw_guesses",
     "sample_guess_columns",
     "instance_generator",
     "InstanceStack",
@@ -233,54 +237,54 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(chosen).reshape(len(keys), -1) % (cfg.n * cfg.theta)
 
 
-def _guess_values(cfg: GenConfig) -> np.ndarray:
-    """The nonzero entry values of ``guess_law``, indexed by its value draw: -1, 1 or the alphabet."""
-    return np.array((-1.0, 1.0) if cfg.guess_law == "ternary" else cfg.planted_alphabet)
-
-
-# entries per pass of ``_guess_law``: take casts narrow indices to an intp copy
-# of the pass's size (and, in its default mode 'raise', buffers ``out`` too;
-# the indices are in range, so 'clip' changes nothing)
+# entries per pass of the guess law in ``draw_guesses``: take casts narrow
+# indices to an intp copy of the pass's size (and, in its default mode 'raise',
+# buffers ``out`` too; the indices are in range, so 'clip' changes nothing)
 _LAW_PASS = 1 << 14
 
 
-def _guess_law(cfg: GenConfig, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The guess law in place: uniforms ``u`` and value indices ``idx`` (same shape) become entries.
+def draw_guesses(cfg: GenConfig, rngs, out: np.ndarray) -> np.ndarray:
+    """Unconditioned ``guess_law`` entries into the C-contiguous ``out`` (k, ...), row i from the i-th of k ``rngs``.
 
-    Entry = (u < guess_density) * ``_guess_values(cfg)``[idx], a zero keeping
-    its value's sign.  ``u`` must be C-contiguous; ``idx`` may be of any
-    integer type, and no temporary exceeds ``_LAW_PASS`` entries.
+    The package's one guess draw.  Each generator, taken in turn (``rngs``
+    may be a lazy iterator), draws its row's uniforms straight into out[i],
+    then its value indices.  The law then runs over the chunk in place, no
+    temporary exceeding ``_LAW_PASS`` entries: entry = (uniform <
+    guess_density) * value, the value -1 or 1 ('ternary') or from the
+    alphabet, a zero keeping its value's sign.  Returns ``out``.
     """
-    values, flat, flat_idx = _guess_values(cfg), u.reshape(-1), idx.reshape(-1)
+    values = np.array((-1.0, 1.0) if cfg.guess_law == "ternary" else cfg.planted_alphabet)
+    rows = out.reshape(len(out), math.prod(out.shape[1:]))
+    idx = np.empty(rows.shape, dtype=np.min_scalar_type(len(values) - 1))
+    for i, rng in enumerate(rngs):
+        rng.random(out=rows[i])
+        idx[i] = rng.integers(0, len(values), size=rows.shape[1])
+    flat, flat_idx = out.reshape(-1), idx.reshape(-1)
     for lo in range(0, flat.size, _LAW_PASS):
         part = flat[lo : lo + _LAW_PASS]
         mask = part < cfg.guess_density
         values.take(flat_idx[lo : lo + _LAW_PASS], out=part, mode="clip")
         part *= mask
-    return u
+    return out
 
 
-def _draw_column(cfg: GenConfig, rng: np.random.Generator, size) -> np.ndarray:
-    """Unconditioned ``guess_law`` entries of any ``size``: one uniform draw, one value draw, then the law."""
-    u = rng.random(size)
-    return _guess_law(cfg, u, rng.integers(0, len(_guess_values(cfg)), size=size))
+def _condition(cfg: GenConfig, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
+    """``cols`` (..., n) with its all-zero columns redrawn in place, one ``draw_guesses`` row per round.
 
-
-def sample_guess_columns(cfg: GenConfig, rng: np.random.Generator, shape) -> np.ndarray:
-    """Random guess columns of length n, each conditioned nonzero, one per index of ``shape``: a (*shape, n) array.
-
-    All columns come from one tensor draw (``_draw_column``); every all-zero
-    column is then redrawn, all of them in one draw per round, until none is
-    left, as instance construction requires; a column still all-zero after
+    Instance construction needs nonzero columns; one still all-zero after
     10000 rounds raises ValueError.
     """
-    cols = _draw_column(cfg, rng, (*shape, cfg.n))
     for _ in range(10000):
         zero = ~cols.any(axis=-1)
         if not zero.any():
             return cols
-        cols[zero] = _draw_column(cfg, rng, (int(zero.sum()), cfg.n))
+        cols[zero] = draw_guesses(cfg, [rng], np.empty((1, int(zero.sum()), cfg.n)))[0]
     raise ValueError("could not draw a nonzero guess column; guess_density too small")
+
+
+def sample_guess_columns(cfg: GenConfig, rng: np.random.Generator, shape) -> np.ndarray:
+    """Guess columns (*shape, n), each conditioned nonzero: a ``draw_guesses`` row of one, then ``_condition``."""
+    return _condition(cfg, rng, draw_guesses(cfg, [rng], np.empty((1, *shape, cfg.n)))[0])
 
 
 def _sensing_shape(cfg: GenConfig) -> tuple[int, int, int]:

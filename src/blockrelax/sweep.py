@@ -20,9 +20,10 @@ and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
 unplanted relaxation side, drawn in the same pass as the chunk's planted
 instances (``generate.sample_instance_pairs``), then best-of-r guesses of
-that side's hidden vector.  A relaxation hit selects, in every block l, a
-column equal to x^l, so only the relaxation programs whose every block holds
-such a column are solved; the others cannot hit and count as misses.
+that side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
+relaxation hit selects, in every block l, a column equal to x^l, so only the
+relaxation programs whose every block holds such a column are solved; the
+others cannot hit and count as misses.
 
 Each CSV is written from one column table (``_SWEEP_TABLE``,
 ``_COMPARISON_TABLE``) that declares every column once: its name, its place
@@ -50,9 +51,10 @@ from .generate import (
     SCHEMA_COMMENT,
     GenConfig,
     InstanceStack,
+    _condition,
     derive_seed,
+    draw_guesses,
     instance_generator,
-    sample_guess_columns,
     sample_instance_pairs,
     sample_instances,
 )
@@ -280,8 +282,8 @@ def build_sweep_plan(
 
 
 # most floats one stack of a chunk's sensing and guess draws may hold (a compare
-# chunk draws two such stacks, its select and relaxation sides); a chunk has at
-# least one trial
+# chunk draws two such stacks, its select and relaxation sides, and a smaller
+# best-of guess tensor); a chunk has at least one trial
 _CHUNK_FLOATS = 1 << 15
 
 
@@ -494,7 +496,9 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     Each trial takes all its draws from its own generator, in a fixed order:
     first the instance whose certificate counts, then the relaxation side,
     an unplanted instance, both drawn for the whole chunk by one
-    ``sample_instance_pairs``, then the best-of side's guesses.  The best-of
+    ``sample_instance_pairs``, then the best-of side's guesses, one
+    ``draw_guesses`` for the chunk, each trial's conditioned after its
+    certificate check.  The best-of
     side guesses the relaxation side's x: every column of the alphabet law
     equals a given x^l with s nonzeros with the same probability, so given x
     the two hits are independent.  A relaxation hit selects, in every block
@@ -533,11 +537,12 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     for j, res in zip(solvable.tolist(), solves):
         combo = None if isinstance(res, Exception) else _support_to_combo(res.detected_support, r, theta)
         counts["relax"] += combo is not None and bool(holds[j, np.arange(theta), combo].all())
+    # r independent guesses of the whole vector per trial, one nonzero column per block
+    guesses = draw_guesses(gen, rngs, np.empty((len(rngs), r, theta, n)))
     for j, rng in enumerate(rngs):
         if isinstance(certs[j], Exception):
             raise certs[j]
-        # r independent guesses of the whole vector, one nonzero column per block
-        g = sample_guess_columns(gen, rng, (r, theta))
+        g = _condition(gen, rng, guesses[j])
         counts["bestof"] += bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
         counts["certified"] += certs[j].holds
     return counts

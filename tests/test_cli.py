@@ -142,6 +142,13 @@ def test_concentration_mean_check(tmp_path, capsys):
     assert "z_score" in out
 
 
+def test_concentration_mean_at_its_closed_form_passes(tmp_path, capsys):
+    # every image equals s = 3, so the mean is the closed form up to rounding: z = 0
+    cfg = write_cfg(tmp_path, "m = 8\ntheta = 1\nr = 4\ns = 3\nalphabet = -1,1\ncheck = mean\n")
+    assert main(["concentration", "--config", cfg, "--trials", "50", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",0")
+
+
 def test_concentration_unknown_check(tmp_path):
     cfg = write_cfg(tmp_path, "m = 6\ncheck = bogus\n")
     with pytest.raises(SystemExit, match="unknown concentration check"):
@@ -251,6 +258,9 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
          SPARSE_GUESS_ERROR),
         (["concentration"], SPARSE_GUESS_CFG + "check = tail\n", SPARSE_GUESS_ERROR),
         (["concentration"], SPARSE_GUESS_CFG + "check = mean\n", SPARSE_GUESS_ERROR),
+        # one trial gives the mean no standard error
+        (["concentration", "--trials", "1"], "m = 6\ncheck = mean\n",
+         "config error: the mean check needs at least 2 trials"),
     ],
 )
 def test_command_specific_config_errors(tmp_path, argv, text, message):

@@ -75,6 +75,25 @@ def test_image_moments_zero_selector_degenerate():
     assert res.z_score == 0.0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_image_moments_mean_within_rounding_reads_zero(seed):
+    # theta = 1, +-1 values, orthonormal blocks, the planted selector: every
+    # image is s = 3, so the standard error is of rounding size and so is the
+    # mean's distance from its closed form
+    cfg = GenConfig(m=8, n=8, theta=1, r=4, s=3, planted_alphabet=(-1.0, 1.0), master_seed=seed)
+    study = ConcentrationStudy.from_config(cfg)
+    u = Selector.discrete(study.planted_cols, 4, 1)
+    res = empirical_image_moments(study, u, trials=50, seed=seed)
+    assert res.mean == pytest.approx(3.0, abs=1e-12) and res.std_error < 1e-12
+    assert res.z_score == 0.0
+
+
+def test_image_moments_need_two_trials():
+    study = tiny_study()
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        empirical_image_moments(study, Selector(z=np.array([1.0]), r=1, theta=1), trials=1, seed=0)
+
+
 def test_image_moments_generic_selector():
     cfg = GenConfig(m=6, n=6, theta=2, r=3, s=2, guess_density=0.25, master_seed=4)
     study = ConcentrationStudy.from_config(cfg)
@@ -245,23 +264,47 @@ def test_singular_window_tiny_closed_form():
         singular_window_check(study, delta=1.0, trials=10, seed=0)
 
 
-def test_singular_window_trials_use_the_redraw_x():
-    # trial t of the window check draws x as redraw(seed, t) does; at delta = 0.3
-    # about half the trials fall inside, so a check on other x would miscount
-    study, delta, trials = batch_study(2), 0.3, 200
+def window_reference(study, delta, trials, seed):
+    """The window check one trial at a time, on the x of redraw(seed, t)."""
     cfg = study.cfg
     wa = ensemble_norm_weights(study.A, study.support, study.planted_cols, cfg.r, cfg.p_x, cfg.p_X)
     inside = 0
     for t in range(trials):
-        x = study.redraw(7, t)[0].reshape(cfg.theta, cfg.n)
+        x = study.redraw(seed, t)[0].reshape(cfg.theta, cfg.n)
         cols = np.stack(
             [study.A.blocks[l] @ x[l] / wa[l * cfg.r + k] for l, k in enumerate(study.planted_cols)],
             axis=1,
         )
         sig = np.linalg.svd(cols, compute_uv=False)
         inside += bool(sig.min() >= 1.0 - delta and sig.max() <= 1.0 + delta)
+    return inside
+
+
+def test_singular_window_trials_use_the_redraw_x():
+    # trial t of the window check draws x as redraw(seed, t) does; at delta = 0.3
+    # about half the trials fall inside, so a check on other x would miscount
+    study, delta, trials = batch_study(2), 0.3, 200
+    inside = window_reference(study, delta, trials, seed=7)
     assert 0.2 * trials < inside < 0.8 * trials
     assert singular_window_check(study, delta, trials, seed=7).inside_count == inside
+
+
+def test_singular_window_batches_equal_reference_across_chunks(monkeypatch):
+    # one batched svd per chunk of 7 redraws, the last chunk partial
+    monkeypatch.setattr(concentration, "_CHUNK", 7)
+    study, delta, trials = batch_study(2), 0.3, 40
+    inside = window_reference(study, delta, trials, seed=7)
+    assert 0 < inside < trials
+    assert singular_window_check(study, delta, trials, seed=7).inside_count == inside
+
+
+def test_singular_window_nothing_inside_when_m_below_theta():
+    # theta = 3 planted columns in R^2 have a zero singular value, which svd
+    # leaves out, so no trial lies inside whatever delta
+    cfg = GenConfig(m=2, n=4, theta=3, r=4, s=2, sensing_kind="gaussian", master_seed=7)
+    study = ConcentrationStudy.from_config(cfg)
+    for delta in (0.2, 0.5, 0.9):
+        assert singular_window_check(study, delta, 1500, seed=5).inside_count == 0
 
 
 def test_singular_window_floor_is_not_vacuous():

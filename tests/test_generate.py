@@ -11,9 +11,9 @@ from blockrelax.generate import (
     SENSING_KINDS,
     SUPPORT_MODES,
     GenConfig,
-    _draw_column,
     build_instance,
     derive_seed,
+    draw_guesses,
     instance_generator,
     sample_guess_columns,
     sample_instances,
@@ -232,7 +232,7 @@ def test_guess_column_laws():
 
 def test_guess_column_density():
     cfg = base_cfg(n=50, m=50, guess_density=0.25)
-    draws = _draw_column(cfg, instance_generator(3), (2000, cfg.n))
+    draws = draw_guesses(cfg, [instance_generator(3)], np.empty((1, 2000, cfg.n)))[0]
     frac = np.mean(draws != 0)
     # binomial standard error at p=0.25 over 100000 entries
     assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / draws.size)
@@ -242,7 +242,7 @@ def test_guess_columns_conditioned_law():
     # at nu = 0.3 and n = 4 a first draw is all-zero with probability 0.7^4 ~ 0.24
     cfg = base_cfg(n=4, m=4, s=2, guess_density=0.3)
     shape = (20000,)
-    first = _draw_column(cfg, instance_generator(4), (*shape, cfg.n))
+    first = draw_guesses(cfg, [instance_generator(4)], np.empty((1, *shape, cfg.n)))[0]
     cols = sample_guess_columns(cfg, instance_generator(4), shape)
     zero = ~first.any(axis=1)
     assert 0.2 < zero.mean() < 0.28
@@ -254,6 +254,17 @@ def test_guess_columns_conditioned_law():
     for k in range(1, 5):
         q = math.comb(4, k) * 0.3**k * 0.7 ** (4 - k) / norm
         assert abs(np.mean(counts == k) - q) < 4 * np.sqrt(q * (1 - q) / counts.size)
+
+
+@pytest.mark.parametrize("law", GUESS_LAWS)
+def test_draw_guesses_takes_a_lazy_iterator(law):
+    # each generator is pulled only when its row is drawn, with the same bits
+    # as a list of the same generators
+    cfg = base_cfg(guess_law=law, guess_density=0.3)
+    shape = (5, cfg.theta, cfg.r, cfg.n)
+    listed = draw_guesses(cfg, [keyed(3, "lazy", i) for i in range(5)], np.empty(shape))
+    lazy = draw_guesses(cfg, (keyed(3, "lazy", i) for i in range(5)), np.empty(shape))
+    assert lazy.tobytes() == listed.tobytes()
 
 
 def test_guess_columns_give_up_on_vanishing_density():
@@ -299,7 +310,7 @@ def test_unconditioned_ensemble_is_one_tensor_draw(law):
     rng = keyed(8, "conc", 5)
     vals = np.asarray(cfg.planted_alphabet)[rng.integers(0, len(cfg.planted_alphabet), size=len(study.support))]
     assert np.array_equal(x[list(study.support.indices)], vals)
-    pure = _draw_column(cfg, rng, (cfg.theta, cfg.r, cfg.n))
+    pure = draw_guesses(cfg, [rng], np.empty((1, cfg.theta, cfg.r, cfg.n)))[0]
     n = cfg.n
     for l, b in enumerate(X.blocks):
         assert b.shape == (n, cfg.r) and b.flags.c_contiguous

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from blockrelax import sweep
-from blockrelax.generate import GenConfig, derive_seed, instance_generator, sample_instance_pairs, sample_instances
+from blockrelax.generate import (
+    GenConfig,
+    derive_seed,
+    instance_generator,
+    sample_guess_columns,
+    sample_instance_pairs,
+    sample_instances,
+)
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
@@ -362,6 +369,31 @@ def test_comparison_relaxation_side_draws_as_sample_instances():
         assert np.array_equal(relax.x[j], ref.x) and np.array_equal(relax.y[j], ref.y)
         assert np.array_equal(relax.X[j].transpose(0, 2, 1)[off], ref.X.blocks.transpose(0, 2, 1)[off])
     assert [rng.random() for rng in rngs] == [rng.random() for rng in twice]
+
+
+def test_comparison_bestof_chunk_equals_per_trial_draws(monkeypatch):
+    # at n = 4 and nu = 0.3 about a quarter of first-drawn columns are all-zero
+    # and redrawn; the chunk's one best-of draw, conditioned trial by trial,
+    # gives each trial the columns sample_guess_columns draws from its generator
+    cell = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 2\nr = 4\nguess_density = 0.3\n"), seed=3)[0]
+    gen, trials = cell.gen, 40
+    first, conditioned = [], []
+
+    def spy(cfg, rng, cols):
+        first.append(cols.copy())
+        conditioned.append(condition(cfg, rng, cols).copy())
+        return conditioned[-1]
+
+    condition = sweep._condition
+    monkeypatch.setattr(sweep, "_condition", spy)
+    sweep._comparison_chunk(cell, 0, trials)
+    seeds = [derive_seed(cell.seed, "trial", t) for t in range(trials)]
+    rngs = [instance_generator(seed) for seed in seeds]
+    sample_instance_pairs(gen, seeds, rngs)
+    want = [sample_guess_columns(gen, rng, (gen.r, gen.theta)) for rng in rngs]
+    assert len(conditioned) == trials
+    assert all(got.tobytes() == ref.tobytes() for got, ref in zip(conditioned, want))
+    assert 0.15 < np.mean([~cols.any(axis=-1) for cols in first]) < 0.35
 
 
 # (config, trials): test_09's cells, the golden theta = 2 cell, a theta = 3
