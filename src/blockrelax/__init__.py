@@ -36,7 +36,6 @@ from .model import (
     apply_selector,
     effective_matrix,
     effective_stack,
-    lp_norm,
     matvec_stack,
     solver_weights,
     weight_stack,

@@ -4,7 +4,8 @@ These are the analytic counterparts of the Monte Carlo experiments: the
 weights under which a selector's squared norm is its expected squared image,
 the two matrix constants of the concentration checks' tail bound and window
 floor, and the small calculus of repeated-trial success probabilities that
-the relaxation-versus-guessing comparison holds its rates against.
+the relaxation-versus-guessing comparison holds its rates against, where one
+match probability p_l serves every block.
 """
 
 from __future__ import annotations
@@ -89,25 +90,20 @@ def success_prob_repeated_trials(p: float, r: int) -> float:
 
 
 def success_prob_block_relaxation(
-    p_l, r: int, theta: int, p_select: float = 1.0, taylor: bool = False
+    p_l: float, r: int, theta: int, p_select: float = 1.0, taylor: bool = False
 ) -> float:
     """Success probability of one relaxation round over theta blocks.
 
-    Exact form: p_select * prod_l (1 - (1 - p_l)**r).  With ``taylor`` the
-    small-p_l approximation p_select * prod_l (p_l * r) is returned instead.
-    ``p_l`` may be a scalar or one value per block.
+    Exact form: p_select * (1 - (1 - p_l)**r)**theta, a product over the
+    blocks.  With ``taylor`` the small-p_l approximation
+    p_select * (p_l * r)**theta is returned instead.  ``p_l`` is one
+    probability, the same in every block.
     """
-    pl = np.atleast_1d(np.asarray(p_l, dtype=float))
-    if pl.size == 1:
-        pl = np.full(theta, pl[0])
-    if pl.size != theta:
-        raise ValueError("p_l must be scalar or give one probability per block")
-    if np.any((pl < 0) | (pl > 1)) or not 0.0 <= p_select <= 1.0:
+    p_l = float(p_l)  # a list or an array of several raises TypeError
+    if not (0.0 <= p_l <= 1.0 and 0.0 <= p_select <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    if taylor:
-        return float(p_select * np.prod(pl * r))
-    per_block = [success_prob_repeated_trials(float(q), r) for q in pl]
-    return float(p_select * np.prod(per_block))
+    per_block = p_l * r if taylor else success_prob_repeated_trials(p_l, r)
+    return float(p_select * np.prod(np.full(theta, per_block)))
 
 
 def complement_power(p: float, q: float) -> float:

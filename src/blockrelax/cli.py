@@ -22,7 +22,7 @@ import numpy as np
 from . import concentration as conc
 from .generate import build_instance, derive_seed, instance_generator
 from .model import Selector
-from .oracle import DEFAULT_GRID, GRID_GUARD, SUBSET_GUARD, enumerate_selectors
+from .oracle import GRID, GRID_GUARD, SUBSET_GUARD, enumerate_selectors
 from .reductions import (
     PartitionInstance,
     X3CInstance,
@@ -288,7 +288,7 @@ def _cmd_reduce_partition(args) -> int:
         p = config_exponent(args.p)
         record = partition_to_lp(inst, theta=args.theta)
     decision = None
-    if len(DEFAULT_GRID) ** (2 * inst.m) <= GRID_GUARD:  # the grid oracle scans 2m columns
+    if len(GRID) ** (2 * inst.m) <= GRID_GUARD:  # the grid oracle scans 2m columns
         decision = decide_partition_via_lp(inst, p=p, theta=args.theta)
         record = dataclasses.replace(
             record,

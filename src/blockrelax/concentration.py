@@ -211,8 +211,10 @@ def empirical_concentration_tail(
     replaced by 1).  The reported bound is 2 exp(-(F_S^2/M^2) min(eps^2, eps)),
     the paper's bound with its absolute constant c and sub-gaussian norm K both
     set to 1; an empirical frequency above it falsifies that constant pair, it
-    is not an error of the estimator.
+    is not an error of the estimator.  Fewer than 1 trial raises ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"the tail check needs at least 1 trial, got {trials}")
     analytic = _sq_norm(study, u, study.cfg.p_x, study.cfg.p_X)
     f_sq = _sq_norm(study, u, 1.0, 1.0)
 
@@ -245,10 +247,13 @@ def singular_window_check(
     Per trial the planted columns of A X are rescaled by the ensemble norm
     weighting and their singular values computed; the reported floor is
     1 - 2 (12/delta)^t exp(-(F_S^2/M^2) min(p_x^2 delta^2/4, p_x delta/2)),
-    with c = K = 1 as in ``empirical_concentration_tail``.
+    with c = K = 1 as in ``empirical_concentration_tail``.  Fewer than 1 trial
+    raises ValueError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if trials < 1:
+        raise ValueError(f"the window check needs at least 1 trial, got {trials}")
     cfg = study.cfg
     wa = ensemble_norm_weights(
         study.A, study.support, study.planted_cols, cfg.r, cfg.p_x, cfg.p_X

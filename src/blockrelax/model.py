@@ -32,7 +32,6 @@ __all__ = [
     "GuessEnsemble",
     "Selector",
     "RelaxedInstance",
-    "lp_norm",
     "matvec_stack",
     "effective_matrix",
     "effective_stack",
@@ -283,13 +282,6 @@ class RelaxedInstance:
 def _check_exponent(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-
-
-def lp_norm(v: np.ndarray, p: float) -> float:
-    """Sum of |v_i|**p for 0 < p <= 1 (the nonconvex sparsity surrogate)."""
-    _check_exponent(p)
-    v = np.asarray(v, dtype=float)
-    return float(np.sum(np.abs(v) ** p))
 
 
 def matvec_stack(A_blocks: np.ndarray, x: np.ndarray) -> np.ndarray:

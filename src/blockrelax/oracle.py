@@ -1,9 +1,9 @@
 """Exhaustive reference oracles.
 
 Everything here trades speed for being obviously correct: full enumeration of
-discrete selector combinations, of column subsets, or of grid points, with no
-pruning.  Hard guards refuse problem sizes where exhaustion stops being a
-sane idea.  The selector and grid scans evaluate every point once, meeting two
+discrete selector combinations, of column subsets, or of the points whose
+entries lie in ``GRID``, with no pruning.  Hard guards refuse problem sizes
+where exhaustion stops being a sane idea.  The selector and grid scans evaluate every point once, meeting two
 enumerated halves in the middle; minimizer ties travel with the running
 minimum, so the reported set never depends on scan order.  The subset search
 scores every column subset of one size in stacked SVD blocks of bounded
@@ -32,7 +32,7 @@ __all__ = [
 ENUMERATION_GUARD = 10**6
 SUBSET_GUARD = 12
 GRID_GUARD = 10**7
-DEFAULT_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)  # the values the grid oracle gives each coordinate
 
 _TIE_REL = 1e-9
 _PAIR_FLOATS = 1 << 16  # most floats one block of (head, tail) residuals or of stacked subsets may hold
@@ -205,22 +205,17 @@ class GridOracleResult:
     evaluated_count: int
 
 
-def discrete_lp_oracle(
-    A: np.ndarray,
-    y: np.ndarray,
-    p: float,
-    grid: tuple[float, ...] = DEFAULT_GRID,
-) -> GridOracleResult:
-    """Minimize sum |x_i|**p over all grid-valued x with A x = y (full scan).
+def discrete_lp_oracle(A: np.ndarray, y: np.ndarray, p: float) -> GridOracleResult:
+    """Minimize sum |x_i|**p over all x with entries in ``GRID`` and A x = y (full scan).
 
-    Every one of len(grid)**ncols candidate points is evaluated once;
+    Every one of len(GRID)**ncols candidate points is evaluated once;
     feasibility means residual <= TOL_FEAS * (1 + ||y||).  All minimizers
     within a 1e-9 relative tie window are returned.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     ncols = A.shape[1]
-    gridv = np.asarray(grid, dtype=float)
+    gridv = np.asarray(GRID)
     total = len(gridv) ** ncols
     if total > GRID_GUARD:
         raise ValueError(f"len(grid)**ncols = {total} exceeds the grid guard {GRID_GUARD}")

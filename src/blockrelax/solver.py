@@ -23,10 +23,11 @@ could serve alike, it takes the lowest-index one.  A reported 'optimal' is
 checked: the duality gap at the final h and the residual of z must close to
 tolerance.
 
-``kkt_certificate`` implements the uniqueness test for a *given* support and
-sign pattern: injectivity of the support columns plus a strict dual margin on
-every off-support column.  When it holds, the weighted program has exactly one
-minimizer, namely the vector supported there.
+``kkt_certificate`` implements the uniqueness test for a *given* support S,
+at the selector of ones on S (a selector picks one column per block with
+coefficient 1, so its sign pattern is all +1): injectivity of the support
+columns plus a strict dual margin on every off-support column.  When it holds,
+the weighted program has exactly one minimizer, namely that selector.
 
 Programs come in stacks: ``solve_stack`` and ``certificate_stack`` take k
 programs of one shape (m, R) as (k, m, R), (k, R) and (k, m) arrays, and
@@ -111,7 +112,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class CertificateResult:
-    """Outcome of the dual uniqueness test at a fixed support/sign pattern.
+    """Outcome of the dual uniqueness test at the selector of ones on a fixed support.
 
     ``margin`` is the smallest slack w_j - |<B_j, h>| over off-support
     columns; the certificate requires injective support columns and a strictly
@@ -403,21 +404,18 @@ def _support_indices(z: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(z) > _SUPPORT_THRESHOLD * top)
 
 
-def certificate_stack(B, w, support, signs) -> list:
-    """Uniqueness certificates of a stack of programs, each at its own (support, signs).
+def certificate_stack(B, w, support) -> list:
+    """Uniqueness certificates of a stack of programs, each at the selector of ones on its own support.
 
-    ``B`` is (k, m, R), ``w`` (k, R), and ``support`` and ``signs`` are
-    (k, s): every program has a support of the same size.  Entry i is
-    program i's ``CertificateResult`` (see ``kkt_certificate``), or the error
-    it raises as a stack of one.  One batched SVD factors every support, and
-    one stacked product gives every off-support slack.
+    ``B`` is (k, m, R), ``w`` (k, R) and ``support`` (k, s): every program
+    has a support of the same size.  Entry i is program i's
+    ``CertificateResult`` (see ``kkt_certificate``), or the error it raises
+    as a stack of one.  One batched SVD factors every support, and one
+    stacked product gives every off-support slack.
     """
     B = np.ascontiguousarray(B, dtype=float)
     w = np.ascontiguousarray(w, dtype=float)
     support = np.asarray(support, dtype=int)
-    signs = np.asarray(signs, dtype=float)
-    if support.shape != signs.shape:
-        raise ValueError("one sign per support index required")
     k, m, R = B.shape
     if not k:
         return []
@@ -440,12 +438,12 @@ def certificate_stack(B, w, support, signs) -> list:
     except np.linalg.LinAlgError as exc:  # a program whose factorization fails fails alone
         if k == 1:
             return [exc]
-        return [certificate_stack(B[i : i + 1], w[i : i + 1], support[i : i + 1], signs[i : i + 1])[0] for i in range(k)]
+        return [certificate_stack(B[i : i + 1], w[i : i + 1], support[i : i + 1])[0] for i in range(k)]
     kept = sig > _PINV_RCOND * sig[:, :1]
     # singular values come sorted, so B_S has full column rank when its last one is kept
     injective = kept[:, -1] if m >= s else np.zeros(k, dtype=bool)
-    # h = (B_S^*)^+ (w_S * signs) through the SVD of B_S, cut at its rank
-    vt_target = (vvt @ (w[rows, support] * signs)[:, :, None])[:, :, 0]
+    # h = (B_S^*)^+ w_S through the SVD of B_S, cut at its rank
+    vt_target = (vvt @ w[rows, support][:, :, None])[:, :, 0]
     coef = np.divide(vt_target, sig, out=np.zeros_like(sig), where=kept)
     h = (uu @ coef[:, :, None])[:, :, 0]
     off = np.nonzero(off)[1].reshape(k, R - s)
@@ -458,29 +456,22 @@ def certificate_stack(B, w, support, signs) -> list:
     ]
 
 
-def kkt_certificate(
-    B: np.ndarray, w: np.ndarray, support, signs
-) -> CertificateResult:
-    """Uniqueness certificate for the weighted program at (support, signs): a stack of one.
+def kkt_certificate(B: np.ndarray, w: np.ndarray, support) -> CertificateResult:
+    """Uniqueness certificate for the weighted program at the selector of ones on ``support``: a stack of one.
 
-    Builds the least-norm dual h with B_S^T h = w_S * signs and measures the
-    worst off-support slack w_j - |<B_j, h>|.  ``holds`` requires the support
+    Builds the least-norm dual h with B_S^T h = w_S and measures the worst
+    off-support slack w_j - |<B_j, h>|.  ``holds`` requires the support
     columns to be linearly independent and the slack strictly positive; then
-    the vector supported on S with those signs is the unique minimizer among
-    all feasible points sharing its image.
+    the vector of ones on S is the unique minimizer among all feasible points
+    sharing its image.
 
     Strict positivity is enforced with a relative guard of 1e-9 of the weight
     scale: a margin that is zero in exact arithmetic (a duplicated column, say)
     lands on either side of 0.0 in floating point, and the test is sufficient
     anyway, so refusing hairline margins only makes it more conservative.
     """
-    support = np.asarray(support, dtype=int)
-    signs = np.asarray(signs, dtype=float)
-    if support.size != signs.size:
-        raise ValueError("one sign per support index required")
-    (out,) = certificate_stack(
-        np.asarray(B, dtype=float)[None], np.asarray(w, dtype=float)[None], support.reshape(1, -1), signs.reshape(1, -1)
-    )
+    support = np.asarray(support, dtype=int).reshape(1, -1)
+    (out,) = certificate_stack(np.asarray(B, dtype=float)[None], np.asarray(w, dtype=float)[None], support)
     if isinstance(out, Exception):
         raise out
     return out
@@ -546,7 +537,7 @@ def check_stack(A, X, x, y, planted, p: float, options: SolveOptions | None = No
         return []
     B, w, planted = stack_programs(A, X, planted, p)
     results = solve_stack(B, w, y, options)
-    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
+    certs = certificate_stack(B, w, planted)
     solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
     checked = recovery_stack(X[solved], x[solved], planted[solved], [results[j] for j in solved])
     verdicts = dict(zip(solved, checked))
@@ -567,8 +558,7 @@ def solve_instance(
 
 
 def certificate_for_instance(instance: RelaxedInstance, p: float) -> CertificateResult:
-    """Certificate at the planted support with the planted (all +1) signs."""
+    """Certificate at the planted selector: the selector of ones on the planted columns."""
     B = effective_matrix(instance.A, instance.X)
     w = solver_weights(instance.X, p)
-    cols = instance.X.planted_global_cols()
-    return kkt_certificate(B, w, cols, np.ones(cols.size))
+    return kkt_certificate(B, w, instance.X.planted_global_cols())

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import success_prob_block_relaxation
+from .bounds import success_prob_block_relaxation, success_prob_repeated_trials
 from .generate import (
     SCHEMA_COMMENT,
     GenConfig,
@@ -58,7 +58,6 @@ from .generate import (
     sample_instance_pairs,
     sample_instances,
 )
-from .model import effective_stack, weight_stack
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import SolveOptions, TrialRecord, certificate_stack, check_stack, solve_stack, stack_programs
 
@@ -437,7 +436,8 @@ def block_match_probability(gen: GenConfig) -> float:
 
     Needs an ensemble whose nonzero guess values are uniform over the planted
     alphabet; with equidistributed supports every block has s hidden entries,
-    giving ((nu/|alphabet|)^s (1-nu)^(n-s)) / (1 - (1-nu)^n).
+    giving ((nu/|alphabet|)^s (1-nu)^(n-s)) / (1 - (1-nu)^n).  At nu = 1 every
+    guess column is nonzero, so the conditioning divides by 1.
     """
     if gen.support_mode != "equidistributed":
         raise ValueError("analytic match probability needs equidistributed supports")
@@ -449,7 +449,7 @@ def block_match_probability(gen: GenConfig) -> float:
     k = 2 if gen.guess_law == "ternary" else len(gen.planted_alphabet)
     nu, n, s = gen.nu, gen.n, gen.s
     p_uncond = (nu / k) ** s * (1.0 - nu) ** (n - s)
-    return p_uncond / -math.expm1(n * math.log1p(-nu))
+    return p_uncond / success_prob_repeated_trials(nu, n)
 
 
 @dataclass(frozen=True)
@@ -516,7 +516,7 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
     B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
-    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
+    certs = certificate_stack(B, w, planted)
     x, X = relax.x, relax.X
     # success means the relaxation SELECTS the hidden blocks: the solution must
     # be one column per block and those columns must equal x exactly.
@@ -528,11 +528,8 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     # selects nothing.
     holds = (X == x.reshape(len(x), theta, n, 1)).all(axis=2)
     solvable = np.flatnonzero(holds.any(axis=2).all(axis=1))
-    X_solvable = X[solvable]
-    solves = solve_stack(
-        effective_stack(relax.A[solvable], X_solvable), weight_stack(X_solvable, cell.p), relax.y[solvable],
-        cell.options,
-    )
+    B, w, _ = stack_programs(relax.A[solvable], X[solvable], relax.planted[solvable], cell.p)
+    solves = solve_stack(B, w, relax.y[solvable], cell.options)
     counts = Counter(relax=0)
     for j, res in zip(solvable.tolist(), solves):
         combo = None if isinstance(res, Exception) else _support_to_combo(res.detected_support, r, theta)

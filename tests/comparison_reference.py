@@ -31,7 +31,7 @@ def comparison_chunk(cell, start: int, stop: int) -> Counter:
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
     B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
-    certs = certificate_stack(B, w, planted, np.ones(planted.shape))
+    certs = certificate_stack(B, w, planted)
     x, X = relax.x, relax.X
     solves = solve_stack(effective_stack(relax.A, X), weight_stack(X, cell.p), relax.y, cell.options)
     counts = Counter()

@@ -76,14 +76,12 @@ def test_success_prob_block_relaxation():
             assert success_prob_block_relaxation(p, r, theta=1) == success_prob_repeated_trials(p, r)
     val = success_prob_block_relaxation(0.1, 2, theta=3)
     assert val == pytest.approx(0.19**3, rel=1e-12)
-    vec = success_prob_block_relaxation([0.1, 0.2], 2, theta=2)
-    assert vec == pytest.approx(0.19 * 0.36, rel=1e-12)
     gated = success_prob_block_relaxation(0.1, 2, theta=3, p_select=0.5)
     assert gated == pytest.approx(0.5 * 0.19**3, rel=1e-12)
     approx = success_prob_block_relaxation(1e-4, 3, theta=2, taylor=True)
     assert approx == pytest.approx((3e-4) ** 2, rel=1e-12)
-    with pytest.raises(ValueError):
-        success_prob_block_relaxation([0.1, 0.2, 0.3], 2, theta=2)
+    with pytest.raises(TypeError):  # one p_l, shared by every block
+        success_prob_block_relaxation([0.1, 0.2], 2, theta=2)
     with pytest.raises(ValueError):
         success_prob_block_relaxation(0.5, 2, theta=1, p_select=1.5)
 

@@ -116,6 +116,14 @@ def test_tail_counter_exact_threshold():
     assert never.bound == pytest.approx(2.0 * math.exp(-min(0.4**2, 0.4)), rel=1e-12)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_tail_needs_a_trial(trials):
+    # a frequency over no trials has no value; a negative count is no count
+    u = Selector(z=np.array([1.0]), r=1, theta=1)
+    with pytest.raises(ValueError, match=f"^the tail check needs at least 1 trial, got {trials}$"):
+        empirical_concentration_tail(tiny_study(), u, epsilon=0.3, trials=trials, seed=1)
+
+
 def batch_study(theta, guess_law="ternary"):
     # the acceptance test_04 set-up
     cfg = GenConfig(m=12, n=12, theta=theta, r=4, s=3, guess_law=guess_law, master_seed=5)
@@ -262,6 +270,12 @@ def test_singular_window_tiny_closed_form():
     assert wide.frequency == 1.0
     with pytest.raises(ValueError):
         singular_window_check(study, delta=1.0, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_singular_window_needs_a_trial(trials):
+    with pytest.raises(ValueError, match=f"^the window check needs at least 1 trial, got {trials}$"):
+        singular_window_check(tiny_study(), delta=0.5, trials=trials, seed=3)
 
 
 def window_reference(study, delta, trials, seed):

@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blockrelax.model import (
     BlockSensingMatrix,
@@ -13,7 +11,6 @@ from blockrelax.model import (
     SupportPattern,
     apply_selector,
     effective_matrix,
-    lp_norm,
     solver_weights,
 )
 
@@ -23,43 +20,11 @@ def small_ensemble(rng, n=4, r=3, theta=2):
     return GuessEnsemble(blocks=blocks, planted_cols=(0,) * theta)
 
 
-def test_lp_norm_values():
-    # 1 + sqrt(0.5), from a closed-form side computation
-    assert lp_norm(np.array([1.0, -0.5, 0.0]), 0.5) == pytest.approx(1.7071067811865475, abs=1e-14)
-    assert lp_norm(np.array([0.0, 0.0]), 0.7) == 0.0
-    assert lp_norm(np.array([-2.0, 3.0]), 1.0) == pytest.approx(5.0)
-
-
 def test_lp_norm_rejects_bad_exponent():
     X = GuessEnsemble(blocks=(np.ones((3, 2)),), planted_cols=(0,))
     for p in (0.0, -0.3, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
-            lp_norm(np.ones(3), p)
-        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
             solver_weights(X, p)
-
-
-@given(
-    p=st.floats(min_value=0.05, max_value=1.0),
-    vals=st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=1, max_size=8),
-)
-@settings(max_examples=200, deadline=None)
-def test_lp_norm_entrywise_monotone(p, vals):
-    v = np.asarray(vals)
-    shrunk = v * 0.5
-    assert lp_norm(shrunk, p) <= lp_norm(v, p) + 1e-12
-
-
-@given(
-    p=st.floats(min_value=0.05, max_value=1.0),
-    vals=st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=8),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=200, deadline=None)
-def test_lp_norm_permutation_invariant(p, vals, seed):
-    v = np.asarray(vals)
-    perm = np.random.default_rng(seed).permutation(len(v))
-    assert lp_norm(v, p) == pytest.approx(lp_norm(v[perm], p), rel=1e-12, abs=1e-12)
 
 
 def test_effective_matrix_matches_dense_product():

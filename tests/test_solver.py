@@ -133,19 +133,19 @@ def test_step_cap_is_the_only_option():
 def test_certificate_margin_boundary():
     B = np.array([[1.0, 1.0]])
     # dual h = 1 saturates the off column: margin 0, certificate must refuse
-    flat = kkt_certificate(B, np.array([1.0, 1.0]), [0], [1.0])
+    flat = kkt_certificate(B, np.array([1.0, 1.0]), [0])
     assert flat.injective
     assert flat.margin == pytest.approx(0.0, abs=1e-12)
     assert not flat.holds
     # off-column weight 2 leaves slack 1
-    ok = kkt_certificate(B, np.array([1.0, 2.0]), [0], [1.0])
+    ok = kkt_certificate(B, np.array([1.0, 2.0]), [0])
     assert ok.holds
     assert ok.margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_certificate_rejects_dependent_support():
     B = np.array([[1.0, 1.0], [0.0, 0.0]])
-    res = kkt_certificate(B, np.array([1.0, 1.0]), [0, 1], [1.0, 1.0])
+    res = kkt_certificate(B, np.array([1.0, 1.0]), [0, 1])
     assert not res.injective
     assert not res.holds
 
@@ -154,12 +154,12 @@ def test_certificate_rejects_out_of_range_support():
     B = np.eye(3)
     for bad in ([3], [-1]):
         with pytest.raises(ValueError, match="support indices"):
-            kkt_certificate(B, np.ones(3), bad, [1.0])
+            kkt_certificate(B, np.ones(3), bad)
 
 
 def test_certificate_empty_support():
     B = np.eye(3)
-    res = kkt_certificate(B, np.array([2.0, 3.0, 4.0]), [], [])
+    res = kkt_certificate(B, np.array([2.0, 3.0, 4.0]), [])
     assert res.holds
     assert res.margin == pytest.approx(2.0)
 
@@ -167,7 +167,7 @@ def test_certificate_empty_support():
 def test_certificate_scales_with_duplicate_column():
     # duplicated column with equal weight: margin exactly 0 either way
     B = np.array([[1.0, 1.0], [2.0, 2.0]])
-    res = kkt_certificate(B, np.array([1.0, 1.0]), [0], [1.0])
+    res = kkt_certificate(B, np.array([1.0, 1.0]), [0])
     assert res.margin == pytest.approx(0.0, abs=1e-12)
     assert not res.holds
 

@@ -62,7 +62,7 @@ def chunk_programs(text, seed, trials=None):
 def test_stack_matches_reference_on_readme_sweep():
     for B, w, y, planted in chunk_programs(README_SWEEP, seed=1, trials=21):
         assert_matches_reference(B, w, y)
-        for j, cert in enumerate(certificate_stack(B, w, planted, np.ones(planted.shape))):
+        for j, cert in enumerate(certificate_stack(B, w, planted)):
             want = ref.kkt_certificate(B[j], w[j], planted[j], np.ones(planted.shape[1]))
             assert (cert.holds, cert.injective) == (want.holds, want.injective)
             assert cert.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-12)
@@ -238,12 +238,12 @@ def test_error_paths_inside_one_stack():
     support = np.array([[0, 3], [1, 4], [2, 5], [0, 1], [2, 3]])
     B[3, :, 1] = 2.0 * B[3, :, 0]
     w[4, 1] = 1.0
-    certs = certificate_stack(B, w, support, np.ones(support.shape))
+    certs = certificate_stack(B, w, support)
     assert [c.injective for c in certs] == [True, True, False, False, True]
     assert not certs[2].holds and not certs[3].holds
     for j, cert in enumerate(certs):
-        assert_same_certificate(cert, certificate_stack(B[j : j + 1], w[j : j + 1], support[j : j + 1], np.ones((1, 2)))[0])
-        assert_same_certificate(cert, kkt_certificate(B[j], w[j], support[j], np.ones(2)))
+        assert_same_certificate(cert, certificate_stack(B[j : j + 1], w[j : j + 1], support[j : j + 1])[0])
+        assert_same_certificate(cert, kkt_certificate(B[j], w[j], support[j]))
 
 
 def test_empty_stack_and_shape_checks():
@@ -251,4 +251,4 @@ def test_empty_stack_and_shape_checks():
     with pytest.raises(ValueError, match="shape"):
         solve_stack(np.ones((2, 3, 4)), np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValueError, match="distinct"):
-        certificate_stack(np.ones((2, 3, 4)), np.ones((2, 4)), [[0, 1], [2, 2]], np.ones((2, 2)))
+        certificate_stack(np.ones((2, 3, 4)), np.ones((2, 4)), [[0, 1], [2, 2]])

@@ -299,6 +299,18 @@ def test_block_match_probability_rejects_unmatchable():
         block_match_probability(uniform)
 
 
+def test_comparison_at_full_guess_density():
+    # at nu = 1 every guess entry is nonzero, so no column is conditioned away:
+    # a hidden block with zeros (n > s) is never matched, and one without
+    # (n = s, alphabet +-1) is matched with probability 2^-s
+    text = "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1\n"
+    (sparse,) = run_comparison(build_comparison_plan(parse_config(text), seed=2, trials=20))
+    assert (sparse.p_l, sparse.formula_exact, sparse.n_relax, sparse.n_bestof) == (0.0, 0.0, 0, 0)
+    (dense,) = run_comparison(build_comparison_plan(parse_config(text + "n = 2\n"), seed=2, trials=20))
+    assert dense.p_l == 0.25
+    assert dense.n_bestof == 9  # the closed form 1 - 0.75**2 = 0.4375 gives 8.75 of 20
+
+
 COMPARE_CFG = """
 m = 4
 s = 2
