@@ -11,7 +11,12 @@ Every trial's randomness comes from one generator keyed by the trial seed
 derive_seed(cell seed, 'trial', t) alone.  Both ``sweep`` and ``compare``
 schedule one work item per chunk of a cell's trials on one process pool, draw
 the chunk as stacks (``generate.InstanceStack``) and return the chunk's
-integer counts, which add up per cell.  A ``sweep`` chunk takes each trial's
+integer counts, which add up per cell.  The pool is forked at the process's
+first call with jobs > 1 and serves every later call with the same jobs; it is
+replaced when jobs changes or a worker dies, and joined at interpreter exit.
+Its workers keep the module state of the fork, so a change made after it (a
+test's patch of code the workers run, say) does not reach them: such a test
+runs at jobs = 1.  A ``sweep`` chunk takes each trial's
 ``solver.TrialRecord`` from one ``solver.check_stack`` over the stack's arrays;
 only an oracle cell builds a ``RelaxedInstance``.  Each stacked operation
 gives a program the bits it gets alone, so a trial's outcome does not depend
@@ -311,6 +316,34 @@ def _timed_chunk(fn, cell: Cell, start: int, stop: int) -> Counter:
     return counts
 
 
+# (jobs, executor) of the process pool that every jobs > 1 call shares, or None
+_POOL = None
+
+
+def _pool(jobs: int):
+    """The process pool of ``jobs`` workers, forked at the first call that asks for it.
+
+    At most one pool is alive: a pool of another size, or one whose worker
+    died, is shut down before a new one is forked.
+    """
+    global _POOL
+    # imported here, so that a process that never starts a pool does not pay for its import
+    from concurrent.futures import ProcessPoolExecutor
+
+    if _POOL is not None and (_POOL[0] != jobs or _POOL[1]._broken):  # _broken: set when a worker dies
+        _drop_pool()
+    if _POOL is None:
+        _POOL = jobs, ProcessPoolExecutor(max_workers=jobs)
+    return _POOL[1]
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down, joining its workers, and forget it."""
+    global _POOL
+    (_, pool), _POOL = _POOL, None
+    pool.shutdown()
+
+
 def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     """``fn(cell, start, stop)`` for every chunk of every cell, on ``jobs`` processes.
 
@@ -321,18 +354,28 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     items do not depend on ``jobs``.  Per cell, in plan order: the sums over
     its chunks.  ``fn`` must be module-level so worker processes can import
     it; ``jobs`` below one raises.
+
+    At jobs > 1 the items go to the process's one pool (``_pool``), forked
+    at the first such call and reused by later calls with the same ``jobs``;
+    it is replaced when ``jobs`` changes or a worker dies, and
+    ``concurrent.futures`` joins it at interpreter exit.  A trial error
+    raised in a worker leaves the pool as it was.  The workers run the
+    module state of the fork: a patch made after it does not reach them.
     """
+    jobs = config_jobs(jobs)
     chunks = [_chunks(cell) for cell in cells]
     items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
     task = functools.partial(_timed_chunk, fn)
-    if config_jobs(jobs) == 1:
+    if jobs == 1:
         raw = itertools.starmap(task, items)
     else:
-        # imported here, so that a process that never starts a pool does not pay for its import
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = iter(list(pool.map(task, *zip(*items))))
+        try:
+            raw = iter(list(_pool(jobs).map(task, *zip(*items))))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     return [sum(itertools.islice(raw, len(ranges)), Counter()) for ranges in chunks]
 
 

@@ -1,4 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import comparison_reference
 import numpy as np
@@ -444,3 +450,125 @@ def test_comparison_failed_draw_error_equals_reference():
         run_comparison(cells)
     assert str(got.value) == str(ref.value)
     assert str(got.value).startswith("cell 0 trial 0: could not draw a nonzero guess column")
+
+
+# -- the process pool that every jobs > 1 call shares -----------------------
+# jobs stays at 2 or 3 here: each pool forks all its workers up front
+
+
+def pool_pids():
+    """The worker PIDs of the shared pool."""
+    return set(sweep._POOL[1]._processes)
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def served_by(cell, start, stop):
+    """A chunk function whose counts name the process that ran the chunk."""
+    return Counter({os.getpid(): 1})
+
+
+def exit_worker(cell, start, stop):
+    """A chunk function whose worker dies."""
+    os._exit(1)
+
+
+def sweep_counts(results):
+    return [(r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error) for r in results]
+
+
+def test_jobs_is_checked_once_and_used_as_checked():
+    # config_jobs accepts "2"; the pool must get the integer it returns
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    assert sweep_counts(run_sweep(plan, jobs="2")) == sweep_counts(run_sweep(plan, jobs=1))
+
+
+def test_one_pool_serves_every_call_with_the_same_jobs():
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    cells = build_comparison_plan(parse_config(COMPARE_CFG), seed=7, trials=60)
+    run_sweep(plan, jobs=2)
+    pool, pids = sweep._POOL, pool_pids()
+    assert pool[0] == 2 and len(pids) == 2
+    run_sweep(plan, jobs=2)
+    run_comparison(cells, jobs=2)
+    served = sum(sweep._run_trials(plan.cells, served_by, 2), Counter())
+    served.pop("wall_time")
+    assert sweep._POOL is pool and pool_pids() == pids
+    assert served and set(served) <= pids
+
+
+def test_pool_of_another_size_replaces_the_old_one():
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    expected = sweep_counts(run_sweep(plan, jobs=1))
+    assert sweep_counts(run_sweep(plan, jobs=2)) == expected
+    old = pool_pids()
+    # the old workers are joined before the new pool is made, not some time after
+    sweep._pool(3)
+    assert not any(alive(pid) for pid in old)
+    assert sweep_counts(run_sweep(plan, jobs=3)) == expected
+    assert sweep._POOL[0] == 3 and len(pool_pids()) == 3
+
+
+def test_worker_death_in_a_call_drops_the_pool():
+    # the call that meets the dead worker raises, and the next forks afresh
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    expected = sweep_counts(run_sweep(plan, jobs=1))
+    run_sweep(plan, jobs=2)
+    old = pool_pids()
+    with pytest.raises(BrokenProcessPool):
+        sweep._run_trials(plan.cells, exit_worker, 2)
+    assert sweep._POOL is None
+    assert not any(alive(pid) for pid in old)
+    assert sweep_counts(run_sweep(plan, jobs=2)) == expected
+    assert not pool_pids() & old
+
+
+def test_worker_killed_between_calls_is_replaced():
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    expected = sweep_counts(run_sweep(plan, jobs=1))
+    run_sweep(plan, jobs=2)
+    old = pool_pids()
+    os.kill(min(old), signal.SIGKILL)
+    # the pool sees the death on its own and stops its other worker
+    deadline = time.monotonic() + 30.0
+    while any(alive(pid) for pid in old) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(alive(pid) for pid in old)
+    assert sweep_counts(run_sweep(plan, jobs=2)) == expected
+    assert not pool_pids() & old
+
+
+def test_trial_error_in_a_worker_leaves_the_pool_usable():
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    expected = sweep_counts(run_sweep(plan, jobs=1))
+    run_sweep(plan, jobs=2)
+    pool, pids = sweep._POOL, pool_pids()
+    sparse = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"),
+                                   seed=2, trials=1)
+    with pytest.raises(ValueError, match="cell 0 trial 0: could not draw a nonzero guess column"):
+        run_comparison(sparse, jobs=2)
+    assert sweep_counts(run_sweep(plan, jobs=2)) == expected
+    assert sweep._POOL is pool and pool_pids() == pids
+
+
+def test_cli_sweep_leaves_no_worker_behind(tmp_path):
+    # a child interpreter runs the CLI at --jobs 2, prints its workers' PIDs and exits
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_SWEEP)
+    script = "import sys; from blockrelax import cli, sweep; code = cli.main(sys.argv[1:]); " \
+             "print(*sweep._POOL[1]._processes); sys.exit(code)"
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--config", str(cfg), "--jobs", "2", "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()[-2:]]
+    assert len(pids) == 2 and not any(alive(pid) for pid in pids)
