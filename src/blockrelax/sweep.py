@@ -14,9 +14,9 @@ the chunk as stacks (``generate.InstanceStack``) and return the chunk's
 integer counts, which add up per cell.  The pool is forked at the process's
 first call with jobs > 1 and serves every later call with the same jobs; it is
 replaced when jobs changes or a worker dies, and joined at interpreter exit.
-Its workers keep the module state of the fork, so a change made after it (a
-test's patch of code the workers run, say) does not reach them: such a test
-runs at jobs = 1.  A ``sweep`` chunk takes each trial's
+Its workers keep the module state of the fork, so a patch of code they run
+reaches them only if it precedes the fork; ``tests/conftest.py`` drops the pool
+before and after every test that patches.  A ``sweep`` chunk takes each trial's
 ``solver.TrialRecord`` from one ``solver.check_stack`` over the stack's arrays;
 only an oracle cell builds a ``RelaxedInstance``.  Each stacked operation
 gives a program the bits it gets alone, so a trial's outcome does not depend
@@ -358,7 +358,9 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     At jobs > 1 the items go to the process's one pool (``_pool``), forked
     at the first such call and reused by later calls with the same ``jobs``;
     it is replaced when ``jobs`` changes or a worker dies, and
-    ``concurrent.futures`` joins it at interpreter exit.  A trial error
+    ``concurrent.futures`` joins it at interpreter exit.  The call that
+    meets a dead worker raises ``BrokenProcessPool`` (the executor stops
+    the other workers itself); the next call forks afresh.  A trial error
     raised in a worker leaves the pool as it was.  The workers run the
     module state of the fork: a patch made after it does not reach them.
     """
@@ -369,13 +371,7 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     if jobs == 1:
         raw = itertools.starmap(task, items)
     else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            raw = iter(list(_pool(jobs).map(task, *zip(*items))))
-        except BrokenProcessPool:
-            _drop_pool()
-            raise
+        raw = iter(list(_pool(jobs).map(task, *zip(*items))))
     return [sum(itertools.islice(raw, len(ranges)), Counter()) for ranges in chunks]
 
 
