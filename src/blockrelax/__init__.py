@@ -24,7 +24,6 @@ from .generate import (
     build_instance,
     derive_seed,
     instance_generator,
-    sample_guess_columns,
     sample_instances,
 )
 from .model import (

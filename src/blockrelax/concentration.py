@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
-from .generate import GenConfig, build_instance, derive_seed, draw_guesses, instance_generator
+from .generate import GenConfig, _empty_block_error, build_instance, derive_seed, draw_guesses, instance_generator
 from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
 __all__ = [
@@ -100,10 +100,7 @@ class ConcentrationStudy:
         x.reshape(size, -1)[:, self._support_indices] = self._alphabet[idx]
         empty = np.argwhere(~x.any(axis=-1))
         if empty.size:
-            raise ValueError(
-                f"block {empty[0, 1]} has empty support, so its planted column would be "
-                "all-zero; increase s or use equidistributed supports"
-            )
+            raise _empty_block_error(empty[0, 1])
         X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
 
     def _chunks(self, seed: int, trials: int):

@@ -13,18 +13,20 @@ instance with master seed s takes every draw from ``instance_generator(s)``
 in a fixed order: support keys, planted values, planted columns, guess
 columns, sensing.  ``sample_instances`` draws a chunk of instances as one
 ``InstanceStack`` of stacked arrays, in two stages.  The first,
-``draw_instances``, turns each generator's draws into the chunk's supports,
-hidden vectors, guess columns and sensing stacks, doing what does not depend
-on one instance's draws (the support argsort, the batched QR of the sensing
-blocks) once for the chunk; the second plants the hidden blocks.
+``draw_instances``, draws the chunk in rounds (each generator's draws before
+its guess columns, one guess draw for the chunk, then each generator's
+redraws and sensing) and turns them into the chunk's supports, hidden
+vectors, guess columns and sensing stacks, doing what does not depend on one
+instance's draws (the support argsort, the batched QR of the sensing blocks)
+once for the chunk; the second plants the hidden blocks.
 ``InstanceStack.instance`` is the one place a drawn ``RelaxedInstance`` is
 made, through the checking constructors.  ``build_instance`` is a chunk of
 one, so the two agree bit for bit and any single trial of a sweep can be
 replayed from its seed alone.  ``compare``'s relaxation side is
-``draw_instances`` alone: ``sample_instance_pairs`` draws a chunk's planted
-instances and then its unplanted ones in one ``draw_instances`` pass.
-Every guess tensor is drawn by ``draw_guesses``: an instance's as a row of
-one, the concentration redraws' and ``compare``'s best-of side a chunk at once.
+``draw_instances`` alone, called after ``sample_instances`` over the same
+generators.  Every guess tensor is drawn by ``draw_guesses``, a chunk at
+once: the instances', the concentration redraws' and ``compare``'s best-of
+side's.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ __all__ = [
     "GenConfig",
     "derive_seed",
     "draw_guesses",
-    "sample_guess_columns",
     "instance_generator",
     "InstanceStack",
     "draw_instances",
     "sample_instances",
-    "sample_instance_pairs",
     "build_instance",
     "SENSING_KINDS",
     "SUPPORT_MODES",
@@ -234,7 +234,7 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
     chosen = np.zeros(keys.shape, dtype=bool)
     np.put_along_axis(chosen, np.argsort(keys, axis=-1)[..., :take], True, axis=-1)
     # row-major positions of the chosen slots: sorted within each instance
-    return np.flatnonzero(chosen).reshape(len(keys), -1) % (cfg.n * cfg.theta)
+    return np.flatnonzero(chosen).reshape(len(keys), cfg.s * cfg.theta) % (cfg.n * cfg.theta)
 
 
 # entries per pass of the guess law in ``draw_guesses``: take casts narrow
@@ -280,11 +280,6 @@ def _condition(cfg: GenConfig, rng: np.random.Generator, cols: np.ndarray) -> np
             return cols
         cols[zero] = draw_guesses(cfg, [rng], np.empty((1, int(zero.sum()), cfg.n)))[0]
     raise ValueError("could not draw a nonzero guess column; guess_density too small")
-
-
-def sample_guess_columns(cfg: GenConfig, rng: np.random.Generator, shape) -> np.ndarray:
-    """Guess columns (*shape, n), each conditioned nonzero: a ``draw_guesses`` row of one, then ``_condition``."""
-    return _condition(cfg, rng, draw_guesses(cfg, [rng], np.empty((1, *shape, cfg.n)))[0])
 
 
 def _sensing_shape(cfg: GenConfig) -> tuple[int, int, int]:
@@ -349,21 +344,6 @@ def instance_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(_keyed_philox()(_PhiloxKey(int(seed) & _MASK64)))
 
 
-def _draw(cfg: GenConfig, rng: np.random.Generator) -> tuple:
-    """One instance's draws from its generator, in the stream-4 order.
-
-    Support keys, planted values, planted columns, guess columns (each
-    conditioned nonzero), sensing Gaussians.
-    """
-    return (
-        rng.random(_key_shape(cfg)),
-        rng.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta),
-        rng.integers(0, cfg.r, size=cfg.theta),
-        sample_guess_columns(cfg, rng, (cfg.theta, cfg.r)),
-        rng.standard_normal(_sensing_shape(cfg)),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class InstanceStack:
     """A chunk of one config's trials as stacked C-contiguous arrays, one row per trial that drew an instance.
@@ -406,26 +386,44 @@ class InstanceStack:
 def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     """The first stage of a chunk: trial i's draws from ``rngs[i]``, ``instance_generator(seeds[i])``, unplanted.
 
-    A trial whose draw raises is an entry of ``errors``.  The support
-    argsort, the batched sensing QR and y = A x run once over the chunk.
+    The chunk is drawn in rounds, each generator in the stream-4 order:
+    every trial's support keys, planted values and planted columns; one
+    ``draw_guesses`` of the chunk's guess tensor; then, trial by trial, its
+    all-zero guess columns redrawn (``_condition``) and its sensing
+    Gaussians.  A trial whose redraws give up is an entry of ``errors`` and
+    draws no sensing.  The support argsort, the batched sensing QR and
+    y = A x run once over the chunk.
     """
-    errors, draws = {}, []
+    t, n, k = cfg.theta, cfg.n, len(rngs)
+    keys, vals, planted = np.empty((k, *_key_shape(cfg))), np.empty((k, cfg.s * t), int), np.empty((k, t), int)
+    for i, rng in enumerate(rngs):
+        rng.random(out=keys[i])
+        vals[i] = rng.integers(0, len(cfg.planted_alphabet), size=cfg.s * t)
+        planted[i] = rng.integers(0, cfg.r, size=t)
+    cols = draw_guesses(cfg, rngs, np.empty((k, t, cfg.r, n)))
+    g, errors = np.empty((k, *_sensing_shape(cfg))), {}
     for i, rng in enumerate(rngs):
         try:
-            draws.append(_draw(cfg, rng))
+            _condition(cfg, rng, cols[i])
         except ValueError as exc:  # a guess column that stays all-zero
             errors[i] = exc
-    t, m, n = cfg.theta, cfg.m, cfg.n
-    if not draws:  # no row: every array is empty
-        floats = [np.empty((0, *shape)) for shape in ((t, m, n), (t, n, cfg.r), (n * t,), (m,))]
-        return InstanceStack(cfg, tuple(seeds), errors, *floats, np.empty((0, cfg.s * t), int), np.empty((0, t), int))
-    keys, vals, planted, cols, g = (np.stack(a) for a in zip(*draws))
-    support = _supports(cfg, keys)
-    x = np.zeros((len(draws), n * t))
-    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
-    A = _sensing_stacks(cfg, g)
-    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
-    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted)
+        else:
+            rng.standard_normal(out=g[i])
+    ok = [i not in errors for i in range(k)]
+    support = _supports(cfg, keys[ok])
+    x = np.zeros((len(support), n * t))
+    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals[ok]], axis=1)
+    A = _sensing_stacks(cfg, g[ok])
+    X = np.ascontiguousarray(cols[ok].transpose(0, 1, 3, 2))
+    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted[ok])
+
+
+def _empty_block_error(block: int) -> ValueError:
+    """The error of a draw whose support leaves ``block`` empty, so that its planted column would be all-zero."""
+    return ValueError(
+        f"block {block} has empty support, so its planted column would be all-zero; "
+        "increase s or use equidistributed supports"
+    )
 
 
 # InstanceStack's per-row arrays
@@ -448,10 +446,7 @@ def _plant(stack: InstanceStack) -> InstanceStack:
         return stack
     errors = dict(stack.errors)
     for j in np.flatnonzero(~good):
-        errors[rows[j]] = ValueError(
-            f"block {np.flatnonzero(empty[j])[0]} has empty support, so its planted column "
-            "would be all-zero; increase s or use equidistributed supports"
-        )
+        errors[rows[j]] = _empty_block_error(np.flatnonzero(empty[j])[0])
     return replace(stack, errors=errors, **{f: getattr(stack, f)[good] for f in _ROW_FIELDS})
 
 
@@ -462,30 +457,6 @@ def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     stacked operation gives a row the bits it gets alone.
     """
     return _plant(draw_instances(cfg, seeds, rngs))
-
-
-def sample_instance_pairs(cfg: GenConfig, seeds, rngs) -> tuple[InstanceStack, InstanceStack]:
-    """Each trial's planted instance and then an unplanted one, from its one generator, drawn as one chunk.
-
-    One ``draw_instances`` runs over the generators listed twice, so every
-    generator draws its first instance before its second, as two calls in
-    turn would, and the support argsort, the batched QR and y = A x run once
-    for both.  The first stack is planted and checked as ``sample_instances``
-    plants it; the second is ``draw_instances``' own.
-    """
-    k = len(seeds)
-    both = draw_instances(cfg, (*seeds, *seeds), (*rngs, *rngs))
-    cut = sum(i < k for i in both.rows)  # the first instances' rows come first
-    first, second = (
-        replace(
-            both,
-            seeds=tuple(seeds),
-            errors={i - lo: exc for i, exc in both.errors.items() if lo <= i < lo + k},
-            **{f: getattr(both, f)[part] for f in _ROW_FIELDS},
-        )
-        for lo, part in ((0, slice(cut)), (k, slice(cut, None)))
-    )
-    return _plant(first), second
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:

@@ -23,9 +23,9 @@ gives a program the bits it gets alone, so a trial's outcome does not depend
 on its chunk-mates, results are independent of worker count and chunking,
 and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
-unplanted relaxation side, drawn in the same pass as the chunk's planted
-instances (``generate.sample_instance_pairs``), then best-of-r guesses of
-that side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
+unplanted relaxation side (``generate.draw_instances``, called for the chunk
+after its planted instances are drawn), then best-of-r guesses of that
+side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
 relaxation hit selects, in every block l, a column equal to x^l, so only the
 relaxation programs whose every block holds such a column are solved; the
 others cannot hit and count as misses.
@@ -59,8 +59,8 @@ from .generate import (
     _condition,
     derive_seed,
     draw_guesses,
+    draw_instances,
     instance_generator,
-    sample_instance_pairs,
     sample_instances,
 )
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
@@ -533,9 +533,9 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     """A chunk's counts of relaxation hits ('relax'), best-of-r hits ('bestof') and certified trials.
 
     Each trial takes all its draws from its own generator, in a fixed order:
-    first the instance whose certificate counts, then the relaxation side,
-    an unplanted instance, both drawn for the whole chunk by one
-    ``sample_instance_pairs``, then the best-of side's guesses, one
+    first the instance whose certificate counts (``sample_instances``), then
+    the relaxation side, an unplanted instance (``draw_instances``), each
+    drawn for the whole chunk, then the best-of side's guesses, one
     ``draw_guesses`` for the chunk, each trial's conditioned after its
     certificate check.  The best-of
     side guesses the relaxation side's x: every column of the alphabet law
@@ -550,7 +550,8 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
     seeds, rngs = _trial_generators(cell, start, stop)
-    stack, relax = sample_instance_pairs(gen, seeds, rngs)
+    stack = sample_instances(gen, seeds, rngs)
+    relax = draw_instances(gen, seeds, rngs)
     failed = {**relax.errors, **stack.errors}  # a trial's select draw fails before its relaxation side's
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")

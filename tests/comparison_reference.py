@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from blockrelax.generate import derive_seed, draw_instances, instance_generator, sample_guess_columns, sample_instances
+from blockrelax.generate import _condition, derive_seed, draw_guesses, draw_instances, instance_generator, sample_instances
 from blockrelax.model import effective_stack, weight_stack
 from blockrelax.solver import certificate_stack, solve_stack, stack_programs
 from blockrelax.sweep import _chunks, _support_to_combo
@@ -42,7 +42,7 @@ def comparison_chunk(cell, start: int, stop: int) -> Counter:
         relax_hit = combo is not None and all(
             np.array_equal(X[j, l, :, k], x[j, l * n : (l + 1) * n]) for l, k in enumerate(combo)
         )
-        g = sample_guess_columns(gen, rng, (r, theta))
+        g = _condition(gen, rng, draw_guesses(gen, [rng], np.empty((1, r, theta, n)))[0])
         counts["relax"] += relax_hit
         counts["bestof"] += bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
         counts["certified"] += certs[j].holds

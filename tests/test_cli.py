@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_sweep_writes_schema_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m = 6\ntheta = 2\nr = 2\ns = 2\n")
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--trials", "3", "--seed", "2"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "# schema=5"
     assert lines[1] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 3  # one cell
@@ -118,7 +119,7 @@ def test_compare_writes_csv(tmp_path, capsys):
     assert main(["compare", "--config", cfg, "--out", out, "--trials", "40", "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert "cell 0:" in text
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "# schema=5"
     assert len(lines) == 3
 
@@ -127,7 +128,7 @@ def test_concentration_vectorization_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "check = vectorization\ncount = 5\n")
     out = str(tmp_path / "vec.csv")
     assert main(["concentration", "--config", cfg, "--out", out, "--seed", "1"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "# schema=5"
     assert lines[1].split(",")[0] == "check"
     assert len(lines) == 7

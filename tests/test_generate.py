@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from blockrelax import generate
 from blockrelax.concentration import ConcentrationStudy
 from blockrelax.generate import (
     GUESS_LAWS,
     SENSING_KINDS,
     SUPPORT_MODES,
     GenConfig,
+    _condition,
     build_instance,
     derive_seed,
     draw_guesses,
     instance_generator,
-    sample_guess_columns,
     sample_instances,
 )
 from blockrelax.model import BlockSensingMatrix, GuessEnsemble, RelaxedInstance, SupportPattern
@@ -159,6 +160,42 @@ def assert_passes_checks(inst):
     assert np.array_equal(checked.A.matvec(inst.x), inst.y)  # y = A x to the bit
 
 
+def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
+    # one trial of a chunk has its zero-column redraws give up while the
+    # others succeed: each other trial is build_instance's bit for bit, the
+    # error sits at the failed trial's position with no row of its own, and
+    # every generator goes on where per-trial draws in the stream-4 order leave
+    # it, the failed one past its guess columns with no sensing drawn
+    cfg = base_cfg(guess_density=0.3)
+    seeds = [derive_seed(4, "trial", t) for t in range(5)]
+    rngs = [instance_generator(seed) for seed in seeds]
+    condition, failed = generate._condition, 2
+
+    def give_up(cfg, rng, cols):
+        if rng is rngs[failed]:
+            raise ValueError("redraws gave up")
+        return condition(cfg, rng, cols)
+
+    monkeypatch.setattr(generate, "_condition", give_up)
+    stack = sample_instances(cfg, seeds, rngs)
+    assert list(stack.errors) == [failed] and stack.rows == [0, 1, 3, 4]
+    assert all(len(a) == 4 for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+    with pytest.raises(ValueError, match="redraws gave up"):
+        stack.instance(failed)
+    for i in stack.rows:
+        assert_same_instance(stack.instance(i), build_instance(dataclasses.replace(cfg, master_seed=seeds[i])))
+    for i, seed in enumerate(seeds):
+        ref = instance_generator(seed)
+        ref.random((cfg.theta, cfg.n))
+        ref.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta)
+        ref.integers(0, cfg.r, size=cfg.theta)
+        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))[0]
+        if i != failed:
+            condition(cfg, ref, cols)
+            ref.standard_normal((cfg.theta, cfg.m, cfg.n))
+        assert ref.random(3).tolist() == rngs[i].random(3).tolist()
+
+
 def test_stream_isolation_across_parameters():
     # one generator, drawn in the order support, planted values, guesses,
     # sensing: a knob read only by a later draw leaves every earlier one alone
@@ -217,15 +254,20 @@ def test_planted_vector_alphabet_and_support():
         assert set(np.round(vals, 12)).issubset({-1.0, -0.5, 0.5, 1.0})
 
 
+def guess_columns(cfg, rng, shape):
+    """Guess columns (*shape, n), each conditioned nonzero: a ``draw_guesses`` row of one, then ``_condition``."""
+    return _condition(cfg, rng, draw_guesses(cfg, [rng], np.empty((1, *shape, cfg.n)))[0])
+
+
 def test_guess_column_laws():
     cfg = base_cfg(guess_density=0.3)
-    cols = sample_guess_columns(cfg, instance_generator(0), (200,))
+    cols = guess_columns(cfg, instance_generator(0), (200,))
     assert cols.shape == (200, cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, 0.0, 1.0})
     assert np.all(np.abs(cols).sum(axis=1) > 0)
 
     alph_cfg = base_cfg(guess_law="alphabet", guess_density=0.3)
-    cols = sample_guess_columns(alph_cfg, instance_generator(1), (5, 10))
+    cols = guess_columns(alph_cfg, instance_generator(1), (5, 10))
     assert cols.shape == (5, 10, alph_cfg.n)
     assert set(np.unique(cols)).issubset({-1.0, -0.5, 0.0, 0.5, 1.0})
 
@@ -243,7 +285,7 @@ def test_guess_columns_conditioned_law():
     cfg = base_cfg(n=4, m=4, s=2, guess_density=0.3)
     shape = (20000,)
     first = draw_guesses(cfg, [instance_generator(4)], np.empty((1, *shape, cfg.n)))[0]
-    cols = sample_guess_columns(cfg, instance_generator(4), shape)
+    cols = guess_columns(cfg, instance_generator(4), shape)
     zero = ~first.any(axis=1)
     assert 0.2 < zero.mean() < 0.28
     # nonzero columns of the first draw are kept; only the zero ones are redrawn
@@ -270,7 +312,7 @@ def test_draw_guesses_takes_a_lazy_iterator(law):
 def test_guess_columns_give_up_on_vanishing_density():
     cfg = base_cfg(n=4, m=4, s=2, guess_density=1e-12)
     with pytest.raises(ValueError, match="nonzero guess column"):
-        sample_guess_columns(cfg, instance_generator(0), (2,))
+        guess_columns(cfg, instance_generator(0), (2,))
 
 
 def test_ensemble_plants_columns_verbatim():

@@ -11,10 +11,11 @@ import pytest
 from blockrelax import sweep
 from blockrelax.generate import (
     GenConfig,
+    _condition,
     derive_seed,
+    draw_guesses,
+    draw_instances,
     instance_generator,
-    sample_guess_columns,
-    sample_instance_pairs,
     sample_instances,
 )
 from blockrelax.sweep import (
@@ -362,15 +363,16 @@ def test_comparison_jobs_invariant():
 
 
 def test_comparison_relaxation_side_draws_as_sample_instances():
-    # one draw over the generators listed twice gives each trial its select
-    # instance, then what sample_instances would draw next from the same
-    # generator, unplanted: equal to that instance off the planted columns,
-    # with the same y = A x, and every generator goes on where two calls leave it
+    # the comparison chunk's two draws give each trial its select instance,
+    # then what sample_instances would draw next from the same generator,
+    # unplanted: equal to that instance off the planted columns, with the
+    # same y = A x, and every generator goes on where two calls leave it
     cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=3)[0]
     cfg = cell.gen
     seeds = [derive_seed(cell.seed, "trial", t) for t in range(3)]
     rngs = [instance_generator(seed) for seed in seeds]
-    select, relax = sample_instance_pairs(cfg, seeds, rngs)
+    select = sample_instances(cfg, seeds, rngs)
+    relax = draw_instances(cfg, seeds, rngs)
     twice = [instance_generator(seed) for seed in seeds]
     first = sample_instances(cfg, seeds, twice)
     second = sample_instances(cfg, seeds, twice)
@@ -390,7 +392,8 @@ def test_comparison_relaxation_side_draws_as_sample_instances():
 def test_comparison_bestof_chunk_equals_per_trial_draws(monkeypatch):
     # at n = 4 and nu = 0.3 about a quarter of first-drawn columns are all-zero
     # and redrawn; the chunk's one best-of draw, conditioned trial by trial,
-    # gives each trial the columns sample_guess_columns draws from its generator
+    # gives each trial the columns a draw_guesses row of one, conditioned, draws
+    # from its generator
     cell = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 2\nr = 4\nguess_density = 0.3\n"), seed=3)[0]
     gen, trials = cell.gen, 40
     first, conditioned = [], []
@@ -405,8 +408,9 @@ def test_comparison_bestof_chunk_equals_per_trial_draws(monkeypatch):
     sweep._comparison_chunk(cell, 0, trials)
     seeds = [derive_seed(cell.seed, "trial", t) for t in range(trials)]
     rngs = [instance_generator(seed) for seed in seeds]
-    sample_instance_pairs(gen, seeds, rngs)
-    want = [sample_guess_columns(gen, rng, (gen.r, gen.theta)) for rng in rngs]
+    sample_instances(gen, seeds, rngs)
+    draw_instances(gen, seeds, rngs)
+    want = [_condition(gen, rng, draw_guesses(gen, [rng], np.empty((1, gen.r, gen.theta, gen.n)))[0]) for rng in rngs]
     assert len(conditioned) == trials
     assert all(got.tobytes() == ref.tobytes() for got, ref in zip(conditioned, want))
     assert 0.15 < np.mean([~cols.any(axis=-1) for cols in first]) < 0.35
