@@ -40,7 +40,7 @@ from .sweep import (
     build_sweep_plan,
     config_exponent,
     config_jobs,
-    config_number,
+    config_numbers,
     expand_config,
     gen_config,
     parse_config,
@@ -263,7 +263,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_reduce_x3c(args) -> int:
     with _one_line("argument"):
-        triples = [[config_number("triples", v) for v in part.split(",")] for part in args.triples.split(";")]
+        triples = [config_numbers("triples", part) for part in args.triples.split(";")]
         inst = X3CInstance(m=args.m, triples=tuple(tuple(v - 1 for v in t) for t in triples))
         record = x3c_to_l0(inst, n=args.n, seed=args.seed or 0)
     decision = None
@@ -284,7 +284,7 @@ def _cmd_reduce_x3c(args) -> int:
 
 def _cmd_reduce_partition(args) -> int:
     with _one_line("argument"):
-        inst = PartitionInstance(a=tuple(config_number("a", v, float) for v in args.a.split(",")))
+        inst = PartitionInstance(a=config_numbers("a", args.a, float))
         p = config_exponent(args.p)
         record = partition_to_lp(inst, theta=args.theta)
     decision = None

@@ -18,15 +18,17 @@ its guess columns, one guess draw for the chunk, then each generator's
 redraws and sensing) and turns them into the chunk's supports, hidden
 vectors, guess columns and sensing stacks, doing what does not depend on one
 instance's draws (the support argsort, the batched QR of the sensing blocks)
-once for the chunk; the second plants the hidden blocks.
-``InstanceStack.instance`` is the one place a drawn ``RelaxedInstance`` is
-made, through the checking constructors.  ``build_instance`` is a chunk of
-one, so the two agree bit for bit and any single trial of a sweep can be
-replayed from its seed alone.  ``compare``'s relaxation side is
-``draw_instances`` alone, called after ``sample_instances`` over the same
-generators.  Every guess tensor is drawn by ``draw_guesses``, a chunk at
-once: the instances', the concentration redraws' and ``compare``'s best-of
-side's.
+once for the chunk; the second plants the hidden blocks.  Row i of every
+stack array is trial i's: a trial whose draw fails (redraws that give up, a
+support block left empty) keeps a row that holds no instance, and its error
+is in the stack's ``errors``.  ``InstanceStack.instance`` is the one place a
+drawn ``RelaxedInstance`` is made, through the checking constructors.
+``build_instance`` is a chunk of one, so the two agree bit for bit and any
+single trial of a sweep can be replayed from its seed alone.  ``compare``'s
+relaxation side is ``draw_instances`` alone, called after
+``sample_instances`` over the same generators.  Every guess tensor is drawn
+by ``draw_guesses``, a chunk at once: the instances', the concentration
+redraws' and ``compare``'s best-of side's.
 """
 
 from __future__ import annotations
@@ -193,6 +195,8 @@ class GenConfig:
             raise ValueError("alphabet must be nonempty")
         if any(a == 0.0 or abs(a) > 1.0 for a in alph):
             raise ValueError("alphabet values must be nonzero and lie in [-1, 1]")
+        if len(set(alph)) != len(alph):  # a repeated value would weigh it twice in draws and in p_l
+            raise ValueError("alphabet values must be distinct")
         if sorted(alph) != sorted(-a for a in alph):
             raise ValueError("alphabet must be symmetric about zero")
         if self.sensing_kind in ("orthonormal-blocks", "repeated-unitary") and self.m < self.n:
@@ -346,10 +350,10 @@ def instance_generator(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class InstanceStack:
-    """A chunk of one config's trials as stacked C-contiguous arrays, one row per trial that drew an instance.
+    """A chunk of one config's trials as stacked C-contiguous arrays, row i for trial i.
 
-    ``errors`` maps each other trial's position in the chunk to the error its
-    draw raised, and row j belongs to trial ``rows[j]``.  In a stack from
+    ``errors`` maps the position of each trial whose draw failed to the error
+    it raised; that trial's row holds no instance.  In a stack from
     ``sample_instances`` each planted column of X stores its hidden block; in
     one from ``draw_instances`` it still holds the column drawn for it.
     """
@@ -364,21 +368,17 @@ class InstanceStack:
     support: np.ndarray  # sorted global support indices (k, s*theta)
     planted: np.ndarray  # the planted column of each block (k, theta)
 
-    @property
-    def rows(self) -> list[int]:
-        return [i for i in range(len(self.seeds)) if i not in self.errors]
-
     def instance(self, i: int) -> RelaxedInstance:
         """Trial i's instance, built through the checking constructors; trial i's draw error is raised."""
         if i in self.errors:
             raise self.errors[i]
-        j, cfg, seed = self.rows.index(i), self.config, self.seeds[i]
+        cfg, seed = self.config, self.seeds[i]
         return RelaxedInstance(
-            A=BlockSensingMatrix(self.A[j]),
-            X=GuessEnsemble(self.X[j], self.planted[j].tolist()),
-            x=self.x[j],
-            support=SupportPattern(self.support[j].tolist(), cfg.n, cfg.theta),
-            y=self.y[j],
+            A=BlockSensingMatrix(self.A[i]),
+            X=GuessEnsemble(self.X[i], self.planted[i].tolist()),
+            x=self.x[i],
+            support=SupportPattern(self.support[i].tolist(), cfg.n, cfg.theta),
+            y=self.y[i],
             config=cfg if cfg.master_seed == seed else replace(cfg, master_seed=seed),
         )
 
@@ -390,9 +390,10 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     every trial's support keys, planted values and planted columns; one
     ``draw_guesses`` of the chunk's guess tensor; then, trial by trial, its
     all-zero guess columns redrawn (``_condition``) and its sensing
-    Gaussians.  A trial whose redraws give up is an entry of ``errors`` and
-    draws no sensing.  The support argsort, the batched sensing QR and
-    y = A x run once over the chunk.
+    Gaussians.  A trial whose redraws give up is an entry of ``errors``,
+    draws no sensing and keeps its row, whose sensing Gaussians are zeros
+    and whose guess block still holds an all-zero column.  The support
+    argsort, the batched sensing QR and y = A x run once over the chunk.
     """
     t, n, k = cfg.theta, cfg.n, len(rngs)
     keys, vals, planted = np.empty((k, *_key_shape(cfg))), np.empty((k, cfg.s * t), int), np.empty((k, t), int)
@@ -407,15 +408,15 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
             _condition(cfg, rng, cols[i])
         except ValueError as exc:  # a guess column that stays all-zero
             errors[i] = exc
+            g[i] = 0.0
         else:
             rng.standard_normal(out=g[i])
-    ok = [i not in errors for i in range(k)]
-    support = _supports(cfg, keys[ok])
-    x = np.zeros((len(support), n * t))
-    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals[ok]], axis=1)
-    A = _sensing_stacks(cfg, g[ok])
-    X = np.ascontiguousarray(cols[ok].transpose(0, 1, 3, 2))
-    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted[ok])
+    support = _supports(cfg, keys)
+    x = np.zeros((k, n * t))
+    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
+    A = _sensing_stacks(cfg, g)
+    X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
+    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted)
 
 
 def _empty_block_error(block: int) -> ValueError:
@@ -426,28 +427,20 @@ def _empty_block_error(block: int) -> ValueError:
     )
 
 
-# InstanceStack's per-row arrays
-_ROW_FIELDS = ("A", "X", "x", "y", "support", "planted")
-
-
 def _plant(stack: InstanceStack) -> InstanceStack:
     """The second stage of a chunk: each row's hidden blocks written into its planted columns of X, in place.
 
     A trial whose support leaves a block empty, so that its planted column
-    would be all-zero, joins ``errors`` and leaves the rest of the chunk
-    alone.
+    is all-zero, joins ``errors`` with the first such block, unless its draw
+    already failed; its row stays, and the rest of the chunk is unaffected.
     """
-    cfg, k, rows = stack.config, len(stack.x), stack.rows
+    cfg, k = stack.config, len(stack.seeds)
     hidden = stack.x.reshape(k, cfg.theta, cfg.n)
     stack.X[np.arange(k)[:, None], np.arange(cfg.theta), :, stack.planted] = hidden
     empty = ~hidden.any(axis=2)
-    good = ~empty.any(axis=1)
-    if good.all():
-        return stack
-    errors = dict(stack.errors)
-    for j in np.flatnonzero(~good):
-        errors[rows[j]] = _empty_block_error(np.flatnonzero(empty[j])[0])
-    return replace(stack, errors=errors, **{f: getattr(stack, f)[good] for f in _ROW_FIELDS})
+    for i, l in zip(*np.nonzero(empty)):  # row-major: the first empty block of each trial comes first
+        stack.errors.setdefault(int(i), _empty_block_error(l))
+    return stack
 
 
 def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .generate import GenConfig
 from .model import BlockSensingMatrix, GuessEnsemble, RelaxedInstance, SupportPattern
-from .sweep import config_number
+from .sweep import config_number, config_numbers
 
 __all__ = ["save_instance", "load_instance", "save_reduction", "load_reduction", "ReductionRecord"]
 
@@ -33,17 +33,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _numbers(key: str, text: str, kind: type = int) -> tuple:
-    return tuple(config_number(key, t, kind) for t in text.split(","))
-
-
 # per GenConfig field type: how a value is written, and how its text is read
 # back naming its key; GenConfig itself checks the text of its choice keys
 _CODECS = {
     int: (str, config_number),
     float: (_fmt, functools.partial(config_number, kind=float)),
     str: (str, lambda key, text: text),
-    tuple[float, ...]: (lambda v: ",".join(map(_fmt, v)), functools.partial(_numbers, kind=float)),
+    tuple[float, ...]: (lambda v: ",".join(map(_fmt, v)), functools.partial(config_numbers, kind=float)),
 }
 # GenConfig's fields in declaration order, each with its type's codec
 _FIELDS = {key: _CODECS[hint] for key, hint in get_type_hints(GenConfig).items()}
@@ -188,9 +184,9 @@ def load_instance(path: str) -> RelaxedInstance:
     A = BlockSensingMatrix(blocks=tuple(blocks[:theta]))
     X = GuessEnsemble(
         blocks=tuple(blocks[theta:]),
-        planted_cols=tuple(k - 1 for k in _numbers("planted_cols", header["planted_cols"])),
+        planted_cols=tuple(k - 1 for k in config_numbers("planted_cols", header["planted_cols"])),
     )
-    indices = tuple(i - 1 for i in _numbers("support", header["support"]))
+    indices = tuple(i - 1 for i in config_numbers("support", header["support"]))
     for key, found in (("m", A.m), ("n", A.n), ("r", X.r)):
         _agree(key, getattr(cfg, key), found)
     if cfg.s * theta != len(indices):

@@ -71,6 +71,7 @@ __all__ = [
     "expand_config",
     "gen_config",
     "config_number",
+    "config_numbers",
     "config_exponent",
     "config_jobs",
     "SweepPlan",
@@ -117,10 +118,16 @@ def config_number(key: str, value, kind: type = int, ok=None, rule: str = ""):
     return v
 
 
+def config_numbers(key: str, text: str, kind: type = int) -> tuple:
+    """The comma-separated numbers of ``text``, each read by ``config_number`` naming ``key``."""
+    return tuple(config_number(key, t, kind) for t in text.split(","))
+
+
 # a count below one leaves no trial, worker or redraw to run; p outside (0, 1]
 # leaves the weighted objective no p-quasinorm
 _AT_LEAST_ONE = functools.partial(config_number, ok=lambda v: v >= 1, rule="be at least 1")
 _EXPONENT = functools.partial(config_number, kind=float, ok=lambda p: 0.0 < p <= 1.0, rule="lie in (0, 1]")
+_FLOATS = functools.partial(config_numbers, kind=float)  # a list such as the alphabet
 # the same parsers for the --p and --jobs flags and BLOCKRELAX_JOBS
 config_exponent = functools.partial(_EXPONENT, "p")
 config_jobs = functools.partial(_AT_LEAST_ONE, "jobs")
@@ -129,10 +136,6 @@ config_jobs = functools.partial(_AT_LEAST_ONE, "jobs")
 def _guess_density(key: str, value: str):
     """A float, or the literal 's/n' that couples it to the cell's support fraction."""
     return value if value == "s/n" else config_number(key, value, float)
-
-
-def _alphabet(key: str, value: str) -> tuple[float, ...]:
-    return tuple(config_number(key, a, float) for a in value.split(","))
 
 
 def _choice(key: str, value: str, what: str, values: dict):
@@ -155,7 +158,7 @@ GEN_KEYS = {
     "sensing_kind": (GenConfig.sensing_kind, None),
     "support_mode": (GenConfig.support_mode, None),
     "guess_law": (GenConfig.guess_law, None),
-    "alphabet": (GenConfig.planted_alphabet, _alphabet),
+    "alphabet": (GenConfig.planted_alphabet, _FLOATS),
     "seed": (0, config_number),
 }
 _SWITCH = {**dict.fromkeys(("1", "true", "on", "yes"), True), **dict.fromkeys(("0", "false", "off", "no"), False)}
@@ -173,7 +176,7 @@ COMPARE_KEYS = {
     "r": (2, config_number),
     "s": (2, config_number),
     "guess_density": (0.5, _guess_density),
-    "alphabet": ((-1.0, 1.0), _alphabet),
+    "alphabet": ((-1.0, 1.0), _FLOATS),
     "trials": (400, _AT_LEAST_ONE),
 }
 _CHECKS = ("vectorization", "mean", "tail", "window")
@@ -389,11 +392,14 @@ class CellResult:
 
 
 def _records(cell: Cell, stack: InstanceStack) -> list[TrialRecord]:
-    """Each trial's record in a chunk: its draw error, or its row's record from one ``check_stack``."""
-    checked = iter(check_stack(stack.A, stack.X, stack.x, stack.y, stack.planted, cell.p, cell.options))
+    """Each trial's record in a chunk: its row's from one ``check_stack``, or its draw error where the draw failed.
+
+    A failed trial's row holds no instance, so its draw error replaces whatever ``check_stack`` made of it.
+    """
+    checked = check_stack(stack.A, stack.X, stack.x, stack.y, stack.planted, cell.p, cell.options)
     return [
-        TrialRecord("error", error=stack.errors[i]) if i in stack.errors else next(checked)
-        for i in range(len(stack.seeds))
+        TrialRecord("error", error=stack.errors[i]) if i in stack.errors else record
+        for i, record in enumerate(checked)
     ]
 
 

@@ -169,6 +169,9 @@ BAD_CONFIGS = {
     "missing m": ("s = 2\n", "missing required key 'm'"),
     "no equals sign": ("m = 6\nthetta 3\n", "line 2: expected key = value"),
     "not a number": ("m = 6\ns = 2\ntheta = two\n", "config error: theta: invalid integer 'two'"),
+    # a repeated value would count twice in the guess law and in compare's p_l
+    "repeated alphabet value": ("m = 6\ns = 2\nalphabet = -1,-1,1,1\n",
+                                "config error: alphabet values must be distinct"),
     # s/n over n = 0 divides by zero unless GenConfig's own check names n first
     "s/n with n 0": ("m = 6\nn = 0\ns = 2\nguess_density = s/n\n",
                      "config error: m, n, theta, r must be positive"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blockrelax import generate
+from blockrelax import generate, sweep
 from blockrelax.concentration import ConcentrationStudy
 from blockrelax.generate import (
     GUESS_LAWS,
@@ -51,6 +51,8 @@ def test_config_validation():
         base_cfg(planted_alphabet=(0.5, 1.0))  # not symmetric
     with pytest.raises(ValueError):
         base_cfg(planted_alphabet=(1.5, -1.5))
+    with pytest.raises(ValueError, match="alphabet values must be distinct"):
+        base_cfg(planted_alphabet=(-1.0, -1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         base_cfg(m=4, n=8)  # orthonormal blocks need m >= n
     with pytest.raises(ValueError):
@@ -114,7 +116,7 @@ def test_chunks_equal_single_instances(kind, mode, law):
     # gives one stack whose instance(i) is build_instance's bit for bit, and
     # passes the checking constructors; uniform supports of s * theta = 3
     # slots leave a block empty in most draws, and each such draw fails alone,
-    # its error at its trial's position and its row left out of the arrays
+    # its error at its trial's position and its row kept, so row i is trial i
     cfg = base_cfg(sensing_kind=kind, support_mode=mode, guess_law=law, s=1 if mode == "uniform" else 3)
     seeds = [derive_seed(9, "trial", t) for t in range(7)]
     refs = []
@@ -131,8 +133,8 @@ def test_chunks_equal_single_instances(kind, mode, law):
             stack = sample_instances(cfg, part, [instance_generator(seed) for seed in part])
             want = refs[start : start + size]
             assert stack.seeds == tuple(part)
-            assert stack.rows == [i for i, ref in enumerate(want) if not isinstance(ref, ValueError)]
-            assert all(len(a) == len(stack.rows) for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+            assert sorted(stack.errors) == [i for i, ref in enumerate(want) if isinstance(ref, ValueError)]
+            assert all(len(a) == len(part) for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
             for i, ref in enumerate(want):
                 if isinstance(ref, ValueError):
                     assert isinstance(stack.errors[i], ValueError) and str(stack.errors[i]) == str(ref)
@@ -163,9 +165,10 @@ def assert_passes_checks(inst):
 def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
     # one trial of a chunk has its zero-column redraws give up while the
     # others succeed: each other trial is build_instance's bit for bit, the
-    # error sits at the failed trial's position with no row of its own, and
-    # every generator goes on where per-trial draws in the stream-4 order leave
-    # it, the failed one past its guess columns with no sensing drawn
+    # error sits at the failed trial's position, whose row is kept with zero
+    # sensing Gaussians, its record is that error, and every generator goes
+    # on where per-trial draws in the stream-4 order leave it, the failed one
+    # past its guess columns with no sensing drawn
     cfg = base_cfg(guess_density=0.3)
     seeds = [derive_seed(4, "trial", t) for t in range(5)]
     rngs = [instance_generator(seed) for seed in seeds]
@@ -178,11 +181,16 @@ def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
 
     monkeypatch.setattr(generate, "_condition", give_up)
     stack = sample_instances(cfg, seeds, rngs)
-    assert list(stack.errors) == [failed] and stack.rows == [0, 1, 3, 4]
-    assert all(len(a) == 4 for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+    assert list(stack.errors) == [failed]
+    assert all(len(a) == 5 for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+    zeros = np.zeros((1, *generate._sensing_shape(cfg)))
+    assert np.array_equal(stack.A[failed], generate._sensing_stacks(cfg, zeros)[0])
     with pytest.raises(ValueError, match="redraws gave up"):
         stack.instance(failed)
-    for i in stack.rows:
+    records = sweep._records(sweep.Cell(0, cfg, 0.5, len(seeds), 0), stack)
+    assert [r.verdict == "error" for r in records] == [i == failed for i in range(5)]
+    assert records[failed].error is stack.errors[failed]
+    for i in (0, 1, 3, 4):
         assert_same_instance(stack.instance(i), build_instance(dataclasses.replace(cfg, master_seed=seeds[i])))
     for i, seed in enumerate(seeds):
         ref = instance_generator(seed)

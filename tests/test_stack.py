@@ -54,9 +54,10 @@ def chunk_programs(text, seed, trials=None):
     for cell in plan.cells:
         for start, stop in _chunks(cell):
             stack = _cell_stack(cell, start, stop)
-            if stack.rows:
-                B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
-                yield B, w, stack.y, planted
+            drawn = [i for i in range(stop - start) if i not in stack.errors]
+            if drawn:
+                B, w, planted = stack_programs(stack.A[drawn], stack.X[drawn], stack.planted[drawn], cell.p)
+                yield B, w, stack.y[drawn], planted
 
 
 def test_stack_matches_reference_on_readme_sweep():

@@ -236,6 +236,23 @@ def test_sweep_error_trials_counted_once():
     assert counts == [(1, 0, 3, 0, 36, 4, 0), (6, 0, 20, 1, 14, 25, 1)]
 
 
+def test_records_give_the_draw_error_at_each_failed_position():
+    # a failed draw keeps its row, whose planted column over the empty block
+    # is all-zero: check_stack gives that row a weight error, and the record
+    # is the draw error instead
+    for cell in build_sweep_plan(parse_config(ERROR_SWEEP), seed=0).cells:
+        for start, stop in _chunks(cell):
+            stack = sweep._cell_stack(cell, start, stop)
+            assert stack.errors and all(len(a) == stop - start for a in (stack.A, stack.X, stack.y))
+            checked = sweep.check_stack(stack.A, stack.X, stack.x, stack.y, stack.planted, cell.p)
+            for i, record in enumerate(sweep._records(cell, stack)):
+                if i in stack.errors:
+                    assert "weights must be strictly positive" in str(checked[i].error)
+                    assert record.verdict == "error" and record.error is stack.errors[i]
+                else:
+                    assert record.verdict == checked[i].verdict
+
+
 def test_chunks_return_only_integer_counts():
     # a chunk sends the pool one Counter of ints and its seconds, never a
     # per-trial record; these chunks hold draw errors, oracle trials and hits
