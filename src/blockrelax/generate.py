@@ -245,6 +245,7 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
 # indices to an intp copy of the pass's size (and, in its default mode 'raise',
 # buffers ``out`` too; the indices are in range, so 'clip' changes nothing)
 _LAW_PASS = 1 << 14
+_REDRAW_ROUNDS = 10000  # the rounds of all-zero guess columns ``_condition`` redraws before it gives up
 
 
 def draw_guesses(cfg: GenConfig, rngs, out: np.ndarray) -> np.ndarray:
@@ -276,9 +277,9 @@ def _condition(cfg: GenConfig, rng: np.random.Generator, cols: np.ndarray) -> np
     """``cols`` (..., n) with its all-zero columns redrawn in place, one ``draw_guesses`` row per round.
 
     Instance construction needs nonzero columns; one still all-zero after
-    10000 rounds raises ValueError.
+    ``_REDRAW_ROUNDS`` rounds raises ValueError.
     """
-    for _ in range(10000):
+    for _ in range(_REDRAW_ROUNDS):
         zero = ~cols.any(axis=-1)
         if not zero.any():
             return cols

@@ -38,13 +38,15 @@ per operation.  Bland's rule and every tolerance apply per program.  A
 program leaves the lockstep when it stops, and a leave step re-factors its
 own basis alone; the multipliers, gap, residual and support are worked out
 once, for the program that stops.  The certificate factors every support in
-one batched SVD, and ``recovery_stack`` checks every solve against its
-planted truth with one stacked reconstruction.  ``check_stack`` runs all three
-and gives each trial one ``TrialRecord``, the one source of ``sweep``,
-``replay`` and CLI ``solve`` (a stack of one) outcomes.  The single-instance
-trio ``solve_instance``, ``certificate_for_instance`` and ``recovery_check``
-stays for callers that time one stage of one instance (the tests and the
-benchmark); it gives the bits of a stack of one.
+one batched SVD.  ``selected_columns`` reads which column each solve takes in
+each block, -1 throughout unless its support is one column per block, and
+``recovery_stack`` checks, with one stacked X z, the solves that take the
+planted columns.  ``check_stack`` runs the solve, the certificate and
+``recovery_stack`` and gives each trial one ``TrialRecord``, the one source
+of ``sweep``, ``replay`` and CLI ``solve`` (a stack of one) outcomes.  The
+single-instance trio ``solve_instance``, ``certificate_for_instance`` and
+``recovery_check`` stays for callers that time one stage of one instance (the
+tests and the benchmark); it gives the bits of a stack of one.
 
 A program's result does not depend on its stack-mates.  Every operation is
 elementwise, per program, or a stacked ``matmul`` or ``linalg`` gufunc whose
@@ -74,6 +76,7 @@ __all__ = [
     "solve_weighted_bp",
     "certificate_stack",
     "kkt_certificate",
+    "selected_columns",
     "recovery_stack",
     "recovery_check",
     "TrialRecord",
@@ -477,23 +480,35 @@ def kkt_certificate(B: np.ndarray, w: np.ndarray, support) -> CertificateResult:
     return out
 
 
+def selected_columns(results, r: int, theta: int) -> np.ndarray:
+    """(k, theta): the column each ``solve_stack`` result's detected support takes in each block of ``r`` columns.
+
+    A row is -1 throughout unless the support, which is sorted, holds exactly
+    one column of each block in block order; a program that raised takes none.
+    """
+    sel = np.full((len(results), theta), -1)
+    for i, res in enumerate(results):
+        if not isinstance(res, Exception) and [g // r for g in res.detected_support] == list(range(theta)):
+            sel[i] = [g % r for g in res.detected_support]
+    return sel
+
+
 def recovery_stack(X_blocks, x, planted, results) -> list[str]:
     """``recovery_check`` of each solve of a stack of instances.
 
     ``X_blocks`` is the (k, theta, n, r) guess stack, ``x`` the (k, n*theta)
     hidden vectors and ``planted`` the (k, theta) planted global columns, in
-    increasing order.  One stacked product reconstructs every X z: each block
-    gets the bits ``model.apply_selector`` gives it, up to the sign of a zero,
-    so the verdicts are the same.
+    increasing order.  One stacked product reconstructs X z where a solve
+    takes the planted columns: each block gets the bits ``model.apply_selector``
+    gives it, up to the sign of a zero, so the verdicts are the same.
     """
     k, theta, n, r = X_blocks.shape
-    same = [res.detected_support == cols for res, cols in zip(results, map(tuple, planted.tolist()))]
+    same = np.flatnonzero((selected_columns(results, r, theta) + r * np.arange(theta) == planted).all(axis=1))
     out = ["fail"] * k
-    if any(same):
-        z = np.stack([res.z for res in results]).reshape(k, theta, r, 1)
-        err = np.abs((X_blocks @ z).reshape(k, n * theta) - x).max(axis=1, initial=0.0)
-        for j in np.flatnonzero(same):
-            out[j] = "exact" if err[j] <= TOL_RECOVERY else "support-match"
+    z = np.array([results[j].z for j in same]).reshape(len(same), theta, r, 1)
+    err = np.abs((X_blocks[same] @ z).reshape(len(same), n * theta) - x[same]).max(axis=1, initial=0.0)
+    for j, e in zip(same.tolist(), err):
+        out[j] = "exact" if e <= TOL_RECOVERY else "support-match"
     return out
 
 
@@ -538,13 +553,10 @@ def check_stack(A, X, x, y, planted, p: float, options: SolveOptions | None = No
     B, w, planted = stack_programs(A, X, planted, p)
     results = solve_stack(B, w, y, options)
     certs = certificate_stack(B, w, planted)
-    solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
-    checked = recovery_stack(X[solved], x[solved], planted[solved], [results[j] for j in solved])
-    verdicts = dict(zip(solved, checked))
     return [
-        TrialRecord(verdicts[j], res, cert) if j in verdicts and not isinstance(cert, Exception)
-        else TrialRecord("error", error=cert if j in verdicts else res)  # the solve's error comes first
-        for j, (res, cert) in enumerate(zip(results, certs))
+        TrialRecord("error", error=res if isinstance(res, Exception) else cert)  # the solve's error comes first
+        if isinstance(res, Exception) or isinstance(cert, Exception) else TrialRecord(verdict, res, cert)
+        for res, cert, verdict in zip(results, certs, recovery_stack(X, x, planted, results))
     ]
 
 

@@ -64,7 +64,9 @@ from .generate import (
     sample_instances,
 )
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
-from .solver import SolveOptions, TrialRecord, certificate_stack, check_stack, solve_stack, stack_programs
+from .solver import (
+    SolveOptions, TrialRecord, certificate_stack, check_stack, selected_columns, solve_stack, stack_programs,
+)
 
 __all__ = [
     "parse_config",
@@ -429,19 +431,9 @@ def _oracle_tags(cell: Cell, instance, record: TrialRecord) -> list[str]:
     res = enumerate_selectors(instance, cell.p)
     if not res.unique:
         return []
-    combo = _support_to_combo(record.result.detected_support, cell.gen.r, cell.gen.theta)
+    combo = tuple(selected_columns([record.result], cell.gen.r, cell.gen.theta)[0].tolist())
     agree = record.cert.holds and res.best_combos[0] == instance.X.planted_cols == combo
     return ["unique", "agree"] if agree else ["unique"]
-
-
-def _support_to_combo(support, r: int, theta: int):
-    """Detected support as one column per block, or None when not selector-shaped."""
-    per_block = [[] for _ in range(theta)]
-    for g in support:
-        per_block[g // r].append(g % r)
-    if any(len(b) != 1 for b in per_block):
-        return None
-    return tuple(b[0] for b in per_block)
 
 
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[CellResult]:
@@ -543,15 +535,16 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     the relaxation side, an unplanted instance (``draw_instances``), each
     drawn for the whole chunk, then the best-of side's guesses, one
     ``draw_guesses`` for the chunk, each trial's conditioned after its
-    certificate check.  The best-of
-    side guesses the relaxation side's x: every column of the alphabet law
-    equals a given x^l with s nonzeros with the same probability, so given x
-    the two hits are independent.  A relaxation hit selects, in every block
-    l, a column equal to x^l, so a program with a block that holds no such
-    column cannot hit, whatever its solution; only the other programs are
-    solved, as one stack, and the chunk's instances are certified as
-    another.  A draw that fails ends the comparison with one error naming
-    its trial.
+    certificate check.  The best-of side guesses the relaxation side's x:
+    every column of the alphabet law equals a given x^l with s nonzeros with
+    the same probability, so given x the two hits are independent.  A
+    relaxation hit (``solver.selected_columns``) selects, in every block l, a
+    column equal to x^l, so a program with a block that holds no such column
+    cannot hit, whatever its solution; only the other programs are solved, as
+    one stack, and the chunk's instances are certified as another.  An error
+    that ends the comparison names its cell and trial: the first failed draw,
+    else, in trial order, a certificate that raised or best-of guesses that
+    stay all-zero.
     """
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
@@ -561,34 +554,28 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     failed = {**relax.errors, **stack.errors}  # a trial's select draw fails before its relaxation side's
     if failed:
         raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {failed[min(failed)]}")
-    B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
-    certs = certificate_stack(B, w, planted)
+    certs = certificate_stack(*stack_programs(stack.A, stack.X, stack.planted, cell.p))
     x, X = relax.x, relax.X
-    # success means the relaxation SELECTS the hidden blocks: the solution must
-    # be one column per block and those columns must equal x exactly.
-    # Reconstruction alone would also count sign flips (z_l = -1 on a column
-    # storing -x^l) and accidental span hits, events the per-column match
-    # probability p_l deliberately does not model.  holds[j, l, k]: column k of
-    # block l equals x^l in trial j; a trial with a block of no such column is
-    # not solved.  A program that raised (weights not strictly positive, say)
-    # selects nothing.
+    # a hit SELECTS the hidden blocks: reconstruction alone would also count sign
+    # flips (z_l = -1 on a column storing -x^l) and accidental span hits, events
+    # p_l deliberately does not model.  holds[j, l, k]: column k of block l
+    # equals x^l in trial j; a trial with a block of no such column is not solved.
     holds = (X == x.reshape(len(x), theta, n, 1)).all(axis=2)
     solvable = np.flatnonzero(holds.any(axis=2).all(axis=1))
     B, w, _ = stack_programs(relax.A[solvable], X[solvable], relax.planted[solvable], cell.p)
-    solves = solve_stack(B, w, relax.y[solvable], cell.options)
-    counts = Counter(relax=0)
-    for j, res in zip(solvable.tolist(), solves):
-        combo = None if isinstance(res, Exception) else _support_to_combo(res.detected_support, r, theta)
-        counts["relax"] += combo is not None and bool(holds[j, np.arange(theta), combo].all())
+    sel = selected_columns(solve_stack(B, w, relax.y[solvable], cell.options), r, theta)
+    relax_hits = (holds[solvable[:, None], np.arange(theta), sel] & (sel >= 0)).all(axis=1)
     # r independent guesses of the whole vector per trial, one nonzero column per block
     guesses = draw_guesses(gen, rngs, np.empty((len(rngs), r, theta, n)))
     for j, rng in enumerate(rngs):
-        if isinstance(certs[j], Exception):
-            raise certs[j]
-        g = _condition(gen, rng, guesses[j])
-        counts["bestof"] += bool(np.all(g.reshape(r, -1) == x[j], axis=1).any())
-        counts["certified"] += certs[j].holds
-    return counts
+        try:
+            if isinstance(certs[j], Exception):
+                raise certs[j]
+            _condition(gen, rng, guesses[j])  # in place
+        except ValueError as exc:
+            raise ValueError(f"cell {cell.index} trial {start + j}: {exc}") from exc
+    bestof_hits = (guesses.reshape(len(rngs), r, theta * n) == x[:, None]).all(axis=2).any(axis=1)
+    return Counter(relax=int(relax_hits.sum()), bestof=int(bestof_hits.sum()), certified=sum(c.holds for c in certs))
 
 
 def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:

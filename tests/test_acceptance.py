@@ -48,7 +48,6 @@ from blockrelax.solver import (
     solve_weighted_bp,
 )
 from blockrelax.sweep import (
-    _support_to_combo,
     build_comparison_plan,
     build_sweep_plan,
     parse_config,
@@ -123,7 +122,9 @@ def corpus_report() -> CorpusReport:
                 rep.oracle_elapsed += time.perf_counter() - t0
                 rep.n_oracle_checked += 1
                 planted = tuple(int(k) for k in inst.X.planted_cols)
-                combo = _support_to_combo(res.detected_support, r, theta)
+                # the solve's selector: its sorted support holds one column per block, else none
+                support = res.detected_support
+                combo = tuple(g % r for g in support) if [g // r for g in support] == list(range(theta)) else None
                 if not (orc.unique and orc.best_combos[0] == planted == combo):
                     rep.oracle_violations.append((ci, t))
     return rep

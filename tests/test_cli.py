@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockrelax import cli
+from blockrelax import cli, generate
 from blockrelax.cli import main
 from blockrelax.storage import load_instance, load_reduction
 from blockrelax.sweep import SWEEP_COLUMNS, _cell_stack, _chunks, build_sweep_plan, parse_config
@@ -267,7 +267,9 @@ def test_config_errors_exit_with_one_line(tmp_path, command, case):
          "config error: the mean check needs at least 2 trials"),
     ],
 )
-def test_command_specific_config_errors(tmp_path, argv, text, message):
+def test_command_specific_config_errors(tmp_path, monkeypatch, argv, text, message):
+    # a guess density of 1e-7 fails within any redraw cap, so a lower one saves the full cap's rounds
+    monkeypatch.setattr(generate, "_REDRAW_ROUNDS", 100)
     exits_with_one_line([*argv, "--out", str(tmp_path / "out.csv"), "--config", write_cfg(tmp_path, text)],
                         message)
 

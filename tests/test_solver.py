@@ -9,9 +9,13 @@ from blockrelax.solver import (
     TOL_FEAS,
     TOL_OPT,
     SolveOptions,
+    SolveResult,
     certificate_for_instance,
+    check_stack,
     kkt_certificate,
     recovery_check,
+    recovery_stack,
+    selected_columns,
     solve_instance,
     solve_weighted_bp,
 )
@@ -343,3 +347,39 @@ def test_rank_deficient_square_b_iterates():
     assert res.status == "optimal"
     assert res.detected_support == (0, 2)
     np.testing.assert_allclose(res.z, [1.0, 0.0, -0.5, 0.0], atol=1e-8)
+
+
+# -- which column a solve selects ------------------------------------------------
+
+
+def test_selected_columns_reads_one_column_per_block():
+    # theta = 2 blocks of r = 3 columns: global columns 0-2 and 3-5
+    def solved(support):
+        z = np.zeros(6)
+        z[list(support)] = 1.0
+        return SolveResult(z=z, objective=float(len(support)), status="optimal", iterations=0,
+                           feas_residual=0.0, duality_gap=0.0, detected_support=support)
+
+    results = [solved((1, 5)), solved((0, 3)), solved((0, 1, 5)), solved((4,)), solved((1, 2)), solved(()),
+               ValueError("weights must be strictly positive")]
+    assert selected_columns(results, 3, 2).tolist() == [[1, 2], [0, 0]] + [[-1, -1]] * 5
+    assert selected_columns([], 3, 2).shape == (0, 2)
+    # a program that raised selects nothing, so it fails recovery; a selection of other columns fails too
+    X = np.ones((3, 2, 1, 3))
+    x, planted = np.ones((3, 2)), np.array([[1, 5]] * 3)
+    assert recovery_stack(X, x, planted, [results[0], results[1], results[-1]]) == ["exact", "fail", "fail"]
+
+
+def test_duplicate_of_the_planted_column_fails_recovery_but_selects_x():
+    # theta = 1, A = I_3, x = (1, -1, 0): the guess block holds x at the planted
+    # column 1 and again at column 0.  The two tie, and Bland's rule takes
+    # column 0: recovery, which asks for the planted column, says 'fail', and
+    # compare's rule, a selected column equal to x, counts a hit
+    x = np.array([[1.0, -1.0, 0.0]])
+    X = np.stack([x, x], axis=-1)[:, None]  # (1, 1, 3, 2)
+    (record,) = check_stack(np.eye(3)[None, None], X, x, x, np.array([[1]]), 0.5)
+    assert record.result.status == "optimal" and record.result.detected_support == (0,)
+    assert record.verdict == "fail"
+    sel = selected_columns([record.result], 2, 1)
+    holds = (X == x.reshape(1, 1, 3, 1)).all(axis=2)  # holds[j, l, k]: column k of block l equals x^l
+    assert sel.tolist() == [[0]] and holds[0, 0, sel[0, 0]]

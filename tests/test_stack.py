@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import solver_reference as ref
-from blockrelax import sweep
+from blockrelax import solver, sweep
 from blockrelax.cli import main
 from blockrelax.generate import GenConfig, build_instance, derive_seed
 from blockrelax.model import effective_matrix, solver_weights
@@ -245,6 +245,25 @@ def test_error_paths_inside_one_stack():
     for j, cert in enumerate(certs):
         assert_same_certificate(cert, certificate_stack(B[j : j + 1], w[j : j + 1], support[j : j + 1])[0])
         assert_same_certificate(cert, kkt_certificate(B[j], w[j], support[j]))
+
+
+def test_check_stack_record_takes_the_solve_error_first(monkeypatch):
+    # theta = 1, A = I_3, guess columns (e_3, x) with x planted at column 1.
+    # Rows 1 and 2 zero column 0, so its weight is 0 and the solve raises; the
+    # certificates of rows 0 and 1 are made to raise.  A record holds the
+    # solve's error, else the certificate's, else the verdict
+    x = np.array([1.0, -1.0, 0.0])
+    X = np.tile(np.stack([[0.0, 0.0, 1.0], x], axis=-1), (4, 1, 1, 1))  # (4, 1, 3, 2)
+    X[1:3, 0, :, 0] = 0.0
+    certify = solver.certificate_stack
+    monkeypatch.setattr(solver, "certificate_stack", lambda B, w, support: [
+        np.linalg.LinAlgError("SVD did not converge") if j < 2 else cert for j, cert in enumerate(certify(B, w, support))
+    ])
+    xs = np.tile(x, (4, 1))
+    records = check_stack(np.tile(np.eye(3), (4, 1, 1, 1)), X, xs, xs, np.ones((4, 1), dtype=int), 0.5)
+    assert [record.verdict for record in records] == ["error", "error", "error", "exact"]
+    assert [type(record.error) for record in records] == [np.linalg.LinAlgError, ValueError, ValueError, type(None)]
+    assert "weights must be strictly positive" in str(records[1].error)
 
 
 def test_empty_stack_and_shape_checks():

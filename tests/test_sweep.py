@@ -8,7 +8,7 @@ import comparison_reference
 import numpy as np
 import pytest
 
-from blockrelax import sweep
+from blockrelax import generate, sweep
 from blockrelax.generate import (
     GenConfig,
     _condition,
@@ -18,6 +18,7 @@ from blockrelax.generate import (
     instance_generator,
     sample_instances,
 )
+from blockrelax.solver import certificate_stack
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
@@ -459,8 +460,10 @@ def test_comparison_counts_equal_two_draw_reference(monkeypatch, case):
     assert any(relax for relax, _, _ in got)
 
 
-def test_comparison_failed_draw_error_equals_reference():
-    # no guess column of density 1e-7 turns nonzero: both end on the same line
+def test_comparison_failed_draw_error_equals_reference(monkeypatch):
+    # no guess column of density 1e-7 turns nonzero: both end on the same line.
+    # The density fails within any cap, so a lower one saves the full cap's rounds
+    monkeypatch.setattr(generate, "_REDRAW_ROUNDS", 100)
     sparse = "m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"
     cells = build_comparison_plan(parse_config(sparse), seed=2, trials=2)
     with pytest.raises(ValueError) as ref:
@@ -469,6 +472,52 @@ def test_comparison_failed_draw_error_equals_reference():
         run_comparison(cells)
     assert str(got.value) == str(ref.value)
     assert str(got.value).startswith("cell 0 trial 0: could not draw a nonzero guess column")
+
+
+# (trials whose best-of redraws give up, trials whose certificate raises, the
+# end line): the earliest trial of either is named, and within one trial the
+# certificate is raised before its guesses are conditioned
+REDRAW_ERROR = "could not draw a nonzero guess column; guess_density too small"
+CHUNK_ERRORS = {
+    "best-of redraw": ({1}, set(), f"cell 0 trial 1: {REDRAW_ERROR}"),
+    "certificate": (set(), {1}, "cell 0 trial 1: SVD did not converge"),
+    "redraw before a later certificate": ({1}, {2}, f"cell 0 trial 1: {REDRAW_ERROR}"),
+    "certificate before a later redraw": ({2}, {0}, "cell 0 trial 0: SVD did not converge"),
+    "certificate and redraw of one trial": ({3}, {3}, "cell 0 trial 3: SVD did not converge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_ERRORS))
+def test_comparison_chunk_errors_name_their_trial_as_the_reference(monkeypatch, case):
+    # the best-of _condition and certificate_stack bindings of both chunks are
+    # patched; the draws go on through generate's own _condition
+    redraws, certificates, line = CHUNK_ERRORS[case]
+    cells = build_comparison_plan(parse_config(COMPARE_CFG), seed=4, trials=4)
+    assert len(_chunks(cells[0])) == 1
+
+    def patch(module):
+        calls = []
+
+        def condition(cfg, rng, cols):
+            calls.append(None)
+            if len(calls) - 1 in redraws:
+                raise ValueError(REDRAW_ERROR)
+            return _condition(cfg, rng, cols)
+
+        def certify(B, w, support):
+            return [np.linalg.LinAlgError("SVD did not converge") if j in certificates else cert
+                    for j, cert in enumerate(certificate_stack(B, w, support))]
+
+        monkeypatch.setattr(module, "_condition", condition)
+        monkeypatch.setattr(module, "certificate_stack", certify)
+
+    lines = []
+    for module, run in ((sweep, run_comparison), (comparison_reference, comparison_reference.comparison_counts)):
+        patch(module)
+        with pytest.raises(ValueError) as exc:
+            run(cells)
+        lines.append(str(exc.value))
+    assert lines == [line, line]
 
 
 # -- the process pool that every jobs > 1 call shares -----------------------
