@@ -89,22 +89,23 @@ def _parse(text: str):
             rows, cols = int(shape[0]), int(shape[1])
             if i + rows > len(lines):
                 raise ValueError(f"container section {name!r} is cut short: {len(lines) - i} of {rows} rows")
-            block = np.empty((rows, cols))
+            block = []  # grown row by row: a shape line alone must not size an allocation
             for j in range(rows):
                 where, row = f"container section {name!r} row {j + 1}", lines[i + j].split(",")
                 if len(row) != cols:
                     raise ValueError(f"{where} holds {len(row)} values, not {cols}")
                 try:
-                    block[j] = [float(t) for t in row]
-                    if np.isfinite(block[j]).all():
+                    values = [float(t) for t in row]
+                    if all(map(math.isfinite, values)):
+                        block.append(values)
                         continue
                 except ValueError:
                     pass
                 # parse value by value to name the bad one, as configs do; a
                 # non-finite value would slip past the containers' checks
-                block[j] = [config_number(where, t, float, ok=math.isfinite, rule="be finite") for t in row]
+                block.append([config_number(where, t, float, ok=math.isfinite, rule="be finite") for t in row])
             i += rows
-            matrices[name] = block
+            matrices[name] = np.array(block).reshape(rows, cols)
         else:
             k, eq, v = line.partition("=")
             if not eq:
@@ -143,12 +144,16 @@ def _blocks(name: str, blocks) -> dict:
     return {f"{name} {l + 1}": b for l, b in enumerate(blocks)}
 
 
-def _sections(matrices: dict, names: list[str]) -> list[np.ndarray]:
-    """The sections ``names`` of a container, in order; a section a load does not use raises naming it."""
-    unknown = [name for name in matrices if name not in names]
-    if unknown:
-        raise ValueError(f"container has unknown section {unknown[0]!r}")
-    return [matrices[name] for name in names]
+def _sections(matrices: dict, theta: int, blocks: tuple[str, ...], *tail: str) -> list[np.ndarray]:
+    """Sections ``b 1`` .. ``b theta`` for each b in ``blocks``, then ``tail``; an unknown, then a missing one raises.
+
+    Block numbers are read from the file's names, so the work follows its sections, not its header's theta.
+    """
+    for name in matrices:
+        b, _, l = name.partition(" ")
+        if name not in tail and not (b in blocks and l.isascii() and l.isdigit() and l[0] != "0" and int(l) <= theta):
+            raise ValueError(f"container has unknown section {name!r}")
+    return [matrices[f"{b} {l + 1}"] for b in blocks for l in range(theta)] + [matrices[name] for name in tail]
 
 
 def _agree(key: str, written, found, where: str = "its arrays have") -> None:
@@ -180,7 +185,7 @@ def load_instance(path: str) -> RelaxedInstance:
     for key in _MOMENTS:
         _agree(key, config_number(key, header[key], float), getattr(cfg, key), "its config gives")
     theta = cfg.theta
-    *blocks, x, y = _sections(matrices, [*(f"{name} {l + 1}" for name in "AX" for l in range(theta)), "x", "y"])
+    *blocks, x, y = _sections(matrices, theta, ("A", "X"), "x", "y")
     A = BlockSensingMatrix(blocks=tuple(blocks[:theta]))
     X = GuessEnsemble(
         blocks=tuple(blocks[theta:]),
@@ -220,7 +225,7 @@ def load_reduction(path: str) -> ReductionRecord:
     header, matrices = _read(path, "reduction")
     reduction = header.pop("reduction")
     theta = config_number("theta", header.pop("theta"))
-    *blocks, y = _sections(matrices, [*(f"A {l + 1}" for l in range(theta)), "y"])
+    *blocks, y = _sections(matrices, theta, ("A",), "y")
     A = BlockSensingMatrix(blocks=tuple(blocks))
     for key, found in (("m", A.m), ("n", A.n)):
         _agree(key, config_number(key, header.pop(key)), found)

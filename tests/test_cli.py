@@ -368,6 +368,7 @@ KEY_EDITS = {
 SECTION_EDITS = {
     "unclosed section": (0, "[A 1 8 8"),
     "narrow shape line": (0, "[A 1] 8 7"),
+    "huge section width": (0, "[A 1] 8 100000000000"),
     "row not numbers": (2, "0.5,abc,1,1,1,1,1,1"),
 }
 # (section, 1-based row, value); y is one row of m = 8 values
@@ -386,6 +387,8 @@ BAD_CONTAINERS = {
     "theta not a number": "instance error: theta: invalid integer 'x'",
     "unclosed section": "instance error: container line 19: expected '[name] rows cols', got '[A 1 8 8'",
     "narrow shape line": "instance error: container section 'A 1' row 1 holds 8 values, not 7",
+    # a width that no row holds, too wide to allocate: the first row names it
+    "huge section width": "instance error: container section 'A 1' row 1 holds 8 values, not 100000000000",
     "row not numbers": "instance error: container section 'A 1' row 2: invalid number 'abc'",
     "reduction container": "instance error: expected an instance container, got kind=reduction",
     "no m line": "instance error: container has no key 'm'",

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,3 +528,30 @@ def test_reduction_header_must_describe_its_arrays(tmp_path):
     path.write_text(path.read_text().replace("\nm = 3\n", "\nm = 4\n"))
     with pytest.raises(ValueError, match="container header has m = 4, but its arrays have m = 3"):
         load_reduction(str(path))
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param("", "container has no section 'A 3'", id="missing"),
+    # an unknown section is named before the first missing one, as at any theta
+    pytest.param("[A 1000001] 1 2\n1,2\n", "container has unknown section 'A 1000001'", id="unknown"),
+])
+@pytest.mark.parametrize("load", [load_instance, load_reduction], ids=["instance", "reduction"])
+def test_a_header_theta_does_not_size_a_load(tmp_path, load, extra, message):
+    # a theta = 2 container whose header says theta = 10**6: a load that named
+    # every section that theta implies would hold about 125 MB before raising
+    path = tmp_path / "c.txt"
+    if load is load_instance:
+        save_instance(build_instance(base_cfg(theta=2)), str(path))
+    else:
+        save_reduction(partition_to_lp(PartitionInstance(a=(1.0, 1.0))), str(path))
+    text = path.read_text()
+    assert "\ntheta = 2\n" in text
+    path.write_text(text.replace("\ntheta = 2\n", "\ntheta = 1000000\n") + extra)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

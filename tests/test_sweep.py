@@ -18,7 +18,7 @@ from blockrelax.generate import (
     instance_generator,
     sample_instances,
 )
-from blockrelax.solver import certificate_stack
+from blockrelax.solver import SolveOptions, certificate_stack
 from blockrelax.sweep import (
     COMPARISON_COLUMNS,
     SWEEP_COLUMNS,
@@ -559,6 +559,16 @@ def sweep_counts(results):
     return [(r.n_exact, r.n_support_match, r.n_fail, r.n_certified, r.n_error) for r in results]
 
 
+def test_oracle_agree_needs_the_solve_to_select_the_oracle_optimum(monkeypatch):
+    # a certified unique optimum is the planted selector, so an 'optimal' solve takes
+    # it; a walk cut at one step takes it on no trial, and 'agree' must not count
+    # the certificate and the oracle alone
+    monkeypatch.setattr(sweep.Cell, "options", SolveOptions(max_iter=1))
+    cfg = parse_config("m = 8\ntheta = 2\nr = 4\ns = 2\noracle = 1\ntrials = 60\n")
+    (res,) = run_sweep(build_sweep_plan(cfg, seed=5), jobs=1)
+    assert (res.n_certified, res.n_oracle_unique, res.n_oracle_agree) == (32, 60, 0)
+
+
 def test_jobs_is_checked_once_and_used_as_checked():
     # config_jobs accepts "2"; the pool must get the integer it returns
     plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
@@ -604,7 +614,10 @@ def test_worker_death_replaces_the_pool_at_the_next_call():
     assert not any(alive(pid) for pid in old)
 
 
-def test_trial_error_in_a_worker_leaves_the_pool_usable():
+def test_trial_error_in_a_worker_leaves_the_pool_usable(monkeypatch):
+    # a guess density of 1e-7 fails within any redraw cap; conftest drops the
+    # pool before this test, so its workers are forked under the lower cap
+    monkeypatch.setattr(generate, "_REDRAW_ROUNDS", 100)
     plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
     expected = sweep_counts(run_sweep(plan, jobs=1))
     run_sweep(plan, jobs=2)
@@ -618,7 +631,7 @@ def test_trial_error_in_a_worker_leaves_the_pool_usable():
 
 
 def test_a_patch_reaches_the_workers(monkeypatch):
-    # the earlier tests leave a pool forked before this patch; conftest drops it
+    # a pool forked before this patch would run unpatched code; conftest drops it
     plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
     monkeypatch.setattr(sys.modules[__name__], "MARK", 7)
     marks = sum(sweep._run_trials(plan.cells, marked, 2), Counter())
