@@ -12,23 +12,24 @@ discards.  The
 instance with master seed s takes every draw from ``instance_generator(s)``
 in a fixed order: support keys, planted values, planted columns, guess
 columns, sensing.  ``sample_instances`` draws a chunk of instances as one
-``InstanceStack`` of stacked arrays, in two stages.  The first,
+``InstanceStack`` of stacked arrays, in three stages.  The first,
 ``draw_instances``, draws the chunk in rounds (each generator's draws before
 its guess columns, one guess draw for the chunk, then each generator's
-redraws and sensing) and turns them into the chunk's supports, hidden
-vectors, guess columns and sensing stacks, doing what does not depend on one
-instance's draws (the support argsort, the batched QR of the sensing blocks)
-once for the chunk; the second plants the hidden blocks.  Row i of every
-stack array is trial i's: a trial whose draw fails (redraws that give up, a
-support block left empty) keeps a row that holds no instance, and its error
-is in the stack's ``errors``.  ``InstanceStack.instance`` is the one place a
-drawn ``RelaxedInstance`` is made, through the checking constructors.
+redraws and sensing Gaussians) and turns them into the chunk's supports,
+hidden vectors and guess columns, with one support argsort for the chunk.
+The second, ``sense``, turns the Gaussians and hidden vectors of the rows it
+is given into sensing stacks and y = A x, with one batched QR of those rows'
+blocks; the third plants the hidden blocks.  Row i of every stack array is
+trial i's: a trial whose draw fails (redraws that give up, a support block
+left empty) keeps a row that holds no instance, and its error is in the
+stack's ``errors``.  ``InstanceStack.instance`` is the one place a drawn
+``RelaxedInstance`` is made, through the checking constructors.
 ``build_instance`` is a chunk of one, so the two agree bit for bit and any
 single trial of a sweep can be replayed from its seed alone.  ``compare``'s
-relaxation side is ``draw_instances`` alone, called after
-``sample_instances`` over the same generators.  Every guess tensor is drawn
-by ``draw_guesses``, a chunk at once: the instances', the concentration
-redraws' and ``compare``'s best-of side's.
+relaxation side is ``draw_instances``, called after ``sample_instances``
+over the same generators, with only the rows it solves sensed.  Every guess
+tensor is drawn by ``draw_guesses``, a chunk at once: the instances', the
+concentration redraws' and ``compare``'s best-of side's.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "instance_generator",
     "InstanceStack",
     "draw_instances",
+    "sense",
     "sample_instances",
     "build_instance",
     "SENSING_KINDS",
@@ -235,10 +237,10 @@ def _supports(cfg: GenConfig, keys: np.ndarray) -> np.ndarray:
     leave a block empty.
     """
     take = cfg.s if cfg.support_mode == "equidistributed" else cfg.s * cfg.theta
-    chosen = np.zeros(keys.shape, dtype=bool)
-    np.put_along_axis(chosen, np.argsort(keys, axis=-1)[..., :take], True, axis=-1)
-    # row-major positions of the chosen slots: sorted within each instance
-    return np.flatnonzero(chosen).reshape(len(keys), cfg.s * cfg.theta) % (cfg.n * cfg.theta)
+    chosen = np.sort(np.argsort(keys, axis=-1)[..., :take], axis=-1)
+    # each key row covers n slots of its block ('equidistributed') or all n*theta
+    chosen += np.arange(0, cfg.n * cfg.theta, keys.shape[-1])[:, None]
+    return chosen.reshape(len(keys), cfg.s * cfg.theta)
 
 
 # entries per pass of the guess law in ``draw_guesses``: take casts narrow
@@ -296,7 +298,7 @@ def _sensing_stacks(cfg: GenConfig, g: np.ndarray) -> np.ndarray:
     """Sensing stacks (chunk, theta, m, n) of a (chunk, k, m, n) stack of Gaussian draws.
 
     The orthonormal kinds take Haar blocks from one batched QR of all the
-    chunk's blocks.
+    stack's blocks.
     """
     if cfg.sensing_kind == "gaussian":
         return g / np.sqrt(cfg.m)
@@ -355,19 +357,21 @@ class InstanceStack:
 
     ``errors`` maps the position of each trial whose draw failed to the error
     it raised; that trial's row holds no instance.  In a stack from
-    ``sample_instances`` each planted column of X stores its hidden block; in
-    one from ``draw_instances`` it still holds the column drawn for it.
+    ``draw_instances`` ``A`` and ``y`` are None and each planted column of X
+    still holds the column drawn for it; one from ``sample_instances`` has
+    every row sensed and each planted column storing its hidden block.
     """
 
     config: GenConfig
     seeds: tuple[int, ...]  # each trial's master seed
     errors: dict[int, Exception]
-    A: np.ndarray  # sensing stacks (k, theta, m, n)
+    gauss: np.ndarray  # sensing Gaussians (k, *_sensing_shape)
     X: np.ndarray  # guess stacks (k, theta, n, r)
     x: np.ndarray  # hidden vectors (k, n*theta)
-    y: np.ndarray  # observations A x (k, m)
     support: np.ndarray  # sorted global support indices (k, s*theta)
     planted: np.ndarray  # the planted column of each block (k, theta)
+    A: np.ndarray | None = None  # sensing stacks (k, theta, m, n)
+    y: np.ndarray | None = None  # observations A x (k, m)
 
     def instance(self, i: int) -> RelaxedInstance:
         """Trial i's instance, built through the checking constructors; trial i's draw error is raised."""
@@ -385,16 +389,17 @@ class InstanceStack:
 
 
 def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
-    """The first stage of a chunk: trial i's draws from ``rngs[i]``, ``instance_generator(seeds[i])``, unplanted.
+    """The first stage of a chunk: trial i's draws from ``rngs[i]``, ``instance_generator(seeds[i])``, unsensed.
 
     The chunk is drawn in rounds, each generator in the stream-4 order:
     every trial's support keys, planted values and planted columns; one
     ``draw_guesses`` of the chunk's guess tensor; then, trial by trial, its
-    all-zero guess columns redrawn (``_condition``) and its sensing
+    all-zero guess columns redrawn (``_condition``, called only for a trial
+    that has one, since it draws nothing for the others) and its sensing
     Gaussians.  A trial whose redraws give up is an entry of ``errors``,
     draws no sensing and keeps its row, whose sensing Gaussians are zeros
     and whose guess block still holds an all-zero column.  The support
-    argsort, the batched sensing QR and y = A x run once over the chunk.
+    argsort runs once over the chunk; ``sense`` makes the sensing stacks.
     """
     t, n, k = cfg.theta, cfg.n, len(rngs)
     keys, vals, planted = np.empty((k, *_key_shape(cfg))), np.empty((k, cfg.s * t), int), np.empty((k, t), int)
@@ -403,21 +408,31 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
         vals[i] = rng.integers(0, len(cfg.planted_alphabet), size=cfg.s * t)
         planted[i] = rng.integers(0, cfg.r, size=t)
     cols = draw_guesses(cfg, rngs, np.empty((k, t, cfg.r, n)))
-    g, errors = np.empty((k, *_sensing_shape(cfg))), {}
+    redraw = (~cols.any(axis=3)).any(axis=(1, 2)).tolist()  # trials with an all-zero guess column
+    gauss, errors = np.empty((k, *_sensing_shape(cfg))), {}
     for i, rng in enumerate(rngs):
         try:
-            _condition(cfg, rng, cols[i])
+            if redraw[i]:
+                _condition(cfg, rng, cols[i])
         except ValueError as exc:  # a guess column that stays all-zero
             errors[i] = exc
-            g[i] = 0.0
+            gauss[i] = 0.0
         else:
-            rng.standard_normal(out=g[i])
+            rng.standard_normal(out=gauss[i])
     support = _supports(cfg, keys)
     x = np.zeros((k, n * t))
-    np.put_along_axis(x, support, np.asarray(cfg.planted_alphabet)[vals], axis=1)
-    A = _sensing_stacks(cfg, g)
+    x[np.arange(k)[:, None], support] = np.asarray(cfg.planted_alphabet)[vals]
     X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
-    return InstanceStack(cfg, tuple(seeds), errors, A, X, x, matvec_stack(A, x), support, planted)
+    return InstanceStack(cfg, tuple(seeds), errors, gauss, X, x, support, planted)
+
+
+def sense(stack: InstanceStack, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Sensing stacks (k, theta, m, n) and y = A x (k, m) of a drawn stack's ``rows``, an index array or a slice.
+
+    Each row gets the bits it gets alone, as sensing the whole stack gives it.
+    """
+    A = _sensing_stacks(stack.config, stack.gauss[rows])
+    return A, matvec_stack(A, stack.x[rows])
 
 
 def _empty_block_error(block: int) -> ValueError:
@@ -445,12 +460,14 @@ def _plant(stack: InstanceStack) -> InstanceStack:
 
 
 def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
-    """One planted instance per trial, drawn as one chunk: ``draw_instances`` with the hidden blocks planted.
+    """One planted instance per trial, drawn as one chunk: ``draw_instances``, every row ``sense``d, then planted.
 
     A trial whose support leaves a block empty joins ``errors``.  Each
     stacked operation gives a row the bits it gets alone.
     """
-    return _plant(draw_instances(cfg, seeds, rngs))
+    stack = draw_instances(cfg, seeds, rngs)
+    A, y = sense(stack, slice(None))
+    return _plant(replace(stack, A=A, y=y))
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:

@@ -23,12 +23,13 @@ gives a program the bits it gets alone, so a trial's outcome does not depend
 on its chunk-mates, results are independent of worker count and chunking,
 and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
-unplanted relaxation side (``generate.draw_instances``, called for the chunk
-after its planted instances are drawn), then best-of-r guesses of that
-side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
+unplanted, unsensed relaxation side (``generate.draw_instances``, called for
+the chunk after its planted instances are drawn), then best-of-r guesses of
+that side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
 relaxation hit selects, in every block l, a column equal to x^l, so only the
-relaxation programs whose every block holds such a column are solved; the
-others cannot hit and count as misses.
+relaxation programs whose every block holds such a column are sensed
+(``generate.sense``) and solved; the others cannot hit and count as misses,
+and a chunk with no such program builds and solves none.
 
 Each CSV is written from one column table (``_SWEEP_TABLE``,
 ``_COMPARISON_TABLE``) that declares every column once: its name, its place
@@ -62,6 +63,7 @@ from .generate import (
     draw_instances,
     instance_generator,
     sample_instances,
+    sense,
 )
 from .oracle import ENUMERATION_GUARD, enumerate_selectors
 from .solver import (
@@ -532,19 +534,21 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
 
     Each trial takes all its draws from its own generator, in a fixed order:
     first the instance whose certificate counts (``sample_instances``), then
-    the relaxation side, an unplanted instance (``draw_instances``), each
-    drawn for the whole chunk, then the best-of side's guesses, one
+    the relaxation side, an unplanted, unsensed instance (``draw_instances``),
+    each drawn for the whole chunk, then the best-of side's guesses, one
     ``draw_guesses`` for the chunk, each trial's conditioned after its
     certificate check.  The best-of side guesses the relaxation side's x:
     every column of the alphabet law equals a given x^l with s nonzeros with
     the same probability, so given x the two hits are independent.  A
     relaxation hit (``solver.selected_columns``) selects, in every block l, a
     column equal to x^l, so a program with a block that holds no such column
-    cannot hit, whatever its solution; only the other programs are solved, as
-    one stack, and the chunk's instances are certified as another.  An error
-    that ends the comparison names its cell and trial: the first failed draw,
-    else, in trial order, a certificate that raised or best-of guesses that
-    stay all-zero.
+    cannot hit, whatever its solution.  Only the other programs are sensed
+    (``sense``, which gives a row the bits that sensing the whole chunk gives
+    it), built and solved, as one stack, and none when there are none; the
+    chunk's instances are certified as another.  An error that ends the
+    comparison names its cell and trial: the first failed draw, else, in
+    trial order, a certificate that raised or best-of guesses that stay
+    all-zero.
     """
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
@@ -559,12 +563,15 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     # a hit SELECTS the hidden blocks: reconstruction alone would also count sign
     # flips (z_l = -1 on a column storing -x^l) and accidental span hits, events
     # p_l deliberately does not model.  holds[j, l, k]: column k of block l
-    # equals x^l in trial j; a trial with a block of no such column is not solved.
+    # equals x^l in trial j; a trial with a block of no such column is not sensed or solved.
     holds = (X == x.reshape(len(x), theta, n, 1)).all(axis=2)
     solvable = np.flatnonzero(holds.any(axis=2).all(axis=1))
-    B, w, _ = stack_programs(relax.A[solvable], X[solvable], relax.planted[solvable], cell.p)
-    sel = selected_columns(solve_stack(B, w, relax.y[solvable], cell.options), r, theta)
-    relax_hits = (holds[solvable[:, None], np.arange(theta), sel] & (sel >= 0)).all(axis=1)
+    relax_hits = 0
+    if len(solvable):
+        A, y = sense(relax, solvable)
+        B, w, _ = stack_programs(A, X[solvable], relax.planted[solvable], cell.p)
+        sel = selected_columns(solve_stack(B, w, y, cell.options), r, theta)
+        relax_hits = int((holds[solvable[:, None], np.arange(theta), sel] & (sel >= 0)).all(axis=1).sum())
     # r independent guesses of the whole vector per trial, one nonzero column per block
     guesses = draw_guesses(gen, rngs, np.empty((len(rngs), r, theta, n)))
     for j, rng in enumerate(rngs):
@@ -575,7 +582,7 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
         except ValueError as exc:
             raise ValueError(f"cell {cell.index} trial {start + j}: {exc}") from exc
     bestof_hits = (guesses.reshape(len(rngs), r, theta * n) == x[:, None]).all(axis=2).any(axis=1)
-    return Counter(relax=int(relax_hits.sum()), bestof=int(bestof_hits.sum()), certified=sum(c.holds for c in certs))
+    return Counter(relax=relax_hits, bestof=int(bestof_hits.sum()), certified=sum(c.holds for c in certs))
 
 
 def run_comparison(cells: list[Cell], jobs: int = 1) -> list[ComparisonResult]:

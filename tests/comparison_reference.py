@@ -2,8 +2,9 @@
 
 This is the chunk that ``blockrelax.sweep._comparison_chunk`` replaced: the
 select instances are drawn by ``sample_instances``, the relaxation side by a
-second ``draw_instances`` over the same generators, and every relaxation
-program is solved, whether or not each of its blocks holds x^l as a column.
+second ``draw_instances`` over the same generators, every row of it sensed,
+and every relaxation program is solved, whether or not each of its blocks
+holds x^l as a column.
 Each trial's generator then draws its best-of guesses.  A relaxation hit is
 read from the solve's detected support here, without
 ``blockrelax.solver.selected_columns``.  The chunk's counts must equal
@@ -17,7 +18,9 @@ from collections import Counter
 
 import numpy as np
 
-from blockrelax.generate import _condition, derive_seed, draw_guesses, draw_instances, instance_generator, sample_instances
+from blockrelax.generate import (
+    _condition, derive_seed, draw_guesses, draw_instances, instance_generator, sample_instances, sense,
+)
 from blockrelax.model import effective_stack, weight_stack
 from blockrelax.solver import certificate_stack, solve_stack, stack_programs
 from blockrelax.sweep import _chunks
@@ -37,7 +40,8 @@ def comparison_chunk(cell, start: int, stop: int) -> Counter:
     B, w, planted = stack_programs(stack.A, stack.X, stack.planted, cell.p)
     certs = certificate_stack(B, w, planted)
     x, X = relax.x, relax.X
-    solves = solve_stack(effective_stack(relax.A, X), weight_stack(X, cell.p), relax.y, cell.options)
+    A, y = sense(relax, slice(None))
+    solves = solve_stack(effective_stack(A, X), weight_stack(X, cell.p), y, cell.options)
     counts = Counter()
     for j, rng in enumerate(rngs):
         # a solve selects when its sorted support holds one global column in each block, in block order

@@ -17,8 +17,10 @@ from blockrelax.generate import (
     build_instance,
     derive_seed,
     draw_guesses,
+    draw_instances,
     instance_generator,
     sample_instances,
+    sense,
 )
 from blockrelax.model import BlockSensingMatrix, GuessEnsemble, RelaxedInstance, SupportPattern
 from blockrelax.reductions import PartitionInstance, X3CInstance, partition_to_lp, x3c_to_l0
@@ -203,6 +205,74 @@ def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
             condition(cfg, ref, cols)
             ref.standard_normal((cfg.theta, cfg.m, cfg.n))
         assert ref.random(3).tolist() == rngs[i].random(3).tolist()
+
+
+@pytest.mark.parametrize("kind", SENSING_KINDS)
+def test_sensing_some_rows_gives_those_rows_of_the_whole_stack(kind):
+    # a drawn stack holds Gaussians, not sensing stacks: sensing any rows of it
+    # (scattered, one, the partial last chunk's) gives those rows' A and y of
+    # the whole stack's sensing, bit for bit, and so does drawing and sensing
+    # the partial chunk's trials alone
+    cfg = base_cfg(sensing_kind=kind)
+    seeds = [derive_seed(12, "trial", t) for t in range(7)]
+    stack = draw_instances(cfg, seeds, [instance_generator(seed) for seed in seeds])
+    assert stack.A is None and stack.y is None
+    A, y = sense(stack, slice(None))
+    assert A.shape == (7, cfg.theta, cfg.m, cfg.n) and y.shape == (7, cfg.m)
+    for rows in ([0, 2, 5], [6], np.arange(4, 7)):
+        part_A, part_y = sense(stack, rows)
+        assert part_A.tobytes() == A[rows].tobytes() and part_y.tobytes() == y[rows].tobytes()
+    tail = draw_instances(cfg, seeds[4:], [instance_generator(seed) for seed in seeds[4:]])
+    tail_A, tail_y = sense(tail, slice(None))
+    assert tail_A.tobytes() == A[4:].tobytes() and tail_y.tobytes() == y[4:].tobytes()
+
+
+def supports_reference(cfg, keys):
+    """``generate._supports`` as a mask of the chosen slots, read back in row-major order."""
+    take = cfg.s if cfg.support_mode == "equidistributed" else cfg.s * cfg.theta
+    chosen = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(chosen, np.argsort(keys, axis=-1)[..., :take], True, axis=-1)
+    return np.flatnonzero(chosen).reshape(len(keys), cfg.s * cfg.theta) % (cfg.n * cfg.theta)
+
+
+@pytest.mark.parametrize("mode", SUPPORT_MODES)
+def test_supports_equal_the_mask_reference(mode):
+    for n, theta, s in ((8, 3, 3), (5, 4, 1), (6, 2, 6), (1, 3, 1)):
+        cfg = base_cfg(m=8, n=n, theta=theta, s=s, support_mode=mode)
+        keys = instance_generator(n * theta + s).random((50, *generate._key_shape(cfg)))
+        got, want = generate._supports(cfg, keys), supports_reference(cfg, keys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_draw_redraws_only_trials_with_an_all_zero_column(monkeypatch):
+    # at n = 4 and nu = 0.3 a first-drawn column is all-zero with probability
+    # 0.7^4 ~ 0.24, so some trials of two columns have one and some do not:
+    # _condition runs for exactly those that do, and each trial's guesses and
+    # sensing Gaussians are those of per-trial draws that condition every trial
+    cfg = base_cfg(m=4, n=4, theta=1, r=2, s=2, guess_density=0.3)
+    seeds = [derive_seed(6, "trial", t) for t in range(40)]
+    rngs = [instance_generator(seed) for seed in seeds]
+    condition, called = generate._condition, []
+
+    def spy(cfg, rng, cols):
+        called.append(next(i for i, g in enumerate(rngs) if g is rng))
+        return condition(cfg, rng, cols)
+
+    monkeypatch.setattr(generate, "_condition", spy)
+    stack = draw_instances(cfg, seeds, rngs)
+    had_zero = []
+    for i, seed in enumerate(seeds):
+        ref = instance_generator(seed)
+        ref.random(generate._key_shape(cfg))
+        ref.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta)
+        ref.integers(0, cfg.r, size=cfg.theta)
+        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))[0]
+        had_zero.append(not cols.any(axis=-1).all())
+        condition(cfg, ref, cols)
+        assert stack.X[i].tobytes() == np.ascontiguousarray(cols.transpose(0, 2, 1)).tobytes()
+        assert stack.gauss[i].tobytes() == ref.standard_normal(generate._sensing_shape(cfg)).tobytes()
+    assert called == [i for i, zero in enumerate(had_zero) if zero]
+    assert 0 < len(called) < len(seeds)
 
 
 def test_stream_isolation_across_parameters():

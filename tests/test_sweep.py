@@ -17,6 +17,7 @@ from blockrelax.generate import (
     draw_instances,
     instance_generator,
     sample_instances,
+    sense,
 )
 from blockrelax.solver import SolveOptions, certificate_stack
 from blockrelax.sweep import (
@@ -383,8 +384,9 @@ def test_comparison_jobs_invariant():
 def test_comparison_relaxation_side_draws_as_sample_instances():
     # the comparison chunk's two draws give each trial its select instance,
     # then what sample_instances would draw next from the same generator,
-    # unplanted: equal to that instance off the planted columns, with the
-    # same y = A x, and every generator goes on where two calls leave it
+    # unplanted: equal to that instance off the planted columns and, once
+    # sensed, with the same A and y = A x, and every generator goes on where
+    # two calls leave it
     cell = build_comparison_plan(parse_config("m = 5\ns = 1\ntheta = 2\nr = 4\n"), seed=7, trials=3)[0]
     cfg = cell.gen
     seeds = [derive_seed(cell.seed, "trial", t) for t in range(3)]
@@ -397,12 +399,13 @@ def test_comparison_relaxation_side_draws_as_sample_instances():
     for f in ("A", "X", "x", "y", "support", "planted"):
         assert np.array_equal(getattr(select, f), getattr(first, f))
     assert select.seeds == relax.seeds == tuple(seeds) and not select.errors and not relax.errors
+    A, y = sense(relax, slice(None))
     for j in range(3):
         ref = second.instance(j)
         off = np.ones((cfg.theta, cfg.r), dtype=bool)
         off[np.arange(cfg.theta), second.planted[j]] = False
-        assert np.array_equal(relax.A[j], ref.A.blocks)
-        assert np.array_equal(relax.x[j], ref.x) and np.array_equal(relax.y[j], ref.y)
+        assert np.array_equal(A[j], ref.A.blocks)
+        assert np.array_equal(relax.x[j], ref.x) and np.array_equal(y[j], ref.y)
         assert np.array_equal(relax.X[j].transpose(0, 2, 1)[off], ref.X.blocks.transpose(0, 2, 1)[off])
     assert [rng.random() for rng in rngs] == [rng.random() for rng in twice]
 
