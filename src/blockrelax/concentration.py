@@ -11,7 +11,8 @@ values, then the guess tensor.  One chunk pass, ``ConcentrationStudy._draw``,
 makes every redraw: each redraw's generator draws its planted-value indices,
 then ``generate.draw_guesses``, the package's one guess draw, fills the
 chunk's guess tensor from the generators in turn and runs the guess law once
-over it.  The mean, tail and window checks walk ``_CHUNK`` redraws at a time
+over it; ``generate._plant`` plants the chunk's hidden blocks.  The mean,
+tail and window checks walk ``_CHUNK`` redraws at a time
 (``ConcentrationStudy._chunks``): the mean and tail checks image a chunk in
 one pass, the window check takes one batched SVD of its planted columns, and
 ``ConcentrationStudy.redraw(seed, t)`` is the chunk of trial t alone.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ensemble_norm_weights, matrix_constants, spectral_norm
-from .generate import GenConfig, _empty_block_error, build_instance, derive_seed, draw_guesses, instance_generator
+from .generate import GenConfig, _plant, build_instance, derive_seed, draw_guesses, instance_generator
 from .model import BlockSensingMatrix, GuessEnsemble, Selector, SupportPattern, apply_selector
 
 __all__ = [
@@ -83,8 +84,8 @@ class ConcentrationStudy:
         One ``generate.draw_guesses`` pass per chunk: trial t's generator
         draws its planted-value indices as it is yielded, so one generator is
         alive at a time, then its guess tensor into X[i] (zero columns
-        allowed).  x is planted at ``planted_cols``: X[i, l, k] is column k of
-        block l.
+        allowed).  ``generate._plant`` plants x at ``planted_cols``, or raises
+        on a block the support leaves empty: X[i, l, k] is column k of block l.
         """
         cfg, size = self.cfg, len(X)
         idx = np.empty((size, len(self._support_indices)), dtype=int)
@@ -98,10 +99,8 @@ class ConcentrationStudy:
         draw_guesses(cfg, generators(), X)
         x[...] = 0.0
         x.reshape(size, -1)[:, self._support_indices] = self._alphabet[idx]
-        empty = np.argwhere(~x.any(axis=-1))
-        if empty.size:
-            raise _empty_block_error(empty[0, 1])
-        X[:, np.arange(cfg.theta), np.array(self.planted_cols)] = x
+        for exc in _plant(X, x, np.array(self.planted_cols)).values():
+            raise exc  # the support is every redraw's, so the first trial's error is every trial's
 
     def _chunks(self, seed: int, trials: int):
         """(start, X, x) of each chunk of up to ``_CHUNK`` of trials 0 .. trials-1, drawn into reused buffers."""

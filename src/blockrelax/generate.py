@@ -14,22 +14,24 @@ in a fixed order: support keys, planted values, planted columns, guess
 columns, sensing.  ``sample_instances`` draws a chunk of instances as one
 ``InstanceStack`` of stacked arrays, in three stages.  The first,
 ``draw_instances``, draws the chunk in rounds (each generator's draws before
-its guess columns, one guess draw for the chunk, then each generator's
-redraws and sensing Gaussians) and turns them into the chunk's supports,
+its guess columns, one guess draw and one redraw pass for the chunk, then
+each generator's sensing Gaussians) and turns them into the chunk's supports,
 hidden vectors and guess columns, with one support argsort for the chunk.
 The second, ``sense``, turns the Gaussians and hidden vectors of the rows it
 is given into sensing stacks and y = A x, with one batched QR of those rows'
-blocks; the third plants the hidden blocks.  Row i of every stack array is
-trial i's: a trial whose draw fails (redraws that give up, a support block
-left empty) keeps a row that holds no instance, and its error is in the
-stack's ``errors``.  ``InstanceStack.instance`` is the one place a drawn
-``RelaxedInstance`` is made, through the checking constructors.
+blocks; the third, ``_plant``, writes the hidden blocks into their planted
+columns.  Row i of every stack array is trial i's: a trial whose draw fails
+(redraws that give up, a support block left empty) keeps a row that holds no
+instance, and its error is in the stack's ``errors``.
+``InstanceStack.instance`` is the one place a drawn ``RelaxedInstance`` is
+made, through the checking constructors.
 ``build_instance`` is a chunk of one, so the two agree bit for bit and any
 single trial of a sweep can be replayed from its seed alone.  ``compare``'s
 relaxation side is ``draw_instances``, called after ``sample_instances``
 over the same generators, with only the rows it solves sensed.  Every guess
-tensor is drawn by ``draw_guesses``, a chunk at once: the instances', the
-concentration redraws' and ``compare``'s best-of side's.
+tensor is drawn by ``draw_guesses``, a chunk at once (the instances', the
+concentration redraws', ``compare``'s best-of side's), then conditioned to
+nonzero columns by ``_condition`` or planted by ``_plant``, a chunk at once.
 """
 
 from __future__ import annotations
@@ -275,18 +277,22 @@ def draw_guesses(cfg: GenConfig, rngs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _condition(cfg: GenConfig, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
-    """``cols`` (..., n) with its all-zero columns redrawn in place, one ``draw_guesses`` row per round.
+def _condition(cfg: GenConfig, rngs, cols: np.ndarray) -> dict[int, ValueError]:
+    """Redraw in place the all-zero guess columns of ``cols`` (k, ..., n); the rows that gave up, with their errors.
 
-    Instance construction needs nonzero columns; one still all-zero after
-    ``_REDRAW_ROUNDS`` rounds raises ValueError.
+    Row i redraws from ``rngs[i]``, one ``draw_guesses`` row a round, only if
+    it holds an all-zero column; it gives up after ``_REDRAW_ROUNDS`` rounds.
     """
-    for _ in range(_REDRAW_ROUNDS):
-        zero = ~cols.any(axis=-1)
-        if not zero.any():
-            return cols
-        cols[zero] = draw_guesses(cfg, [rng], np.empty((1, int(zero.sum()), cfg.n)))[0]
-    raise ValueError("could not draw a nonzero guess column; guess_density too small")
+    errors = {}
+    for i in np.flatnonzero((~cols.any(axis=-1)).any(axis=tuple(range(1, cols.ndim - 1)))).tolist():
+        for _ in range(_REDRAW_ROUNDS):
+            zero = ~cols[i].any(axis=-1)
+            if not zero.any():
+                break
+            cols[i][zero] = draw_guesses(cfg, [rngs[i]], np.empty((1, int(zero.sum()), cfg.n)))[0]
+        else:
+            errors[i] = ValueError("could not draw a nonzero guess column; guess_density too small")
+    return errors
 
 
 def _sensing_shape(cfg: GenConfig) -> tuple[int, int, int]:
@@ -393,13 +399,13 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
 
     The chunk is drawn in rounds, each generator in the stream-4 order:
     every trial's support keys, planted values and planted columns; one
-    ``draw_guesses`` of the chunk's guess tensor; then, trial by trial, its
-    all-zero guess columns redrawn (``_condition``, called only for a trial
-    that has one, since it draws nothing for the others) and its sensing
-    Gaussians.  A trial whose redraws give up is an entry of ``errors``,
-    draws no sensing and keeps its row, whose sensing Gaussians are zeros
-    and whose guess block still holds an all-zero column.  The support
-    argsort runs once over the chunk; ``sense`` makes the sensing stacks.
+    ``draw_guesses`` of the chunk's guess tensor; one ``_condition`` of it,
+    which redraws the all-zero columns of only the trials that have one;
+    then each trial's sensing Gaussians.  A trial whose redraws give up is
+    an entry of ``errors``, draws no sensing and keeps its row, whose
+    sensing Gaussians are zeros and whose guess block still holds an
+    all-zero column.  The support argsort runs once over the chunk;
+    ``sense`` makes the sensing stacks.
     """
     t, n, k = cfg.theta, cfg.n, len(rngs)
     keys, vals, planted = np.empty((k, *_key_shape(cfg))), np.empty((k, cfg.s * t), int), np.empty((k, t), int)
@@ -408,16 +414,9 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
         vals[i] = rng.integers(0, len(cfg.planted_alphabet), size=cfg.s * t)
         planted[i] = rng.integers(0, cfg.r, size=t)
     cols = draw_guesses(cfg, rngs, np.empty((k, t, cfg.r, n)))
-    redraw = (~cols.any(axis=3)).any(axis=(1, 2)).tolist()  # trials with an all-zero guess column
-    gauss, errors = np.empty((k, *_sensing_shape(cfg))), {}
+    errors, gauss = _condition(cfg, rngs, cols), np.zeros((k, *_sensing_shape(cfg)))
     for i, rng in enumerate(rngs):
-        try:
-            if redraw[i]:
-                _condition(cfg, rng, cols[i])
-        except ValueError as exc:  # a guess column that stays all-zero
-            errors[i] = exc
-            gauss[i] = 0.0
-        else:
+        if i not in errors:
             rng.standard_normal(out=gauss[i])
     support = _supports(cfg, keys)
     x = np.zeros((k, n * t))
@@ -443,31 +442,31 @@ def _empty_block_error(block: int) -> ValueError:
     )
 
 
-def _plant(stack: InstanceStack) -> InstanceStack:
-    """The second stage of a chunk: each row's hidden blocks written into its planted columns of X, in place.
+def _plant(cols: np.ndarray, x: np.ndarray, planted: np.ndarray) -> dict[int, ValueError]:
+    """The hidden blocks x (k, theta, n) written in place into the planted columns of ``cols`` (k, theta, r, n).
 
-    A trial whose support leaves a block empty, so that its planted column
-    is all-zero, joins ``errors`` with the first such block, unless its draw
-    already failed; its row stays, and the rest of the chunk is unaffected.
+    ``planted`` gives each row's planted column of each block, (k, theta),
+    or one column per block for every row, (theta,).  Returns the rows whose
+    support leaves a block empty, so that its planted column is all-zero,
+    each with the error of its first such block.
     """
-    cfg, k = stack.config, len(stack.seeds)
-    hidden = stack.x.reshape(k, cfg.theta, cfg.n)
-    stack.X[np.arange(k)[:, None], np.arange(cfg.theta), :, stack.planted] = hidden
-    empty = ~hidden.any(axis=2)
-    for i, l in zip(*np.nonzero(empty)):  # row-major: the first empty block of each trial comes first
-        stack.errors.setdefault(int(i), _empty_block_error(l))
-    return stack
+    k, theta = x.shape[:2]
+    cols[np.arange(k)[:, None], np.arange(theta), planted] = x
+    empty = ~x.any(axis=2)  # (k, theta); argmax takes a row's first empty block
+    return {i: _empty_block_error(empty[i].argmax()) for i in np.flatnonzero(empty.any(axis=1)).tolist()}
 
 
 def sample_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
-    """One planted instance per trial, drawn as one chunk: ``draw_instances``, every row ``sense``d, then planted.
+    """One planted instance per trial, drawn as one chunk: ``draw_instances``, every row ``sense``d, then ``_plant``ed.
 
-    A trial whose support leaves a block empty joins ``errors``.  Each
-    stacked operation gives a row the bits it gets alone.
+    A trial whose support leaves a block empty joins ``errors`` unless its
+    draw failed.  Each stacked operation gives a row the bits it gets alone.
     """
     stack = draw_instances(cfg, seeds, rngs)
     A, y = sense(stack, slice(None))
-    return _plant(replace(stack, A=A, y=y))
+    for i, exc in _plant(stack.X.transpose(0, 1, 3, 2), stack.x.reshape(-1, cfg.theta, cfg.n), stack.planted).items():
+        stack.errors.setdefault(i, exc)  # a failed draw's error wins
+    return replace(stack, A=A, y=y)
 
 
 def build_instance(cfg: GenConfig) -> RelaxedInstance:

@@ -25,7 +25,8 @@ and any single sweep trial can be replayed from its CSV coordinates as a
 chunk of one.  A ``compare`` trial goes on drawing from its generator: an
 unplanted, unsensed relaxation side (``generate.draw_instances``, called for
 the chunk after its planted instances are drawn), then best-of-r guesses of
-that side's hidden vector, one ``generate.draw_guesses`` for the chunk.  A
+that side's hidden vector, one ``generate.draw_guesses`` and one redraw pass
+of its all-zero columns (``generate._condition``) for the chunk.  A
 relaxation hit selects, in every block l, a column equal to x^l, so only the
 relaxation programs whose every block holds such a column are sensed
 (``generate.sense``) and solved; the others cannot hit and count as misses,
@@ -362,9 +363,10 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     its chunks.  ``fn`` must be module-level so worker processes can import
     it; ``jobs`` below one raises.
 
-    At jobs > 1 the items go to the process's one pool (``_pool``), forked
-    at the first such call and reused by later calls with the same ``jobs``;
-    it is replaced when ``jobs`` changes or a worker dies, and
+    At jobs > 1 the items go to the process's one pool (``_pool``) of
+    min(jobs, items) workers, forked at the first such call and reused by
+    later calls of that size (a lone item runs in the calling process); it
+    is replaced when the size changes or a worker dies, and
     ``concurrent.futures`` joins it at interpreter exit.  The call that
     meets a dead worker raises ``BrokenProcessPool`` (the executor stops
     the other workers itself); the next call forks afresh.  A trial error
@@ -374,8 +376,8 @@ def _run_trials(cells, fn, jobs: int) -> list[Counter]:
     jobs = config_jobs(jobs)
     chunks = [_chunks(cell) for cell in cells]
     items = [(cell, start, stop) for cell, ranges in zip(cells, chunks) for start, stop in ranges]
-    task = functools.partial(_timed_chunk, fn)
-    if jobs == 1:
+    task, jobs = functools.partial(_timed_chunk, fn), min(jobs, len(items))
+    if jobs <= 1:
         raw = itertools.starmap(task, items)
     else:
         raw = iter(list(_pool(jobs).map(task, *zip(*items))))
@@ -410,8 +412,8 @@ def _records(cell: Cell, stack: InstanceStack) -> list[TrialRecord]:
 def _sweep_chunk(cell: Cell, start: int, stop: int) -> Counter:
     """A chunk's counts: its trials per verdict, 'certified' and, in an oracle cell, 'unique' and 'agree'.
 
-    A trial that raises anywhere, in its draw or its oracle too, is data, not
-    a crash: it counts once, as 'error'.
+    A trial whose draw fails or whose oracle raises ValueError is data, not a
+    crash: it counts once, as 'error'.  Any other oracle error is a bug.
     """
     stack, counts = _cell_stack(cell, start, stop), Counter()
     for i, record in enumerate(_records(cell, stack)):
@@ -422,7 +424,7 @@ def _sweep_chunk(cell: Cell, start: int, stop: int) -> Counter:
             if cell.oracle:
                 try:
                     tags += _oracle_tags(cell, stack.instance(i), record)
-                except Exception:
+                except ValueError:  # LinAlgError too; a bug such as a TypeError propagates
                     tags = ["error"]
         counts.update(tags)
     return counts
@@ -536,19 +538,19 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
     first the instance whose certificate counts (``sample_instances``), then
     the relaxation side, an unplanted, unsensed instance (``draw_instances``),
     each drawn for the whole chunk, then the best-of side's guesses, one
-    ``draw_guesses`` for the chunk, each trial's conditioned after its
-    certificate check.  The best-of side guesses the relaxation side's x:
-    every column of the alphabet law equals a given x^l with s nonzeros with
-    the same probability, so given x the two hits are independent.  A
+    ``draw_guesses`` and one ``_condition`` for the chunk.  The best-of side
+    guesses the relaxation side's x: every column of the alphabet law equals
+    a given x^l with s nonzeros with the same probability, so given x the
+    two hits are independent.  A
     relaxation hit (``solver.selected_columns``) selects, in every block l, a
     column equal to x^l, so a program with a block that holds no such column
     cannot hit, whatever its solution.  Only the other programs are sensed
     (``sense``, which gives a row the bits that sensing the whole chunk gives
     it), built and solved, as one stack, and none when there are none; the
     chunk's instances are certified as another.  An error that ends the
-    comparison names its cell and trial: the first failed draw, else, in
-    trial order, a certificate that raised or best-of guesses that stay
-    all-zero.
+    comparison names its cell and trial: the first failed draw, else the
+    first trial whose certificate raised or whose best-of guesses stay
+    all-zero, the certificate's error if both.
     """
     gen = cell.gen
     n, r, theta = gen.n, gen.r, gen.theta
@@ -574,13 +576,10 @@ def _comparison_chunk(cell: Cell, start: int, stop: int) -> Counter:
         relax_hits = int((holds[solvable[:, None], np.arange(theta), sel] & (sel >= 0)).all(axis=1).sum())
     # r independent guesses of the whole vector per trial, one nonzero column per block
     guesses = draw_guesses(gen, rngs, np.empty((len(rngs), r, theta, n)))
-    for j, rng in enumerate(rngs):
-        try:
-            if isinstance(certs[j], Exception):
-                raise certs[j]
-            _condition(gen, rng, guesses[j])  # in place
-        except ValueError as exc:
-            raise ValueError(f"cell {cell.index} trial {start + j}: {exc}") from exc
+    failed = {**_condition(gen, rngs, guesses), **{j: c for j, c in enumerate(certs) if isinstance(c, Exception)}}
+    if failed:
+        exc = failed[min(failed)]
+        raise ValueError(f"cell {cell.index} trial {start + min(failed)}: {exc}") from exc
     bestof_hits = (guesses.reshape(len(rngs), r, theta * n) == x[:, None]).all(axis=2).any(axis=1)
     return Counter(relax=relax_hits, bestof=int(bestof_hits.sum()), certified=sum(c.holds for c in certs))
 

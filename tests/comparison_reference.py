@@ -52,7 +52,9 @@ def comparison_chunk(cell, start: int, stop: int) -> Counter:
         try:
             if isinstance(certs[j], Exception):
                 raise certs[j]
-            g = _condition(gen, rng, draw_guesses(gen, [rng], np.empty((1, r, theta, n)))[0])
+            g = draw_guesses(gen, [rng], np.empty((1, r, theta, n)))
+            for exc in _condition(gen, [rng], g).values():  # a chunk of this trial alone
+                raise exc
         except ValueError as exc:
             raise ValueError(f"cell {cell.index} trial {start + j}: {exc}") from exc
         counts["relax"] += relax_hit

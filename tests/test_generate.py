@@ -177,10 +177,14 @@ def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
     rngs = [instance_generator(seed) for seed in seeds]
     condition, failed = generate._condition, 2
 
-    def give_up(cfg, rng, cols):
-        if rng is rngs[failed]:
-            raise ValueError("redraws gave up")
-        return condition(cfg, rng, cols)
+    def give_up(cfg, gens, cols):
+        # the failed trial of this chunk gives up before any redraw; the trials
+        # around it, and build_instance's chunks of one, redraw as ever
+        if gens is not rngs:
+            return condition(cfg, gens, cols)
+        head = condition(cfg, rngs[:failed], cols[:failed])
+        tail = condition(cfg, rngs[failed + 1 :], cols[failed + 1 :])
+        return {**head, failed: ValueError("redraws gave up"), **{failed + 1 + i: e for i, e in tail.items()}}
 
     monkeypatch.setattr(generate, "_condition", give_up)
     stack = sample_instances(cfg, seeds, rngs)
@@ -200,9 +204,9 @@ def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
         ref.random((cfg.theta, cfg.n))
         ref.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta)
         ref.integers(0, cfg.r, size=cfg.theta)
-        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))[0]
+        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))
         if i != failed:
-            condition(cfg, ref, cols)
+            condition(cfg, [ref], cols)
             ref.standard_normal((cfg.theta, cfg.m, cfg.n))
         assert ref.random(3).tolist() == rngs[i].random(3).tolist()
 
@@ -247,29 +251,33 @@ def test_supports_equal_the_mask_reference(mode):
 def test_draw_redraws_only_trials_with_an_all_zero_column(monkeypatch):
     # at n = 4 and nu = 0.3 a first-drawn column is all-zero with probability
     # 0.7^4 ~ 0.24, so some trials of two columns have one and some do not:
-    # _condition runs for exactly those that do, and each trial's guesses and
-    # sensing Gaussians are those of per-trial draws that condition every trial
+    # _condition redraws from exactly the generators of those that do (each
+    # redraw a draw_guesses row of one), and each trial's guesses and sensing
+    # Gaussians are those of per-trial draws that condition every trial
     cfg = base_cfg(m=4, n=4, theta=1, r=2, s=2, guess_density=0.3)
     seeds = [derive_seed(6, "trial", t) for t in range(40)]
     rngs = [instance_generator(seed) for seed in seeds]
-    condition, called = generate._condition, []
+    condition, draw, redrew = generate._condition, generate.draw_guesses, []
 
-    def spy(cfg, rng, cols):
-        called.append(next(i for i, g in enumerate(rngs) if g is rng))
-        return condition(cfg, rng, cols)
+    def spy(cfg, g, out):
+        if len(out) == 1:  # the chunk's own draw has a row per trial
+            redrew.append(next(i for i, rng in enumerate(rngs) if rng is g[0]))
+        return draw(cfg, g, out)
 
-    monkeypatch.setattr(generate, "_condition", spy)
+    monkeypatch.setattr(generate, "draw_guesses", spy)
     stack = draw_instances(cfg, seeds, rngs)
+    monkeypatch.setattr(generate, "draw_guesses", draw)
+    called = list(dict.fromkeys(redrew))  # a trial may redraw in several rounds
     had_zero = []
     for i, seed in enumerate(seeds):
         ref = instance_generator(seed)
         ref.random(generate._key_shape(cfg))
         ref.integers(0, len(cfg.planted_alphabet), size=cfg.s * cfg.theta)
         ref.integers(0, cfg.r, size=cfg.theta)
-        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))[0]
+        cols = draw_guesses(cfg, [ref], np.empty((1, cfg.theta, cfg.r, cfg.n)))
         had_zero.append(not cols.any(axis=-1).all())
-        condition(cfg, ref, cols)
-        assert stack.X[i].tobytes() == np.ascontiguousarray(cols.transpose(0, 2, 1)).tobytes()
+        condition(cfg, [ref], cols)
+        assert stack.X[i].tobytes() == np.ascontiguousarray(cols[0].transpose(0, 2, 1)).tobytes()
         assert stack.gauss[i].tobytes() == ref.standard_normal(generate._sensing_shape(cfg)).tobytes()
     assert called == [i for i, zero in enumerate(had_zero) if zero]
     assert 0 < len(called) < len(seeds)
@@ -334,8 +342,14 @@ def test_planted_vector_alphabet_and_support():
 
 
 def guess_columns(cfg, rng, shape):
-    """Guess columns (*shape, n), each conditioned nonzero: a ``draw_guesses`` row of one, then ``_condition``."""
-    return _condition(cfg, rng, draw_guesses(cfg, [rng], np.empty((1, *shape, cfg.n)))[0])
+    """Guess columns (*shape, n), each conditioned nonzero: a ``draw_guesses`` row of one, then ``_condition``.
+
+    A row that gives up raises its error.
+    """
+    cols = draw_guesses(cfg, [rng], np.empty((1, *shape, cfg.n)))
+    for exc in _condition(cfg, [rng], cols).values():
+        raise exc
+    return cols[0]
 
 
 def test_guess_column_laws():
@@ -417,6 +431,26 @@ def test_ensemble_rejects_empty_block_support():
     )
     with pytest.raises(ValueError, match="empty support"):
         build_instance(dataclasses.replace(cfg, master_seed=seed))
+
+
+def test_a_failed_draw_wins_over_an_empty_block(monkeypatch):
+    # uniform supports of 3 slots over 3 blocks leave a block empty in most of
+    # these trials; where the chunk's redraws give up on a trial too, that
+    # trial's error is its draw's, and every other trial keeps its empty block's
+    cfg = base_cfg(s=1, support_mode="uniform")
+    seeds = list(range(12))
+    condition, gave_up = generate._condition, {1, 4, 7, 10}
+
+    def give_up(cfg, rngs, cols):
+        return {**condition(cfg, rngs, cols), **{i: ValueError("redraws gave up") for i in gave_up}}
+
+    monkeypatch.setattr(generate, "_condition", give_up)
+    stack = sample_instances(cfg, seeds, [instance_generator(seed) for seed in seeds])
+    empty = [i for i in range(12) if not stack.x[i].reshape(cfg.theta, cfg.n).any(axis=1).all()]
+    assert gave_up & set(empty) and set(empty) - gave_up
+    assert sorted(stack.errors) == sorted(gave_up | set(empty))
+    for i, exc in stack.errors.items():
+        assert ("redraws gave up" if i in gave_up else "empty support") in str(exc)
 
 
 @pytest.mark.parametrize("law", GUESS_LAWS)

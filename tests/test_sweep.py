@@ -410,31 +410,69 @@ def test_comparison_relaxation_side_draws_as_sample_instances():
     assert [rng.random() for rng in rngs] == [rng.random() for rng in twice]
 
 
-def test_comparison_bestof_chunk_equals_per_trial_draws(monkeypatch):
-    # at n = 4 and nu = 0.3 about a quarter of first-drawn columns are all-zero
-    # and redrawn; the chunk's one best-of draw, conditioned trial by trial,
-    # gives each trial the columns a draw_guesses row of one, conditioned, draws
-    # from its generator
-    cell = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 2\nr = 4\nguess_density = 0.3\n"), seed=3)[0]
-    gen, trials = cell.gen, 40
-    first, conditioned = [], []
+BESTOF_CFG = "m = 4\ns = 2\ntheta = 2\nr = 4\nguess_density = 0.3\n"
 
-    def spy(cfg, rng, cols):
-        first.append(cols.copy())
-        conditioned.append(condition(cfg, rng, cols).copy())
-        return conditioned[-1]
 
-    condition = sweep._condition
+def bestof_conditioning(monkeypatch, cell, trials):
+    """The best-of guesses of ``_comparison_chunk``'s one ``_condition`` call: before, after, and the trials that redrew.
+
+    A trial redraws when its generator draws a ``draw_guesses`` row inside that call.
+    """
+    condition, draw, seen = sweep._condition, generate.draw_guesses, {}
+
+    def spy(cfg, rngs, cols):
+        assert not seen and len(rngs) == len(cols) == trials
+        seen["first"], seen["redrew"] = cols.copy(), []
+
+        def redraw(cfg, g, out):
+            seen["redrew"].append(next(i for i, rng in enumerate(rngs) if rng is g[0]))
+            return draw(cfg, g, out)
+
+        monkeypatch.setattr(generate, "draw_guesses", redraw)
+        try:
+            return condition(cfg, rngs, cols)
+        finally:
+            monkeypatch.setattr(generate, "draw_guesses", draw)
+            seen["conditioned"] = cols.copy()
+
     monkeypatch.setattr(sweep, "_condition", spy)
     sweep._comparison_chunk(cell, 0, trials)
+    return seen["first"], seen["conditioned"], list(dict.fromkeys(seen["redrew"]))
+
+
+def test_comparison_bestof_chunk_equals_per_trial_draws(monkeypatch):
+    # at n = 4 and nu = 0.3 about a quarter of first-drawn columns are all-zero
+    # and redrawn; the chunk's one best-of draw, conditioned in one call,
+    # gives each trial the columns a draw_guesses row of one, conditioned, draws
+    # from its generator
+    cell = build_comparison_plan(parse_config(BESTOF_CFG), seed=3)[0]
+    gen, trials = cell.gen, 40
+    first, conditioned, _ = bestof_conditioning(monkeypatch, cell, trials)
     seeds = [derive_seed(cell.seed, "trial", t) for t in range(trials)]
     rngs = [instance_generator(seed) for seed in seeds]
     sample_instances(gen, seeds, rngs)
     draw_instances(gen, seeds, rngs)
-    want = [_condition(gen, rng, draw_guesses(gen, [rng], np.empty((1, gen.r, gen.theta, gen.n)))[0]) for rng in rngs]
+    want = []
+    for rng in rngs:
+        g = draw_guesses(gen, [rng], np.empty((1, gen.r, gen.theta, gen.n)))
+        assert not _condition(gen, [rng], g)
+        want.append(g[0])
     assert len(conditioned) == trials
     assert all(got.tobytes() == ref.tobytes() for got, ref in zip(conditioned, want))
     assert 0.15 < np.mean([~cols.any(axis=-1) for cols in first]) < 0.35
+
+
+def test_comparison_bestof_redraws_only_trials_with_an_all_zero_column(monkeypatch):
+    # the best-of side's one _condition redraws from exactly the generators of
+    # the trials whose first-drawn guesses hold an all-zero column, some trials
+    # of the chunk but not all, and leaves every other trial's guesses as drawn
+    cell = build_comparison_plan(parse_config(BESTOF_CFG), seed=3)[0]
+    first, conditioned, redrew = bestof_conditioning(monkeypatch, cell, 40)
+    had_zero = (~first.any(axis=-1)).reshape(40, -1).any(axis=1)
+    assert redrew == np.flatnonzero(had_zero).tolist()
+    assert 0 < len(redrew) < 40
+    assert conditioned[~had_zero].tobytes() == first[~had_zero].tobytes()
+    assert conditioned.any(axis=-1).all()
 
 
 # (config, trials): test_09's cells, the golden theta = 2 cell, a theta = 3
@@ -479,7 +517,7 @@ def test_comparison_failed_draw_error_equals_reference(monkeypatch):
 
 # (trials whose best-of redraws give up, trials whose certificate raises, the
 # end line): the earliest trial of either is named, and within one trial the
-# certificate is raised before its guesses are conditioned
+# certificate's error wins over its guesses' redraws
 REDRAW_ERROR = "could not draw a nonzero guess column; guess_density too small"
 CHUNK_ERRORS = {
     "best-of redraw": ({1}, set(), f"cell 0 trial 1: {REDRAW_ERROR}"),
@@ -501,11 +539,13 @@ def test_comparison_chunk_errors_name_their_trial_as_the_reference(monkeypatch, 
     def patch(module):
         calls = []
 
-        def condition(cfg, rng, cols):
-            calls.append(None)
-            if len(calls) - 1 in redraws:
-                raise ValueError(REDRAW_ERROR)
-            return _condition(cfg, rng, cols)
+        def condition(cfg, rngs, cols):
+            # rows are counted across calls: the chunk conditions its trials in
+            # one call, the reference each trial in a call of its own
+            rows = range(len(calls), len(calls) + len(cols))
+            calls.extend(rows)
+            errors = _condition(cfg, rngs, cols)
+            return {**errors, **{i - rows.start: ValueError(REDRAW_ERROR) for i in rows if i in redraws}}
 
         def certify(B, w, support):
             return [np.linalg.LinAlgError("SVD did not converge") if j in certificates else cert
@@ -593,7 +633,9 @@ def test_one_pool_serves_every_call_with_the_same_jobs():
 
 
 def test_pool_of_another_size_replaces_the_old_one():
-    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    # four cells of one chunk each: enough items for a pool of 3
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP + "r = 3\n"), seed=3)
+    assert sum(len(_chunks(cell)) for cell in plan.cells) == 4
     expected = sweep_counts(run_sweep(plan, jobs=1))
     assert sweep_counts(run_sweep(plan, jobs=2)) == expected
     old = pool_pids()
@@ -625,12 +667,46 @@ def test_trial_error_in_a_worker_leaves_the_pool_usable(monkeypatch):
     expected = sweep_counts(run_sweep(plan, jobs=1))
     run_sweep(plan, jobs=2)
     pool, pids = sweep._POOL, pool_pids()
-    sparse = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 1\nr = 2\nguess_density = 1e-7\n"),
+    # two cells of one trial each, so the comparison runs in the pool's workers
+    sparse = build_comparison_plan(parse_config("m = 4\ns = 2\ntheta = 1\nr = 2\nr = 3\nguess_density = 1e-7\n"),
                                    seed=2, trials=1)
+    assert len(sparse) == 2 and all(len(_chunks(cell)) == 1 for cell in sparse)
     with pytest.raises(ValueError, match="cell 0 trial 0: could not draw a nonzero guess column"):
         run_comparison(sparse, jobs=2)
     assert sweep_counts(run_sweep(plan, jobs=2)) == expected
     assert sweep._POOL is pool and pool_pids() == pids
+
+
+def test_a_plan_of_fewer_items_than_jobs_forks_only_one_worker_per_item():
+    # SMALL_SWEEP is two cells of one chunk each; jobs stays at 3, and a plan of
+    # one item runs in the calling process and forks nothing
+    if sweep._POOL is not None:
+        sweep._drop_pool()
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    assert [len(_chunks(cell)) for cell in plan.cells] == [1, 1]
+    expected = sweep_counts(run_sweep(plan, jobs=1))
+    one = plan.cells[:1]
+    assert sum(sweep._run_trials(one, served_by, 3), Counter())[os.getpid()] == 1
+    assert sweep._POOL is None
+    assert sweep_counts(run_sweep(plan, jobs=3)) == expected
+    assert sweep._POOL[0] == 2 and len(pool_pids()) == 2
+
+
+@pytest.mark.parametrize("exc", [ValueError("guard"), np.linalg.LinAlgError("singular"), TypeError("oracle bug")])
+def test_an_oracle_value_error_is_a_trial_error_and_a_bug_propagates(monkeypatch, exc):
+    # a ValueError from the oracle, LinAlgError included, is a trial's error; a
+    # TypeError is a bug in the code, and must not be counted as one
+    def oracle(instance, p):
+        raise exc
+
+    monkeypatch.setattr(sweep, "enumerate_selectors", oracle)
+    plan = build_sweep_plan(parse_config(SMALL_SWEEP), seed=3)
+    if isinstance(exc, ValueError):
+        results = run_sweep(plan, jobs=1)
+        assert [(r.n_error, r.n_oracle_unique) for r in results] == [(cell.trials, 0) for cell in plan.cells]
+    else:
+        with pytest.raises(TypeError, match="oracle bug"):
+            run_sweep(plan, jobs=1)
 
 
 def test_a_patch_reaches_the_workers(monkeypatch):
