@@ -309,13 +309,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="blockrelax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config=True, seed=True, out=True, jobs=False, trials=False):
-        if config:
-            sp.add_argument("--config", help="flat key = value config file")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        if out:
-            sp.add_argument("--out", required=False, help="output path")
+    def add_common(sp, jobs=False, trials=False):
+        sp.add_argument("--config", help="flat key = value config file")
+        sp.add_argument("--seed", type=int, default=None, help="master seed override")
+        sp.add_argument("--out", required=False, help="output path")
         if jobs:
             sp.add_argument("--jobs", type=int, default=None,
                             help="worker processes (default: BLOCKRELAX_JOBS or 1)")

@@ -15,8 +15,8 @@ columns, sensing.  ``sample_instances`` draws a chunk of instances as one
 ``InstanceStack`` of stacked arrays, in three stages.  The first,
 ``draw_instances``, draws the chunk in rounds (each generator's draws before
 its guess columns, one guess draw and one redraw pass for the chunk, then
-each generator's sensing Gaussians) and turns them into the chunk's supports,
-hidden vectors and guess columns, with one support argsort for the chunk.
+each generator's sensing Gaussians) and turns them, with one support argsort
+for the chunk, into its hidden vectors, nonzero on the supports, and guesses.
 The second, ``sense``, turns the Gaussians and hidden vectors of the rows it
 is given into sensing stacks and y = A x, with one batched QR of those rows'
 blocks; the third, ``_plant``, writes the hidden blocks into their planted
@@ -280,16 +280,18 @@ def draw_guesses(cfg: GenConfig, rngs, out: np.ndarray) -> np.ndarray:
 def _condition(cfg: GenConfig, rngs, cols: np.ndarray) -> dict[int, ValueError]:
     """Redraw in place the all-zero guess columns of ``cols`` (k, ..., n); the rows that gave up, with their errors.
 
-    Row i redraws from ``rngs[i]``, one ``draw_guesses`` row a round, only if
-    it holds an all-zero column; it gives up after ``_REDRAW_ROUNDS`` rounds.
+    One zero mask of the chunk picks the rows that hold an all-zero column.
+    Row i, taken in order, redraws its zero columns from ``rngs[i]``, one
+    ``draw_guesses`` row a round, and each redraw updates its mask; it gives
+    up when ``_REDRAW_ROUNDS`` redraws still leave an all-zero column.
     """
-    errors = {}
-    for i in np.flatnonzero((~cols.any(axis=-1)).any(axis=tuple(range(1, cols.ndim - 1)))).tolist():
+    zero, errors = ~cols.any(axis=-1), {}
+    for i in np.flatnonzero(zero.reshape(len(zero), -1).any(axis=1)).tolist():
         for _ in range(_REDRAW_ROUNDS):
-            zero = ~cols[i].any(axis=-1)
-            if not zero.any():
+            cols[i][zero[i]] = draw_guesses(cfg, [rngs[i]], np.empty((1, int(zero[i].sum()), cfg.n)))[0]
+            zero[i] = ~cols[i].any(axis=-1)
+            if not zero[i].any():
                 break
-            cols[i][zero] = draw_guesses(cfg, [rngs[i]], np.empty((1, int(zero.sum()), cfg.n)))[0]
         else:
             errors[i] = ValueError("could not draw a nonzero guess column; guess_density too small")
     return errors
@@ -362,10 +364,12 @@ class InstanceStack:
     """A chunk of one config's trials as stacked C-contiguous arrays, row i for trial i.
 
     ``errors`` maps the position of each trial whose draw failed to the error
-    it raised; that trial's row holds no instance.  In a stack from
-    ``draw_instances`` ``A`` and ``y`` are None and each planted column of X
-    still holds the column drawn for it; one from ``sample_instances`` has
-    every row sensed and each planted column storing its hidden block.
+    it raised; that trial's row holds no instance.  Trial i's support is
+    ``np.flatnonzero(x[i])``, sorted, since no alphabet value is zero.  In a
+    stack from ``draw_instances`` ``A`` and ``y`` are None and each planted
+    column of X still holds the column drawn for it; one from
+    ``sample_instances`` has every row sensed and each planted column storing
+    its hidden block.
     """
 
     config: GenConfig
@@ -374,7 +378,6 @@ class InstanceStack:
     gauss: np.ndarray  # sensing Gaussians (k, *_sensing_shape)
     X: np.ndarray  # guess stacks (k, theta, n, r)
     x: np.ndarray  # hidden vectors (k, n*theta)
-    support: np.ndarray  # sorted global support indices (k, s*theta)
     planted: np.ndarray  # the planted column of each block (k, theta)
     A: np.ndarray | None = None  # sensing stacks (k, theta, m, n)
     y: np.ndarray | None = None  # observations A x (k, m)
@@ -388,7 +391,7 @@ class InstanceStack:
             A=BlockSensingMatrix(self.A[i]),
             X=GuessEnsemble(self.X[i], self.planted[i].tolist()),
             x=self.x[i],
-            support=SupportPattern(self.support[i].tolist(), cfg.n, cfg.theta),
+            support=SupportPattern(np.flatnonzero(self.x[i]).tolist(), cfg.n, cfg.theta),
             y=self.y[i],
             config=cfg if cfg.master_seed == seed else replace(cfg, master_seed=seed),
         )
@@ -404,8 +407,8 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     then each trial's sensing Gaussians.  A trial whose redraws give up is
     an entry of ``errors``, draws no sensing and keeps its row, whose
     sensing Gaussians are zeros and whose guess block still holds an
-    all-zero column.  The support argsort runs once over the chunk;
-    ``sense`` makes the sensing stacks.
+    all-zero column.  The support argsort runs once over the chunk, and
+    the supports go straight into ``x``; ``sense`` makes the sensing stacks.
     """
     t, n, k = cfg.theta, cfg.n, len(rngs)
     keys, vals, planted = np.empty((k, *_key_shape(cfg))), np.empty((k, cfg.s * t), int), np.empty((k, t), int)
@@ -418,11 +421,10 @@ def draw_instances(cfg: GenConfig, seeds, rngs) -> InstanceStack:
     for i, rng in enumerate(rngs):
         if i not in errors:
             rng.standard_normal(out=gauss[i])
-    support = _supports(cfg, keys)
     x = np.zeros((k, n * t))
-    x[np.arange(k)[:, None], support] = np.asarray(cfg.planted_alphabet)[vals]
+    x[np.arange(k)[:, None], _supports(cfg, keys)] = np.asarray(cfg.planted_alphabet)[vals]
     X = np.ascontiguousarray(cols.transpose(0, 1, 3, 2))
-    return InstanceStack(cfg, tuple(seeds), errors, gauss, X, x, support, planted)
+    return InstanceStack(cfg, tuple(seeds), errors, gauss, X, x, planted)
 
 
 def sense(stack: InstanceStack, rows) -> tuple[np.ndarray, np.ndarray]:

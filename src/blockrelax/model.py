@@ -345,11 +345,11 @@ def weight_stack(X_blocks: np.ndarray, p: float) -> np.ndarray:
 
 
 def apply_selector(X: GuessEnsemble, z: Selector | np.ndarray) -> np.ndarray:
-    """Reconstruction X z, block by block.
+    """Reconstruction X z, one product per block.
 
-    When a block slice of ``z`` is a plain coordinate vector the stored column
-    is copied rather than recomputed, so a discrete selector at the planted
-    columns returns the hidden vector bit for bit.
+    Guess entries are finite, so where a block slice of ``z`` is a coordinate
+    vector its product is the stored column bit for bit, up to the sign of a
+    zero: a discrete selector at the planted columns returns the hidden vector.
     """
     zv = z.z if isinstance(z, Selector) else np.asarray(z, dtype=float)
     if zv.shape != (X.ncols,):
@@ -357,10 +357,5 @@ def apply_selector(X: GuessEnsemble, z: Selector | np.ndarray) -> np.ndarray:
     n, r = X.n, X.r
     out = np.empty(n * X.theta)
     for l, b in enumerate(X.blocks):
-        zl = zv[l * r : (l + 1) * r]
-        nz = np.flatnonzero(zl)
-        if nz.size == 1 and zl[nz[0]] == 1.0:
-            out[l * n : (l + 1) * n] = b[:, nz[0]]
-        else:
-            out[l * n : (l + 1) * n] = b @ zl
+        out[l * n : (l + 1) * n] = b @ zv[l * r : (l + 1) * r]
     return out

@@ -499,8 +499,9 @@ def recovery_stack(X_blocks, x, planted, results) -> list[str]:
     ``X_blocks`` is the (k, theta, n, r) guess stack, ``x`` the (k, n*theta)
     hidden vectors and ``planted`` the (k, theta) planted global columns, in
     increasing order.  One stacked product reconstructs X z where a solve
-    takes the planted columns: each block gets the bits ``model.apply_selector``
-    gives it, up to the sign of a zero, so the verdicts are the same.
+    takes the planted columns, the product ``model.apply_selector`` forms
+    block by block: where a block of z is a coordinate vector, both give the
+    bits of its stored column, up to the sign of a zero.
     """
     k, theta, n, r = X_blocks.shape
     same = np.flatnonzero((selected_columns(results, r, theta) + r * np.arange(theta) == planted).all(axis=1))

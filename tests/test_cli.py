@@ -175,6 +175,7 @@ BAD_CONFIGS = {
     # s/n over n = 0 divides by zero unless GenConfig's own check names n first
     "s/n with n 0": ("m = 6\nn = 0\ns = 2\nguess_density = s/n\n",
                      "config error: m, n, theta, r must be positive"),
+    "unknown sensing_kind": ("m = 6\ns = 2\nsensing_kind = foo\n", "config error: unknown sensing_kind 'foo'"),
 }
 TRIALS_ERROR = "config error: trials: must be at least 1"
 # uniform supports scatter s*theta = 4 indices over 4 blocks; at seed 0 one block is left empty
@@ -205,6 +206,9 @@ CONFIG_ERRORS = {
     **{(command, f"oracle {value}"): (f"m = 6\ns = 2\noracle = {value}\n",
                                       f"config error: oracle: unknown switch {value!r}", [])
        for value in ("True", "maybe") for command in ("replay", "sweep")},
+    # compare does not accept these two keys at all
+    **{(command, f"unknown {key}"): (f"m = 6\ns = 2\n{key} = foo\n", f"config error: unknown {key} 'foo'", [])
+       for key in ("support_mode", "guess_law") for command in ("concentration", "gen", "replay", "sweep")},
     # a bad later value of a grid axis is named, as a first one is
     **{(command, f"later {key} value"): (f"m = 6\ns = 2\n{key} = {first}\n{key} = x\n",
                                          f"config error: {key}: invalid integer 'x'", [])
@@ -321,6 +325,8 @@ def bad_container(tmp_path, case: str) -> str:
             lines[at : at + 1] = [renamed + lines[at][len(key):]] if renamed else []
         elif case == "line without =":  # after the magic and kind lines
             lines.insert(2, "garbage")
+        elif case == "unknown magic line":  # a container version this package does not write
+            lines[0] = "blockrelax-container 2"
         elif case in HEADER_EDITS:  # a header key that disagrees with the arrays, or is not a number
             key, value = HEADER_EDITS[case]
             lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln for ln in lines]
@@ -332,6 +338,14 @@ def bad_container(tmp_path, case: str) -> str:
             at = next(i for i, ln in enumerate(lines) if ln.startswith("[A 1]"))
             offset, line = SECTION_EDITS[case]
             lines[at + offset] = line
+        elif case in SHORT_ROWS:  # the one row of [x] or [y] loses its last value
+            at = next(i for i, ln in enumerate(lines) if ln.startswith(f"[{SHORT_ROWS[case]}]"))
+            rows, cols = lines[at].split()[-2:]
+            lines[at : at + 2] = [f"[{SHORT_ROWS[case]}] {rows} {int(cols) - 1}", lines[at + 1].rsplit(",", 1)[0]]
+        elif case == "X blocks taller than A":  # [X 1] and [X 2] each get a ninth row, so n = 9 against A's 8
+            for l in (2, 1):  # the later section first, so the earlier one's line numbers hold
+                at = next(i for i, ln in enumerate(lines) if ln.startswith(f"[X {l}]"))
+                lines[at : at + 9] = [f"[X {l}] 9 3", *lines[at + 1 : at + 9], "0,0,0"]
         elif case == "extra section":  # an [A 3] section, which theta = 2 does not use, after the arrays
             lines += ["[A 3] 1 2", "1,2"]
         elif case == "misspelled section":  # [y] renamed [Y]
@@ -358,6 +372,8 @@ HEADER_EDITS = {
     "header s": ("s", 1),
     "theta not a number": ("theta", "x"),
     "header nu": ("nu", 0.9),  # guess_density is 0.25
+    "one planted column": ("planted_cols", 2),
+    "planted column out of range": ("planted_cols", "2,4"),  # 1-based on disk, so 4 is one past r
 }
 # (key, its misspelling, or None to drop the line)
 KEY_EDITS = {
@@ -371,6 +387,7 @@ SECTION_EDITS = {
     "huge section width": (0, "[A 1] 8 100000000000"),
     "row not numbers": (2, "0.5,abc,1,1,1,1,1,1"),
 }
+SHORT_ROWS = {"x one value short": "x", "y one value short": "y"}
 # (section, 1-based row, value); y is one row of m = 8 values
 VALUE_EDITS = {
     "nan in A": ("A 1", 3, "nan"),
@@ -385,6 +402,12 @@ BAD_CONTAINERS = {
     "header r": "instance error: container header has r = 5, but its arrays have r = 3",
     "header s": "instance error: container header has s*theta = 2, but its support has 6 indices",
     "theta not a number": "instance error: theta: invalid integer 'x'",
+    "unknown magic line": "instance error: not a blockrelax container",
+    "one planted column": "instance error: one planted column index per block required",
+    "planted column out of range": "instance error: planted column index out of range",
+    "X blocks taller than A": "instance error: sensing matrix and ensemble disagree on (n, theta)",
+    "x one value short": "instance error: hidden vector has wrong length",
+    "y one value short": "instance error: observation vector has wrong length",
     "unclosed section": "instance error: container line 19: expected '[name] rows cols', got '[A 1 8 8'",
     "narrow shape line": "instance error: container section 'A 1' row 1 holds 8 values, not 7",
     # a width that no row holds, too wide to allocate: the first row names it

@@ -137,7 +137,7 @@ def test_chunks_equal_single_instances(kind, mode, law):
             want = refs[start : start + size]
             assert stack.seeds == tuple(part)
             assert sorted(stack.errors) == [i for i, ref in enumerate(want) if isinstance(ref, ValueError)]
-            assert all(len(a) == len(part) for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+            assert all(len(a) == len(part) for a in (stack.A, stack.X, stack.x, stack.y, stack.planted))
             for i, ref in enumerate(want):
                 if isinstance(ref, ValueError):
                     assert isinstance(stack.errors[i], ValueError) and str(stack.errors[i]) == str(ref)
@@ -189,7 +189,7 @@ def test_chunk_trial_whose_redraws_give_up_fails_alone(monkeypatch):
     monkeypatch.setattr(generate, "_condition", give_up)
     stack = sample_instances(cfg, seeds, rngs)
     assert list(stack.errors) == [failed]
-    assert all(len(a) == 5 for a in (stack.A, stack.X, stack.x, stack.y, stack.support, stack.planted))
+    assert all(len(a) == 5 for a in (stack.A, stack.X, stack.x, stack.y, stack.planted))
     zeros = np.zeros((1, *generate._sensing_shape(cfg)))
     assert np.array_equal(stack.A[failed], generate._sensing_stacks(cfg, zeros)[0])
     with pytest.raises(ValueError, match="redraws gave up"):
@@ -371,6 +371,22 @@ def test_guess_column_density():
     frac = np.mean(draws != 0)
     # binomial standard error at p=0.25 over 100000 entries
     assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / draws.size)
+
+
+def test_condition_gives_up_exactly_on_rows_its_last_redraw_leaves_an_all_zero_column(monkeypatch):
+    # with one redraw allowed a row of eight columns at n = 4 and nu = 0.3
+    # often redraws, and that redraw sometimes clears every all-zero column
+    # and sometimes not: the rows that give up are exactly those still holding one
+    monkeypatch.setattr(generate, "_REDRAW_ROUNDS", 1)
+    cfg = base_cfg(m=4, n=4, s=2, r=8, guess_density=0.3)
+    rngs = [keyed(35, "give-up", i) for i in range(200)]
+    cols = draw_guesses(cfg, rngs, np.empty((200, cfg.r, cfg.n)))
+    redrawn = (~cols.any(axis=-1)).any(axis=1)
+    errors = _condition(cfg, rngs, cols)
+    left = (~cols.any(axis=-1)).any(axis=1)
+    assert sorted(errors) == np.flatnonzero(left).tolist()
+    assert 0 < left.sum() < redrawn.sum()
+    assert all(str(exc) == "could not draw a nonzero guess column; guess_density too small" for exc in errors.values())
 
 
 def test_guess_columns_conditioned_law():

@@ -247,6 +247,71 @@ def test_error_paths_inside_one_stack():
         assert_same_certificate(cert, kkt_certificate(B[j], w[j], support[j]))
 
 
+def marked_stack():
+    """Three (B, w, y) programs that each solve optimal; program 1's y is 1e6 times the others', so a patch can tell it apart."""
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((3, 4, 6))
+    w = rng.uniform(0.5, 2.0, size=(3, 6))
+    z = np.zeros((3, 6, 1))
+    z[:, [1, 4], 0] = rng.standard_normal((3, 2))
+    y = (B @ z)[:, :, 0]
+    y[1] *= 1e6
+    return B, w, y
+
+
+def marked(y) -> bool:
+    return np.abs(y).max() > 1e3
+
+
+@pytest.mark.parametrize("where", ["step", "finish"])
+def test_a_program_whose_walk_or_finish_raises_fails_alone(monkeypatch, where):
+    # a LinAlgError in the multipliers of a walk's last step, or in the
+    # result made from it, is program 1's entry; programs 0 and 2 keep their bits
+    B, w, y = marked_stack()
+    clean = solve_stack(B, w, y)
+    assert [r.status for r in clean] == ["optimal"] * 3
+    def fail():
+        raise np.linalg.LinAlgError(f"{where} failed")
+
+    solve, finish = np.linalg.solve, solver._finish
+    if where == "step":  # the multipliers are solved from Q^T y, which keeps y's scale
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: fail() if marked(b) else solve(a, b))
+    else:
+        monkeypatch.setattr(solver, "_finish", lambda B, w, y, *rest: fail() if marked(y) else finish(B, w, y, *rest))
+    results = solve_stack(B, w, y)
+    assert isinstance(results[1], np.linalg.LinAlgError) and str(results[1]) == f"{where} failed"
+    for j in (0, 2):
+        assert_same_solve(results[j], clean[j])
+
+
+def test_a_stop_whose_gap_does_not_close_is_max_iter(monkeypatch):
+    # the walk stops on y's span, but the dual gap it leaves is open: the
+    # program reads 'max-iter' with the walk's own point, the others keep their bits
+    B, w, y = marked_stack()
+    clean = solve_stack(B, w, y)
+    gap = solver._gap_from_dual
+    monkeypatch.setattr(solver, "_gap_from_dual", lambda B, w, y, obj, h: 1.0 if marked(y) else gap(B, w, y, obj, h))
+    results = solve_stack(B, w, y)
+    assert (results[1].status, results[1].duality_gap) == ("max-iter", 1.0)
+    assert np.array_equal(results[1].z, clean[1].z) and results[1].iterations == clean[1].iterations
+    for j in (0, 2):
+        assert_same_solve(results[j], clean[j])
+
+
+def test_a_certificate_whose_factorization_fails_fails_alone():
+    # a NaN in program 1's support makes the batched SVD raise: each program is
+    # then certified as a stack of one, program 1's entry is the LinAlgError,
+    # and programs 0 and 2 get the bits the clean stack gives them
+    B, w, _ = marked_stack()
+    support = np.array([[1, 4], [0, 2], [3, 5]])
+    clean = certificate_stack(B, w, support)
+    B[1, 2, 0] = np.nan
+    certs = certificate_stack(B, w, support)
+    assert isinstance(certs[1], np.linalg.LinAlgError)
+    for j in (0, 2):
+        assert_same_certificate(certs[j], clean[j])
+
+
 def test_check_stack_record_takes_the_solve_error_first(monkeypatch):
     # theta = 1, A = I_3, guess columns (e_3, x) with x planted at column 1.
     # Rows 1 and 2 zero column 0, so its weight is 0 and the solve raises; the
